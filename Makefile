@@ -62,10 +62,13 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzLabelEscaping$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/aggregate -run '^$$' -fuzz '^FuzzStopPolicy$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oassisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rdfio -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 
 # Combined core+plan+store+aggregate statement coverage, gated at
-# COVER_MIN so engine, planner (ordering policies included), store or
-# stop-policy changes that shed tests fail the build.
+# COVER_MIN so engine, planner (the paper-order scan and the max-prune
+# selector included), store or stop-policy changes that shed tests fail
+# the build.
 cover:
 	@mkdir -p build
 	$(GO) test -coverprofile=build/cover.out -coverpkg=./internal/core,./internal/plan,./internal/store,./internal/aggregate ./internal/core ./internal/plan ./internal/store ./internal/aggregate

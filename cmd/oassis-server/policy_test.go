@@ -15,7 +15,8 @@ import (
 // TestFleetPolicyKey: the -tenants fleet.json "policy" key reaches the
 // serving tier — the booted tenant's sessions compile the ordering
 // variant, fingerprint-distinct from the default — and an unknown policy
-// is refused at boot with the plan sentinel.
+// (the removed chain-prune and largest-first included) is refused at boot
+// with the plan sentinel.
 func TestFleetPolicyKey(t *testing.T) {
 	dir := t.TempDir()
 	qf := filepath.Join(dir, "q.oql")
@@ -63,15 +64,17 @@ func TestFleetPolicyKey(t *testing.T) {
 		t.Error("policy-tuned tenant shares the plain tenant's plan fingerprint")
 	}
 
-	err = bootTenant(reg, tenantSpec{Name: "bad", Members: 2, Policy: "nope"})
-	if err == nil {
-		t.Fatal("unknown fleet policy accepted at boot")
-	}
-	if !errors.Is(err, plan.ErrUnknownPolicy) {
-		t.Errorf("boot error %v does not wrap plan.ErrUnknownPolicy", err)
-	}
-	if !strings.Contains(err.Error(), `tenant "bad"`) {
-		t.Errorf("boot error %q does not name the tenant", err)
+	for _, policy := range []string{"nope", "chain-prune", "largest-first"} {
+		err = bootTenant(reg, tenantSpec{Name: "bad", Members: 2, Policy: policy})
+		if err == nil {
+			t.Fatalf("unknown fleet policy %q accepted at boot", policy)
+		}
+		if !errors.Is(err, plan.ErrUnknownPolicy) {
+			t.Errorf("boot error %v does not wrap plan.ErrUnknownPolicy", err)
+		}
+		if !strings.Contains(err.Error(), `tenant "bad"`) {
+			t.Errorf("boot error %q does not name the tenant", err)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func main() {
 		all         = flag.Bool("stats", false, "print run statistics")
 		seed        = flag.Int64("seed", 1, "random seed")
 		storeDir    = flag.String("store", "", "durable answer-store directory: answers are persisted there and a rerun resumes without re-asking them")
-		policy      = flag.String("policy", "", "question-ordering policy: paper-order (default), largest-first, chain-prune or max-prune")
+		policy      = flag.String("policy", "", "question-ordering policy: paper-order (default) or max-prune")
 	)
 	flag.Parse()
 	if *queryFile == "" {

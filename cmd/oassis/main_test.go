@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"oassis"
+	"oassis/internal/plan"
 )
 
 const testQuery = `
@@ -74,22 +76,28 @@ func TestLoadCrowdErrors(t *testing.T) {
 	}
 }
 
-// TestRunWithPolicy: the -policy flag reaches the facade — every
-// registered ordering runs the sample query to completion, and an
-// unknown name is refused before any crowd work starts.
+// TestRunWithPolicy: the -policy flag reaches the facade — both
+// orderings run the sample query to completion, and an unknown name (the
+// removed chain-prune and largest-first included) is refused with the
+// planner's sentinel before any crowd work starts.
 func TestRunWithPolicy(t *testing.T) {
 	q := writeFile(t, "q.oql", testQuery)
-	for _, policy := range []string{"paper-order", "largest-first", "chain-prune", "max-prune"} {
+	for _, policy := range []string{"paper-order", "max-prune"} {
 		if err := run(q, "", "", "", policy, 2, false, false, 1); err != nil {
 			t.Errorf("-policy %s: %v", policy, err)
 		}
 	}
-	err := run(q, "", "", "", "nope", 2, false, false, 1)
-	if err == nil {
-		t.Fatal("-policy nope accepted")
-	}
-	if !strings.Contains(err.Error(), "invalid option") || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("-policy nope error = %v", err)
+	for _, policy := range []string{"nope", "chain-prune", "largest-first"} {
+		err := run(q, "", "", "", policy, 2, false, false, 1)
+		if err == nil {
+			t.Fatalf("-policy %s accepted", policy)
+		}
+		if !errors.Is(err, plan.ErrUnknownPolicy) {
+			t.Errorf("-policy %s error %v does not wrap plan.ErrUnknownPolicy", policy, err)
+		}
+		if !strings.Contains(err.Error(), "invalid option") || !strings.Contains(err.Error(), policy) {
+			t.Errorf("-policy %s error = %v", policy, err)
+		}
 	}
 }
 

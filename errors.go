@@ -61,6 +61,15 @@ func invalidOption(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrInvalidOption, fmt.Sprintf(format, args...))
 }
 
+// causedError keeps an error's message but also matches, via errors.Is,
+// the internal sentinel it stems from.
+type causedError struct {
+	error
+	cause error
+}
+
+func (e causedError) Unwrap() []error { return []error{e.error, e.cause} }
+
 // validate rejects out-of-range option values before a run starts.
 func (o *options) validate() error {
 	if o.answersPerQuestion < 1 {
@@ -89,8 +98,8 @@ func (o *options) validate() error {
 	}
 	if o.policy != "" {
 		if _, err := plan.OrderingByName(o.policy); err != nil {
-			return invalidOption("ordering policy %q (want one of %s)",
-				o.policy, strings.Join(plan.OrderingNames(), ", "))
+			return causedError{invalidOption("ordering policy %q (want one of %s)",
+				o.policy, strings.Join(plan.OrderingNames(), ", ")), err}
 		}
 	}
 	if o.parallelism < 0 {

@@ -101,15 +101,15 @@ type Config struct {
 	// mined result; Run and sequential sessions ignore it.
 	PanelSpeculation int
 
-	// Ordering orders the crowd's questions: among the unclassified
-	// generated lattice nodes, the one the ordering ranks best is asked
-	// about next. A tier-one plan.Policy (comparator) keeps the engine's
-	// original allocation-free scan; a tier-two plan.SelectorOrdering
-	// picks through a read-only candidate view over the interned node
-	// store. nil means plan.PaperOrder{}, the paper's §4 smallest-first
-	// order, which is bit-identical to the engine's original hard-coded
-	// selection.
-	Ordering plan.Ordering
+	// Ordering names the question ordering (plan.PolicyName): among the
+	// unclassified generated lattice nodes, the one the ordering ranks
+	// best is asked about next. plan.PolicyMaxPrune picks through a fresh
+	// plan.MaxPrune over a read-only candidate view of the interned node
+	// store; any other value — "" and plan.PolicyPaperOrder included —
+	// runs the paper's §4 (size, key)-least order as the engine's
+	// allocation-free comparator scan. Callers validate names with
+	// plan.OrderingByName.
+	Ordering string
 
 	// Rng drives the specialization-ratio coin flips; nil disables
 	// specialization questions unless the ratio is 1.
@@ -181,13 +181,10 @@ type engine struct {
 	endRound func() // ends the current round's trace span
 	aborted  bool   // Session.Close: the run is canceled
 
-	// ordering is the resolved question ordering; exactly one of policy
-	// (tier one, pairwise comparator on the allocation-free scan) and
-	// selector (tier two, stateful pick over a candidate view) is set.
-	ordering plan.Ordering
-	policy   plan.Policy
-	selector plan.Selector
-	view     candidateView // reusable tier-two view buffers
+	// maxPrune is the run's max-prune selector, nil under the paper
+	// order; view holds its reusable candidate buffers.
+	maxPrune *plan.MaxPrune
+	view     candidateView
 
 	inPool  []bool   // by id: node belongs to the generated pool
 	poolIDs []uint32 // pool nodes in generation order
@@ -207,7 +204,7 @@ type engine struct {
 	toExpand []uint32 // significant nodes awaiting expansion
 
 	succs [][]assign.Assignment // by id: successor memo (noSuccs when empty)
-	preds [][]assign.Assignment // by id: predecessor memo, tier-two only
+	preds [][]assign.Assignment // by id: predecessor memo, max-prune only
 
 	inst   []instEntry // by id: instantiation + question key memo
 	instOK []bool
@@ -276,8 +273,8 @@ func (e *engine) succsOf(id uint32) []assign.Assignment {
 
 // predsOf memoizes predecessor generation per node (sound for the same
 // reason as succsOf: the lattice is fixed for the whole run). Only the
-// tier-two candidate view walks predecessors, so tier-one runs never pay
-// for the memo.
+// max-prune candidate view walks predecessors, so paper-order runs never
+// pay for the memo.
 func (e *engine) predsOf(id uint32) []assign.Assignment {
 	e.growNode(id)
 	if p := e.preds[id]; p != nil {
@@ -324,10 +321,6 @@ func newEngine(cfg Config, ids []string) *engine {
 	if agg == nil {
 		agg = aggregate.NewFixedSample(1)
 	}
-	ordering := cfg.Ordering
-	if ordering == nil {
-		ordering = plan.PaperOrder{}
-	}
 	ns := newNodeStore()
 	e := &engine{
 		cfg:            cfg,
@@ -335,7 +328,6 @@ func newEngine(cfg Config, ids []string) *engine {
 		agg:            agg,
 		ns:             ns,
 		cls:            newClassifierOn(cfg.Space, ns),
-		ordering:       ordering,
 		memberAns:      make(map[string]map[string]float64),
 		pruned:         make(map[string][]vocab.Term),
 		cache:          NewCacheSized(len(ids)),
@@ -354,16 +346,8 @@ func newEngine(cfg Config, ids []string) *engine {
 			e.budgets[i] = cfg.MaxQuestionsPerMember
 		}
 	}
-	// Route the ordering to its tier. The comparator check comes first:
-	// the built-in tier-one policies keep the original selection loop,
-	// proven bit-identical and allocation-free.
-	switch o := ordering.(type) {
-	case plan.Policy:
-		e.policy = o
-	case plan.SelectorOrdering:
-		e.selector = o.NewSelector()
-	default:
-		e.policy = plan.PaperOrder{}
+	if cfg.Ordering == plan.PolicyMaxPrune {
+		e.maxPrune = &plan.MaxPrune{}
 	}
 	// Every node that turns significant — explicitly or by inference — is
 	// scheduled for lattice expansion (Algorithm 1 iterates over all of 𝒜,
@@ -436,19 +420,18 @@ func (e *engine) expandID(id uint32) {
 	}
 }
 
-// pickMinimalUnclassified returns the unclassified generated node the
-// ordering ranks first, or ok=false when every generated node is
-// classified. Tier-two selector orderings pick through a candidate view
-// (see pickSelected); tier-one policies scan the classifier's
-// incrementally-maintained unclassified set and keep the best pool node
-// under the policy's comparison — the original allocation-free loop.
-// Under the default plan.PaperOrder this is the (size, key)-least node —
-// a node of minimal size is minimal in the order up to rare multi-cover
-// DAG absorptions, which cost at most a few extra questions, never
-// correctness.
-func (e *engine) pickMinimalUnclassified() (assign.Assignment, bool) {
-	if e.selector != nil {
-		return e.pickSelected(false)
+// pickUnclassified returns the unclassified generated node the ordering
+// ranks first, or ok=false when there is none. With answeredOnly, nodes
+// whose questions hold no recorded answers are skipped (the
+// frontier-settlement filter). Max-prune picks through a candidate view
+// (see pickSelected); the paper order scans the classifier's
+// incrementally-maintained unclassified set for the (size, key)-least
+// pool node without allocating. A node of minimal size is minimal in the
+// order up to rare multi-cover DAG absorptions, which cost at most a few
+// extra questions, never correctness.
+func (e *engine) pickUnclassified(answeredOnly bool) (assign.Assignment, bool) {
+	if e.maxPrune != nil {
+		return e.pickSelected(answeredOnly)
 	}
 	best := -1
 	bestKey := ""
@@ -458,9 +441,14 @@ func (e *engine) pickMinimalUnclassified() (assign.Assignment, bool) {
 			continue
 		}
 		n := e.ns.node(id)
+		if answeredOnly {
+			if _, qKey := e.instantiate(n); e.agg.Answers(qKey) == 0 {
+				continue
+			}
+		}
 		size := n.Size()
 		key := n.Key()
-		if bestSize < 0 || e.policy.Better(key, size, bestKey, bestSize) {
+		if bestSize < 0 || size < bestSize || (size == bestSize && key < bestKey) {
 			best, bestKey, bestSize = int(id), key, size
 		}
 	}
@@ -712,46 +700,20 @@ func (e *engine) forceClassify(node assign.Assignment) {
 	}
 }
 
-// settleFrontier force-classifies, in policy order and without asking a
-// single further question, every unclassified pool node that already
+// settleFrontier force-classifies, in the run's order and without asking
+// a single further question, every unclassified pool node that already
 // holds recorded answers: an early stop keeps the evidence it paid for
 // instead of discarding partially-sampled nodes. Nodes with no answers at
 // all stay unclassified — there is no evidence to settle them with.
 func (e *engine) settleFrontier() {
 	for {
 		e.drainExpansions()
-		if e.selector != nil {
-			node, ok := e.pickSelected(true)
-			if !ok {
-				return
-			}
-			e.stats.StopSettled++
-			e.forceClassify(node)
-			continue
-		}
-		best := -1
-		bestKey := ""
-		bestSize := -1
-		for id := range e.cls.unclassified {
-			if int(id) >= len(e.inPool) || !e.inPool[id] {
-				continue
-			}
-			n := e.ns.node(id)
-			_, qKey := e.instantiate(n)
-			if e.agg.Answers(qKey) == 0 {
-				continue
-			}
-			size := n.Size()
-			key := n.Key()
-			if bestSize < 0 || e.policy.Better(key, size, bestKey, bestSize) {
-				best, bestKey, bestSize = int(id), key, size
-			}
-		}
-		if best < 0 {
+		node, ok := e.pickUnclassified(true)
+		if !ok {
 			return
 		}
 		e.stats.StopSettled++
-		e.forceClassify(e.ns.node(uint32(best)))
+		e.forceClassify(node)
 	}
 }
 

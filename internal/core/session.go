@@ -9,7 +9,6 @@ import (
 
 	"oassis/internal/fact"
 	"oassis/internal/obs"
-	"oassis/internal/plan"
 	"oassis/internal/vocab"
 )
 
@@ -494,11 +493,6 @@ func (s *Session) AggregateHint(fs fact.Set) (mean float64, answers int) {
 	key := fs.Key()
 	return s.eng.agg.Mean(key), s.eng.agg.Answers(key)
 }
-
-// Ordering returns the session's resolved question ordering (the
-// config's, or plan.PaperOrder by default). Batching layers use it to
-// score panel positions consistently with the engine's own selection.
-func (s *Session) Ordering() plan.Ordering { return s.eng.ordering }
 
 // Leave ends a member's participation: the engine stops asking them, and a
 // question of theirs it is parked on is answered on their behalf — support

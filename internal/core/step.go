@@ -217,7 +217,7 @@ func (e *engine) startRound() {
 		return
 	}
 	e.drainExpansions()
-	node, ok := e.pickMinimalUnclassified()
+	node, ok := e.pickUnclassified(false)
 	if !ok || e.cfg.MaxMSPs > 0 && e.confirmedMSPs() >= e.cfg.MaxMSPs {
 		e.finish()
 		return

@@ -9,8 +9,8 @@ import (
 // candidateView is the engine's concrete plan.CandidateView: a snapshot
 // of the unclassified pool candidates in canonical key order, with their
 // lattice fringe counts and live aggregates, built fresh before every
-// tier-two selection. The backing slices live on the engine and are
-// reused across rounds, so a selector run allocates only what the
+// max-prune selection. The backing slices live on the engine and are
+// reused across rounds, so a max-prune run allocates only what the
 // candidate set grows to.
 //
 // Candidate enumeration MUST be deterministic across execution modes:
@@ -122,18 +122,12 @@ func (s byKey) Swap(i, j int) {
 	s.v.keys[i], s.v.keys[j] = s.v.keys[j], s.v.keys[i]
 }
 
-// pickSelected runs the tier-two selector over a fresh candidate view and
-// maps the chosen index back to its node. An out-of-range pick (a
-// malformed selector) falls back to the first candidate — deterministic,
-// never a panic mid-run.
+// pickSelected runs the max-prune selector over a fresh candidate view
+// and maps the chosen index back to its node.
 func (e *engine) pickSelected(answeredOnly bool) (assign.Assignment, bool) {
 	v := e.buildView(answeredOnly)
 	if v.Len() == 0 {
 		return assign.Assignment{}, false
 	}
-	i := e.selector.Select(v)
-	if i < 0 || i >= v.Len() {
-		i = 0
-	}
-	return e.ns.node(v.ids[i]), true
+	return e.ns.node(v.ids[e.maxPrune.Select(v)]), true
 }

@@ -50,15 +50,11 @@ func runOrderingCell(patterns int, policy string) (orderingCell, error) {
 	if err != nil {
 		return c, err
 	}
-	ord, err := plan.OrderingByName(policy)
-	if err != nil {
-		return c, err
-	}
 	start := time.Now()
 	res := core.Run(core.Config{
 		Space: d.Sp, Theta: 0.2, Members: d.Members,
 		Agg:      aggregate.NewFixedSample(3),
-		Ordering: ord,
+		Ordering: policy,
 	})
 	c.Elapsed = time.Since(start)
 	c.Questions = res.Stats.TotalQuestions
@@ -69,57 +65,50 @@ func runOrderingCell(patterns int, policy string) (orderingCell, error) {
 	return c, nil
 }
 
-// Orderings sweeps every registered question-ordering policy over a grid
-// of seeded taxonomy domains, measuring the crowd questions each needs to
-// mine the (identical) MSP set. The members are deterministic and
-// order-insensitive, so the sweep hard-fails if any ordering mines a
-// different MSP set than paper-order — determinism is the contract, the
-// question count is the experiment. It also hard-fails if neither
-// structure-aware ordering (chain-prune, max-prune) saves questions over
-// paper-order anywhere on the grid. Rows are seeded-deterministic for the
-// bench-compare gate; wall-clock lives in the notes, which the gate does
-// not diff.
+// Orderings sweeps both question orderings (paper-order and max-prune)
+// over a grid of seeded taxonomy domains, measuring the crowd questions
+// each needs to mine the (identical) MSP set. The members are
+// deterministic and order-insensitive, so the sweep hard-fails if
+// max-prune mines a different MSP set than paper-order — determinism is
+// the contract, the question count is the experiment. It also hard-fails
+// if max-prune saves no questions over paper-order anywhere on the grid.
+// Rows are seeded-deterministic for the bench-compare gate; wall-clock
+// lives in the notes, which the gate does not diff.
 func Orderings(patternGrid []int) (*Report, error) {
 	r := &Report{
 		ID:     "orderings",
 		Title:  "question-ordering policies: questions asked for the same MSP set",
 		Header: []string{"patterns", "policy", "questions", "saved", "msps"},
 	}
-	elapsed := map[string]time.Duration{}
-	structSaved := false
+	var paperElapsed, maxElapsed time.Duration
+	saved := false
 	for _, p := range patternGrid {
 		base, err := runOrderingCell(p, plan.PolicyPaperOrder)
 		if err != nil {
 			return nil, err
 		}
-		elapsed[plan.PolicyPaperOrder] += base.Elapsed
+		paperElapsed += base.Elapsed
 		r.Add(p, plan.PolicyPaperOrder, base.Questions, pct(0, base.Questions), len(base.MSPs))
-		for _, name := range plan.OrderingNames() {
-			if name == plan.PolicyPaperOrder {
-				continue
-			}
-			c, err := runOrderingCell(p, name)
-			if err != nil {
-				return nil, err
-			}
-			elapsed[name] += c.Elapsed
-			if fmt.Sprint(c.MSPs) != fmt.Sprint(base.MSPs) {
-				return nil, fmt.Errorf("orderings: %s mined a different MSP set than paper-order at %d patterns:\npaper-order: %v\n%s: %v",
-					name, p, base.MSPs, name, c.MSPs)
-			}
-			if (name == plan.PolicyChainPrune || name == plan.PolicyMaxPrune) && c.Questions < base.Questions {
-				structSaved = true
-			}
-			r.Add(p, name, c.Questions, pct(base.Questions-c.Questions, base.Questions), len(c.MSPs))
+		c, err := runOrderingCell(p, plan.PolicyMaxPrune)
+		if err != nil {
+			return nil, err
 		}
+		maxElapsed += c.Elapsed
+		if fmt.Sprint(c.MSPs) != fmt.Sprint(base.MSPs) {
+			return nil, fmt.Errorf("orderings: max-prune mined a different MSP set than paper-order at %d patterns:\npaper-order: %v\nmax-prune: %v",
+				p, base.MSPs, c.MSPs)
+		}
+		if c.Questions < base.Questions {
+			saved = true
+		}
+		r.Add(p, plan.PolicyMaxPrune, c.Questions, pct(base.Questions-c.Questions, base.Questions), len(c.MSPs))
 	}
-	if !structSaved {
-		return nil, fmt.Errorf("orderings: no structure-aware policy saved questions over paper-order on any domain")
+	if !saved {
+		return nil, fmt.Errorf("orderings: max-prune saved no questions over paper-order on any domain")
 	}
 	r.Note("every policy mines the identical MSP set (hard-checked); saved = questions vs paper-order")
 	r.Note("8 deterministic members, 3 answers per question, theta 0.2, seeded synthetic domains")
-	for _, name := range plan.OrderingNames() {
-		r.Note("wall-clock %s: %.3fs over the grid", name, elapsed[name].Seconds())
-	}
+	r.Note("wall-clock %s: %.3fs over the grid", plan.PolicyMaxPrune, maxElapsed.Seconds())
+	r.Note("wall-clock %s: %.3fs over the grid", plan.PolicyPaperOrder, paperElapsed.Seconds())
 	return r, nil
 }

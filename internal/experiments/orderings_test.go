@@ -7,10 +7,10 @@ import (
 )
 
 // TestOrderingsIdenticalMSPs pins the ordering experiment's two headline
-// claims on a small grid: every registered ordering mines the identical
-// MSP set (the Orderings call itself hard-fails otherwise), and at least
-// one structure-aware ordering saves questions over paper-order (same —
-// the call errors when the claim does not hold). The test re-runs one
+// claims on a small grid: max-prune mines the identical MSP set as
+// paper-order (the Orderings call itself hard-fails otherwise), and
+// saves questions over paper-order somewhere on the grid (same — the
+// call errors when the claim does not hold). The test re-runs one
 // cell to assert the rows are deterministic across invocations, which is
 // what the bench-compare gate relies on.
 func TestOrderingsIdenticalMSPs(t *testing.T) {

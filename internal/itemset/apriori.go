@@ -63,19 +63,12 @@ func contains(hay, needle Itemset) bool {
 // database, levelwise with candidate pruning. Transactions need not be
 // sorted or deduplicated. The result is sorted by (size, lexicographic).
 func Apriori(db []Itemset, minSupport float64) []Support {
-	if len(db) == 0 || minSupport <= 0 {
-		return nil
-	}
 	txns := make([]Itemset, len(db))
-	itemSet := map[int]struct{}{}
 	for i, t := range db {
 		txns[i] = canon(t)
-		for _, it := range txns[i] {
-			itemSet[it] = struct{}{}
-		}
 	}
 	n := float64(len(txns))
-	support := func(s Itemset) float64 {
+	return AprioriFunc(db, minSupport, func(s Itemset) float64 {
 		c := 0
 		for _, t := range txns {
 			if contains(t, s) {
@@ -83,6 +76,24 @@ func Apriori(db []Itemset, minSupport float64) []Support {
 			}
 		}
 		return float64(c) / n
+	})
+}
+
+// AprioriFunc is Apriori's levelwise join/prune loop with the support
+// count replaced by an oracle: over the items occurring in db, every
+// candidate whose subsets are all frequent is passed to support exactly
+// once, and kept when the returned support is ≥ minSupport. Apriori plugs
+// in transaction counting; a crowd substrate plugs in its consensus
+// estimate. The result is sorted by (size, lexicographic).
+func AprioriFunc(db []Itemset, minSupport float64, support func(Itemset) float64) []Support {
+	if len(db) == 0 || minSupport <= 0 {
+		return nil
+	}
+	itemSet := map[int]struct{}{}
+	for _, t := range db {
+		for _, it := range t {
+			itemSet[it] = struct{}{}
+		}
 	}
 
 	var out []Support

@@ -1,12 +1,12 @@
 // Package panel is the batching layer between the step-driven session
 // engine and the crowd: it drains every concurrently-askable question
 // from core.Session.Next, groups them into per-member panels of bounded
-// size, orders the items by a priority score (the plan ordering's
-// position score plus expected information gain), and primes each
-// concrete question with a
-// Prior — a best-guess frequency derived from the running aggregate, the
-// ontology's shape, or a pluggable PriorSource — so members confirm cheap
-// guesses instead of answering from scratch, one screen per round trip.
+// size, orders the items by a priority score (the paper's smallest-first
+// position plus expected information gain), and primes each concrete
+// question with a Prior — a best-guess frequency derived from the running
+// aggregate, the ontology's shape, or a pluggable PriorSource — so members
+// confirm cheap guesses instead of answering from scratch, one screen per
+// round trip.
 //
 // Batching never changes the mined result: panel answers are submitted
 // through core.Session.SubmitBatch, which applies them in deterministic
@@ -22,7 +22,6 @@ import (
 
 	"oassis/internal/core"
 	"oassis/internal/crowd"
-	"oassis/internal/plan"
 )
 
 // DefaultSize is the panel size bound when Config.Size is zero: one
@@ -72,7 +71,6 @@ type Batcher struct {
 	s    *core.Session
 	size int
 	src  PriorSource
-	ord  plan.Ordering
 }
 
 // NewBatcher returns a batcher over the session.
@@ -85,35 +83,22 @@ func NewBatcher(s *core.Session, cfg Config) *Batcher {
 	if src == nil {
 		src = SessionPriors(s)
 	}
-	return &Batcher{s: s, size: size, src: src, ord: s.Ordering()}
+	return &Batcher{s: s, size: size, src: src}
 }
 
 // Session returns the wrapped session (for Close and result access).
 func (b *Batcher) Session() *core.Session { return b.s }
 
-// priority scores a speculative question: the active ordering's position
-// score plus expected information gain (a question with fewer collected
-// answers moves the aggregate more).
+// priority scores a speculative question: the paper's smallest-first
+// position 1/(1+size) plus expected information gain (a question with
+// fewer collected answers moves the aggregate more).
 func (b *Batcher) priority(q core.Question) float64 {
-	p := positionScore(b.ord, len(q.Facts))
+	p := 1.0 / float64(1+len(q.Facts))
 	if q.Kind == core.KindConcrete {
 		_, n := b.s.AggregateHint(q.Facts)
 		p += 1.0 / float64(1+n)
 	}
 	return p
-}
-
-// positionScore asks the session's ordering to grade a candidate of the
-// given pattern size. Orderings that cannot score in isolation (the
-// tier-two selectors, which rank against the whole candidate view) fall
-// back to the paper's smallest-first position — the default the batcher
-// always used. plan.PaperOrder's Scorer is exactly that fallback, so the
-// default path is bit-identical either way.
-func positionScore(o plan.Ordering, size int) float64 {
-	if sc, ok := o.(plan.Scorer); ok {
-		return sc.Score(size)
-	}
-	return 1.0 / float64(1+size)
 }
 
 // Next drains the session's currently answerable questions and returns

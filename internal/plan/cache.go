@@ -119,8 +119,8 @@ func (c *Cache) GetOrDerive(base *Plan, stop string, m *CacheMetrics) (*Plan, bo
 // plan's precompiled tables, so a derivation is a re-serialization, not
 // a recompilation). Asking for base's own ordering — or the empty
 // default — returns base as a hit. The key keeps base's stop dimension,
-// so variants compose: the chain-prune variant of a species-stop plan
-// never collides with the chain-prune variant of the default plan.
+// so variants compose: the max-prune variant of a species-stop plan
+// never collides with the max-prune variant of the default plan.
 func (c *Cache) GetOrDerivePolicy(base *Plan, policy string, m *CacheMetrics) (*Plan, bool, error) {
 	if policy == "" || policy == base.PolicyName {
 		return base, true, nil

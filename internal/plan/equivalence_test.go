@@ -91,17 +91,16 @@ func TestPlannedExecutionEquivalence(t *testing.T) {
 	}
 }
 
-// TestPolicyThroughEngine wires every registered ordering through
+// TestPolicyThroughEngine wires both orderings through
 // core.Config.Ordering: with deterministic (exact, order-insensitive)
-// members, each traversal — tier-one comparators and tier-two selectors
-// alike — must converge on the same MSP set as the paper's
+// members, max-prune must converge on the same MSP set as the paper's
 // smallest-first order.
 func TestPolicyThroughEngine(t *testing.T) {
 	cfg := synth.DomainConfig{
 		Name: "policy", YTerms: 16, XTerms: 8, YDepth: 3, XDepth: 2,
 		Members: 1, Transactions: 16, Patterns: 4, Seed: 7,
 	}
-	run := func(ordering plan.Ordering) map[string]bool {
+	run := func(ordering string) map[string]bool {
 		d, err := synth.GenerateDomain(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -123,16 +122,12 @@ func TestPolicyThroughEngine(t *testing.T) {
 		}
 		return keys
 	}
-	paper := run(nil) // nil means plan.PaperOrder{}
+	paper := run("") // "" means paper-order
 	if len(paper) == 0 {
 		t.Fatal("paper-order run found no MSPs")
 	}
 	for _, name := range plan.OrderingNames() {
-		ord, err := plan.OrderingByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := run(ord)
+		got := run(name)
 		if len(got) != len(paper) {
 			t.Fatalf("%s: MSP counts differ: paper-order %d, %s %d",
 				name, len(paper), name, len(got))

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// ErrUnknownPolicy is wrapped by every ordering-policy resolution failure
-// (OrderingByName, PolicyByName, Plan.WithPolicy), so callers at any
-// layer — the facade's option validation, the server's tenant boot — can
-// errors.Is against one sentinel instead of matching message text.
+// ErrUnknownPolicy is wrapped by every ordering-policy validation failure
+// (OrderingByName, Plan.WithPolicy), so callers at any layer — the
+// facade's option validation, the server's tenant boot — can errors.Is
+// against one sentinel instead of matching message text.
 var ErrUnknownPolicy = errors.New("plan: unknown ordering policy")
 
 // unknownPolicy builds the canonical unknown-ordering error: the sentinel,

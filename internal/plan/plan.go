@@ -4,8 +4,8 @@
 // experiment grids execute precompiled plans instead of re-analyzing the
 // query. A Plan carries the resolved mining variables, the resolved
 // SATISFYING meta-fact-set (the pattern join tree after WHERE evaluation),
-// the valid base assignments, the chosen question-ordering Policy and the
-// mining Substrate, plus the fingerprint of the domain it was compiled
+// the valid base assignments, the name of the chosen question ordering and
+// the mining Substrate, plus the fingerprint of the domain it was compiled
 // against. Plans are content-addressed: Fingerprint is a SHA-256 over the
 // canonical JSON serialization, and Cache keys plans on
 // (query text, domain fingerprint).
@@ -44,11 +44,11 @@ type Plan struct {
 	// ValidBase holds the valid multiplicity-1 assignments from WHERE
 	// evaluation, in canonical (sorted key) order.
 	ValidBase [][]vocab.Term
-	// PolicyName names the question-ordering Ordering the plan runs with
-	// (see OrderingByName). It is part of the serialized IR and hence the
-	// fingerprint: an ordering variant is a distinct plan, so plan caches
-	// and the WAL's drift detection keep runs with different orderings
-	// apart.
+	// PolicyName names the question ordering the plan runs with
+	// (PolicyPaperOrder or PolicyMaxPrune; see OrderingByName). It is
+	// part of the serialized IR and hence the fingerprint: an ordering
+	// variant is a distinct plan, so plan caches and the WAL's drift
+	// detection keep runs with different orderings apart.
 	PolicyName string
 	// SubstrateName names the mining Substrate chosen by the planner
 	// (see SubstrateByName).
@@ -115,10 +115,6 @@ func (p *Plan) NewSpace() *assign.Space {
 	return assign.FromShared(p.voc, p.Vars, p.Sat, p.More, p.ValidBase, p.tab)
 }
 
-// Ordering resolves the plan's question ordering (either tier of the
-// seam: a tier-one comparator Policy or a tier-two SelectorOrdering).
-func (p *Plan) Ordering() (Ordering, error) { return OrderingByName(p.PolicyName) }
-
 // Substrate resolves the plan's mining substrate.
 func (p *Plan) Substrate() (Substrate, error) { return SubstrateByName(p.SubstrateName) }
 
@@ -153,10 +149,8 @@ func (p *Plan) WithStop(name string) (*Plan, error) {
 // PolicyName — and therefore in serialization and fingerprint. Deriving
 // the plan's own ordering returns p itself.
 func (p *Plan) WithPolicy(name string) (*Plan, error) {
-	if name == "" {
-		name = PolicyPaperOrder
-	}
-	if _, err := OrderingByName(name); err != nil {
+	name, err := OrderingByName(name)
+	if err != nil {
 		return nil, err
 	}
 	if name == p.PolicyName {

@@ -45,61 +45,33 @@ func captureDomain(t *testing.T, items int) (*vocab.Vocabulary, *ontology.Ontolo
 	return v, ontology.New(v), q
 }
 
+// TestPolicyOrder pins the paper's §4 traversal order — smallest size
+// first, key ascending on ties — where it survives inside plan: as
+// max-prune's tie-break between equally-scored candidates, which keeps
+// the selector a total order.
 func TestPolicyOrder(t *testing.T) {
-	po := plan.PaperOrder{}
-	if po.Name() != plan.PolicyPaperOrder {
-		t.Errorf("PaperOrder.Name() = %q", po.Name())
-	}
-	// Smallest size first, key ascending on ties — the §4 traversal order.
 	for _, c := range []struct {
-		aKey  string
-		aSize int
-		bKey  string
-		bSize int
-		want  bool
+		name  string
+		cands []fakeCand
+		want  int
 	}{
-		{"z", 1, "a", 2, true},
-		{"a", 2, "z", 1, false},
-		{"a", 2, "b", 2, true},
-		{"b", 2, "a", 2, false},
-		{"a", 2, "a", 2, false},
+		{"smaller size wins", []fakeCand{
+			{key: "a", size: 2, down: 2, up: 2},
+			{key: "z", size: 1, down: 2, up: 2},
+		}, 1},
+		{"least key breaks a size tie", []fakeCand{
+			{key: "a", size: 2, down: 2, up: 2},
+			{key: "b", size: 2, down: 2, up: 2},
+		}, 0},
+		{"score outranks the order", []fakeCand{
+			{key: "a", size: 1, down: 1, up: 1},
+			{key: "b", size: 2, down: 2, up: 2},
+		}, 1},
 	} {
-		if got := po.Better(c.aKey, c.aSize, c.bKey, c.bSize); got != c.want {
-			t.Errorf("PaperOrder.Better(%q,%d,%q,%d) = %v, want %v",
-				c.aKey, c.aSize, c.bKey, c.bSize, got, c.want)
+		var sel plan.MaxPrune
+		if got := sel.Select(fakeView{theta: 0.2, cands: c.cands}); got != c.want {
+			t.Errorf("%s: Select = %d, want %d", c.name, got, c.want)
 		}
-	}
-
-	lf := plan.LargestFirst{}
-	if lf.Name() != plan.PolicyLargestFirst {
-		t.Errorf("LargestFirst.Name() = %q", lf.Name())
-	}
-	for _, c := range []struct {
-		aKey  string
-		aSize int
-		bKey  string
-		bSize int
-		want  bool
-	}{
-		{"z", 2, "a", 1, true},
-		{"a", 1, "z", 2, false},
-		{"a", 2, "b", 2, true},
-		{"b", 2, "a", 2, false},
-	} {
-		if got := lf.Better(c.aKey, c.aSize, c.bKey, c.bSize); got != c.want {
-			t.Errorf("LargestFirst.Better(%q,%d,%q,%d) = %v, want %v",
-				c.aKey, c.aSize, c.bKey, c.bSize, got, c.want)
-		}
-	}
-
-	if p, err := plan.PolicyByName(""); err != nil || p.Name() != plan.PolicyPaperOrder {
-		t.Errorf("PolicyByName(\"\") = %v, %v", p, err)
-	}
-	if p, err := plan.PolicyByName(plan.PolicyLargestFirst); err != nil || p.Name() != plan.PolicyLargestFirst {
-		t.Errorf("PolicyByName(largest-first) = %v, %v", p, err)
-	}
-	if _, err := plan.PolicyByName("nope"); err == nil {
-		t.Error("PolicyByName accepted an unknown policy")
 	}
 }
 

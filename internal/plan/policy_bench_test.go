@@ -27,31 +27,14 @@ func benchView(n int) fakeView {
 	return v
 }
 
-// BenchmarkPolicyBetter measures one tier-one comparison — the unit the
-// engine pays once per candidate per pick.
-func BenchmarkPolicyBetter(b *testing.B) {
-	for _, p := range []plan.Policy{plan.PaperOrder{}, plan.LargestFirst{}} {
-		b.Run(p.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.Better("aaaa", 2, "bbbb", 3)
-			}
-		})
-	}
-}
-
-// BenchmarkSelectorSelect measures one tier-two pick over a 256-candidate
-// view — the unit the engine pays once per question under a selector
-// ordering.
+// BenchmarkSelectorSelect measures one max-prune pick over a
+// 256-candidate view — the unit the engine pays once per question under
+// max-prune.
 func BenchmarkSelectorSelect(b *testing.B) {
 	v := benchView(256)
-	for _, o := range []plan.SelectorOrdering{plan.ChainPrune{}, plan.MaxPrune{}} {
-		b.Run(o.Name(), func(b *testing.B) {
-			sel := o.NewSelector()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sel.Select(v)
-			}
-		})
+	var sel plan.MaxPrune
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sel.Select(v)
 	}
 }

@@ -39,7 +39,7 @@ func (v fakeView) Theta() float64 { return v.theta }
 
 func TestOrderingByName(t *testing.T) {
 	for _, name := range append(plan.OrderingNames(), "") {
-		o, err := plan.OrderingByName(name)
+		got, err := plan.OrderingByName(name)
 		if err != nil {
 			t.Fatalf("OrderingByName(%q): %v", name, err)
 		}
@@ -47,104 +47,34 @@ func TestOrderingByName(t *testing.T) {
 		if want == "" {
 			want = plan.PolicyPaperOrder
 		}
-		if o.Name() != want {
-			t.Errorf("OrderingByName(%q).Name() = %q", name, o.Name())
+		if got != want {
+			t.Errorf("OrderingByName(%q) = %q, want %q", name, got, want)
 		}
 	}
 }
 
-// TestErrUnknownPolicyGolden pins the exact resolution-failure messages:
+// TestErrUnknownPolicyGolden pins the exact validation-failure messages:
 // one sentinel (errors.Is) at every layer, an actionable registry listing
-// in the text.
+// in the text. The removed orderings (chain-prune, largest-first) are
+// unknown names like any other.
 func TestErrUnknownPolicyGolden(t *testing.T) {
-	_, err := plan.OrderingByName("nope")
-	if !errors.Is(err, plan.ErrUnknownPolicy) {
-		t.Fatalf("OrderingByName error %v does not wrap ErrUnknownPolicy", err)
-	}
-	const wantUnknown = `plan: unknown ordering policy "nope" (want one of chain-prune, largest-first, max-prune, paper-order)`
-	if err.Error() != wantUnknown {
-		t.Errorf("OrderingByName message:\n got %q\nwant %q", err.Error(), wantUnknown)
-	}
-
-	// PolicyByName is the tier-one resolver: selector-based names are not
-	// pairwise comparators, and the message says where to go instead.
-	_, err = plan.PolicyByName(plan.PolicyChainPrune)
-	if !errors.Is(err, plan.ErrUnknownPolicy) {
-		t.Fatalf("PolicyByName(chain-prune) error %v does not wrap ErrUnknownPolicy", err)
-	}
-	const wantTier = `plan: unknown ordering policy "chain-prune" (selector-based ordering; resolve with OrderingByName)`
-	if err.Error() != wantTier {
-		t.Errorf("PolicyByName message:\n got %q\nwant %q", err.Error(), wantTier)
-	}
-
-	// WithPolicy propagates the same sentinel.
 	v, o, q := captureDomain(t, 4)
 	pl, err := plan.Compile(v, o, q, plan.DomainFingerprint(v, o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.WithPolicy("nope"); !errors.Is(err, plan.ErrUnknownPolicy) {
-		t.Errorf("WithPolicy error %v does not wrap ErrUnknownPolicy", err)
-	}
-}
-
-// TestScorer pins the panel position scores: PaperOrder's is exactly the
-// batcher's historical smallest-first term (the bit-identical default),
-// LargestFirst mirrors it, and the tier-two selectors deliberately do not
-// score in isolation.
-func TestScorer(t *testing.T) {
-	po, ok := plan.Ordering(plan.PaperOrder{}).(plan.Scorer)
-	if !ok {
-		t.Fatal("PaperOrder does not implement Scorer")
-	}
-	if got := po.Score(1); got != 0.5 {
-		t.Errorf("PaperOrder.Score(1) = %g, want 0.5", got)
-	}
-	if got := po.Score(3); got != 0.25 {
-		t.Errorf("PaperOrder.Score(3) = %g, want 0.25", got)
-	}
-	lf, ok := plan.Ordering(plan.LargestFirst{}).(plan.Scorer)
-	if !ok {
-		t.Fatal("LargestFirst does not implement Scorer")
-	}
-	if got := lf.Score(1); got != 0.5 {
-		t.Errorf("LargestFirst.Score(1) = %g, want 0.5", got)
-	}
-	if got := lf.Score(3); got != 0.75 {
-		t.Errorf("LargestFirst.Score(3) = %g, want 0.75", got)
-	}
-	if _, ok := plan.Ordering(plan.ChainPrune{}).(plan.Scorer); ok {
-		t.Error("ChainPrune implements Scorer; selectors must rank against the whole view")
-	}
-	if _, ok := plan.Ordering(plan.MaxPrune{}).(plan.Scorer); ok {
-		t.Error("MaxPrune implements Scorer; selectors must rank against the whole view")
-	}
-}
-
-func TestChainPruneSelector(t *testing.T) {
-	sel := plan.ChainPrune{}.NewSelector()
-	// Candidate b sits mid-chain: min(3, 2) = 2 beats the fringe nodes'
-	// min(0, 5) = 0 and min(4, 0) = 0.
-	v := fakeView{theta: 0.2, cands: []fakeCand{
-		{key: "a", size: 1, down: 0, up: 5},
-		{key: "b", size: 2, down: 3, up: 2},
-		{key: "c", size: 3, down: 4, up: 0},
-	}}
-	if got := sel.Select(v); got != 1 {
-		t.Errorf("Select = %d, want 1 (mid-chain bisection)", got)
-	}
-	// Equal scores fall back to the paper's (size, key)-least order.
-	tie := fakeView{theta: 0.2, cands: []fakeCand{
-		{key: "a", size: 2, down: 2, up: 2},
-		{key: "b", size: 1, down: 2, up: 2},
-	}}
-	if got := sel.Select(tie); got != 1 {
-		t.Errorf("tie Select = %d, want 1 (smaller size wins the tie)", got)
-	}
-	// Determinism: the same view always picks the same index.
-	for i := 0; i < 3; i++ {
-		if sel.Select(v) != 1 {
-			t.Fatal("ChainPrune selection drifted on a fixed view")
+	for _, name := range []string{"nope", "chain-prune", "largest-first"} {
+		_, err := plan.OrderingByName(name)
+		if !errors.Is(err, plan.ErrUnknownPolicy) {
+			t.Fatalf("OrderingByName(%q) error %v does not wrap ErrUnknownPolicy", name, err)
+		}
+		want := `plan: unknown ordering policy "` + name + `" (want one of max-prune, paper-order)`
+		if err.Error() != want {
+			t.Errorf("OrderingByName message:\n got %q\nwant %q", err.Error(), want)
+		}
+		// WithPolicy propagates the same sentinel.
+		if _, err := pl.WithPolicy(name); !errors.Is(err, plan.ErrUnknownPolicy) {
+			t.Errorf("WithPolicy(%q) error %v does not wrap ErrUnknownPolicy", name, err)
 		}
 	}
 }
@@ -152,7 +82,7 @@ func TestChainPruneSelector(t *testing.T) {
 func TestMaxPruneSelector(t *testing.T) {
 	// With no answers anywhere, the prior is indifferent (0.5): the
 	// balanced expected prune 0.5·down + 0.5·up decides.
-	sel := plan.MaxPrune{}.NewSelector()
+	sel := &plan.MaxPrune{}
 	cold := fakeView{theta: 0.2, cands: []fakeCand{
 		{key: "a", size: 1, down: 1, up: 1},
 		{key: "b", size: 2, down: 4, up: 3},
@@ -164,7 +94,7 @@ func TestMaxPruneSelector(t *testing.T) {
 	// Adaptivity: strong significant evidence on one candidate pushes the
 	// running prior up, so an unanswered down-heavy candidate now outranks
 	// an unanswered up-heavy one of equal total fringe.
-	sel = plan.MaxPrune{}.NewSelector()
+	sel = &plan.MaxPrune{}
 	warm := fakeView{theta: 0.2, cands: []fakeCand{
 		{key: "a", size: 1, down: 0, up: 0, answers: 3, mean: 0.9},
 		{key: "b", size: 2, down: 6, up: 0},
@@ -174,7 +104,7 @@ func TestMaxPruneSelector(t *testing.T) {
 		t.Errorf("warm Select = %d, want 1 (high prior favors the down-set)", got)
 	}
 	// Mirror: insignificant evidence favors the up-heavy candidate.
-	sel = plan.MaxPrune{}.NewSelector()
+	sel = &plan.MaxPrune{}
 	low := fakeView{theta: 0.2, cands: []fakeCand{
 		{key: "a", size: 1, down: 0, up: 0, answers: 3, mean: 0.0},
 		{key: "b", size: 2, down: 6, up: 0},
@@ -186,7 +116,7 @@ func TestMaxPruneSelector(t *testing.T) {
 
 	// The prior persists across rounds: after the warm view, a view with
 	// no answered candidates still selects under the learned prior.
-	sel = plan.MaxPrune{}.NewSelector()
+	sel = &plan.MaxPrune{}
 	sel.Select(warm)
 	later := fakeView{theta: 0.2, cands: []fakeCand{
 		{key: "b", size: 2, down: 6, up: 0},
@@ -206,23 +136,20 @@ func TestWithPolicyFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := base.WithPolicy(plan.PolicyChainPrune)
+	mp, err := base.WithPolicy(plan.PolicyMaxPrune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.PolicyName != plan.PolicyChainPrune {
-		t.Errorf("variant PolicyName = %q", cp.PolicyName)
+	if mp.PolicyName != plan.PolicyMaxPrune {
+		t.Errorf("variant PolicyName = %q", mp.PolicyName)
 	}
-	if cp.Fingerprint() == base.Fingerprint() {
+	if mp.Fingerprint() == base.Fingerprint() {
 		t.Error("ordering variant shares the base fingerprint; caches and WALs would mix orderings")
 	}
-	if cp.Vocabulary() != base.Vocabulary() {
+	if mp.Vocabulary() != base.Vocabulary() {
 		t.Error("variant does not share the base vocabulary")
 	}
-	if ord, err := cp.Ordering(); err != nil || ord.Name() != plan.PolicyChainPrune {
-		t.Errorf("variant Ordering() = %v, %v", ord, err)
-	}
-	// Each registered ordering fingerprints distinctly from every other.
+	// Each ordering fingerprints distinctly from the other.
 	seen := map[string]string{base.PolicyName: base.Fingerprint()}
 	for _, name := range plan.OrderingNames() {
 		p, err := base.WithPolicy(name)

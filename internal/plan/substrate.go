@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"oassis/internal/assoc"
 	"oassis/internal/itemset"
@@ -58,11 +57,9 @@ type AssocSubstrate struct {
 // Name implements Substrate.
 func (AssocSubstrate) Name() string { return SubstrateAssoc }
 
-// MineMaximal implements Substrate.
+// MineMaximal implements Substrate: Apriori's levelwise loop with the
+// crowd's consensus as the support oracle.
 func (s AssocSubstrate) MineMaximal(db []itemset.Itemset, theta float64) []itemset.Support {
-	if len(db) == 0 || theta <= 0 {
-		return nil
-	}
 	n := s.Users
 	if n <= 0 {
 		n = 3
@@ -89,116 +86,7 @@ func (s AssocSubstrate) MineMaximal(db []itemset.Itemset, theta float64) []items
 		}
 		return sum / float64(n)
 	}
-
-	// Item universe, in sorted order like Apriori's level 1.
-	itemSet := map[int]struct{}{}
-	for _, t := range db {
-		for _, it := range t {
-			itemSet[it] = struct{}{}
-		}
-	}
-	items := make([]int, 0, len(itemSet))
-	for it := range itemSet {
-		items = append(items, it)
-	}
-	sort.Ints(items)
-
-	var frequent []itemset.Support
-	var level []itemset.Itemset
-	for _, it := range items {
-		c := itemset.Itemset{it}
-		if sup := support(c); sup >= theta {
-			frequent = append(frequent, itemset.Support{Items: c, Support: sup})
-			level = append(level, c)
-		}
-	}
-	// Levels k ≥ 2: join equal-prefix pairs, prune non-frequent subsets,
-	// ask the crowd about the survivors.
-	for len(level) > 0 {
-		freq := map[string]struct{}{}
-		for _, c := range level {
-			freq[key(c)] = struct{}{}
-		}
-		candSet := map[string]itemset.Itemset{}
-		for i := 0; i < len(level); i++ {
-			for j := i + 1; j < len(level); j++ {
-				a, b := level[i], level[j]
-				if !joinable(a, b) {
-					continue
-				}
-				c := append(append(itemset.Itemset(nil), a...), b[len(b)-1])
-				sort.Ints(c)
-				if !allSubsetsFrequent(c, freq) {
-					continue
-				}
-				candSet[key(c)] = c
-			}
-		}
-		keys := make([]string, 0, len(candSet))
-		for k := range candSet {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var next []itemset.Itemset
-		for _, k := range keys {
-			c := candSet[k]
-			if sup := support(c); sup >= theta {
-				frequent = append(frequent, itemset.Support{Items: c, Support: sup})
-				next = append(next, c)
-			}
-		}
-		level = next
-	}
-	sort.Slice(frequent, func(i, j int) bool {
-		if len(frequent[i].Items) != len(frequent[j].Items) {
-			return len(frequent[i].Items) < len(frequent[j].Items)
-		}
-		return lexLess(frequent[i].Items, frequent[j].Items)
-	})
-	return itemset.Maximal(frequent)
-}
-
-func key(s itemset.Itemset) string {
-	b := make([]byte, 0, len(s)*4)
-	for _, it := range s {
-		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
-	}
-	return string(b)
-}
-
-// joinable implements the Apriori join condition: equal prefixes,
-// differing last items.
-func joinable(a, b itemset.Itemset) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return a[len(a)-1] != b[len(b)-1]
-}
-
-func allSubsetsFrequent(c itemset.Itemset, freq map[string]struct{}) bool {
-	tmp := make(itemset.Itemset, len(c)-1)
-	for drop := range c {
-		copy(tmp, c[:drop])
-		copy(tmp[drop:], c[drop+1:])
-		if _, ok := freq[key(tmp)]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func lexLess(a, b itemset.Itemset) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+	return itemset.Maximal(itemset.AprioriFunc(db, theta, support))
 }
 
 // SubstrateByName resolves a registry name to its Substrate.

@@ -28,17 +28,13 @@ func referenceMSPs(t *testing.T, s *ontology.Sample, q *oassisql.Query, policy s
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordering, err := pl.Ordering()
-	if err != nil {
-		t.Fatal(err)
-	}
 	u1, u2 := crowd.SampleDBs(s)
 	dbs := map[string]*crowd.PersonalDB{"p00": u1, "p01": u2}
 	sp := pl.NewSpace()
 	ref := core.NewSession(core.Config{
 		Space:    sp,
 		Theta:    pl.Support,
-		Ordering: ordering,
+		Ordering: pl.PolicyName,
 		Agg:      aggregate.NewFixedSample(2),
 	}, []string{"p00", "p01"})
 	for qs := ref.Next(); len(qs) > 0; qs = ref.Next() {
@@ -64,7 +60,7 @@ func TestTenantOrderings(t *testing.T) {
 	s := ontology.NewSample()
 	q := oassisql.MustParse(testQuery)
 	policies := map[string]string{
-		"tenant-chain": plan.PolicyChainPrune,
+		"tenant-paper": plan.PolicyPaperOrder,
 		"tenant-max":   plan.PolicyMaxPrune,
 	}
 	want := map[string][]string{}
@@ -101,7 +97,7 @@ func TestTenantOrderings(t *testing.T) {
 		}
 		tenants[name] = opened{tn, sess}
 	}
-	fpA := tenants["tenant-chain"].sess.Plan().Fingerprint()
+	fpA := tenants["tenant-paper"].sess.Plan().Fingerprint()
 	fpB := tenants["tenant-max"].sess.Plan().Fingerprint()
 	if fpA == fpB {
 		t.Fatal("different ordering policies produced the same plan fingerprint")
@@ -140,22 +136,25 @@ func TestTenantOrderings(t *testing.T) {
 	}
 }
 
-// TestTenantPolicyValidation: an unknown ordering policy is refused at
-// tenant boot, naming the tenant, wrapping the plan sentinel.
+// TestTenantPolicyValidation: an unknown ordering policy — the removed
+// chain-prune and largest-first included — is refused at tenant boot,
+// naming the tenant, wrapping the plan sentinel.
 func TestTenantPolicyValidation(t *testing.T) {
 	s := ontology.NewSample()
 	reg := NewRegistry(Config{})
 	defer reg.Close()
-	_, err := reg.AddTenant(TenantConfig{
-		Name: "bad", Voc: s.Voc, Onto: s.Onto, Members: 2, Policy: "nope",
-	})
-	if err == nil {
-		t.Fatal("unknown tenant policy accepted")
-	}
-	if !errors.Is(err, plan.ErrUnknownPolicy) {
-		t.Errorf("boot error %v does not wrap plan.ErrUnknownPolicy", err)
-	}
-	if !strings.Contains(err.Error(), `tenant "bad"`) {
-		t.Errorf("boot error %q does not name the tenant", err)
+	for _, policy := range []string{"nope", "chain-prune", "largest-first"} {
+		_, err := reg.AddTenant(TenantConfig{
+			Name: "bad", Voc: s.Voc, Onto: s.Onto, Members: 2, Policy: policy,
+		})
+		if err == nil {
+			t.Fatalf("unknown tenant policy %q accepted", policy)
+		}
+		if !errors.Is(err, plan.ErrUnknownPolicy) {
+			t.Errorf("boot error %v does not wrap plan.ErrUnknownPolicy", err)
+		}
+		if !strings.Contains(err.Error(), `tenant "bad"`) {
+			t.Errorf("boot error %q does not name the tenant", err)
+		}
 	}
 }

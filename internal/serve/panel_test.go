@@ -68,15 +68,11 @@ func TestServePanelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordering, err := pl.Ordering()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sp := pl.NewSpace()
 	ref := core.NewSession(core.Config{
 		Space:    sp,
 		Theta:    pl.Support,
-		Ordering: ordering,
+		Ordering: pl.PolicyName,
 		Agg:      aggregate.NewFixedSample(2),
 	}, []string{"p00", "p01"})
 	for qs := ref.Next(); len(qs) > 0; qs = ref.Next() {

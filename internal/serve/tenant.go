@@ -427,10 +427,6 @@ func (t *Tenant) attach(id string, q *oassisql.Query, st *store.Store, rec *stor
 	if err != nil {
 		return nil, err
 	}
-	ordering, err := pl.Ordering()
-	if err != nil {
-		return nil, err
-	}
 	sp := pl.NewSpace()
 	sh := t.shards[plan.ShardIndex(pl.Fingerprint(), len(t.shards))]
 	sess := &Session{
@@ -445,7 +441,7 @@ func (t *Tenant) attach(id string, q *oassisql.Query, st *store.Store, rec *stor
 	cfg := core.Config{
 		Space:            sp,
 		Theta:            pl.Support,
-		Ordering:         ordering,
+		Ordering:         pl.PolicyName,
 		Agg:              aggregate.NewFixedSample(t.k),
 		Metrics:          t.reg.coreMet,
 		PanelSpeculation: t.panelSpec,

@@ -11,7 +11,7 @@ import (
 // TestPolicyVariantWALSeparation: two plans differing only in their
 // ordering policy are different plans to the store — the fingerprint the
 // journal binds to changes with the policy, so a WAL written under
-// paper-order can never be replayed into a chain-prune session (answers
+// paper-order can never be replayed into a max-prune session (answers
 // collected under one question order priming a run that asks in another).
 func TestPolicyVariantWALSeparation(t *testing.T) {
 	s := ontology.NewSample()
@@ -28,7 +28,7 @@ WITH SUPPORT = 0.4
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := base.WithPolicy(plan.PolicyChainPrune)
+	variant, err := base.WithPolicy(plan.PolicyMaxPrune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ WITH SUPPORT = 0.4
 		t.Fatal(err)
 	}
 	if err := st.BindPlan(variant.Fingerprint()); err == nil {
-		t.Error("journal bound to paper-order accepted the chain-prune variant")
+		t.Error("journal bound to paper-order accepted the max-prune variant")
 	}
 	st.Close()
 

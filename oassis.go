@@ -672,14 +672,6 @@ const (
 	// smallest unclassified pattern first (bit-identical to not setting
 	// a policy at all).
 	PolicyPaperOrder = plan.PolicyPaperOrder
-	// PolicyLargestFirst asks about the largest unclassified pattern
-	// first, descending from the most specific candidates.
-	PolicyLargestFirst = plan.PolicyLargestFirst
-	// PolicyChainPrune is the taxonomy-aware fringe ordering: prefer the
-	// pattern whose classification settles the largest unresolved
-	// neighborhood whichever way the verdict falls, bisecting unresolved
-	// chains instead of crawling them.
-	PolicyChainPrune = plan.PolicyChainPrune
 	// PolicyMaxPrune is the adaptive ordering: candidates are re-scored
 	// every round from the live answer distribution, maximizing the
 	// expected number of patterns settled by inference per question.
@@ -687,13 +679,13 @@ const (
 )
 
 // WithPolicy selects the question-ordering policy of the run:
-// PolicyPaperOrder (default), PolicyLargestFirst, PolicyChainPrune or
-// PolicyMaxPrune. The ordering is part of the compiled plan — plans with
-// different orderings have different fingerprints, so the plan cache and
-// a WithStore WAL keep them apart. Every ordering yields the identical
-// mined MSP set (the equivalence matrix proves it across parallelism and
-// panel batching); what changes is how many questions the crowd answers
-// to get there. An unknown name is reported as ErrInvalidOption.
+// PolicyPaperOrder (default) or PolicyMaxPrune. The ordering is part of
+// the compiled plan — plans with different orderings have different
+// fingerprints, so the plan cache and a WithStore WAL keep them apart.
+// Both orderings yield the identical mined MSP set (the equivalence
+// matrix proves it across parallelism and panel batching); what changes
+// is how many questions the crowd answers to get there. An unknown name
+// is reported as ErrInvalidOption.
 func WithPolicy(name string) Option {
 	return func(o *options) { o.policy = name }
 }
@@ -793,10 +785,6 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		}
 		sp.MoreCandidates = pool
 	}
-	ordering, err := pl.Ordering()
-	if err != nil {
-		return nil, cfg, err
-	}
 	stop, err := pl.NewStop()
 	if err != nil {
 		return nil, cfg, err
@@ -804,7 +792,7 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 	cfg = core.Config{
 		Space:                 sp,
 		Theta:                 pl.Support,
-		Ordering:              ordering,
+		Ordering:              pl.PolicyName,
 		Agg:                   aggregate.NewFixedSample(o.answersPerQuestion),
 		SpecializationRatio:   o.specializationRatio,
 		EnablePruning:         o.pruning,

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"oassis/internal/plan"
 )
 
 // renderResult flattens a result for bit-identity comparison: the valid
@@ -217,7 +219,9 @@ func TestSessionPanels(t *testing.T) {
 
 // TestInvalidOptionGoldenErrors pins the exact error text of option
 // validation: every out-of-range value matches ErrInvalidOption via
-// errors.Is and reports the offending value.
+// errors.Is and reports the offending value. Unknown ordering policies —
+// the removed chain-prune and largest-first included — also match the
+// planner's ErrUnknownPolicy.
 func TestInvalidOptionGoldenErrors(t *testing.T) {
 	db := SampleDB()
 	q, err := ParseQuery(figure2)
@@ -234,7 +238,9 @@ func TestInvalidOptionGoldenErrors(t *testing.T) {
 		{"specialization ratio", WithSpecializationRatio(1.5), "oassis: invalid option: specialization ratio 1.5 (want within [0, 1])"},
 		{"parallelism", WithParallelism(-2), "oassis: invalid option: parallelism -2 (want >= 0)"},
 		{"top-k", WithTopK(-1), "oassis: invalid option: top-k -1 (want >= 0)"},
-		{"ordering policy", WithPolicy("nope"), "oassis: invalid option: ordering policy \"nope\" (want one of chain-prune, largest-first, max-prune, paper-order)"},
+		{"ordering policy", WithPolicy("nope"), "oassis: invalid option: ordering policy \"nope\" (want one of max-prune, paper-order)"},
+		{"ordering policy chain-prune", WithPolicy("chain-prune"), "oassis: invalid option: ordering policy \"chain-prune\" (want one of max-prune, paper-order)"},
+		{"ordering policy largest-first", WithPolicy("largest-first"), "oassis: invalid option: ordering policy \"largest-first\" (want one of max-prune, paper-order)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Exec(db, q, nil, tc.opt)
@@ -243,6 +249,9 @@ func TestInvalidOptionGoldenErrors(t *testing.T) {
 			}
 			if err.Error() != tc.want {
 				t.Errorf("error text drifted:\n got  %q\n want %q", err.Error(), tc.want)
+			}
+			if strings.HasPrefix(tc.name, "ordering policy") && !errors.Is(err, plan.ErrUnknownPolicy) {
+				t.Errorf("err = %v, want plan.ErrUnknownPolicy", err)
 			}
 			if _, err := NewSession(context.Background(), db, q, nil, tc.opt); !errors.Is(err, ErrInvalidOption) {
 				t.Errorf("NewSession err = %v, want ErrInvalidOption", err)
