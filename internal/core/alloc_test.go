@@ -30,3 +30,32 @@ func TestAllocsPick(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsSessionNext gates Next at one allocation — the returned
+// slice — however many questions are open: a warm Next over the 16-member
+// travel session that issues nothing new copies the ordered open list and
+// does nothing else on the heap.
+func TestAllocsSessionNext(t *testing.T) {
+	sess, byID := newCrowdTravel(t).session()
+	for i := 0; i < 400; i++ {
+		qs := sess.Next()
+		if qs == nil {
+			t.Fatalf("run finished after %d answers", i)
+		}
+		q := qs[0]
+		if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+			t.Fatalf("submit %d: %v", q.ID, err)
+		}
+	}
+	// Warm: this call retires stale speculation and issues the new.
+	open := len(sess.Next())
+	if open < 100 {
+		t.Fatalf("only %d open questions after 400 answers; the gate needs a crowd-sized open list", open)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sess.Next()
+	})
+	if allocs != 1 {
+		t.Errorf("Next allocates %.1f times per call at %d open questions, want 1", allocs, open)
+	}
+}

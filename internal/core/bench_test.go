@@ -78,3 +78,32 @@ func BenchmarkSessionLoop(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
 }
+
+// BenchmarkSessionLoopCrowd measures the session loop over the 16-member
+// travel crowd — Next, then Submit the first question's answer — where
+// every Next speculates over the crowd and returns hundreds of open
+// questions. It reports the cost per answer and the questions each Next
+// returns.
+func BenchmarkSessionLoopCrowd(b *testing.B) {
+	ct := newCrowdTravel(b)
+	answers, questions, calls := 0, 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sess, byID := ct.session()
+		b.StartTimer()
+		for qs := sess.Next(); qs != nil; qs = sess.Next() {
+			calls++
+			questions += len(qs)
+			q := qs[0]
+			sess.Submit(q.ID, AnswerFrom(byID[q.Member], q))
+			answers++
+		}
+		if len(sess.Close().MSPs) == 0 {
+			b.Fatal("session mined no MSPs")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
+	b.ReportMetric(float64(questions)/float64(calls), "questions/Next")
+}

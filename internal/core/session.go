@@ -107,11 +107,10 @@ func (w *want) askKey() askKey {
 
 // instance is one issued Question awaiting its answer.
 type instance struct {
-	id          QuestionID
-	q           Question
-	key         askKey
-	gen         int // round at issue time (speculative retirement)
-	speculative bool
+	q    Question // carries the ID and the speculative flag
+	key  askKey
+	gen  int  // round at issue time (speculative retirement)
+	live bool // not yet answered or retired
 }
 
 // Session runs the mining engine with inverted, step-driven control: Next
@@ -148,8 +147,8 @@ type instance struct {
 type Session struct {
 	eng *engine
 
-	insts    map[QuestionID]*instance
-	byKey    map[askKey]*instance
+	open     []*instance          // issued, in ID order; dead ones wait for Next
+	byKey    map[askKey]*instance // the live instances
 	buffered map[askKey]Answer
 	retired  map[QuestionID]askKey // late answers are still buffered once
 	blocked  *instance
@@ -172,7 +171,6 @@ type Session struct {
 // its first question. cfg.Members is ignored: the caller answers.
 func NewSession(cfg Config, memberIDs []string) *Session {
 	s := &Session{
-		insts:    make(map[QuestionID]*instance),
 		byKey:    make(map[askKey]*instance),
 		buffered: make(map[askKey]Answer),
 		retired:  make(map[QuestionID]askKey),
@@ -225,14 +223,21 @@ func (s *Session) advance() {
 func (s *Session) finish() {
 	s.res = s.eng.result()
 	s.blocked = nil
-	for id, inst := range s.insts {
-		if !s.closed {
-			s.retired[id] = inst.key
+	for _, inst := range s.open {
+		if inst.live {
+			s.retire(inst)
 		}
-		s.noteRetired(id)
 	}
-	s.insts = make(map[QuestionID]*instance)
-	s.byKey = make(map[askKey]*instance)
+	s.open = nil
+}
+
+// retire closes a live instance unanswered. Until Close its ID still takes
+// one late answer (never re-ask a human); Next no longer surfaces it.
+func (s *Session) retire(inst *instance) {
+	if !s.closed {
+		s.retired[inst.q.ID] = inst.key
+	}
+	s.drop(inst, false)
 }
 
 // issue opens a question instance under a fresh ID.
@@ -240,8 +245,8 @@ func (s *Session) issue(k askKey, q Question, speculative bool) *instance {
 	q.ID = s.nextID
 	q.Speculative = speculative
 	s.nextID++
-	inst := &instance{id: q.ID, q: q, key: k, gen: s.eng.at.round, speculative: speculative}
-	s.insts[inst.id] = inst
+	inst := &instance{q: q, key: k, gen: s.eng.at.round, live: true}
+	s.open = append(s.open, inst)
 	s.byKey[k] = inst
 	s.noteIssued(inst)
 	return inst
@@ -254,41 +259,35 @@ func (s *Session) noteIssued(inst *instance) {
 	if s.metrics == nil && s.tracer == nil {
 		return
 	}
-	s.metrics.questionIssued(inst.key.kind, inst.speculative)
+	s.metrics.questionIssued(inst.key.kind, inst.q.Speculative)
 	if s.metrics != nil {
-		s.issuedAt[inst.id] = time.Now()
+		s.issuedAt[inst.q.ID] = time.Now()
 	}
 	if s.tracer != nil {
 		phase := "blocked"
-		if inst.speculative {
+		if inst.q.Speculative {
 			phase = "speculative"
 		}
-		s.spanEnd[inst.id] = s.tracer.Begin("question",
-			obs.A("id", strID(inst.id)), obs.A("member", inst.key.member),
+		s.spanEnd[inst.q.ID] = s.tracer.Begin("question",
+			obs.A("id", strID(inst.q.ID)), obs.A("member", inst.key.member),
 			obs.A("kind", inst.key.kind.String()), obs.A("phase", phase))
 	}
 }
 
-// noteAnswered books an answered question: latency observation and span
-// end.
-func (s *Session) noteAnswered(inst *instance) {
+// drop marks a live instance dead and frees its ask key; the attached
+// metrics and tracer book it answered (with its latency) or retired.
+func (s *Session) drop(inst *instance, answered bool) {
+	inst.live = false
+	delete(s.byKey, inst.key)
 	if s.metrics == nil && s.tracer == nil {
 		return
 	}
-	s.metrics.questionAnswered(inst.key.kind, s.issuedAt[inst.id])
-	delete(s.issuedAt, inst.id)
-	if end, ok := s.spanEnd[inst.id]; ok {
-		end()
-		delete(s.spanEnd, inst.id)
+	id := inst.q.ID
+	if answered {
+		s.metrics.questionAnswered(inst.key.kind, s.issuedAt[id])
+	} else {
+		s.metrics.questionRetired()
 	}
-}
-
-// noteRetired books a question retired without an answer.
-func (s *Session) noteRetired(id QuestionID) {
-	if s.metrics == nil && s.tracer == nil {
-		return
-	}
-	s.metrics.questionRetired()
 	delete(s.issuedAt, id)
 	if end, ok := s.spanEnd[id]; ok {
 		end()
@@ -296,18 +295,21 @@ func (s *Session) noteRetired(id QuestionID) {
 	}
 }
 
-// retireStale drops speculative questions from rounds the engine has moved
-// past. Their IDs stay known so a late answer is still buffered (never
-// re-ask a human), but they are no longer surfaced by Next.
-func (s *Session) retireStale() {
-	for id, inst := range s.insts {
-		if inst.speculative && inst != s.blocked && inst.gen != s.eng.at.round {
-			s.retired[id] = inst.key
-			delete(s.insts, id)
-			delete(s.byKey, inst.key)
-			s.noteRetired(id)
+// compact drops dead instances from the open list in place, retiring on
+// the way, in ID order, the speculative questions from rounds the engine
+// has moved past.
+func (s *Session) compact() {
+	kept := s.open[:0]
+	for _, inst := range s.open {
+		if inst.live && inst.q.Speculative && inst != s.blocked && inst.gen != s.eng.at.round {
+			s.retire(inst)
+		}
+		if inst.live {
+			kept = append(kept, inst)
 		}
 	}
+	clear(s.open[len(kept):])
+	s.open = kept
 }
 
 // speculateOn opens a speculative concrete question (key, fs) for member
@@ -317,13 +319,8 @@ func (s *Session) retireStale() {
 func (s *Session) speculateOn(idx int, key string, fs fact.Set) {
 	e := s.eng
 	id := e.ids[idx]
-	if !e.memberActive(idx) || e.budgets[idx] == 0 {
-		return
-	}
-	if _, ok := e.memberAns[id][key]; ok {
-		return
-	}
-	if e.pruneHit(id, fs) {
+	_, cached := e.memberAns[id][key]
+	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(id, fs) {
 		return
 	}
 	if e.cfg.Prime != nil {
@@ -332,10 +329,7 @@ func (s *Session) speculateOn(idx int, key string, fs fact.Set) {
 		}
 	}
 	k := askKey{member: id, kind: KindConcrete, key: key}
-	if _, open := s.byKey[k]; open {
-		return
-	}
-	if _, buf := s.buffered[k]; buf {
+	if _, buf := s.buffered[k]; buf || s.byKey[k] != nil {
 		return
 	}
 	s.issue(k, Question{Member: id, Kind: KindConcrete, Facts: fs}, true)
@@ -404,24 +398,21 @@ func (s *Session) speculateSuccessors() {
 
 // Next returns every question that can be answered right now: the one the
 // engine is blocked on (always first), followed by the open speculative
-// questions in issue order. It returns nil exactly when the run has
-// finished and Close/Result hold the outcome.
+// questions in issue order. Each call returns a fresh slice: one copy of
+// the ordered open list. It returns nil exactly when the run has finished
+// and Close/Result hold the outcome.
 func (s *Session) Next() []Question {
 	if s.res != nil || s.closed {
 		return nil
 	}
-	s.retireStale()
+	s.compact()
 	s.speculate()
-	out := []Question{s.blocked.q}
-	ids := make([]QuestionID, 0, len(s.insts))
-	for id, inst := range s.insts {
+	out := make([]Question, 1, len(s.open)) // all live, the blocked one included
+	out[0] = s.blocked.q
+	for _, inst := range s.open {
 		if inst != s.blocked {
-			ids = append(ids, id)
+			out = append(out, inst.q)
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		out = append(out, s.insts[id].q)
 	}
 	return out
 }
@@ -443,13 +434,15 @@ func (s *Session) Submit(id QuestionID, a Answer) error {
 	if s.res != nil || s.closed {
 		return ErrSessionDone
 	}
-	inst, ok := s.insts[id]
-	if !ok {
+	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].q.ID >= id })
+	if i == len(s.open) || s.open[i].q.ID != id || !s.open[i].live {
 		return fmt.Errorf("%w: id %d", ErrUnknownQuestion, id)
 	}
-	delete(s.insts, id)
-	delete(s.byKey, inst.key)
-	s.noteAnswered(inst)
+	inst := s.open[i]
+	s.drop(inst, true)
+	if i == len(s.open)-1 { // the newest, always under Run, which never calls Next
+		s.open = s.open[:i]
+	}
 	if inst == s.blocked {
 		s.blocked = nil
 		s.eng.answer(a)
@@ -494,10 +487,11 @@ func (s *Session) AggregateHint(fs fact.Set) (mean float64, answers int) {
 	return s.eng.agg.Mean(key), s.eng.agg.Answers(key)
 }
 
-// Leave ends a member's participation: the engine stops asking them, and a
-// question of theirs it is parked on is answered on their behalf — support
-// 0 for a concrete question (a harmless one-answer bias the aggregator
-// absorbs), a decline for a specialization, no click for a pruning offer.
+// Leave ends a member's participation: the engine stops asking them, their
+// open questions are retired, and one the engine is parked on is answered
+// on their behalf — support 0 for a concrete question (a harmless
+// one-answer bias the aggregator absorbs), a decline for a
+// specialization, no click for a pruning offer.
 func (s *Session) Leave(memberID string) {
 	e := s.eng
 	for i, id := range e.ids {
@@ -505,11 +499,12 @@ func (s *Session) Leave(memberID string) {
 			continue
 		}
 		e.left[i] = true
-		if b := s.blocked; b != nil && b.key.member == memberID {
-			s.retired[b.id] = b.key
-			delete(s.insts, b.id)
-			delete(s.byKey, b.key)
-			s.noteRetired(b.id)
+		for _, inst := range s.open {
+			if inst.live && inst.key.member == memberID {
+				s.retire(inst)
+			}
+		}
+		if b := s.blocked; b != nil && !b.live {
 			s.blocked = nil
 			s.advance()
 		}

@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"oassis/internal/aggregate"
 	"oassis/internal/crowd"
+	"oassis/internal/plan"
+	"oassis/internal/synth"
 )
 
 // driveSession answers every surfaced question (blocked and speculative)
@@ -45,6 +48,54 @@ func answerFromDB(db *crowd.PersonalDB, q Question) Answer {
 		return AnswerNoneOfThese()
 	}
 	return AnswerSupport(db.Support(q.Facts))
+}
+
+// crowdTravel is the repo benchmark's mine-crowd input: the paper's travel
+// domain with a 16-member simulated crowd, queried at θ=0.2 with five
+// answers per question, specialization 0.35, user-guided pruning and a
+// seeded engine RNG. With 16 members every Next speculates over the crowd,
+// so the session's open list runs to hundreds of questions.
+type crowdTravel struct {
+	d  *synth.Domain
+	pl *plan.Plan
+}
+
+func newCrowdTravel(tb testing.TB) crowdTravel {
+	tb.Helper()
+	dc := synth.Travel
+	dc.Members = 16
+	d, err := synth.GenerateDomain(dc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl, err := d.Plan(0.2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return crowdTravel{d: d, pl: pl}
+}
+
+// config returns a fresh configuration (lattice, aggregator, engine RNG)
+// without members.
+func (c crowdTravel) config() Config {
+	return Config{
+		Space:               c.pl.NewSpace(),
+		Theta:               0.2,
+		Agg:                 aggregate.NewFixedSample(5),
+		SpecializationRatio: 0.35,
+		EnablePruning:       true,
+		Rng:                 rand.New(rand.NewSource(1)),
+	}
+}
+
+// session opens a session over a fresh crowd, returning the members by ID.
+func (c crowdTravel) session() (*Session, map[string]crowd.Member) {
+	members := c.d.NewCrowd()
+	byID := make(map[string]crowd.Member, len(members))
+	for _, m := range members {
+		byID[m.ID()] = m
+	}
+	return NewSession(c.config(), memberIDs(members)), byID
 }
 
 func TestSessionMatchesBatchRun(t *testing.T) {
@@ -127,6 +178,148 @@ func TestSessionSpeculativeOrder(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", res.Stats) != fmt.Sprintf("%+v", batch.Stats) {
 		t.Errorf("stats diverged:\nsession %+v\nbatch   %+v", res.Stats, batch.Stats)
+	}
+}
+
+// TestSessionNextOrder drives the 16-member travel session with Next()[0]
+// to the end and checks Next's contract on every call: the blocked
+// question first, then speculative questions in strictly ascending ID
+// order; no answered or retired ID ever comes back; an answered ID
+// rejects a second answer; a retired ID takes exactly one late answer.
+// The late answers are the members' own (concrete answers are pure), so
+// the result must still equal Run's.
+func TestSessionNextOrder(t *testing.T) {
+	ct := newCrowdTravel(t)
+	cfg := ct.config()
+	cfg.Members = ct.d.NewCrowd()
+	want := summarize(cfg.Space, Run(cfg))
+
+	sess, byID := ct.session()
+	sp := sess.eng.sp
+	gone := map[QuestionID]bool{}         // answered or retired
+	surfaced := map[QuestionID]Question{} // surfaced by the last Next, still open
+	// retireLate gives each question the last Next surfaced and this one
+	// did not (retired unanswered) its one late answer.
+	retireLate := func(open map[QuestionID]bool) (n int) {
+		for id, q := range surfaced {
+			if open[id] || gone[id] {
+				continue
+			}
+			gone[id] = true
+			if err := sess.Submit(id, AnswerFrom(byID[q.Member], q)); err != nil {
+				t.Fatalf("late answer to retired %d: %v", id, err)
+			}
+			if err := sess.Submit(id, AnswerFrom(byID[q.Member], q)); !errors.Is(err, ErrUnknownQuestion) {
+				t.Fatalf("second late answer to retired %d: got %v, want ErrUnknownQuestion", id, err)
+			}
+			n++
+		}
+		return n
+	}
+	calls, retired := 0, 0
+	for qs := sess.Next(); qs != nil; qs = sess.Next() {
+		calls++
+		if qs[0].ID != sess.blocked.q.ID {
+			t.Fatalf("call %d: qs[0] is %d, the engine is blocked on %d", calls, qs[0].ID, sess.blocked.q.ID)
+		}
+		open := make(map[QuestionID]bool, len(qs))
+		for i, q := range qs {
+			if gone[q.ID] {
+				t.Fatalf("call %d: answered or retired question %d surfaced again", calls, q.ID)
+			}
+			if i > 0 && !q.Speculative {
+				t.Fatalf("call %d: non-speculative question %d after the blocked one", calls, q.ID)
+			}
+			if i > 1 && q.ID <= qs[i-1].ID {
+				t.Fatalf("call %d: IDs %d then %d are not ascending", calls, qs[i-1].ID, q.ID)
+			}
+			if i > 0 && q.ID == qs[0].ID {
+				t.Fatalf("call %d: blocked question %d surfaced twice", calls, q.ID)
+			}
+			open[q.ID] = true
+		}
+		retired += retireLate(open)
+		clear(surfaced)
+		for _, q := range qs[1:] {
+			surfaced[q.ID] = q
+		}
+		q := qs[0]
+		if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+			t.Fatalf("submit %d: %v", q.ID, err)
+		}
+		gone[q.ID] = true
+		if sess.Done() {
+			break
+		}
+		if err := sess.Submit(q.ID, AnswerSupport(1)); !errors.Is(err, ErrUnknownQuestion) {
+			t.Fatalf("second answer to %d: got %v, want ErrUnknownQuestion", q.ID, err)
+		}
+	}
+	// The run's end retires whatever was still open.
+	retireLate(nil)
+	if retired == 0 {
+		t.Error("no speculative question was retired mid-run")
+	}
+	if got := summarize(sp, sess.Close()); got != want {
+		t.Errorf("session diverged from Run:\nsession %s\nrun     %s", got, want)
+	}
+}
+
+// TestSessionLeaveRetiresSpeculative leaves a member right after they get
+// a speculative question: no later Next may surface a question for them,
+// each retired question still takes one late answer, and the late answers
+// leave the result unchanged.
+func TestSessionLeaveRetiresSpeculative(t *testing.T) {
+	run := func(late bool) string {
+		s, q, sp := buildSpace(t, figure3Restricted)
+		sess := NewSession(Config{
+			Space: sp,
+			Theta: q.Support,
+			Agg:   aggregate.NewFixedSample(3),
+		}, []string{"u1", "u2", "quitter"})
+		u1, u2 := crowd.SampleDBs(s)
+		dbs := map[string]*crowd.PersonalDB{"u1": u1, "u2": u2, "quitter": u2}
+		var leftWith []QuestionID
+		for qs := sess.Next(); qs != nil; qs = sess.Next() {
+			if leftWith == nil {
+				for _, q := range qs {
+					if q.Member == "quitter" && q.Speculative {
+						leftWith = append(leftWith, q.ID)
+					}
+				}
+				if leftWith != nil {
+					sess.Leave("quitter")
+					if late {
+						for _, id := range leftWith {
+							if err := sess.Submit(id, AnswerSupport(1)); err != nil {
+								t.Fatalf("late answer to %d: %v", id, err)
+							}
+							if err := sess.Submit(id, AnswerSupport(1)); !errors.Is(err, ErrUnknownQuestion) {
+								t.Fatalf("second late answer to %d: got %v, want ErrUnknownQuestion", id, err)
+							}
+						}
+					}
+					continue
+				}
+			} else {
+				for _, q := range qs {
+					if q.Member == "quitter" {
+						t.Fatalf("question %d for quitter surfaced after Leave", q.ID)
+					}
+				}
+			}
+			q := qs[0]
+			if err := sess.Submit(q.ID, answerFromDB(dbs[q.Member], q)); err != nil {
+				t.Fatalf("submit %d: %v", q.ID, err)
+			}
+		}
+		if leftWith == nil {
+			t.Fatal("quitter never got a speculative question")
+		}
+		return summarize(sp, sess.Close())
+	}
+	if with, without := run(true), run(false); with != without {
+		t.Errorf("late answers changed the result:\nwith    %s\nwithout %s", with, without)
 	}
 }
 

@@ -49,15 +49,51 @@ func (a Atom) String() string {
 	case AtomVar:
 		return "$" + a.Name
 	case AtomLiteral:
-		return fmt.Sprintf("%q", a.Name)
+		return quote(a.Name)
 	case AtomAny:
 		return "[]"
 	default:
-		if strings.ContainsAny(a.Name, " \t") {
-			return fmt.Sprintf("%q", a.Name)
+		if !bareName(a.Name) {
+			return quote(a.Name)
 		}
 		return a.Name
 	}
+}
+
+// bareName reports whether a term name lexes back as one identifier: not
+// empty, identifier bytes only, no leading digit (that lexes as a number)
+// and not a keyword.
+func bareName(name string) bool {
+	if name == "" || isDigit(name[0]) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if !isIdentByte(name[i]) {
+			return false
+		}
+	}
+	_, kw := keywords[strings.ToUpper(name)]
+	return !kw
+}
+
+// quote renders s as a string token, escaping exactly what the lexer
+// unescapes (Go's %q emits escapes the lexer rejects).
+func quote(s string) string {
+	var sb strings.Builder
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\n':
+			sb.WriteString(`\n`)
+		default:
+			sb.WriteByte(c)
+		}
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }
 
 // Mult is a variable multiplicity range; Max < 0 means unbounded.
