@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"oassis/internal/assign"
 	"oassis/internal/plan"
+	"oassis/internal/synth"
 )
 
 // TestAllocsPick gates the engine's pick as allocation-free under both
@@ -57,5 +59,44 @@ func TestAllocsSessionNext(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("Next allocates %.1f times per call at %d open questions, want 1", allocs, open)
+	}
+}
+
+// TestAllocsOnClassified gates the timeline bookkeeping as allocation-free
+// on every explicit classification: an untimed engine keeps no row state,
+// and a timed one tests the ValidBase singletons it built once at open,
+// for a significant and an insignificant node alike.
+func TestAllocsOnClassified(t *testing.T) {
+	sp, err := synth.GenerateSpace(synth.DAGConfig{Width: 12, Depth: 3, XWidth: 6, XDepth: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := sp.Sp.ValidBase
+	if len(rows) < 20 {
+		t.Fatalf("space has %d ValidBase rows; the gate needs at least 20", len(rows))
+	}
+	for _, timeline := range []bool{false, true} {
+		e := newEngine(Config{Space: sp.Sp, Theta: 0.5, TrackTimeline: timeline}, nil)
+		e.seed()
+		e.drainExpansions()
+		for _, c := range []struct {
+			node        assign.Assignment
+			significant bool
+		}{
+			{sp.Sp.Singleton(rows[len(rows)/2]...), true}, // settles itself and its generalizations
+			{e.ns.node(e.poolIDs[0]), false},              // a minimal node: settles every row above it
+		} {
+			allocs := testing.AllocsPerRun(100, func() {
+				clear(e.classifiedRows) // re-test every row on each call
+				e.onClassified(c.node, c.significant)
+			})
+			if allocs != 0 {
+				t.Errorf("timeline=%v significant=%v: onClassified allocates %.1f times per call over %d rows, want 0",
+					timeline, c.significant, allocs, len(rows))
+			}
+		}
+		if timeline && e.classifiedN == 0 {
+			t.Error("timed engine counted no classified rows")
+		}
 	}
 }

@@ -2,6 +2,11 @@ package core
 
 import (
 	"testing"
+
+	"oassis/internal/aggregate"
+	"oassis/internal/crowd"
+	"oassis/internal/plan"
+	"oassis/internal/synth"
 )
 
 // BenchmarkDrainExpansions measures batched DAG expansion over the full
@@ -106,4 +111,40 @@ func BenchmarkSessionLoopCrowd(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
 	b.ReportMetric(float64(questions)/float64(calls), "questions/Next")
+}
+
+// BenchmarkEngineRunLattice measures a complete sequential mining run
+// over a synthetic DAG of the repo benchmark's mine-lattice shape (width
+// 500, depth 7, multiplicities on, 5% of the nodes planted as valid MSPs,
+// one noiseless oracle, θ 0.5). Unlike Figure 2 it has thousands of
+// ValidBase rows, so any per-row cost on the classification path shows
+// here. It reports the engine's cost per counted answer.
+func BenchmarkEngineRunLattice(b *testing.B) {
+	sp, err := synth.GenerateSpace(synth.DAGConfig{Width: 500, Depth: 7, Multiplicities: true, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	planted, err := sp.PlantMSPs(synth.MSPConfig{Count: max(1, sp.NodeCount()/20), ValidOnly: true, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := plan.FromSpace("synth:lattice", 0.5, false, plan.DomainFingerprint(sp.Voc, nil), sp.Sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	members := []crowd.Member{synth.NewOracle("u", sp, planted)}
+	answers := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := Config{Space: pl.NewSpace(), Theta: 0.5, Agg: aggregate.NewFixedSample(1), Members: members}
+		b.StartTimer()
+		res := Run(cfg)
+		if len(res.MSPs) == 0 {
+			b.Fatal("run mined no MSPs")
+		}
+		answers += res.Stats.TotalQuestions
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
 }

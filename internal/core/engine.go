@@ -43,7 +43,9 @@ type Config struct {
 	MaxQuestionsPerMember int
 
 	// TrackTimeline records a Stats.Timeline point after every counted
-	// answer (needed for the pace-of-collection figures).
+	// answer (needed for the pace-of-collection figures). Its
+	// ClassifiedValid count costs one order test per ValidBase row for
+	// each explicit classification; untimed runs pay nothing for it.
 	TrackTimeline bool
 
 	// Prime is a CrowdCache from an earlier run of the same query: answers
@@ -197,7 +199,11 @@ type engine struct {
 	mspLog     map[string]int // chain maxima -> question count at discovery
 	newAnswers int            // answers recorded in the current round
 
-	classifiedRows []bool // per ValidBase row, for the timeline
+	// Timeline bookkeeping, allocated only under Config.TrackTimeline:
+	// rowNodes holds the ValidBase singletons, built once, and
+	// classifiedRows marks the rows already counted in classifiedN.
+	rowNodes       []assign.Assignment
+	classifiedRows []bool
 	classifiedN    int
 
 	expanded []bool   // by id: successors were generated
@@ -323,22 +329,28 @@ func newEngine(cfg Config, ids []string) *engine {
 	}
 	ns := newNodeStore()
 	e := &engine{
-		cfg:            cfg,
-		sp:             cfg.Space,
-		agg:            agg,
-		ns:             ns,
-		cls:            newClassifierOn(cfg.Space, ns),
-		memberAns:      make(map[string]map[string]float64),
-		pruned:         make(map[string][]vocab.Term),
-		cache:          NewCacheSized(len(ids)),
-		uniqueQ:        make(map[string]struct{}),
-		mspLog:         make(map[string]int),
-		classifiedRows: make([]bool, len(cfg.Space.ValidBase)),
-		answersBy:      make(map[string]int),
-		ids:            ids,
-		left:           make([]bool, len(ids)),
-		budgets:        make([]int, len(ids)),
-		endRound:       func() {},
+		cfg:       cfg,
+		sp:        cfg.Space,
+		agg:       agg,
+		ns:        ns,
+		cls:       newClassifierOn(cfg.Space, ns),
+		memberAns: make(map[string]map[string]float64),
+		pruned:    make(map[string][]vocab.Term),
+		cache:     NewCacheSized(len(ids)),
+		uniqueQ:   make(map[string]struct{}),
+		mspLog:    make(map[string]int),
+		answersBy: make(map[string]int),
+		ids:       ids,
+		left:      make([]bool, len(ids)),
+		budgets:   make([]int, len(ids)),
+		endRound:  func() {},
+	}
+	if cfg.TrackTimeline {
+		e.rowNodes = make([]assign.Assignment, len(cfg.Space.ValidBase))
+		for i, row := range cfg.Space.ValidBase {
+			e.rowNodes[i] = cfg.Space.Singleton(row...)
+		}
+		e.classifiedRows = make([]bool, len(e.rowNodes))
 	}
 	for i := range e.budgets {
 		e.budgets[i] = -1
@@ -618,13 +630,17 @@ func (e *engine) applyVerdict(node assign.Assignment, qKey string) {
 	}
 }
 
-// onClassified updates the classified-valid-rows counter for the timeline.
+// onClassified updates the classified-valid-rows counter for the timeline:
+// one order test per not-yet-counted ValidBase row. Untimed runs keep no
+// row state and return at once.
 func (e *engine) onClassified(a assign.Assignment, significant bool) {
-	for i, row := range e.sp.ValidBase {
+	if e.classifiedRows == nil {
+		return
+	}
+	for i, r := range e.rowNodes {
 		if e.classifiedRows[i] {
 			continue
 		}
-		r := e.sp.Singleton(row...)
 		if significant && e.sp.Leq(r, a) || !significant && e.sp.Leq(a, r) {
 			e.classifiedRows[i] = true
 			e.classifiedN++

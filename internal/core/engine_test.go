@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"oassis/internal/aggregate"
@@ -11,6 +13,7 @@ import (
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
 	"oassis/internal/sparql"
+	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
 
@@ -480,13 +483,14 @@ SATISFYING $x doAt $x WITH SUPPORT = 0.2`)
 
 func TestTimelineMonotone(t *testing.T) {
 	s, q, sp := buildSpace(t, figure3Restricted)
-	res := Run(Config{
+	sess := runSession(Config{
 		Space:         sp,
 		Theta:         q.Support,
 		Members:       sampleMembers(s),
 		Agg:           aggregate.NewFixedSample(2),
 		TrackTimeline: true,
 	})
+	res, e := sess.res, sess.eng
 	if len(res.Stats.Timeline) != res.Stats.TotalQuestions {
 		t.Fatalf("timeline %d points, %d questions",
 			len(res.Stats.Timeline), res.Stats.TotalQuestions)
@@ -501,6 +505,67 @@ func TestTimelineMonotone(t *testing.T) {
 	last := res.Stats.Timeline[len(res.Stats.Timeline)-1]
 	if last.ClassifiedValid == 0 {
 		t.Error("no valid assignments classified in timeline")
+	}
+	// Brute force: a row is classified once it lies at or below a
+	// significant anchor or at or above an insignificant one.
+	want := 0
+	for _, row := range sp.ValidBase {
+		r := sp.Singleton(row...)
+		if slices.ContainsFunc(e.cls.sig, func(a assign.Assignment) bool { return sp.Leq(r, a) }) ||
+			slices.ContainsFunc(e.cls.insig, func(a assign.Assignment) bool { return sp.Leq(a, r) }) {
+			want++
+		}
+	}
+	if e.classifiedN != want {
+		t.Errorf("classifiedN = %d, brute force over the anchors counts %d of %d rows",
+			e.classifiedN, want, len(sp.ValidBase))
+	}
+}
+
+// TestTimelineDoesNotPerturb: tracking the timeline changes nothing but
+// Stats.Timeline — the MSPs, statistics, discovery times, contributor
+// counts and |msp⁻| are identical with it on and off, on the Figure 1
+// sample, the 16-member travel crowd and a synthetic lattice.
+func TestTimelineDoesNotPerturb(t *testing.T) {
+	ct := newCrowdTravel(t)
+	cases := []equivalenceCase{
+		figure1Case(),
+		{name: "crowd-travel", mkConfig: func(t *testing.T) (Config, *assign.Space) {
+			cfg := ct.config()
+			cfg.Members = ct.d.NewCrowd()
+			return cfg, cfg.Space
+		}},
+		synthCase("synth-wide", synth.DAGConfig{
+			Width: 12, Depth: 3, XWidth: 6, XDepth: 2, Seed: 7,
+		}, 5, 3),
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			off, _ := tc.mkConfig(t)
+			on, _ := tc.mkConfig(t)
+			on.TrackTimeline = true
+			want, got := Run(off), Run(on)
+			if len(got.Stats.Timeline) != got.Stats.TotalQuestions || want.Stats.Timeline != nil {
+				t.Fatalf("timeline points: %d with tracking (%d questions), %d without",
+					len(got.Stats.Timeline), got.Stats.TotalQuestions, len(want.Stats.Timeline))
+			}
+			got.Stats.Timeline = nil
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"MSPs", got.MSPs, want.MSPs},
+				{"ValidMSPs", got.ValidMSPs, want.ValidMSPs},
+				{"Stats", got.Stats, want.Stats},
+				{"MSPQuestion", got.MSPQuestion, want.MSPQuestion},
+				{"AnswersByMember", got.AnswersByMember, want.AnswersByMember},
+				{"InsigMinimal", got.InsigMinimal, want.InsigMinimal},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%s differs with the timeline on:\n got %v\nwant %v", f.name, f.got, f.want)
+				}
+			}
+		})
 	}
 }
 

@@ -32,8 +32,11 @@ func (k QuestionKind) String() string {
 
 // Point is one timeline sample, taken after each counted crowd answer.
 type Point struct {
-	Questions       int // cumulative counted answers
-	ClassifiedValid int // valid base assignments classified so far
+	Questions int // cumulative counted answers
+	// ClassifiedValid counts the valid base assignments classified so far.
+	// Keeping it costs one order test per ValidBase row for each explicit
+	// classification, paid only when Config.TrackTimeline is set.
+	ClassifiedValid int
 	MSPsFound       int // chain maxima recorded so far (MSP candidates)
 }
 
