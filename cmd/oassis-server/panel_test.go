@@ -225,3 +225,37 @@ func TestServerPanelRoundTrip(t *testing.T) {
 		t.Fatalf("panel-driven results = %+v", res)
 	}
 }
+
+// TestServerAnswerPanelItemSingly answers the second item of a served
+// panel through the single-question route, with its session: any question
+// the member holds takes an answer there, not only their first.
+func TestServerAnswerPanelItemSingly(t *testing.T) {
+	reg, _, ts := newRegistryServer(t, serve.Config{}, 100*time.Millisecond)
+	s := ontology.NewSample()
+	tn, err := reg.AddTenant(serve.TenantConfig{
+		Name: defaultTenant, Voc: s.Voc, Onto: s.Onto,
+		Members: 2, AnswersPerQuestion: 2, PanelSpeculation: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"ann", "bob"} {
+		if _, err := tn.Join(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tn.Open(oassisql.MustParse(serverQuery)); err != nil {
+		t.Fatal(err)
+	}
+	var p panelJSON
+	getJSON(t, ts.URL+"/api/panel?member=p00&max=4", &p)
+	if p.Type != "panel" || len(p.Items) < 2 {
+		t.Fatalf("panel = %+v, want at least two items", p)
+	}
+	resp, body := postJSON(t, ts.URL+"/api/answer", map[string]interface{}{
+		"member": "p00", "session": p.Session, "id": p.Items[1].ID, "level": 2,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("answer to panel item 2: status %d %v", resp.StatusCode, body)
+	}
+}

@@ -321,7 +321,7 @@ func (s *server) renderPanel(t *serve.Tenant, p serve.Panel) panelJSON {
 }
 
 // handlePanel is the batched long-poll route: one GET hands the member a
-// panel of up to max pending questions from one session, each primed with
+// panel of up to max open questions from one session, each primed with
 // its prior, instead of one question per round trip.
 func (s *server) handlePanel(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenant(r)
@@ -384,13 +384,19 @@ func (s *server) handlePanelAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	answers := make([]serve.PanelAnswer, 0, len(req.Answers))
+	var miss error
 	for _, a := range req.Answers {
-		// Find the pending question to learn its kind before converting
-		// the wire answer; SubmitPanel revalidates under the shard lock
-		// and skips items consumed in the meantime.
-		q, ok := t.Pending(req.Member, a.ID)
-		if !ok {
+		// Find the question to learn its kind before converting the wire
+		// answer; SubmitPanel revalidates under the shard lock and skips
+		// items consumed in the meantime.
+		q, err := t.Pending(req.Session, req.Member, a.ID)
+		if errors.Is(err, serve.ErrNoPending) {
+			miss = err
 			continue
+		}
+		if err != nil {
+			s.serveError(w, err)
+			return
 		}
 		level := 0.0
 		if a.Level != nil && *a.Level >= 0 && *a.Level <= 4 {
@@ -412,8 +418,7 @@ func (s *server) handlePanelAnswer(w http.ResponseWriter, r *http.Request) {
 		answers = append(answers, serve.PanelAnswer{ID: a.ID, Answer: ans})
 	}
 	if len(answers) == 0 {
-		s.serveError(w, fmt.Errorf("%w: no panel item matched for member %q in tenant %q",
-			serve.ErrNoPending, req.Member, t.Name()))
+		s.serveError(w, miss)
 		return
 	}
 	n, err := t.AnswerPanel(req.Session, req.Member, answers)
@@ -443,25 +448,11 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad answer payload")
 		return
 	}
-	// Find the pending question to learn its kind before converting the
-	// wire answer; the submit below revalidates under the shard lock.
-	var q serve.Question
-	var ok bool
-	if req.Session != "" {
-		sess, err := t.Session(req.Session)
-		if err != nil {
-			s.serveError(w, err)
-			return
-		}
-		if q, ok = sess.Pending(req.Member); ok && q.ID != req.ID {
-			ok = false
-		}
-	} else {
-		q, ok = t.Pending(req.Member, req.ID)
-	}
-	if !ok {
-		s.serveError(w, fmt.Errorf("%w %d for member %q in tenant %q",
-			serve.ErrNoPending, req.ID, req.Member, t.Name()))
+	// Find the question to learn its kind before converting the wire
+	// answer; the submit below revalidates under the shard lock.
+	q, err := t.Pending(req.Session, req.Member, req.ID)
+	if err != nil {
+		s.serveError(w, err)
 		return
 	}
 	level := func() float64 {

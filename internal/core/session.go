@@ -42,7 +42,9 @@ type Question struct {
 	// request — the current round's node question, or a mirror of the
 	// question the engine is blocked on, for a member whose turn has not
 	// come yet. Its answer is buffered until the engine asks for it, and
-	// is silently discarded if the engine never does.
+	// is silently discarded if the engine never does. The question the
+	// engine is blocked on never carries the flag, even when it was first
+	// issued speculatively.
 	Speculative bool
 }
 
@@ -152,7 +154,7 @@ type Session struct {
 	buffered map[askKey]Answer
 	retired  map[QuestionID]askKey // late answers are still buffered once
 	blocked  *instance
-	nextID   QuestionID
+	nextID   QuestionID // IDs start at 1, so 0 never names a question
 
 	// Observability (nil/empty when neither metrics nor tracer is
 	// attached). issuedAt and spanEnd are keyed by question ID; recording
@@ -174,6 +176,7 @@ func NewSession(cfg Config, memberIDs []string) *Session {
 		byKey:    make(map[askKey]*instance),
 		buffered: make(map[askKey]Answer),
 		retired:  make(map[QuestionID]askKey),
+		nextID:   1,
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 	}
@@ -208,7 +211,9 @@ func (s *Session) advance() {
 		}
 		if inst, ok := s.byKey[k]; ok {
 			// A speculative question already issued for exactly this ask:
-			// adopt it, keeping its ID.
+			// adopt it, keeping its ID. It is the engine's own question
+			// now, so it no longer reads as speculative.
+			inst.q.Speculative = false
 			s.blocked = inst
 			return
 		}
@@ -417,6 +422,50 @@ func (s *Session) Next() []Question {
 	return out
 }
 
+// AppendOpen appends the member's open questions to dst and returns the
+// extended slice: the engine's blocked question first when it is theirs,
+// then the rest in ID order. Unlike Next it neither speculates nor
+// retires, so readers may call it as often as they like between Nexts.
+func (s *Session) AppendOpen(dst []Question, member string) []Question {
+	if s.res != nil || s.closed {
+		return dst
+	}
+	if b := s.blocked; b != nil && b.q.Member == member {
+		dst = append(dst, b.q)
+	}
+	for _, inst := range s.open {
+		if inst.live && inst != s.blocked && inst.q.Member == member {
+			dst = append(dst, inst.q)
+		}
+	}
+	return dst
+}
+
+// Lookup returns the question Submit would still accept under id: an open
+// one in full, or a retired one still awaiting its one late answer, of
+// which only ID, Member and Kind survive.
+func (s *Session) Lookup(id QuestionID) (Question, bool) {
+	if k, ok := s.retired[id]; ok {
+		return Question{ID: id, Member: k.member, Kind: k.kind}, true
+	}
+	if s.res != nil || s.closed {
+		return Question{}, false
+	}
+	if i := s.find(id); i >= 0 {
+		return s.open[i].q, true
+	}
+	return Question{}, false
+}
+
+// find returns the index of the live open question id, or -1.
+func (s *Session) find(id QuestionID) int {
+	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].q.ID >= id })
+	if i == len(s.open) || s.open[i].q.ID != id || !s.open[i].live {
+		return -1
+	}
+	return i
+}
+
 // Submit merges the answer to a previously issued question. Answering the
 // engine's blocked question resumes it and advances the run to its next
 // question; answering a speculative question buffers the answer until the
@@ -434,8 +483,8 @@ func (s *Session) Submit(id QuestionID, a Answer) error {
 	if s.res != nil || s.closed {
 		return ErrSessionDone
 	}
-	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].q.ID >= id })
-	if i == len(s.open) || s.open[i].q.ID != id || !s.open[i].live {
+	i := s.find(id)
+	if i < 0 {
 		return fmt.Errorf("%w: id %d", ErrUnknownQuestion, id)
 	}
 	inst := s.open[i]

@@ -265,6 +265,93 @@ func TestSessionNextOrder(t *testing.T) {
 	}
 }
 
+// TestSessionBlockedNotSpeculative drives the 16-member travel session
+// with Next()[0] to the end: the engine's blocked question must never read
+// as speculative, also when the engine adopted an already issued
+// speculative question.
+func TestSessionBlockedNotSpeculative(t *testing.T) {
+	sess, byID := newCrowdTravel(t).session()
+	calls := 0
+	for qs := sess.Next(); qs != nil; qs = sess.Next() {
+		calls++
+		if qs[0].Speculative {
+			t.Fatalf("call %d: blocked question %d is flagged speculative", calls, qs[0].ID)
+		}
+		if err := sess.Submit(qs[0].ID, AnswerFrom(byID[qs[0].Member], qs[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no questions asked")
+	}
+}
+
+// TestSessionAppendOpenLookup checks the per-member reads against Next on
+// every call of the travel session: AppendOpen is Next filtered to one
+// member (blocked question first, then ID order), Lookup returns every
+// open question in full, a retired one by member and kind until its one
+// late answer, and nothing for an answered one or ID 0.
+func TestSessionAppendOpenLookup(t *testing.T) {
+	sess, byID := newCrowdTravel(t).session()
+	if _, ok := sess.Lookup(0); ok {
+		t.Fatal("ID 0 names a question")
+	}
+	var prev []Question
+	var buf []Question
+	for qs := sess.Next(); qs != nil; qs = sess.Next() {
+		open := make(map[QuestionID]bool, len(qs))
+		for _, q := range qs {
+			open[q.ID] = true
+			if got, ok := sess.Lookup(q.ID); !ok || got.ID != q.ID || got.Facts.Key() != q.Facts.Key() {
+				t.Fatalf("Lookup(%d) = %+v, %v; want the open question", q.ID, got, ok)
+			}
+		}
+		for id := range byID {
+			buf = sess.AppendOpen(buf[:0], id)
+			var want []Question
+			for _, q := range qs {
+				if q.Member == id {
+					want = append(want, q)
+				}
+			}
+			if fmt.Sprint(buf) != fmt.Sprint(want) {
+				t.Fatalf("AppendOpen(%s) = %v, want %v", id, buf, want)
+			}
+		}
+		for _, q := range prev {
+			if open[q.ID] {
+				continue
+			}
+			got, ok := sess.Lookup(q.ID)
+			if !ok {
+				continue // answered
+			}
+			if got.Member != q.Member || got.Kind != q.Kind {
+				t.Fatalf("retired Lookup(%d) = %+v, want member %s kind %v", q.ID, got, q.Member, q.Kind)
+			}
+			if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+				t.Fatalf("late answer to %d: %v", q.ID, err)
+			}
+			if _, ok := sess.Lookup(q.ID); ok {
+				t.Fatalf("retired %d still found after its late answer", q.ID)
+			}
+		}
+		prev = append(prev[:0], qs...)
+		q := qs[0]
+		if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sess.Lookup(q.ID); ok && !sess.Done() {
+			t.Fatalf("answered %d still found", q.ID)
+		}
+	}
+	for id := range byID {
+		if got := sess.AppendOpen(buf[:0], id); len(got) != 0 {
+			t.Errorf("finished session still has open questions for %s: %v", id, got)
+		}
+	}
+}
+
 // TestSessionLeaveRetiresSpeculative leaves a member right after they get
 // a speculative question: no later Next may surface a question for them,
 // each retired question still takes one late answer, and the late answers

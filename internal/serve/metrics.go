@@ -59,10 +59,9 @@ func (o *tenantObs) dispatched(start time.Time) {
 	o.p99.Set(int64(o.dispatch.Quantile(0.99) * 1e6))
 }
 
-// dispatchedPanel records a panel hand-out: one dispatch latency sample
-// (a panel is one round trip) plus the panel and item counters.
-func (o *tenantObs) dispatchedPanel(start time.Time, items int) {
-	o.dispatched(start)
+// panelled counts a panel hand-out and its items; its one dispatch
+// latency sample (a panel is one round trip) is recorded by dispatched.
+func (o *tenantObs) panelled(items int) {
 	o.panels.Inc()
 	o.panelItems.Add(items)
 }

@@ -56,8 +56,9 @@ var (
 	ErrUnknownSession = errors.New("serve: unknown session")
 	// ErrUnknownMember reports a member that has not joined the tenant.
 	ErrUnknownMember = errors.New("serve: unknown member")
-	// ErrNoPending reports an answer for a question that is not the
-	// member's pending one (already answered, retired, or never issued).
+	// ErrNoPending reports an answer to a question the member does not
+	// hold: already answered, never issued, or — without a session ID —
+	// held by several sessions.
 	ErrNoPending = errors.New("serve: no pending question")
 	// ErrClosed is returned by mutating calls on a closed registry.
 	ErrClosed = errors.New("serve: registry closed")

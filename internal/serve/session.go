@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"log"
-	"sort"
+	"slices"
 
 	"oassis/internal/assign"
 	"oassis/internal/core"
@@ -13,21 +13,21 @@ import (
 	"oassis/internal/store"
 )
 
-// maxPendingPerMember bounds each member's pending list per session —
-// the pool panels are cut from. The engine's blocked question always
-// fits; speculative questions beyond the bound simply wait for the next
-// refill.
-const maxPendingPerMember = 16
+// maxPanel bounds the items a panel poll may ask for, and so the
+// admission slots one request can charge.
+const maxPanel = 16
 
 // logf reports a non-fatal serving-tier fault (journal write failures,
 // late submits); the tier keeps serving, matching the single-session
 // server's behavior.
 func logf(format string, args ...interface{}) { log.Printf(format, args...) }
 
-// Session is one hosted mining session: a core.Session plus its pending
-// per-member questions, its compiled plan, and (optionally) its WAL
-// store. Mutable state is guarded by the owning shard's mutex; the
-// exported methods take it, the *Locked methods expect it held.
+// Session is one hosted mining session: a core.Session, its compiled
+// plan, and (optionally) its WAL store. The core.Session is the one record
+// of which questions are open; the serving tier reads it and keeps only a
+// watermark of the question IDs it has already published. Mutable state
+// is guarded by the owning shard's mutex; the exported methods take it,
+// the *Locked methods expect it held.
 type Session struct {
 	id    string
 	t     *Tenant
@@ -41,15 +41,9 @@ type Session struct {
 	priors panel.PriorSource
 
 	// Guarded by sh.mu.
-	pending  map[string][]*pendingQuestion // per member, issue order
-	serial   int
+	seen     core.QuestionID // highest question ID published to the ready lists
 	finished bool
 	result   *core.Result
-}
-
-type pendingQuestion struct {
-	id int
-	q  core.Question
 }
 
 // ID returns the session's tenant-unique identifier.
@@ -87,125 +81,60 @@ func (s *Session) Result() (*core.Result, bool) {
 	return s.result, true
 }
 
-// primaryLocked picks the member's single-question view of their pending
-// list: the engine's own (non-speculative) question when one is pending,
-// else the longest-waiting speculative one. Caller holds sh.mu.
-func (s *Session) primaryLocked(member string) *pendingQuestion {
-	list := s.pending[member]
-	if len(list) == 0 {
-		return nil
+// lookupLocked returns the question id if the session would still take
+// the member's answer to it: open, or retired after it was handed out and
+// still awaiting its one late answer. Caller holds sh.mu.
+func (s *Session) lookupLocked(member string, id int) (core.Question, bool) {
+	if s.finished {
+		return core.Question{}, false
 	}
-	for _, p := range list {
-		if !p.q.Speculative {
-			return p
-		}
-	}
-	return list[0]
+	q, ok := s.inner.Lookup(core.QuestionID(id))
+	return q, ok && q.Member == member
 }
 
-// Pending returns the member's pending question in this session, if any
-// (for the session-addressed question route).
-func (s *Session) Pending(member string) (Question, bool) {
+// Submit answers the member's question id: it credits the member, feeds
+// the engine, and refills.
+func (s *Session) Submit(member string, id int, ans core.Answer) error {
 	s.sh.mu.Lock()
 	defer s.sh.mu.Unlock()
-	s.refillLocked()
-	p := s.primaryLocked(member)
-	if p == nil {
-		return Question{}, false
+	if _, ok := s.lookupLocked(member, id); !ok {
+		return fmt.Errorf("%w %d for member %q in session %s", ErrNoPending, id, member, s.id)
 	}
-	return s.wireQuestion(p), true
-}
-
-// PendingPanel returns the member's pending questions in this session as
-// a panel of up to max items (for the session-addressed panel route).
-func (s *Session) PendingPanel(member string, max int) (Panel, bool) {
-	if max <= 0 {
-		max = panel.DefaultSize
-	}
-	s.sh.mu.Lock()
-	defer s.sh.mu.Unlock()
-	s.refillLocked()
-	return s.wirePanelLocked(member, max)
-}
-
-// Submit answers the member's pending question with the given wire ID.
-func (s *Session) Submit(member string, wireID int, ans core.Answer) error {
-	return s.submit(member, wireID, ans)
-}
-
-func (s *Session) submit(member string, wireID int, ans core.Answer) error {
-	s.sh.mu.Lock()
-	defer s.sh.mu.Unlock()
-	for _, p := range s.pending[member] {
-		if p.id == wireID {
-			return s.submitLocked(member, p, ans)
-		}
-	}
-	return fmt.Errorf("%w %d for member %q in session %s", ErrNoPending, wireID, member, s.id)
-}
-
-// removePendingLocked drops one entry from the member's pending list.
-// Caller holds sh.mu.
-func (s *Session) removePendingLocked(member string, p *pendingQuestion) {
-	list := s.pending[member]
-	for i, e := range list {
-		if e == p {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(s.pending, member)
-	} else {
-		s.pending[member] = list
-	}
-}
-
-// submitLocked consumes the pending question, credits the member, feeds
-// the engine, and refills. Caller holds sh.mu and has matched p.
-func (s *Session) submitLocked(member string, p *pendingQuestion, ans core.Answer) error {
-	s.removePendingLocked(member, p)
 	s.t.credit(member)
-	// Answers to questions the engine already retired (the round moved
-	// on) are buffered or dropped by the session; the member's credit
-	// stands either way.
-	if err := s.inner.Submit(p.q.ID, ans); err != nil {
+	// An answer to a question the engine retired after it was handed out
+	// (the round moved on) is buffered or dropped by the session; the
+	// member's credit stands either way.
+	if err := s.inner.Submit(core.QuestionID(id), ans); err != nil {
 		logf("serve: %s/%s submit: %v", s.t.name, s.id, err)
 	}
 	s.refillLocked()
 	return nil
 }
 
-// PanelAnswer answers one panel item by its wire ID.
+// PanelAnswer answers one panel item by its question ID.
 type PanelAnswer struct {
 	ID     int
 	Answer core.Answer
 }
 
-// SubmitPanel answers several of the member's pending questions at once:
-// every matched item is consumed and credited, and the whole batch feeds
-// the engine through one deterministic SubmitBatch — one lock
-// acquisition, one refill, one waiter broadcast for the entire panel.
-// Unmatched wire IDs (already answered, session moved on) are skipped;
-// a panel matching nothing is ErrNoPending. Returns the applied count.
+// SubmitPanel answers several of the member's questions at once: every
+// matched item is credited, and the whole batch feeds the engine through
+// one deterministic SubmitBatch — one lock acquisition, one refill, one
+// waiter broadcast for the entire panel. Unmatched IDs (already answered,
+// session moved on) and repeats are skipped; a panel matching nothing is
+// ErrNoPending. Returns the applied count.
 func (s *Session) SubmitPanel(member string, answers []PanelAnswer) (int, error) {
 	s.sh.mu.Lock()
 	defer s.sh.mu.Unlock()
 	var subs []core.Submission
 	for _, a := range answers {
-		var p *pendingQuestion
-		for _, e := range s.pending[member] {
-			if e.id == a.ID {
-				p = e
-				break
-			}
-		}
-		if p == nil {
+		id := core.QuestionID(a.ID)
+		if _, ok := s.lookupLocked(member, a.ID); !ok ||
+			slices.ContainsFunc(subs, func(sub core.Submission) bool { return sub.ID == id }) {
 			continue
 		}
-		s.removePendingLocked(member, p)
 		s.t.credit(member)
-		subs = append(subs, core.Submission{ID: p.q.ID, Answer: a.Answer})
+		subs = append(subs, core.Submission{ID: id, Answer: a.Answer})
 	}
 	if len(subs) == 0 {
 		return 0, fmt.Errorf("%w: no panel item matched for member %q in session %s", ErrNoPending, member, s.id)
@@ -217,9 +146,11 @@ func (s *Session) SubmitPanel(member string, answers []PanelAnswer) (int, error)
 	return len(subs), nil
 }
 
-// refillLocked pulls the engine's answerable questions into the pending
-// slots, queues them on the shard's ready lists, journals the hand-outs,
-// and wakes pollers on any change. Caller holds sh.mu.
+// refillLocked lets the engine speculate and retire, then publishes the
+// questions it issued since the last refill: each is journaled, and it
+// queues the session on its member's ready list unless an older open
+// question of theirs already did. Pollers wake on any new question.
+// Caller holds sh.mu.
 func (s *Session) refillLocked() {
 	if s.finished {
 		return
@@ -227,36 +158,21 @@ func (s *Session) refillLocked() {
 	if s.inner.Done() {
 		s.finished = true
 		s.result = s.inner.Result()
-		// Pending entries die with the session; ready-queue entries are
-		// invalidated by the cleared map and dropped lazily on take.
-		s.pending = make(map[string][]*pendingQuestion)
+		// Ready-queue entries are dropped lazily on take.
 		s.sh.obs.live.Dec()
 		s.t.sessionFinished()
 		return
 	}
-	changed := false
-	for _, q := range s.inner.Next() {
-		list := s.pending[q.Member]
-		if len(list) >= maxPendingPerMember {
+	qs := s.inner.Next()
+	seen := s.seen
+	for _, q := range qs {
+		if q.ID <= seen {
 			continue
 		}
-		dup := false
-		for _, e := range list {
-			if e.q.ID == q.ID {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		s.serial++
-		p := &pendingQuestion{id: s.serial, q: q}
-		if len(list) == 0 {
+		s.seen = max(s.seen, q.ID)
+		if !olderOpen(qs, q) {
 			s.sh.ready[q.Member] = append(s.sh.ready[q.Member], s)
 		}
-		s.pending[q.Member] = append(list, p)
-		changed = true
 		if s.st != nil && q.Kind == core.KindConcrete {
 			// Journal the hand-out before a client sees it: an issued
 			// record without a matching answer marks a question in
@@ -266,58 +182,52 @@ func (s *Session) refillLocked() {
 			}
 		}
 	}
-	if changed {
+	if s.seen > seen {
 		s.t.broadcast()
 	}
 }
 
-// wireQuestion builds the serving-tier view of a pending question.
-// Caller holds sh.mu.
-func (s *Session) wireQuestion(p *pendingQuestion) Question {
+// olderOpen reports whether qs holds an open question of q's member issued
+// before q. The session joined that member's ready list with their oldest
+// open question, and a take drops it only once none is open.
+func olderOpen(qs []core.Question, q core.Question) bool {
+	for _, o := range qs {
+		if o.Member == q.Member && o.ID < q.ID {
+			return true
+		}
+	}
+	return false
+}
+
+// wireQuestion builds the serving-tier view of an engine question.
+func (s *Session) wireQuestion(q core.Question) Question {
 	return Question{
 		Tenant:      s.t.name,
 		Session:     s.id,
-		ID:          p.id,
-		Member:      p.q.Member,
-		Kind:        p.q.Kind,
-		Facts:       p.q.Facts,
-		Choices:     p.q.Choices,
-		Terms:       p.q.Terms,
-		Speculative: p.q.Speculative,
+		ID:          int(q.ID),
+		Member:      q.Member,
+		Kind:        q.Kind,
+		Facts:       q.Facts,
+		Choices:     q.Choices,
+		Terms:       q.Terms,
+		Speculative: q.Speculative,
 	}
 }
 
-// wirePanelLocked cuts the member's panel from their pending list: up to
-// max items, the engine's own (non-speculative) questions first, then
-// speculative ones in issue order, each carrying its prior. The items
-// stay pending (a re-poll resends the panel); answering them is what
-// consumes the list. Caller holds sh.mu.
-func (s *Session) wirePanelLocked(member string, max int) (Panel, bool) {
-	list := s.pending[member]
-	if len(list) == 0 || s.finished {
-		return Panel{}, false
+// wirePanel cuts the member's panel from their open questions (as
+// core.Session.AppendOpen orders them: the engine's own question first,
+// then ID order): up to max items, each carrying its prior. The items
+// stay open (a re-poll resends the panel); answering them is what
+// consumes them. Caller holds sh.mu.
+func (s *Session) wirePanel(member string, open []core.Question, max int) Panel {
+	open = open[:min(len(open), max)]
+	p := Panel{Tenant: s.t.name, Session: s.id, Member: member, Items: make([]PanelItem, len(open))}
+	for i, q := range open {
+		// Priors are computed at cut time, not issue time: answers from
+		// other members collected since the question was issued upgrade
+		// the guess a re-poll sees.
+		pr := s.priors.Prior(q)
+		p.Items[i] = PanelItem{Question: s.wireQuestion(q), Prior: pr, Confirm: pr.Confirmable()}
 	}
-	items := append([]*pendingQuestion(nil), list...)
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].q.Speculative != items[j].q.Speculative {
-			return !items[i].q.Speculative
-		}
-		return items[i].id < items[j].id
-	})
-	if len(items) > max {
-		items = items[:max]
-	}
-	p := Panel{Tenant: s.t.name, Session: s.id, Member: member}
-	for _, e := range items {
-		// Priors are computed at cut time, not surfacing time: answers
-		// from other members collected since the question was issued
-		// upgrade the guess a re-poll sees.
-		pr := s.priors.Prior(e.q)
-		p.Items = append(p.Items, PanelItem{
-			Question: s.wireQuestion(e),
-			Prior:    pr,
-			Confirm:  pr.Confirmable(),
-		})
-	}
-	return p, true
+	return p
 }

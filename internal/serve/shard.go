@@ -22,98 +22,32 @@ type shard struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-	// ready queues sessions with a pending question per member. Entries
-	// are validated lazily on take: an entry whose session no longer has
-	// a pending question for the member (answered, finished, retired) is
-	// dropped in passing.
+	// ready queues, per member, the sessions holding an open question
+	// for them. Entries are validated lazily on take: an entry whose
+	// session no longer has an open question for the member (answered,
+	// finished, retired) is dropped in passing.
 	ready map[string][]*Session
+	open  []core.Question // take's scratch buffer
 }
 
-// take returns the member's longest-waiting pending question on this
-// shard, if any. The question stays pending (a re-poll resends it);
-// answering it is what clears the queue entry.
-func (sh *shard) take(member string) (Question, bool) {
+// take walks the member's ready queue on this shard to the first session
+// with open questions for them and hands those (blocked question first,
+// then ID order) to cut, under the shard lock; open is the shard's
+// scratch buffer, valid only during the call. The questions stay open (a
+// re-poll resends them); answering them is what clears the queue entry.
+func (sh *shard) take(member string, cut func(sess *Session, open []core.Question)) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	q := sh.ready[member]
-	for len(q) > 0 {
-		sess := q[0]
-		if p := sess.primaryLocked(member); p != nil && !sess.finished {
+	for ; len(q) > 0; q = q[1:] {
+		if sh.open = q[0].inner.AppendOpen(sh.open[:0], member); len(sh.open) > 0 {
 			sh.ready[member] = q
-			return sess.wireQuestion(p), true
-		}
-		q = q[1:]
-	}
-	if len(q) == 0 {
-		delete(sh.ready, member)
-	} else {
-		sh.ready[member] = q
-	}
-	return Question{}, false
-}
-
-// takePanel returns the member's longest-waiting panel on this shard —
-// up to max pending items cut from one session — if any. Like take, the
-// items stay pending until answered.
-func (sh *shard) takePanel(member string, max int) (Panel, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	q := sh.ready[member]
-	for len(q) > 0 {
-		sess := q[0]
-		if p, ok := sess.wirePanelLocked(member, max); ok {
-			sh.ready[member] = q
-			return p, true
-		}
-		q = q[1:]
-	}
-	if len(q) == 0 {
-		delete(sh.ready, member)
-	} else {
-		sh.ready[member] = q
-	}
-	return Panel{}, false
-}
-
-// submitAny tries the member's wire ID against every session on the
-// shard — the legacy path for clients that don't speak session IDs.
-// handled reports whether a matching pending question was found.
-func (sh *shard) submitAny(member string, wireID int, ans core.Answer) (err error, handled bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, sess := range sh.sessions {
-		for _, p := range sess.pending[member] {
-			if p.id == wireID {
-				return sess.submitLocked(member, p, ans), true
-			}
+			cut(q[0], sh.open)
+			return true
 		}
 	}
-	return nil, false
-}
-
-// submitPanelAny locates the session holding any of the panel's wire IDs
-// for the member — the path for clients that don't echo session IDs.
-// handled reports whether a session claimed the batch.
-func (sh *shard) submitPanelAny(member string, answers []PanelAnswer) (n int, err error, handled bool) {
-	sh.mu.Lock()
-	var target *Session
-scan:
-	for _, sess := range sh.sessions {
-		for _, p := range sess.pending[member] {
-			for _, a := range answers {
-				if p.id == a.ID {
-					target = sess
-					break scan
-				}
-			}
-		}
-	}
-	sh.mu.Unlock()
-	if target == nil {
-		return 0, nil, false
-	}
-	n, err = target.SubmitPanel(member, answers)
-	return n, err, true
+	delete(sh.ready, member)
+	return false
 }
 
 // park registers a long-poll waiter against the shard's bounded queue;

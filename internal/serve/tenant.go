@@ -124,12 +124,14 @@ func (o Outcome) String() string {
 	}
 }
 
-// Question is the serving-tier form of a pending question: the engine
+// Question is the serving-tier form of an open question: the engine
 // question plus the addressing a multi-session client needs to answer it.
 type Question struct {
-	Tenant      string
-	Session     string
-	ID          int // per-session wire serial, echoed back in Answer
+	Tenant  string
+	Session string
+	// ID is the engine's question ID: unique within the session, not
+	// across sessions, and never 0. Clients echo it back in Answer.
+	ID          int
 	Member      string
 	Kind        core.QuestionKind
 	Facts       fact.Set
@@ -147,7 +149,7 @@ type PanelItem struct {
 	Confirm bool
 }
 
-// Panel is a member's batch of pending questions from one session — what
+// Panel is a member's batch of open questions from one session — what
 // PollPanel hands out and AnswerPanel consumes. The engine's own blocked
 // question leads; the rest are speculative, answered ahead of need.
 type Panel struct {
@@ -430,13 +432,12 @@ func (t *Tenant) attach(id string, q *oassisql.Query, st *store.Store, rec *stor
 	sp := pl.NewSpace()
 	sh := t.shards[plan.ShardIndex(pl.Fingerprint(), len(t.shards))]
 	sess := &Session{
-		id:      id,
-		t:       t,
-		sh:      sh,
-		query:   q,
-		plan:    pl,
-		sp:      sp,
-		pending: make(map[string][]*pendingQuestion),
+		id:    id,
+		t:     t,
+		sh:    sh,
+		query: q,
+		plan:  pl,
+		sp:    sp,
 	}
 	cfg := core.Config{
 		Space:            sp,
@@ -523,7 +524,7 @@ func (t *Tenant) Sessions() []*Session {
 	return out
 }
 
-// Retire detaches a session from serving: its pending questions are
+// Retire detaches a session from serving: its open questions are
 // withdrawn, its engine stops, and its store (if any) is flushed and
 // closed. The store directory stays on disk, so a later tenant boot
 // re-attaches the session where it left off.
@@ -542,7 +543,6 @@ func (t *Tenant) Retire(id string) error {
 	delete(sh.sessions, id)
 	wasFinished := sess.finished
 	sess.finished = true
-	sess.pending = make(map[string][]*pendingQuestion)
 	sess.inner.Close()
 	sh.mu.Unlock()
 	if !wasFinished {
@@ -557,120 +557,88 @@ func (t *Tenant) Retire(id string) error {
 }
 
 // Poll waits for a question this member can answer, from any session in
-// the tenant. It scans shards starting at the member's home shard, then
-// parks on the tenant's notify channel; admission control may shed the
-// call with ErrOverloaded before it parks. ctx cancellation (the client
+// the tenant: their longest-waiting session's first open question. It
+// scans shards starting at the member's home shard, then parks on the
+// tenant's notify channel; admission control may shed the call with
+// ErrOverloaded before it parks. ctx cancellation (the client
 // disconnecting) returns the context error.
 func (t *Tenant) Poll(ctx context.Context, member string, timeout time.Duration) (Question, Outcome, error) {
-	idx, joined := t.joinedIndex(member)
-	if !joined {
-		return Question{}, OutcomeTimeout, fmt.Errorf("%w %q in tenant %q", ErrUnknownMember, member, t.name)
-	}
-	home := t.shards[idx%len(t.shards)]
-	if !t.reg.acquire(1) {
-		home.obs.shedGlobal.Inc()
-		t.obs.poll("shed")
-		return Question{}, OutcomeTimeout, fmt.Errorf("%w: global in-flight budget (%d) exhausted", ErrOverloaded, t.reg.cfg.MaxInFlight)
-	}
-	defer t.reg.release(1)
-	start := time.Now()
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		if t.reg.Draining() {
-			t.obs.poll("shutdown")
-			return Question{}, OutcomeShutdown, nil
-		}
-		// Snapshot notify before scanning: a refill between the scan and
-		// the park then wakes us instead of being lost.
-		notify := t.notifyChan()
-		for i := range t.shards {
-			sh := t.shards[(home.idx+i)%len(t.shards)]
-			if q, ok := sh.take(member); ok {
-				t.obs.dispatched(start)
-				return q, OutcomeQuestion, nil
-			}
-		}
-		if t.allDone() {
-			t.obs.poll("done")
-			return Question{}, OutcomeDone, nil
-		}
-		if !home.park() {
-			home.obs.shedShard.Inc()
-			t.obs.poll("shed")
-			return Question{}, OutcomeTimeout, fmt.Errorf("%w: shard %d waiter queue (%d) full", ErrOverloaded, home.idx, t.reg.cfg.MaxWaitersPerShard)
-		}
-		select {
-		case <-notify:
-			home.unpark()
-		case <-deadline.C:
-			home.unpark()
-			t.obs.poll("timeout")
-			return Question{}, OutcomeTimeout, nil
-		case <-ctx.Done():
-			home.unpark()
-			t.obs.poll("disconnect")
-			return Question{}, OutcomeTimeout, ctx.Err()
-		case <-t.reg.draining:
-			home.unpark()
-			t.obs.poll("shutdown")
-			return Question{}, OutcomeShutdown, nil
-		}
-	}
+	var q Question
+	out, err := t.wait(ctx, member, 1, timeout, func(sh *shard) bool {
+		return sh.take(member, func(sess *Session, open []core.Question) {
+			q = sess.wireQuestion(open[0])
+		})
+	})
+	return q, out, err
 }
 
 // PollPanel waits for a panel of questions this member can answer — up
-// to max items cut from one session's pending pool, the engine's own
+// to max items cut from one session's open questions, the engine's own
 // blocked question first, every item primed with its prior. It parks and
-// wakes exactly like Poll (the same notify snapshot guards against lost
-// wakeups), but admission control charges the panel's item capacity
-// rather than one slot per request: a k-item panel competes for the same
-// global budget as k single-question polls. max <= 0 means
+// wakes exactly like Poll, but admission control charges the panel's item
+// capacity rather than one slot per request: a k-item panel competes for
+// the same global budget as k single-question polls. max <= 0 means
 // panel.DefaultSize.
 func (t *Tenant) PollPanel(ctx context.Context, member string, max int, timeout time.Duration) (Panel, Outcome, error) {
 	if max <= 0 {
 		max = panel.DefaultSize
 	}
-	if max > maxPendingPerMember {
-		max = maxPendingPerMember
+	max = min(max, maxPanel)
+	var p Panel
+	out, err := t.wait(ctx, member, max, timeout, func(sh *shard) bool {
+		return sh.take(member, func(sess *Session, open []core.Question) {
+			p = sess.wirePanel(member, open, max)
+		})
+	})
+	if out == OutcomeQuestion {
+		t.obs.panelled(len(p.Items))
 	}
+	return p, out, err
+}
+
+// wait is the long-poll loop behind Poll and PollPanel. It charges slots
+// against the global budget, then tries take on every shard, starting at
+// the member's home shard, until one hands something out
+// (OutcomeQuestion), every session has finished, the timeout elapses, the
+// registry drains or ctx ends — parking on the tenant's notify channel in
+// between.
+func (t *Tenant) wait(ctx context.Context, member string, slots int, timeout time.Duration, take func(*shard) bool) (Outcome, error) {
 	idx, joined := t.joinedIndex(member)
 	if !joined {
-		return Panel{}, OutcomeTimeout, fmt.Errorf("%w %q in tenant %q", ErrUnknownMember, member, t.name)
+		return OutcomeTimeout, fmt.Errorf("%w %q in tenant %q", ErrUnknownMember, member, t.name)
 	}
 	home := t.shards[idx%len(t.shards)]
-	if !t.reg.acquire(max) {
+	if !t.reg.acquire(slots) {
 		home.obs.shedGlobal.Inc()
 		t.obs.poll("shed")
-		return Panel{}, OutcomeTimeout, fmt.Errorf("%w: global in-flight budget (%d) exhausted", ErrOverloaded, t.reg.cfg.MaxInFlight)
+		return OutcomeTimeout, fmt.Errorf("%w: global in-flight budget (%d) exhausted", ErrOverloaded, t.reg.cfg.MaxInFlight)
 	}
-	defer t.reg.release(max)
+	defer t.reg.release(slots)
 	start := time.Now()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		if t.reg.Draining() {
 			t.obs.poll("shutdown")
-			return Panel{}, OutcomeShutdown, nil
+			return OutcomeShutdown, nil
 		}
 		// Snapshot notify before scanning: a refill between the scan and
 		// the park then wakes us instead of being lost.
 		notify := t.notifyChan()
 		for i := range t.shards {
-			sh := t.shards[(home.idx+i)%len(t.shards)]
-			if p, ok := sh.takePanel(member, max); ok {
-				t.obs.dispatchedPanel(start, len(p.Items))
-				return p, OutcomeQuestion, nil
+			if take(t.shards[(home.idx+i)%len(t.shards)]) {
+				t.obs.dispatched(start)
+				return OutcomeQuestion, nil
 			}
 		}
 		if t.allDone() {
 			t.obs.poll("done")
-			return Panel{}, OutcomeDone, nil
+			return OutcomeDone, nil
 		}
 		if !home.park() {
 			home.obs.shedShard.Inc()
 			t.obs.poll("shed")
-			return Panel{}, OutcomeTimeout, fmt.Errorf("%w: shard %d waiter queue (%d) full", ErrOverloaded, home.idx, t.reg.cfg.MaxWaitersPerShard)
+			return OutcomeTimeout, fmt.Errorf("%w: shard %d waiter queue (%d) full", ErrOverloaded, home.idx, t.reg.cfg.MaxWaitersPerShard)
 		}
 		select {
 		case <-notify:
@@ -678,86 +646,96 @@ func (t *Tenant) PollPanel(ctx context.Context, member string, max int, timeout 
 		case <-deadline.C:
 			home.unpark()
 			t.obs.poll("timeout")
-			return Panel{}, OutcomeTimeout, nil
+			return OutcomeTimeout, nil
 		case <-ctx.Done():
 			home.unpark()
 			t.obs.poll("disconnect")
-			return Panel{}, OutcomeTimeout, ctx.Err()
+			return OutcomeTimeout, ctx.Err()
 		case <-t.reg.draining:
 			home.unpark()
 			t.obs.poll("shutdown")
-			return Panel{}, OutcomeShutdown, nil
+			return OutcomeShutdown, nil
 		}
 	}
 }
 
-// AnswerPanel submits a member's answers to a panel. With a session ID
-// the batch goes straight to that session; with an empty ID the shards
-// are scanned for the session holding the panel's wire IDs. Returns how
-// many items were applied (already-consumed items are skipped).
-func (t *Tenant) AnswerPanel(sessionID, member string, answers []PanelAnswer) (int, error) {
+// holder returns the session a member's answer to question id goes to:
+// the named session when sessionID is set, else the one session in the
+// tenant that would take it. Question IDs are per session, so a
+// sessionless ID that several sessions hold is refused, not guessed.
+func (t *Tenant) holder(sessionID, member string, id int) (*Session, error) {
 	if !t.MemberKnown(member) {
-		return 0, fmt.Errorf("%w %q in tenant %q", ErrUnknownMember, member, t.name)
-	}
-	if len(answers) == 0 {
-		return 0, fmt.Errorf("%w: empty panel for member %q in tenant %q", ErrNoPending, member, t.name)
+		return nil, fmt.Errorf("%w %q in tenant %q", ErrUnknownMember, member, t.name)
 	}
 	if sessionID != "" {
-		sess, err := t.Session(sessionID)
-		if err != nil {
-			return 0, err
-		}
-		return sess.SubmitPanel(member, answers)
+		return t.Session(sessionID)
 	}
-	for _, sh := range t.shards {
-		if n, err, handled := sh.submitPanelAny(member, answers); handled {
-			return n, err
-		}
-	}
-	return 0, fmt.Errorf("%w: no panel item for member %q in tenant %q", ErrNoPending, member, t.name)
-}
-
-// Answer submits a member's answer. With a session ID it goes straight
-// to that session; with an empty ID (legacy single-session clients) the
-// shards are scanned for the pending (member, wire-ID) pair.
-func (t *Tenant) Answer(sessionID, member string, wireID int, ans core.Answer) error {
-	if !t.MemberKnown(member) {
-		return fmt.Errorf("%w %q in tenant %q", ErrUnknownMember, member, t.name)
-	}
-	if sessionID != "" {
-		sess, err := t.Session(sessionID)
-		if err != nil {
-			return err
-		}
-		return sess.submit(member, wireID, ans)
-	}
-	for _, sh := range t.shards {
-		if err, handled := sh.submitAny(member, wireID, ans); handled {
-			return err
-		}
-	}
-	return fmt.Errorf("%w %d for member %q in tenant %q", ErrNoPending, wireID, member, t.name)
-}
-
-// Pending finds the member's pending question with the given wire ID
-// across every session in the tenant — the legacy answer path for
-// clients that don't echo session IDs, and how the HTTP layer learns a
-// question's kind before converting the wire answer.
-func (t *Tenant) Pending(member string, wireID int) (Question, bool) {
+	var found *Session
+	n := 0
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
-			for _, p := range sess.pending[member] {
-				if p.id == wireID {
-					q := sess.wireQuestion(p)
-					sh.mu.Unlock()
-					return q, true
-				}
+			if _, ok := sess.lookupLocked(member, id); ok {
+				found = sess
+				n++
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return Question{}, false
+	switch n {
+	case 0:
+		return nil, fmt.Errorf("%w %d for member %q in tenant %q", ErrNoPending, id, member, t.name)
+	case 1:
+		return found, nil
+	default:
+		return nil, fmt.Errorf("%w %d for member %q in tenant %q: %d sessions hold that ID; send the session ID",
+			ErrNoPending, id, member, t.name, n)
+	}
+}
+
+// Answer submits a member's answer to question id. With a session ID it
+// goes straight to that session; with an empty ID (legacy single-session
+// clients) it goes to the one session holding (member, id).
+func (t *Tenant) Answer(sessionID, member string, id int, ans core.Answer) error {
+	sess, err := t.holder(sessionID, member, id)
+	if err != nil {
+		return err
+	}
+	return sess.Submit(member, id, ans)
+}
+
+// AnswerPanel submits a member's answers to a panel. With a session ID
+// the batch goes straight to that session; with an empty ID it goes to
+// the one session holding the first item. Returns how many items were
+// applied (already-consumed items are skipped).
+func (t *Tenant) AnswerPanel(sessionID, member string, answers []PanelAnswer) (int, error) {
+	if len(answers) == 0 {
+		return 0, fmt.Errorf("%w: empty panel for member %q in tenant %q", ErrNoPending, member, t.name)
+	}
+	sess, err := t.holder(sessionID, member, answers[0].ID)
+	if err != nil {
+		return 0, err
+	}
+	return sess.SubmitPanel(member, answers)
+}
+
+// Pending returns the member's question id as the session would take an
+// answer to it — resolved like Answer resolves it — which is how the HTTP
+// layer learns a question's kind before converting the wire answer. A
+// question retired after it was handed out keeps only its member and
+// kind.
+func (t *Tenant) Pending(sessionID, member string, id int) (Question, error) {
+	sess, err := t.holder(sessionID, member, id)
+	if err != nil {
+		return Question{}, err
+	}
+	sess.sh.mu.Lock()
+	defer sess.sh.mu.Unlock()
+	q, ok := sess.lookupLocked(member, id)
+	if !ok {
+		return Question{}, fmt.Errorf("%w %d for member %q in tenant %q", ErrNoPending, id, member, t.name)
+	}
+	return sess.wireQuestion(q), nil
 }
 
 // Leaderboard returns the credited-answer counts per joined member,

@@ -39,7 +39,8 @@ type SessionQuestion struct {
 	Terms []string
 	// Speculative marks a question surfaced ahead of the engine's own
 	// request; its answer is buffered, and silently dropped if the run
-	// never needs it.
+	// never needs it. The question the engine is blocked on (the first
+	// one Next returns) never carries it.
 	Speculative bool
 }
 
