@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"oassis/internal/aggregate"
@@ -151,11 +152,12 @@ func TestEquivalenceMatrix(t *testing.T) {
 }
 
 // TestSessionHoldsNoGoroutine: a session is plain data between calls —
-// opening a hundred live sessions starts no goroutine, and each one is
-// parked on its first question.
+// with a hundred live sessions open, each parked on its first question,
+// no goroutine runs in, or was started by, a session or its engine. It
+// reads the goroutines' stacks rather than counting them, so a goroutine
+// of another test that exits late cannot trip it.
 func TestSessionHoldsNoGoroutine(t *testing.T) {
 	_, q, sp := buildSpace(t, figure3Restricted)
-	before := runtime.NumGoroutine()
 	sessions := make([]*Session, 100)
 	for i := range sessions {
 		sessions[i] = NewSession(Config{
@@ -167,12 +169,41 @@ func TestSessionHoldsNoGoroutine(t *testing.T) {
 			t.Fatal("session not parked on a question")
 		}
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("goroutines %d -> %d across 100 open sessions, want no change", before, after)
+	if n, stack := sessionGoroutines(); n != 0 {
+		t.Errorf("%d goroutine(s) held by 100 open sessions, want 0; first:\n%s", n, stack)
 	}
 	for _, s := range sessions {
 		if s.Close() == nil {
 			t.Fatal("no partial result from Close")
 		}
 	}
+}
+
+// sessionGoroutines counts the goroutines, the caller's excepted, with a
+// frame in a Session or engine method or in NewSession (which also
+// matches the "created by" line of a goroutine it started), and returns
+// the first one's stack.
+func sessionGoroutines() (int, string) {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n, first := 0, ""
+	for _, stack := range strings.Split(string(buf), "\n\n")[1:] { // [0] is the caller
+		for _, frame := range []string{"internal/core.(*Session)", "internal/core.(*engine)", "internal/core.NewSession"} {
+			if strings.Contains(stack, frame) {
+				if n == 0 {
+					first = stack
+				}
+				n++
+				break
+			}
+		}
+	}
+	return n, first
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,51 @@ func TestWritePrometheusRoundTrips(t *testing.T) {
 	snap := r.Snapshot()
 	if snap[`answers_total{kind="concrete"}`] != 7 || snap[`inflight`] != 3 {
 		t.Errorf("snapshot disagrees: %v", snap)
+	}
+}
+
+// TestLatencyBucketsResolveMicroseconds: a dispatch-sized observation
+// (4.5 µs) lands in a default bucket whose upper bound is at most 5 µs,
+// and the exposition stays valid: parseable, bounds strictly increasing,
+// cumulative counts never decreasing.
+func TestLatencyBucketsResolveMicroseconds(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("dispatch_seconds", "dispatch latency", nil).Observe(4.5e-6)
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(strings.NewReader(out.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, out.String())
+	}
+	prevLe, prevCount := math.Inf(-1), 0.0
+	firstLe := math.Inf(1) // upper bound of the first bucket counting the observation
+	buckets := 0
+	for _, s := range samples {
+		if s.Name != "dispatch_seconds_bucket" {
+			continue
+		}
+		buckets++
+		le := math.Inf(1)
+		if v := s.Labels[0].Value; v != "+Inf" {
+			if le, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatalf("bucket bound %q: %v", v, err)
+			}
+		}
+		if le <= prevLe || s.Value < prevCount {
+			t.Fatalf("bucket le=%g count %g follows le=%g count %g", le, s.Value, prevLe, prevCount)
+		}
+		if s.Value > 0 && prevCount == 0 {
+			firstLe = le
+		}
+		prevLe, prevCount = le, s.Value
+	}
+	if buckets != len(LatencyBuckets)+1 {
+		t.Errorf("%d buckets exposed, want %d", buckets, len(LatencyBuckets)+1)
+	}
+	if firstLe > 5e-6 {
+		t.Errorf("4.5µs observation first counted in the le=%g bucket, want an upper bound <= 5µs", firstLe)
 	}
 }
 

@@ -157,9 +157,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// LatencyBuckets is a bucket layout spanning the crowd-answer regime: from
+// LatencyBuckets is a bucket layout spanning both regimes the server
+// times: microseconds (a dispatch from a shard's ready queue) and
 // milliseconds (simulated members) to minutes (humans thinking).
 var LatencyBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 

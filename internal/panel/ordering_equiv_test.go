@@ -22,21 +22,26 @@ type orderingWorkload struct {
 	cfg  func(t *testing.T) core.Config
 }
 
-// orderingWorkloads are the Figure-1 running example and the travel and
-// culinary synthetic domains.
-func orderingWorkloads() []orderingWorkload {
-	travel := synth.DomainConfig{
+// The travel and culinary synthetic domains of the matrices and the
+// benchmark.
+var (
+	travelDomain = synth.DomainConfig{
 		Name: "travel", YTerms: 30, XTerms: 10, YDepth: 4, XDepth: 3,
 		Members: 8, Transactions: 12, Patterns: 6, Seed: 101,
 	}
-	culinary := synth.DomainConfig{
+	culinaryDomain = synth.DomainConfig{
 		Name: "culinary", YTerms: 24, XTerms: 12, YDepth: 4, XDepth: 3,
 		Members: 8, Transactions: 12, Patterns: 8, Seed: 202,
 	}
+)
+
+// orderingWorkloads are the Figure-1 running example and the travel and
+// culinary synthetic domains.
+func orderingWorkloads() []orderingWorkload {
 	workloads := []orderingWorkload{
 		{"figure1", figure1Config},
 	}
-	for _, dc := range []synth.DomainConfig{travel, culinary} {
+	for _, dc := range []synth.DomainConfig{travelDomain, culinaryDomain} {
 		dc := dc
 		workloads = append(workloads, orderingWorkload{dc.Name, func(t *testing.T) core.Config {
 			t.Helper()

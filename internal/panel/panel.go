@@ -1,12 +1,11 @@
 // Package panel is the batching layer between the step-driven session
-// engine and the crowd: it drains every concurrently-askable question
-// from core.Session.Next, groups them into per-member panels of bounded
-// size, orders the items by a priority score (the paper's smallest-first
-// position plus expected information gain), and primes each concrete
-// question with a Prior — a best-guess frequency derived from the running
-// aggregate, the ontology's shape, or a pluggable PriorSource — so members
-// confirm cheap guesses instead of answering from scratch, one screen per
-// round trip.
+// engine and the crowd. It has one panel rule: a member's panel is their
+// open questions as core.Session.AppendOpen orders them (the engine's
+// blocked question first, then issue order), cut to a size bound, with
+// each concrete question primed with a Prior — a best-guess frequency
+// derived from the running aggregate, the ontology's shape, or a
+// pluggable PriorSource — so members confirm cheap guesses instead of
+// answering from scratch, one screen per round trip.
 //
 // Batching never changes the mined result: panel answers are submitted
 // through core.Session.SubmitBatch, which applies them in deterministic
@@ -18,7 +17,7 @@
 package panel
 
 import (
-	"sort"
+	"slices"
 
 	"oassis/internal/core"
 	"oassis/internal/crowd"
@@ -28,13 +27,25 @@ import (
 // phone screen of confirmations.
 const DefaultSize = 8
 
-// Config parameterizes a Batcher.
+// Config parameterizes Next and Run.
 type Config struct {
 	// Size bounds the items per panel. 0 means DefaultSize.
 	Size int
 	// Source supplies the prior guess attached to each question. nil
-	// means SessionPriors over the batcher's own session.
+	// means SessionPriors over the session being batched.
 	Source PriorSource
+}
+
+// resolve fills in the defaults for a run over s.
+func (c Config) resolve(s *core.Session) (int, PriorSource) {
+	size, src := c.Size, c.Source
+	if size <= 0 {
+		size = DefaultSize
+	}
+	if src == nil {
+		src = SessionPriors(s)
+	}
+	return size, src
 }
 
 // PriorSource derives the best-guess prior for a question. Implementations
@@ -44,13 +55,10 @@ type PriorSource interface {
 	Prior(q core.Question) crowd.Prior
 }
 
-// Item is one question inside a panel: the engine question, the priority
-// that ranked it into the panel, and its prior guess.
+// Item is one question inside a panel: the engine question and its prior
+// guess.
 type Item struct {
 	Question core.Question
-	// Priority ranked the item within the member's panel (higher is
-	// earlier). The engine's blocked question always ranks first.
-	Priority float64
 	Prior    crowd.Prior
 }
 
@@ -58,94 +66,41 @@ type Item struct {
 // (high-confidence prior) rather than an open question.
 func (it Item) Confirm() bool { return it.Prior.Confirmable() }
 
-// Panel is one member's batch of currently answerable questions,
-// priority-ordered, at most Config.Size of them.
+// Panel is one member's batch of currently answerable questions in
+// AppendOpen order, at most the size bound of them.
 type Panel struct {
 	Member string
 	Items  []Item
 }
 
-// Batcher groups a session's answerable questions into per-member panels.
-// Like the session it wraps, a Batcher is not safe for concurrent use.
-type Batcher struct {
-	s    *core.Session
-	size int
-	src  PriorSource
-}
-
-// NewBatcher returns a batcher over the session.
-func NewBatcher(s *core.Session, cfg Config) *Batcher {
-	size := cfg.Size
-	if size <= 0 {
-		size = DefaultSize
-	}
-	src := cfg.Source
-	if src == nil {
-		src = SessionPriors(s)
-	}
-	return &Batcher{s: s, size: size, src: src}
-}
-
-// Session returns the wrapped session (for Close and result access).
-func (b *Batcher) Session() *core.Session { return b.s }
-
-// priority scores a speculative question: the paper's smallest-first
-// position 1/(1+size) plus expected information gain (a question with
-// fewer collected answers moves the aggregate more).
-func (b *Batcher) priority(q core.Question) float64 {
-	p := 1.0 / float64(1+len(q.Facts))
-	if q.Kind == core.KindConcrete {
-		_, n := b.s.AggregateHint(q.Facts)
-		p += 1.0 / float64(1+n)
+// Cut builds the member's panel from their open questions (as
+// core.Session.AppendOpen returns them): the first size of them, each
+// primed by src. Priors are computed at cut time, so answers collected
+// since a question was issued upgrade its guess. The panel does not
+// alias open.
+func Cut(member string, open []core.Question, size int, src PriorSource) Panel {
+	open = open[:min(len(open), size)]
+	p := Panel{Member: member, Items: make([]Item, len(open))}
+	for i, q := range open {
+		p.Items[i] = Item{Question: q, Prior: src.Prior(q)}
 	}
 	return p
 }
 
-// Next drains the session's currently answerable questions and returns
-// them as per-member panels: the panel holding the engine's blocked
-// question first (it is the only one guaranteed to advance the run, and
-// leads its panel regardless of score), the rest in first-surfaced order.
-// Within a panel, items are priority-ordered with question IDs breaking
-// ties, then truncated to the size bound. Next returns nil exactly when
-// the run has finished.
-func (b *Batcher) Next() []Panel {
-	qs := b.s.Next()
-	if len(qs) == 0 {
-		return nil
-	}
-	blocked := qs[0]
-	order := []string{blocked.Member}
-	byMember := map[string][]Item{}
-	for _, q := range qs {
-		if _, seen := byMember[q.Member]; !seen && q.Member != blocked.Member {
-			order = append(order, q.Member)
+// Next advances the session (one core.Session.Next) and returns every
+// member's panel, in the order the members first surface in Next's
+// list: the panel holding the engine's blocked question first. Next
+// returns nil exactly when the run has finished.
+func Next(s *core.Session, cfg Config) []Panel {
+	size, src := cfg.resolve(s)
+	var panels []Panel
+	var open []core.Question
+	for _, q := range s.Next() {
+		if slices.ContainsFunc(panels, func(p Panel) bool { return p.Member == q.Member }) {
+			continue
 		}
-		byMember[q.Member] = append(byMember[q.Member], Item{
-			Question: q,
-			Priority: b.priority(q),
-			Prior:    b.src.Prior(q),
-		})
-	}
-	panels := make([]Panel, 0, len(order))
-	for _, member := range order {
-		items := byMember[member]
-		sort.SliceStable(items, func(i, j int) bool {
-			qi, qj := items[i].Question, items[j].Question
-			if qi.ID == blocked.ID {
-				return true
-			}
-			if qj.ID == blocked.ID {
-				return false
-			}
-			if items[i].Priority != items[j].Priority {
-				return items[i].Priority > items[j].Priority
-			}
-			return qi.ID < qj.ID
-		})
-		if len(items) > b.size {
-			items = items[:b.size]
-		}
-		panels = append(panels, Panel{Member: member, Items: items})
+		open = s.AppendOpen(open[:0], q.Member)
+		panels = append(panels, Cut(q.Member, open, size, src))
 	}
 	return panels
 }

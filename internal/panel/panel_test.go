@@ -2,6 +2,7 @@ package panel_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"oassis/internal/aggregate"
@@ -130,72 +131,89 @@ func TestPanelEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestBatcherShapesPanels checks the batching rules: the blocked question
-// leads its panel, panels respect the size bound, items carry priors, and
-// every surfaced question belongs to the panel of its member.
-func TestBatcherShapesPanels(t *testing.T) {
+// TestNextPanelsAreOpenPrefixes checks the one panel rule exactly, on
+// every step of the Figure-1 run: each panel's item IDs are the member's
+// AppendOpen list cut to the size bound, concrete items carry priors, and
+// the panels come in the order members first surface in that step's
+// Next. A twin session driven by the same answers supplies the Next list,
+// since calling Next is what advances a session.
+func TestNextPanelsAreOpenPrefixes(t *testing.T) {
+	const size = 4
 	cfg := figure1Config(t)
 	cfg.PanelSpeculation = 8
 	ids := make([]string, len(cfg.Members))
+	byID := map[string]crowd.Member{}
 	for i, m := range cfg.Members {
 		ids[i] = m.ID()
-	}
-	members := cfg.Members
-	byID := map[string]crowd.Member{}
-	for _, m := range members {
 		byID[m.ID()] = m
 	}
 	s := core.NewSession(cfg, ids)
 	defer s.Close()
-	b := panel.NewBatcher(s, panel.Config{Size: 4})
-	seenMulti := false
-	for rounds := 0; rounds < 200; rounds++ {
-		panels := b.Next()
+	twinCfg := figure1Config(t)
+	twinCfg.PanelSpeculation = 8
+	twin := core.NewSession(twinCfg, ids)
+	defer twin.Close()
+
+	cut := false
+	for step := 0; ; step++ {
+		panels := panel.Next(s, panel.Config{Size: size})
+		qs := twin.Next()
 		if panels == nil {
+			if len(qs) != 0 {
+				t.Fatalf("step %d: no panels, but the twin session has %d questions", step, len(qs))
+			}
 			break
 		}
-		blocked := panels[0]
-		if len(blocked.Items) == 0 {
-			t.Fatal("blocked panel is empty")
-		}
-		for pi, p := range panels {
-			if len(p.Items) > 4 {
-				t.Fatalf("panel for %s exceeds size bound: %d items", p.Member, len(p.Items))
+		var order []string
+		for _, q := range qs {
+			if !slices.Contains(order, q.Member) {
+				order = append(order, q.Member)
 			}
-			for i, it := range p.Items {
-				if it.Question.Member != p.Member {
-					t.Fatalf("panel for %s carries a question for %s", p.Member, it.Question.Member)
+		}
+		if len(panels) != len(order) {
+			t.Fatalf("step %d: %d panels, want one per member of %v", step, len(panels), order)
+		}
+		for i, p := range panels {
+			if p.Member != order[i] {
+				t.Fatalf("step %d: panel %d is %s's, want %s's (first-surfaced order %v)", step, i, p.Member, order[i], order)
+			}
+			open := twin.AppendOpen(nil, p.Member)
+			want := open[:min(len(open), size)]
+			cut = cut || len(open) > size
+			if len(p.Items) != len(want) {
+				t.Fatalf("step %d: %s's panel has %d items, want %d", step, p.Member, len(p.Items), len(want))
+			}
+			for j, it := range p.Items {
+				if it.Question.ID != want[j].ID {
+					t.Fatalf("step %d: %s's item %d is question %d, want %d", step, p.Member, j, it.Question.ID, want[j].ID)
 				}
 				if it.Question.Kind == core.KindConcrete && it.Prior.Confidence == crowd.ConfidenceNone {
-					t.Fatalf("concrete item %d of %s has no prior", i, p.Member)
+					t.Fatalf("step %d: concrete item %d of %s has no prior", step, j, p.Member)
 				}
-				if pi > 0 && !it.Question.Speculative {
-					t.Fatalf("non-blocked panel for %s carries the engine's own question", p.Member)
-				}
-			}
-			if len(p.Items) > 1 {
-				seenMulti = true
 			}
 		}
-		// Answer only the blocked question, sequential-style.
-		q := blocked.Items[0].Question
+		// Answer only the blocked question, sequential-style, in both.
+		q := panels[0].Items[0].Question
+		if q.ID != qs[0].ID {
+			t.Fatalf("step %d: first item is question %d, want the blocked question %d", step, q.ID, qs[0].ID)
+		}
 		m := byID[q.Member]
-		var subs []core.Submission
+		var a core.Answer
 		switch q.Kind {
 		case core.KindSpecialization:
 			r := m.ChooseSpecialization(q.Choices)
-			subs = append(subs, core.Submission{ID: q.ID, Answer: core.Answer{
-				Support: r.Support, Choice: r.Choice, Chosen: r.Chosen, Declined: r.Declined,
-			}})
+			a = core.Answer{Support: r.Support, Choice: r.Choice, Chosen: r.Chosen, Declined: r.Declined}
 		default:
-			subs = append(subs, core.Submission{ID: q.ID, Answer: core.AnswerSupport(m.Concrete(q.Facts))})
+			a = core.AnswerSupport(m.Concrete(q.Facts))
 		}
-		if err := s.SubmitBatch(subs); err != nil {
-			t.Fatal(err)
+		for _, sess := range []*core.Session{s, twin} {
+			if err := sess.SubmitBatch([]core.Submission{{ID: q.ID, Answer: a}}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if !seenMulti {
-		t.Error("successor speculation never filled a panel beyond one item")
+	if !cut {
+		t.Error("no member ever had more open questions than the size bound")
 	}
 }
 
@@ -223,5 +241,28 @@ func TestSessionPriorsGrading(t *testing.T) {
 	}
 	if p.Support <= 0 || p.Support > 1 {
 		t.Fatalf("structural guess %v out of range", p.Support)
+	}
+}
+
+// BenchmarkRun times the panel layer end to end: panel.Run over the
+// travel domain at panel size 8 with successor speculation 8, one panel
+// in flight. Domain generation is outside the timer.
+func BenchmarkRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := synth.GenerateDomain(travelDomain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.Config{
+			Space:            d.Sp,
+			Theta:            0.2,
+			Members:          d.Members,
+			Agg:              aggregate.NewFixedSample(3),
+			PanelSpeculation: 8,
+		}
+		b.StartTimer()
+		panel.Run(cfg, panel.Config{Size: 8}, 1)
 	}
 }

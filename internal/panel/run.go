@@ -72,11 +72,13 @@ func answerPanel(m crowd.Member, p Panel) []core.Submission {
 }
 
 // Run executes the same mining run as core.Run, dispatched: it drives a
-// core.Session through a Batcher, keeps at most one panel in flight per
-// member and at most parallelism panels in flight overall, answers each
-// panel through the member on a worker goroutine (crowd.Panelist members
-// answer the whole panel in one round trip), and merges every panel back
-// with one SubmitBatch from the dispatching goroutine. It is the one
+// core.Session and, after each Next, cuts panels (Cut over AppendOpen)
+// only for the idle members it launches, in the order members first
+// surface in Next's list. It keeps at most one panel in flight per member
+// and at most parallelism panels in flight overall, answers each panel
+// through the member on a worker goroutine (crowd.Panelist members answer
+// the whole panel in one round trip), and merges every panel back with
+// one SubmitBatch from the dispatching goroutine. It is the one
 // concurrent dispatcher: pcfg.Size 1 is one-question dispatch, where
 // parallelism bounds the questions in flight. The result is bit-identical
 // to core.Run(cfg) for members whose answers depend only on (member,
@@ -99,7 +101,7 @@ func Run(cfg core.Config, pcfg Config, parallelism int) (*core.Result, Stats) {
 		byID[m.ID()] = m
 	}
 	s := core.NewSession(cfg, ids)
-	b := NewBatcher(s, pcfg)
+	size, src := pcfg.resolve(s)
 
 	var st Stats
 	results := make(chan outcome, len(ids))
@@ -124,19 +126,21 @@ func Run(cfg core.Config, pcfg Config, parallelism int) (*core.Result, Stats) {
 		}()
 	}
 
+	var open []core.Question
 	for {
-		panels := b.Next()
-		if panels == nil && inFlight == 0 {
+		qs := s.Next()
+		if len(qs) == 0 && inFlight == 0 {
 			break
 		}
-		for _, p := range panels {
+		for _, q := range qs {
 			if inFlight >= parallelism {
 				break
 			}
-			if busy[p.Member] || len(p.Items) == 0 {
+			if busy[q.Member] {
 				continue
 			}
-			launch(p)
+			open = s.AppendOpen(open[:0], q.Member)
+			launch(Cut(q.Member, open, size, src))
 		}
 		o := <-results
 		busy[o.member] = false

@@ -136,11 +136,16 @@ func TestServePanelEquivalence(t *testing.T) {
 	}
 }
 
-// TestServePanelItemsCarryPriors: every concrete item handed out on the
-// panel route is primed with a prior, and its Confirm flag agrees with
-// the prior's confidence.
+// TestServePanelItemsCarryPriors drives a session to the end through the
+// panel route, one member poll at a time, and checks every panel handed
+// out: its item IDs are the member's core.Session.AppendOpen list cut to
+// the poll's max, every concrete item is primed with a prior, and its
+// Confirm flag agrees with the prior's confidence.
 func TestServePanelItemsCarryPriors(t *testing.T) {
+	const max = 3
 	s := ontology.NewSample()
+	u1, u2 := crowd.SampleDBs(s)
+	dbs := map[string]*crowd.PersonalDB{"p00": u1, "p01": u2}
 	reg := NewRegistry(Config{})
 	defer reg.Close()
 	tn, err := reg.AddTenant(TenantConfig{
@@ -155,29 +160,54 @@ func TestServePanelItemsCarryPriors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tn.Open(oassisql.MustParse(testQuery)); err != nil {
+	sess, err := tn.Open(oassisql.MustParse(testQuery))
+	if err != nil {
 		t.Fatal(err)
 	}
-	p, out, err := tn.PollPanel(context.Background(), "p00", 8, 2*time.Second)
-	if err != nil || out != OutcomeQuestion {
-		t.Fatalf("poll: out=%v err=%v", out, err)
-	}
-	if len(p.Items) == 0 {
-		t.Fatal("empty panel")
-	}
-	if p.Items[0].Speculative {
-		t.Error("panel does not lead with the engine's own question")
-	}
-	for i, it := range p.Items {
-		if it.Kind != core.KindConcrete {
+	polls, cut := 0, false
+	for step := 0; !sess.Done(); step++ {
+		if step == 1000 {
+			t.Fatal("session not done after 1000 polls")
+		}
+		member := []string{"p00", "p01"}[step%2]
+		p, out, err := tn.PollPanel(context.Background(), member, max, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != OutcomeQuestion {
 			continue
 		}
-		if it.Prior.Confidence == crowd.ConfidenceNone {
-			t.Errorf("item %d has no prior", i)
+		sess.sh.mu.Lock()
+		open := sess.inner.AppendOpen(nil, member)
+		sess.sh.mu.Unlock()
+		want := open[:min(len(open), max)]
+		cut = cut || len(open) > max
+		if len(p.Items) != len(want) {
+			t.Fatalf("poll %d: %s's panel has %d items, want %d", polls, member, len(p.Items), len(want))
 		}
-		if it.Confirm != it.Prior.Confirmable() {
-			t.Errorf("item %d Confirm=%v disagrees with confidence %v", i, it.Confirm, it.Prior.Confidence)
+		if polls == 0 && p.Items[0].Speculative {
+			t.Error("first panel does not lead with the engine's own question")
 		}
+		polls++
+		answers := make([]PanelAnswer, len(p.Items))
+		for i, it := range p.Items {
+			if it.ID != int(want[i].ID) {
+				t.Fatalf("poll %d: %s's item %d is question %d, want %d", polls, member, i, it.ID, want[i].ID)
+			}
+			if it.Kind == core.KindConcrete && it.Prior.Confidence == crowd.ConfidenceNone {
+				t.Errorf("poll %d: item %d has no prior", polls, i)
+			}
+			if it.Confirm != it.Prior.Confirmable() {
+				t.Errorf("poll %d: item %d Confirm=%v disagrees with confidence %v", polls, i, it.Confirm, it.Prior.Confidence)
+			}
+			answers[i] = PanelAnswer{ID: it.ID, Answer: answerFor(dbs[member], it.Kind, it.Facts, it.Choices)}
+		}
+		if _, err := tn.AnswerPanel(p.Session, member, answers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !cut {
+		t.Errorf("no member ever had more than %d open questions; the cut was never exercised", max)
 	}
 }
 

@@ -214,20 +214,16 @@ func (s *Session) wireQuestion(q core.Question) Question {
 	}
 }
 
-// wirePanel cuts the member's panel from their open questions (as
-// core.Session.AppendOpen orders them: the engine's own question first,
-// then ID order): up to max items, each carrying its prior. The items
-// stay open (a re-poll resends the panel); answering them is what
-// consumes them. Caller holds sh.mu.
+// wirePanel cuts the member's panel from their open questions with
+// panel.Cut (up to max items, each carrying its prior) and maps it to the
+// wire form. The items stay open (a re-poll resends the panel, with
+// priors recomputed); answering them is what consumes them. Caller holds
+// sh.mu.
 func (s *Session) wirePanel(member string, open []core.Question, max int) Panel {
-	open = open[:min(len(open), max)]
-	p := Panel{Tenant: s.t.name, Session: s.id, Member: member, Items: make([]PanelItem, len(open))}
-	for i, q := range open {
-		// Priors are computed at cut time, not issue time: answers from
-		// other members collected since the question was issued upgrade
-		// the guess a re-poll sees.
-		pr := s.priors.Prior(q)
-		p.Items[i] = PanelItem{Question: s.wireQuestion(q), Prior: pr, Confirm: pr.Confirmable()}
+	cut := panel.Cut(member, open, max, s.priors)
+	p := Panel{Tenant: s.t.name, Session: s.id, Member: member, Items: make([]PanelItem, len(cut.Items))}
+	for i, it := range cut.Items {
+		p.Items[i] = PanelItem{Question: s.wireQuestion(it.Question), Prior: it.Prior, Confirm: it.Confirm()}
 	}
 	return p
 }

@@ -94,12 +94,12 @@ func RespondNoClick() Response { return Response{} }
 // ctx is canceled, Next returns no more questions and Close returns the
 // partial result.
 type Session struct {
-	ctx     context.Context
-	db      *DB
-	all     bool // SELECT ... ALL of the compiled plan
-	sp      *assign.Space
-	inner   *core.Session
-	batcher *panel.Batcher
+	ctx    context.Context
+	db     *DB
+	all    bool // SELECT ... ALL of the compiled plan
+	sp     *assign.Space
+	inner  *core.Session
+	panels panel.Config
 }
 
 // NewSession compiles the query and starts a step-driven run over the
@@ -127,12 +127,12 @@ func NewSession(ctx context.Context, db *DB, q *Query, memberIDs []string, opts 
 		pcfg.Source = priorSourceAdapter{db: db, src: o.priorSource}
 	}
 	return &Session{
-		ctx:     ctx,
-		db:      db,
-		all:     pl.All,
-		sp:      sp,
-		inner:   inner,
-		batcher: panel.NewBatcher(inner, pcfg),
+		ctx:    ctx,
+		db:     db,
+		all:    pl.All,
+		sp:     sp,
+		inner:  inner,
+		panels: pcfg,
 	}, nil
 }
 
@@ -180,12 +180,10 @@ func convertQuestion(db *DB, q core.Question) SessionQuestion {
 	return sq
 }
 
-// PanelItem is one question inside a Panel: the question, the priority
-// that ranked it into the panel (higher is earlier; the question the run
-// is blocked on always leads), and its prior guess.
+// PanelItem is one question inside a Panel: the question and its prior
+// guess.
 type PanelItem struct {
 	Question SessionQuestion
-	Priority float64
 	Prior    Prior
 }
 
@@ -193,8 +191,9 @@ type PanelItem struct {
 // (high-confidence prior) rather than an open question.
 func (it PanelItem) Confirm() bool { return it.Prior.Confirmable() }
 
-// Panel is one member's batch of currently answerable questions,
-// priority-ordered and primed with priors: one screen, one round trip.
+// Panel is one member's batch of currently answerable questions in issue
+// order (the question the run is blocked on first, when it is the
+// member's), primed with priors: one screen, one round trip.
 type Panel struct {
 	Member string
 	Items  []PanelItem
@@ -207,11 +206,11 @@ type PanelAnswer struct {
 	Response Response
 }
 
-// NextPanels is the batched form of Next: the currently answerable
-// questions grouped into per-member panels of at most the WithPanelSize
-// bound (default 8), each item primed with a Prior from the session
-// aggregate, the ontology, or the WithPriorSource option. The first
-// panel holds the question the run cannot proceed without. NextPanels
+// NextPanels is the batched form of Next: each member's currently
+// answerable questions in issue order, cut to the WithPanelSize bound
+// (default 8), each item primed with a Prior from the session aggregate,
+// the ontology, or the WithPriorSource option. The first panel holds the
+// question the run cannot proceed without, as its first item. NextPanels
 // returns nil exactly when Next would return no questions. Panels and
 // single questions can be mixed freely; results are identical either
 // way.
@@ -220,14 +219,13 @@ func (s *Session) NextPanels() []Panel {
 		s.inner.Close()
 		return nil
 	}
-	ps := s.batcher.Next()
+	ps := panel.Next(s.inner, s.panels)
 	out := make([]Panel, 0, len(ps))
 	for _, p := range ps {
 		items := make([]PanelItem, len(p.Items))
 		for i, it := range p.Items {
 			items[i] = PanelItem{
 				Question: convertQuestion(s.db, it.Question),
-				Priority: it.Priority,
 				Prior:    it.Prior,
 			}
 		}
