@@ -1,9 +1,9 @@
 // Command oassis-server runs the crowdsourcing platform of the paper's
 // §6.2 as a web service: crowd members visit the page, join the question
-// game, answer concrete and specialization questions about their habits on
-// the five-level frequency scale, and earn bronze/silver/gold stars; a
-// statistics page commends the top contributors, and the mined answers
-// appear when the query completes.
+// game, answer concrete questions about their habits on the five-level
+// frequency scale, and earn bronze/silver/gold stars; a statistics page
+// commends the top contributors, and the mined answers appear when the
+// query completes.
 //
 // The server is multi-tenant: one process hosts many named tenants, each
 // with its own ontology, member roster, and store directory, each running

@@ -123,7 +123,7 @@ func TestMetricsLiveSession(t *testing.T) {
 	// flight from the session's point of view.
 	var q questionJSON
 	getJSON(t, ts.URL+"/api/question?member="+member, &q)
-	if q.Type != "concrete" && q.Type != "specialize" {
+	if q.Type != "concrete" {
 		t.Fatalf("first question type %q", q.Type)
 	}
 

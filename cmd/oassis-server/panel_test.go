@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"oassis/internal/crowd"
-	"oassis/internal/fact"
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
 	"oassis/internal/serve"
@@ -153,33 +152,17 @@ func drivePanels(base, member string, s *ontology.Sample, db *crowd.PersonalDB, 
 		}
 		answers := make([]map[string]interface{}, 0, len(p.Items))
 		for _, it := range p.Items {
-			switch it.Type {
-			case "concrete":
-				fs, err := parseQuestionText(s, it.Text)
-				if err != nil {
-					done <- err
-					return
-				}
-				level := int(crowd.FiveLevel(db.Support(fs)) / 0.25)
-				answers = append(answers, map[string]interface{}{"id": it.ID, "level": level})
-			case "specialize":
-				a := map[string]interface{}{"id": it.ID, "none": true}
-				for i, c := range it.Choices {
-					fs, err := fact.Parse(s.Voc, c)
-					if err != nil {
-						done <- fmt.Errorf("unparseable choice %q: %v", c, err)
-						return
-					}
-					if db.Support(fs) >= 0.4 {
-						a = map[string]interface{}{
-							"id": it.ID, "choice": i,
-							"level": int(crowd.FiveLevel(db.Support(fs)) / 0.25),
-						}
-						break
-					}
-				}
-				answers = append(answers, a)
+			if it.Type != "concrete" {
+				done <- fmt.Errorf("served panel item type %q, want concrete", it.Type)
+				return
 			}
+			fs, err := parseQuestionText(s, it.Text)
+			if err != nil {
+				done <- err
+				return
+			}
+			level := int(crowd.FiveLevel(db.Support(fs)) / 0.25)
+			answers = append(answers, map[string]interface{}{"id": it.ID, "level": level})
 		}
 		body, _ := json.Marshal(map[string]interface{}{
 			"member": member, "session": p.Session, "answers": answers,

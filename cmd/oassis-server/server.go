@@ -185,11 +185,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 // questionJSON is the wire form of a question. Session addresses the
 // hosting session within the tenant; clients echo it back in the answer.
 type questionJSON struct {
-	Type    string   `json:"type"` // concrete | specialize | wait | done
+	Type    string   `json:"type"` // concrete | wait | done
 	Session string   `json:"session,omitempty"`
 	ID      int      `json:"id,omitempty"`
 	Text    string   `json:"text,omitempty"`
-	Choices []string `json:"choices,omitempty"`
 	Scale   []string `json:"scale,omitempty"`
 }
 
@@ -202,6 +201,13 @@ func (s *server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 	member := r.URL.Query().Get("member")
 	start := time.Now()
 	q, out, err := t.Poll(r.Context(), member, s.poll)
+	s.writePolled(w, r, start, out, err, func() interface{} { return s.renderQuestion(t, q) })
+}
+
+// writePolled writes a long poll's outcome: render's body when it handed
+// out work, else {"type":"done"} or {"type":"wait"}. A poll whose client
+// went away writes nothing.
+func (s *server) writePolled(w http.ResponseWriter, r *http.Request, start time.Time, out serve.Outcome, err error, render func() interface{}) {
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client went away; there is nobody to write to.
@@ -214,7 +220,7 @@ func (s *server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 	switch out {
 	case serve.OutcomeQuestion:
 		s.obs.longpolled("question", start)
-		writeJSON(w, http.StatusOK, s.renderQuestion(t, q))
+		writeJSON(w, http.StatusOK, render())
 	case serve.OutcomeDone, serve.OutcomeShutdown:
 		// Shutdown deliberately reads as "done" on the wire: parked
 		// waiters wake immediately and the client stops polling instead
@@ -227,32 +233,23 @@ func (s *server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// answerScale is the five-level scale's labels, sent with every question.
+func answerScale() []string {
+	scale := make([]string, len(crowd.AnswerScale))
+	for i, a := range crowd.AnswerScale {
+		scale[i] = a.Label
+	}
+	return scale
+}
+
 // renderQuestion builds the wire form of a serving-tier question.
 func (s *server) renderQuestion(t *serve.Tenant, q serve.Question) questionJSON {
-	var scale []string
-	for _, a := range crowd.AnswerScale {
-		scale = append(scale, a.Label)
-	}
-	if q.Kind == core.KindSpecialization {
-		choices := make([]string, len(q.Choices))
-		for i, c := range q.Choices {
-			choices[i] = c.Format(t.Voc())
-		}
-		return questionJSON{
-			Type:    "specialize",
-			Session: q.Session,
-			ID:      q.ID,
-			Text:    "Can you be more specific? Pick what you do significantly often:",
-			Choices: choices,
-			Scale:   scale,
-		}
-	}
 	return questionJSON{
 		Type:    "concrete",
 		Session: q.Session,
 		ID:      q.ID,
 		Text:    s.templates(t).Concrete(q.Facts),
-		Scale:   scale,
+		Scale:   answerScale(),
 	}
 }
 
@@ -269,9 +266,8 @@ type priorJSON struct {
 // panelItemJSON is one question inside a wire panel.
 type panelItemJSON struct {
 	ID          int        `json:"id"`
-	Type        string     `json:"type"` // concrete | specialize
+	Type        string     `json:"type"` // concrete
 	Text        string     `json:"text"`
-	Choices     []string   `json:"choices,omitempty"`
 	Speculative bool       `json:"speculative,omitempty"`
 	Prior       *priorJSON `json:"prior,omitempty"`
 	Confirm     bool       `json:"confirm,omitempty"`
@@ -289,23 +285,13 @@ type panelJSON struct {
 
 // renderPanel builds the wire form of a served panel.
 func (s *server) renderPanel(t *serve.Tenant, p serve.Panel) panelJSON {
-	var scale []string
-	for _, a := range crowd.AnswerScale {
-		scale = append(scale, a.Label)
-	}
-	out := panelJSON{Type: "panel", Session: p.Session, Member: p.Member, Scale: scale}
+	out := panelJSON{Type: "panel", Session: p.Session, Member: p.Member, Scale: answerScale()}
 	for _, it := range p.Items {
-		item := panelItemJSON{ID: it.ID, Speculative: it.Speculative}
-		if it.Kind == core.KindSpecialization {
-			item.Type = "specialize"
-			item.Text = "Can you be more specific? Pick what you do significantly often:"
-			item.Choices = make([]string, len(it.Choices))
-			for i, c := range it.Choices {
-				item.Choices[i] = c.Format(t.Voc())
-			}
-		} else {
-			item.Type = "concrete"
-			item.Text = s.templates(t).Concrete(it.Facts)
+		item := panelItemJSON{
+			ID:          it.ID,
+			Type:        "concrete",
+			Text:        s.templates(t).Concrete(it.Facts),
+			Speculative: it.Speculative,
 		}
 		if it.Prior.Confidence != crowd.ConfidenceNone {
 			item.Prior = &priorJSON{
@@ -339,25 +325,34 @@ func (s *server) handlePanel(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	p, out, err := t.PollPanel(r.Context(), member, max, s.poll)
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.obs.longpolled("disconnect", start)
-			return
+	s.writePolled(w, r, start, out, err, func() interface{} { return s.renderPanel(t, p) })
+}
+
+// answerJSON is one wire answer: a question ID and its level on the
+// five-level scale (0..4). A missing or out-of-range level reads as 0.
+type answerJSON struct {
+	ID    int  `json:"id"`
+	Level *int `json:"level"`
+}
+
+// submit answers a member's items as one panel — the one answer path of
+// both answer routes — and reports how many were applied. On a refusal it
+// has written the serving tier's error and returns false.
+func (s *server) submit(w http.ResponseWriter, t *serve.Tenant, member, session string, items []answerJSON) (int, bool) {
+	answers := make([]serve.PanelAnswer, len(items))
+	for i, it := range items {
+		level := 0
+		if it.Level != nil && *it.Level >= 0 && *it.Level <= 4 {
+			level = *it.Level
 		}
+		answers[i] = serve.PanelAnswer{ID: it.ID, Answer: core.AnswerSupport(float64(level) * 0.25)}
+	}
+	n, err := t.AnswerPanel(session, member, answers)
+	if err != nil {
 		s.serveError(w, err)
-		return
+		return 0, false
 	}
-	switch out {
-	case serve.OutcomeQuestion:
-		s.obs.longpolled("question", start)
-		writeJSON(w, http.StatusOK, s.renderPanel(t, p))
-	case serve.OutcomeDone, serve.OutcomeShutdown:
-		s.obs.longpolled("done", start)
-		writeJSON(w, http.StatusOK, panelJSON{Type: "done"})
-	default:
-		s.obs.longpolled("timeout", start)
-		writeJSON(w, http.StatusOK, panelJSON{Type: "wait"})
-	}
+	return n, true
 }
 
 // handlePanelAnswer submits a whole panel's answers in one POST. Items
@@ -369,66 +364,20 @@ func (s *server) handlePanelAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req struct {
-		Member  string `json:"member"`
-		Session string `json:"session"`
-		Answers []struct {
-			ID     int  `json:"id"`
-			Level  *int `json:"level"`
-			Choice *int `json:"choice"`
-			None   bool `json:"none"`
-			Skip   bool `json:"skip"`
-		} `json:"answers"`
+		Member  string       `json:"member"`
+		Session string       `json:"session"`
+		Answers []answerJSON `json:"answers"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Answers) == 0 {
 		httpError(w, http.StatusBadRequest, "a non-empty answers list is required")
 		return
 	}
-	answers := make([]serve.PanelAnswer, 0, len(req.Answers))
-	var miss error
-	for _, a := range req.Answers {
-		// Find the question to learn its kind before converting the wire
-		// answer; SubmitPanel revalidates under the shard lock and skips
-		// items consumed in the meantime.
-		q, err := t.Pending(req.Session, req.Member, a.ID)
-		if errors.Is(err, serve.ErrNoPending) {
-			miss = err
-			continue
-		}
-		if err != nil {
-			s.serveError(w, err)
-			return
-		}
-		level := 0.0
-		if a.Level != nil && *a.Level >= 0 && *a.Level <= 4 {
-			level = float64(*a.Level) * 0.25
-		}
-		var ans core.Answer
-		switch {
-		case q.Kind != core.KindSpecialization:
-			ans = core.AnswerSupport(level)
-		case a.Skip:
-			ans = core.AnswerDecline()
-		case a.None:
-			ans = core.AnswerNoneOfThese()
-		case a.Choice != nil && *a.Choice >= 0 && *a.Choice < len(q.Choices):
-			ans = core.AnswerChoice(*a.Choice, level)
-		default:
-			ans = core.AnswerDecline()
-		}
-		answers = append(answers, serve.PanelAnswer{ID: a.ID, Answer: ans})
+	if n, ok := s.submit(w, t, req.Member, req.Session, req.Answers); ok {
+		writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "applied": n})
 	}
-	if len(answers) == 0 {
-		s.serveError(w, miss)
-		return
-	}
-	n, err := t.AnswerPanel(req.Session, req.Member, answers)
-	if err != nil {
-		s.serveError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "applied": n})
 }
 
+// handleAnswer submits one answer: a one-item panel.
 func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenant(r)
 	if err != nil {
@@ -438,47 +387,15 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Member  string `json:"member"`
 		Session string `json:"session"`
-		ID      int    `json:"id"`
-		Level   *int   `json:"level"`  // 0..4 on the five-level scale
-		Choice  *int   `json:"choice"` // specialization pick
-		None    bool   `json:"none"`   // none of these
-		Skip    bool   `json:"skip"`   // prefer concrete questions
+		answerJSON
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad answer payload")
 		return
 	}
-	// Find the question to learn its kind before converting the wire
-	// answer; the submit below revalidates under the shard lock.
-	q, err := t.Pending(req.Session, req.Member, req.ID)
-	if err != nil {
-		s.serveError(w, err)
-		return
+	if _, ok := s.submit(w, t, req.Member, req.Session, []answerJSON{req.answerJSON}); ok {
+		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}
-	level := func() float64 {
-		if req.Level == nil || *req.Level < 0 || *req.Level > 4 {
-			return 0
-		}
-		return float64(*req.Level) * 0.25
-	}
-	var ans core.Answer
-	switch {
-	case q.Kind != core.KindSpecialization:
-		ans = core.AnswerSupport(level())
-	case req.Skip:
-		ans = core.AnswerDecline()
-	case req.None:
-		ans = core.AnswerNoneOfThese()
-	case req.Choice != nil && *req.Choice >= 0 && *req.Choice < len(q.Choices):
-		ans = core.AnswerChoice(*req.Choice, level())
-	default:
-		ans = core.AnswerDecline()
-	}
-	if err := t.Answer(q.Session, req.Member, q.ID, ans); err != nil {
-		s.serveError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 // handleQuery opens a new session for a query posted to the tenant —

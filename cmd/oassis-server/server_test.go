@@ -34,7 +34,7 @@ WITH SUPPORT = 0.4
 
 // newRegistryServer stands up an HTTP server over an empty registry;
 // callers add tenants through the returned registry.
-func newRegistryServer(t *testing.T, cfg serve.Config, poll time.Duration) (*serve.Registry, *server, *httptest.Server) {
+func newRegistryServer(t testing.TB, cfg serve.Config, poll time.Duration) (*serve.Registry, *server, *httptest.Server) {
 	t.Helper()
 	reg := serve.NewRegistry(cfg)
 	t.Cleanup(func() { _ = reg.Close() })
@@ -63,7 +63,7 @@ func newTestServer(t *testing.T, slots, k int) (*server, *httptest.Server) {
 	return srv, ts
 }
 
-func postJSON(t *testing.T, url string, body interface{}) (*http.Response, map[string]interface{}) {
+func postJSON(t testing.TB, url string, body interface{}) (*http.Response, map[string]interface{}) {
 	t.Helper()
 	b, _ := json.Marshal(body)
 	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
@@ -76,7 +76,7 @@ func postJSON(t *testing.T, url string, body interface{}) (*http.Response, map[s
 	return resp, out
 }
 
-func getJSON(t *testing.T, url string, v interface{}) *http.Response {
+func getJSON(t testing.TB, url string, v interface{}) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -138,36 +138,8 @@ func drive(base, member string, s *ontology.Sample, db *crowd.PersonalDB, done c
 				done <- err
 				return
 			}
-		case "specialize":
-			answered := false
-			for i, c := range q.Choices {
-				fs, err := fact.Parse(s.Voc, c)
-				if err != nil {
-					done <- fmt.Errorf("unparseable choice %q: %v", c, err)
-					return
-				}
-				if db.Support(fs) >= 0.4 {
-					level := int(crowd.FiveLevel(db.Support(fs)) / 0.25)
-					if err := call(base+"/api/answer", map[string]interface{}{
-						"member": member, "id": q.ID, "choice": i, "level": level,
-					}); err != nil {
-						done <- err
-						return
-					}
-					answered = true
-					break
-				}
-			}
-			if !answered {
-				if err := call(base+"/api/answer", map[string]interface{}{
-					"member": member, "id": q.ID, "none": true,
-				}); err != nil {
-					done <- err
-					return
-				}
-			}
 		default:
-			done <- fmt.Errorf("unexpected question type %q", q.Type)
+			done <- fmt.Errorf("served question type %q, want concrete", q.Type)
 			return
 		}
 	}

@@ -1,8 +1,8 @@
 package main
 
 // indexHTML is the single-page question-game UI (§6.2): join with a name,
-// answer questions on the five-level scale, pick specializations or "none
-// of these", watch the leaderboard, and see the mined answers at the end.
+// answer concrete questions on the five-level scale, watch the
+// leaderboard, and see the mined answers at the end.
 const indexHTML = `<!doctype html>
 <html lang="en">
 <head>
@@ -77,20 +77,7 @@ function render(q) {
   document.getElementById('question').textContent = q.text;
   const box = document.getElementById('answers');
   box.innerHTML = '';
-  if (q.type === 'concrete') {
-    q.scale.forEach((label, i) => addBtn(box, label, () => answer({level: i})));
-  } else {
-    q.choices.forEach((c, i) => addBtn(box, c, () => askLevel(i)));
-    addBtn(box, 'none of these', () => answer({none: true}));
-    addBtn(box, 'ask me directly', () => answer({skip: true}));
-  }
-}
-
-function askLevel(choice) {
-  const box = document.getElementById('answers');
-  box.innerHTML = '';
-  pending.scale.forEach((label, i) =>
-    addBtn(box, label, () => answer({choice: choice, level: i})));
+  q.scale.forEach((label, i) => addBtn(box, label, () => answer(i)));
 }
 
 function addBtn(box, label, fn) {
@@ -100,8 +87,8 @@ function addBtn(box, label, fn) {
   box.appendChild(b);
 }
 
-async function answer(a) {
-  a.member = member; a.id = pending.id; a.session = pending.session;
+async function answer(level) {
+  const a = {member, session: pending.session, id: pending.id, level};
   await fetch(base + '/api/answer', {method:'POST', body: JSON.stringify(a)});
   document.getElementById('question').textContent = 'thanks! next question…';
   document.getElementById('answers').innerHTML = '';

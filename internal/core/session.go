@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -516,16 +518,22 @@ type Submission struct {
 // and merged in when the engine reaches the same question. The first
 // submission error is returned after every submission was attempted.
 func (s *Session) SubmitBatch(subs []Submission) error {
-	ordered := append([]Submission(nil), subs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	if !slices.IsSortedFunc(subs, bySubmissionID) {
+		// Only an out-of-order batch pays for the copy; a single answer
+		// or an issue-order panel is applied in place.
+		subs = slices.Clone(subs)
+		slices.SortStableFunc(subs, bySubmissionID)
+	}
 	var first error
-	for _, sub := range ordered {
+	for _, sub := range subs {
 		if err := s.Submit(sub.ID, sub.Answer); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
+
+func bySubmissionID(a, b Submission) int { return cmp.Compare(a.ID, b.ID) }
 
 // AggregateHint exposes the running aggregate for a concrete question's
 // fact-set: the mean of the answers collected so far and how many there
@@ -574,9 +582,11 @@ func (s *Session) Result() *Result { return s.res }
 
 // Close cancels the run if it is still going, winds the engine down, and
 // returns the (possibly partial) result. Closing an already finished
-// session just returns the result.
+// session just returns the result. Retired questions stop taking their
+// late answer: after Close every Submit is ErrSessionDone.
 func (s *Session) Close() *Result {
 	s.closed = true
+	s.retired = nil
 	if s.res == nil {
 		// Canceled, every question point resolves on the spot, so the
 		// engine runs straight to its end.

@@ -536,12 +536,53 @@ func TestSessionLeaveBlockedMember(t *testing.T) {
 			t.Fatalf("submit: %v", err)
 		}
 	}
+	// A late answer to the abandoned question is accepted and dropped
+	// until Close.
+	if err := sess.Submit(leftID, AnswerSupport(1)); err != nil {
+		t.Errorf("late submit to retired question: %v", err)
+	}
 	if sess.Close() == nil {
 		t.Fatal("no result")
 	}
-	// A late answer to the abandoned question is accepted and dropped.
-	if err := sess.Submit(leftID, AnswerSupport(1)); err != nil {
-		t.Errorf("late submit to retired question: %v", err)
+}
+
+// TestSessionCloseDropsRetired retires a question mid-run on the travel
+// session and closes the session before its late answer arrives: Close
+// ends the late-answer grace, so Lookup no longer finds the question and
+// Submit reports ErrSessionDone.
+func TestSessionCloseDropsRetired(t *testing.T) {
+	sess, byID := newCrowdTravel(t).session()
+	var prev []Question
+	retired := QuestionID(0)
+	for qs := sess.Next(); qs != nil && retired == 0; qs = sess.Next() {
+		open := make(map[QuestionID]bool, len(qs))
+		for _, q := range qs {
+			open[q.ID] = true
+		}
+		for _, q := range prev {
+			if _, ok := sess.Lookup(q.ID); ok && !open[q.ID] {
+				retired = q.ID
+				break
+			}
+		}
+		prev = append(prev[:0], qs...)
+		q := qs[0]
+		if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if retired == 0 {
+		t.Fatal("no question was retired mid-run")
+	}
+	if _, ok := sess.Lookup(retired); !ok {
+		t.Fatalf("retired %d lost its late answer before Close", retired)
+	}
+	sess.Close()
+	if q, ok := sess.Lookup(retired); ok {
+		t.Errorf("Lookup(%d) after Close = %+v, want not found", retired, q)
+	}
+	if err := sess.Submit(retired, AnswerSupport(1)); !errors.Is(err, ErrSessionDone) {
+		t.Errorf("Submit(%d) after Close = %v, want ErrSessionDone", retired, err)
 	}
 }
 

@@ -61,11 +61,12 @@ func (s *Session) Space() *assign.Space { return s.sp }
 // Shard returns the index of the shard the session routed to.
 func (s *Session) Shard() int { return s.sh.idx }
 
-// Done reports whether the session has finished mining.
+// Done reports whether the session has finished mining. Every mutation
+// (attach, SubmitPanel, Retire) settles the flag, so reading it neither
+// refills nor allocates.
 func (s *Session) Done() bool {
 	s.sh.mu.Lock()
 	defer s.sh.mu.Unlock()
-	s.refillLocked()
 	return s.finished
 }
 
@@ -74,41 +75,18 @@ func (s *Session) Done() bool {
 func (s *Session) Result() (*core.Result, bool) {
 	s.sh.mu.Lock()
 	defer s.sh.mu.Unlock()
-	s.refillLocked()
-	if s.result == nil {
-		return nil, false
-	}
-	return s.result, true
+	return s.result, s.result != nil
 }
 
-// lookupLocked returns the question id if the session would still take
-// the member's answer to it: open, or retired after it was handed out and
+// takesLocked reports whether the session would still take the member's
+// answer to question id: open, or retired after it was handed out and
 // still awaiting its one late answer. Caller holds sh.mu.
-func (s *Session) lookupLocked(member string, id int) (core.Question, bool) {
+func (s *Session) takesLocked(member string, id int) bool {
 	if s.finished {
-		return core.Question{}, false
+		return false
 	}
 	q, ok := s.inner.Lookup(core.QuestionID(id))
-	return q, ok && q.Member == member
-}
-
-// Submit answers the member's question id: it credits the member, feeds
-// the engine, and refills.
-func (s *Session) Submit(member string, id int, ans core.Answer) error {
-	s.sh.mu.Lock()
-	defer s.sh.mu.Unlock()
-	if _, ok := s.lookupLocked(member, id); !ok {
-		return fmt.Errorf("%w %d for member %q in session %s", ErrNoPending, id, member, s.id)
-	}
-	s.t.credit(member)
-	// An answer to a question the engine retired after it was handed out
-	// (the round moved on) is buffered or dropped by the session; the
-	// member's credit stands either way.
-	if err := s.inner.Submit(core.QuestionID(id), ans); err != nil {
-		logf("serve: %s/%s submit: %v", s.t.name, s.id, err)
-	}
-	s.refillLocked()
-	return nil
+	return ok && q.Member == member
 }
 
 // PanelAnswer answers one panel item by its question ID.
@@ -117,19 +95,22 @@ type PanelAnswer struct {
 	Answer core.Answer
 }
 
-// SubmitPanel answers several of the member's questions at once: every
-// matched item is credited, and the whole batch feeds the engine through
-// one deterministic SubmitBatch — one lock acquisition, one refill, one
-// waiter broadcast for the entire panel. Unmatched IDs (already answered,
-// session moved on) and repeats are skipped; a panel matching nothing is
-// ErrNoPending. Returns the applied count.
+// SubmitPanel answers several of the member's questions at once — the one
+// answer path: a single answer is a panel of one. Every matched item is
+// credited, and the whole batch feeds the engine through one
+// deterministic SubmitBatch — one lock acquisition, one refill, one
+// waiter broadcast for the entire panel. An answer to a question the
+// engine retired after it was handed out is buffered or dropped by the
+// session; the member's credit stands either way. Unmatched IDs (already
+// answered, session moved on) and repeats are skipped; a panel matching
+// nothing is ErrNoPending. Returns the applied count.
 func (s *Session) SubmitPanel(member string, answers []PanelAnswer) (int, error) {
 	s.sh.mu.Lock()
 	defer s.sh.mu.Unlock()
-	var subs []core.Submission
+	subs := make([]core.Submission, 0, maxPanel) // on the stack up to maxPanel items
 	for _, a := range answers {
 		id := core.QuestionID(a.ID)
-		if _, ok := s.lookupLocked(member, a.ID); !ok ||
+		if !s.takesLocked(member, a.ID) ||
 			slices.ContainsFunc(subs, func(sub core.Submission) bool { return sub.ID == id }) {
 			continue
 		}

@@ -675,7 +675,7 @@ func (t *Tenant) holder(sessionID, member string, id int) (*Session, error) {
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
-			if _, ok := sess.lookupLocked(member, id); ok {
+			if sess.takesLocked(member, id) {
 				found = sess
 				n++
 			}
@@ -693,15 +693,13 @@ func (t *Tenant) holder(sessionID, member string, id int) (*Session, error) {
 	}
 }
 
-// Answer submits a member's answer to question id. With a session ID it
-// goes straight to that session; with an empty ID (legacy single-session
-// clients) it goes to the one session holding (member, id).
+// Answer submits a member's answer to question id: a one-item
+// AnswerPanel. With a session ID it goes straight to that session; with
+// an empty ID (legacy single-session clients) it goes to the one session
+// holding (member, id).
 func (t *Tenant) Answer(sessionID, member string, id int, ans core.Answer) error {
-	sess, err := t.holder(sessionID, member, id)
-	if err != nil {
-		return err
-	}
-	return sess.Submit(member, id, ans)
+	_, err := t.AnswerPanel(sessionID, member, []PanelAnswer{{ID: id, Answer: ans}})
+	return err
 }
 
 // AnswerPanel submits a member's answers to a panel. With a session ID
@@ -717,25 +715,6 @@ func (t *Tenant) AnswerPanel(sessionID, member string, answers []PanelAnswer) (i
 		return 0, err
 	}
 	return sess.SubmitPanel(member, answers)
-}
-
-// Pending returns the member's question id as the session would take an
-// answer to it — resolved like Answer resolves it — which is how the HTTP
-// layer learns a question's kind before converting the wire answer. A
-// question retired after it was handed out keeps only its member and
-// kind.
-func (t *Tenant) Pending(sessionID, member string, id int) (Question, error) {
-	sess, err := t.holder(sessionID, member, id)
-	if err != nil {
-		return Question{}, err
-	}
-	sess.sh.mu.Lock()
-	defer sess.sh.mu.Unlock()
-	q, ok := sess.lookupLocked(member, id)
-	if !ok {
-		return Question{}, fmt.Errorf("%w %d for member %q in tenant %q", ErrNoPending, id, member, t.name)
-	}
-	return sess.wireQuestion(q), nil
 }
 
 // Leaderboard returns the credited-answer counts per joined member,

@@ -243,31 +243,25 @@ func (s *Session) SubmitPanel(answers []PanelAnswer) error {
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	subs := make([]core.Submission, len(answers))
-	for i, a := range answers {
-		subs[i] = core.Submission{ID: core.QuestionID(a.ID), Answer: core.Answer{
+	// A default-sized panel converts on the stack.
+	subs := make([]core.Submission, 0, panel.DefaultSize)
+	for _, a := range answers {
+		subs = append(subs, core.Submission{ID: core.QuestionID(a.ID), Answer: core.Answer{
 			Support:  a.Response.Frequency,
 			Choice:   a.Response.Choice,
 			Chosen:   a.Response.Chosen,
 			Declined: a.Response.Declined,
-		}}
+		}})
 	}
 	return s.inner.SubmitBatch(subs)
 }
 
-// Submit merges the answer to a previously issued question. Errors match
-// ErrSessionDone and ErrUnknownQuestion via errors.Is; answers to
-// questions the run has moved past are accepted and dropped silently.
+// Submit merges the answer to a previously issued question: a panel of
+// one. Errors match ErrSessionDone and ErrUnknownQuestion via errors.Is;
+// answers to questions the run has moved past are accepted and dropped
+// silently.
 func (s *Session) Submit(id QuestionID, r Response) error {
-	if err := s.ctx.Err(); err != nil {
-		return err
-	}
-	return s.inner.Submit(core.QuestionID(id), core.Answer{
-		Support:  r.Frequency,
-		Choice:   r.Choice,
-		Chosen:   r.Chosen,
-		Declined: r.Declined,
-	})
+	return s.SubmitPanel([]PanelAnswer{{ID: id, Response: r}})
 }
 
 // Leave ends a member's participation; the run continues with the rest of
