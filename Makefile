@@ -81,7 +81,7 @@ cover:
 # harness), plus a timestamped BENCH_*.json perf-trajectory artifact from
 # the quick experiments.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./cmd/oassis-server
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	$(GO) run ./cmd/oassis-bench -exp summary,bounds,serving,panels,stopping,orderings -parallel 1 -out BENCH_$(BENCH_STAMP).json
 	@echo "wrote BENCH_$(BENCH_STAMP).json"
@@ -92,7 +92,7 @@ bench:
 # the multi-tenant serving tier under real concurrency, and the panels
 # scenario as a smoke of panel batching (it hard-fails on result drift).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./cmd/oassis-server .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server .
 	$(GO) run ./cmd/oassis-bench -exp serving,panels -scale 0.01 -parallel 1
 
 # The perf-trajectory gate: rerun the experiments recorded in the committed

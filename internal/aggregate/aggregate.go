@@ -56,10 +56,69 @@ type Aggregator interface {
 	Mean(questionKey string) float64
 }
 
+// tally is the answer store every aggregator embeds: per question key,
+// each member's first answer plus the running sum and sum of squares.
+// It supplies Record, Answers and the plain Mean of the Aggregator
+// interface, so an aggregator adds only its Verdict (and, if it weighs
+// answers, its own Mean). It is safe for concurrent use.
+type tally struct {
+	mu   sync.Mutex
+	data map[string]*record
+}
+
 type record struct {
 	byMember map[string]float64
 	sum      float64
 	sumSq    float64
+}
+
+// mean is the record's plain average answer (0 with no answers).
+func (r *record) mean() float64 {
+	if len(r.byMember) == 0 {
+		return 0
+	}
+	return r.sum / float64(len(r.byMember))
+}
+
+// Record implements Aggregator.
+func (t *tally) Record(key, member string, support float64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.data == nil {
+		t.data = make(map[string]*record)
+	}
+	r := t.data[key]
+	if r == nil {
+		r = &record{byMember: make(map[string]float64)}
+		t.data[key] = r
+	}
+	if _, dup := r.byMember[member]; dup {
+		return false
+	}
+	r.byMember[member] = support
+	r.sum += support
+	r.sumSq += support * support
+	return true
+}
+
+// Answers implements Aggregator.
+func (t *tally) Answers(key string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.data[key]; r != nil {
+		return len(r.byMember)
+	}
+	return 0
+}
+
+// Mean implements Aggregator: the plain average answer.
+func (t *tally) Mean(key string) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.data[key]; r != nil {
+		return r.mean()
+	}
+	return 0
 }
 
 // FixedSample is the paper's crowd-experiment black box: a question is
@@ -68,8 +127,7 @@ type record struct {
 type FixedSample struct {
 	K int
 
-	mu   sync.Mutex
-	data map[string]*record
+	tally
 }
 
 // NewFixedSample returns a FixedSample aggregator requiring k answers.
@@ -77,30 +135,7 @@ func NewFixedSample(k int) *FixedSample {
 	if k < 1 {
 		k = 1
 	}
-	return &FixedSample{K: k, data: make(map[string]*record)}
-}
-
-func (a *FixedSample) rec(key string) *record {
-	r := a.data[key]
-	if r == nil {
-		r = &record{byMember: make(map[string]float64)}
-		a.data[key] = r
-	}
-	return r
-}
-
-// Record implements Aggregator.
-func (a *FixedSample) Record(key, member string, support float64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.rec(key)
-	if _, dup := r.byMember[member]; dup {
-		return false
-	}
-	r.byMember[member] = support
-	r.sum += support
-	r.sumSq += support * support
-	return true
+	return &FixedSample{K: k}
 }
 
 // Verdict implements Aggregator.
@@ -111,31 +146,10 @@ func (a *FixedSample) Verdict(key string, theta float64) Verdict {
 	if r == nil || len(r.byMember) < a.K {
 		return Undecided
 	}
-	if r.sum/float64(len(r.byMember)) >= theta-Eps {
+	if r.mean() >= theta-Eps {
 		return Significant
 	}
 	return Insignificant
-}
-
-// Answers implements Aggregator.
-func (a *FixedSample) Answers(key string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r := a.data[key]; r != nil {
-		return len(r.byMember)
-	}
-	return 0
-}
-
-// Mean implements Aggregator.
-func (a *FixedSample) Mean(key string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.data[key]
-	if r == nil || len(r.byMember) == 0 {
-		return 0
-	}
-	return r.sum / float64(len(r.byMember))
 }
 
 // Confidence is a confidence-interval aggregator in the style of the
@@ -147,8 +161,7 @@ type Confidence struct {
 	MinN int
 	MaxN int
 
-	mu   sync.Mutex
-	data map[string]*record
+	tally
 }
 
 // NewConfidence returns a Confidence aggregator with the given parameters.
@@ -159,30 +172,7 @@ func NewConfidence(z float64, minN, maxN int) *Confidence {
 	if maxN < minN {
 		maxN = minN
 	}
-	return &Confidence{Z: z, MinN: minN, MaxN: maxN, data: make(map[string]*record)}
-}
-
-func (a *Confidence) rec(key string) *record {
-	r := a.data[key]
-	if r == nil {
-		r = &record{byMember: make(map[string]float64)}
-		a.data[key] = r
-	}
-	return r
-}
-
-// Record implements Aggregator.
-func (a *Confidence) Record(key, member string, support float64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.rec(key)
-	if _, dup := r.byMember[member]; dup {
-		return false
-	}
-	r.byMember[member] = support
-	r.sum += support
-	r.sumSq += support * support
-	return true
+	return &Confidence{Z: z, MinN: minN, MaxN: maxN}
 }
 
 // Verdict implements Aggregator.
@@ -214,27 +204,6 @@ func (a *Confidence) Verdict(key string, theta float64) Verdict {
 	default:
 		return Undecided
 	}
-}
-
-// Answers implements Aggregator.
-func (a *Confidence) Answers(key string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r := a.data[key]; r != nil {
-		return len(r.byMember)
-	}
-	return 0
-}
-
-// Mean implements Aggregator.
-func (a *Confidence) Mean(key string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.data[key]
-	if r == nil || len(r.byMember) == 0 {
-		return 0
-	}
-	return r.sum / float64(len(r.byMember))
 }
 
 // SortedKeys returns the recorded question keys of a FixedSample in sorted

@@ -460,8 +460,7 @@ type Weighted struct {
 	K int
 	W MemberWeighter
 
-	mu   sync.Mutex
-	data map[string]*record
+	tally
 }
 
 // NewWeighted returns a Weighted aggregator requiring k answers and
@@ -470,25 +469,7 @@ func NewWeighted(k int, w MemberWeighter) *Weighted {
 	if k < 1 {
 		k = 1
 	}
-	return &Weighted{K: k, W: w, data: make(map[string]*record)}
-}
-
-// Record implements Aggregator.
-func (a *Weighted) Record(key, member string, support float64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.data[key]
-	if r == nil {
-		r = &record{byMember: make(map[string]float64)}
-		a.data[key] = r
-	}
-	if _, dup := r.byMember[member]; dup {
-		return false
-	}
-	r.byMember[member] = support
-	r.sum += support
-	r.sumSq += support * support
-	return true
+	return &Weighted{K: k, W: w}
 }
 
 // weightedMean computes the current weighted mean of a record, iterating
@@ -496,11 +477,8 @@ func (a *Weighted) Record(key, member string, support float64) bool {
 // weight is zero (the whole sample flagged) it falls back to the plain
 // mean — a degenerate crowd still gets the paper's semantics.
 func (a *Weighted) weightedMean(r *record) float64 {
-	if len(r.byMember) == 0 {
-		return 0
-	}
-	if a.W == nil {
-		return r.sum / float64(len(r.byMember))
+	if len(r.byMember) == 0 || a.W == nil {
+		return r.mean()
 	}
 	members := make([]string, 0, len(r.byMember))
 	for m := range r.byMember {
@@ -520,7 +498,7 @@ func (a *Weighted) weightedMean(r *record) float64 {
 		den += w
 	}
 	if den <= 0 {
-		return r.sum / float64(len(r.byMember))
+		return r.mean()
 	}
 	return num / den
 }
@@ -537,16 +515,6 @@ func (a *Weighted) Verdict(key string, theta float64) Verdict {
 		return Significant
 	}
 	return Insignificant
-}
-
-// Answers implements Aggregator.
-func (a *Weighted) Answers(key string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r := a.data[key]; r != nil {
-		return len(r.byMember)
-	}
-	return 0
 }
 
 // Mean implements Aggregator: the current weighted mean.

@@ -10,7 +10,7 @@ import (
 
 // TestAllocsPick gates the engine's pick as allocation-free under both
 // orderings once warm: the paper order's comparator scan reads interned
-// nodes and sealed keys, and max-prune rebuilds its candidate view in the
+// nodes and sealed keys, and max-prune rebuilds its candidate table in the
 // engine's reused buffers over memoized neighbor lists, so nothing on the
 // per-question pick is heap-bound.
 func TestAllocsPick(t *testing.T) {
@@ -20,7 +20,7 @@ func TestAllocsPick(t *testing.T) {
 		e.seed()
 		e.drainExpansions()
 		// Warm: the first pick seals every candidate's memoized key and
-		// sizes the view buffers.
+		// sizes the candidate table.
 		if _, ok := e.pickUnclassified(false); !ok {
 			t.Fatalf("%s: seeded engine has no unclassified candidates", policy)
 		}

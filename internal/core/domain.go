@@ -45,41 +45,22 @@ func (d *Domain) Fingerprint() string { return d.fp }
 // Plans returns the domain's shared plan cache.
 func (d *Domain) Plans() *plan.Cache { return d.plans }
 
-// Compile returns the compiled plan for q over this domain, consulting
-// the plan cache. The boolean reports a cache hit; metrics m may be nil.
-func (d *Domain) Compile(q *oassisql.Query, m *plan.CacheMetrics) (*plan.Plan, bool, error) {
-	return d.plans.GetOrCompile(q.String(), d.fp, m, func() (*plan.Plan, error) {
+// CompileVariant returns the (stop, policy) variant of the compiled plan
+// for q over this domain, consulting the plan cache: the base plan
+// compiles (or hits) as usual, then one derivation through the same cache
+// resolves the variant. Empty names are the planner's defaults, so
+// CompileVariant(q, "", "", m) is the as-compiled plan. The boolean
+// reports a cache hit; metrics m may be nil.
+func (d *Domain) CompileVariant(q *oassisql.Query, stop, policy string, m *plan.CacheMetrics) (*plan.Plan, bool, error) {
+	pl, hit, err := d.plans.GetOrCompile(q.String(), d.fp, m, func() (*plan.Plan, error) {
 		return plan.Compile(d.Voc, d.Onto, q, d.fp)
 	})
-}
-
-// CompileStop returns the stop-policy variant of the compiled plan for q
-// over this domain: the base plan compiles (or hits) as usual, then the
-// variant derives through the same cache. The empty stop name is the
-// planner's default, making CompileStop("") equivalent to Compile.
-func (d *Domain) CompileStop(q *oassisql.Query, stop string, m *plan.CacheMetrics) (*plan.Plan, bool, error) {
-	pl, hit, err := d.Compile(q, m)
 	if err != nil {
 		return nil, false, err
 	}
-	if stop == "" || stop == pl.StopName {
-		return pl, hit, nil
+	v, vhit, err := d.plans.GetOrDerive(pl, stop, policy, m)
+	if v == pl {
+		vhit = hit // the defaults: the base lookup decides the hit
 	}
-	return d.plans.GetOrDerive(pl, stop, m)
-}
-
-// CompileVariant returns the (stop, policy) variant of the compiled plan
-// for q over this domain: the base plan compiles (or hits) as usual, then
-// each non-default dimension derives through the same cache, composing.
-// Empty names are the planner's defaults, making CompileVariant("", "")
-// equivalent to Compile.
-func (d *Domain) CompileVariant(q *oassisql.Query, stop, policy string, m *plan.CacheMetrics) (*plan.Plan, bool, error) {
-	pl, hit, err := d.CompileStop(q, stop, m)
-	if err != nil {
-		return nil, false, err
-	}
-	if policy == "" || policy == pl.PolicyName {
-		return pl, hit, nil
-	}
-	return d.plans.GetOrDerivePolicy(pl, policy, m)
+	return v, vhit, err
 }

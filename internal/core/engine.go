@@ -27,10 +27,8 @@ type Config struct {
 
 	// SpecializationRatio is the probability of posing a specialization
 	// question instead of concrete questions while descending (§4.1, §6.4).
+	// Each offers at most maxSpecializationCandidates choices.
 	SpecializationRatio float64
-	// MaxSpecializationCandidates bounds the choices offered per
-	// specialization question (the UI's auto-completion list).
-	MaxSpecializationCandidates int
 
 	// EnablePruning offers user-guided pruning clicks to members (§6.2).
 	EnablePruning bool
@@ -84,13 +82,10 @@ type Config struct {
 	// SpamMaxViolations, when positive, enables the §4.2 crowd-member
 	// selection: a member whose answers violate support monotonicity (a
 	// more specific fact-set reported more frequent than a more general
-	// one, beyond SpamTolerance) more than this many times is excluded
+	// one, beyond spamTolerance) more than this many times is excluded
 	// from further questions and their answers are ignored by the
 	// aggregator.
 	SpamMaxViolations int
-	// SpamTolerance is the slack allowed before an answer pair counts as a
-	// violation (one answer-scale step, 0.25, is a good default).
-	SpamTolerance float64
 
 	// PanelSpeculation, when positive, widens the step-driven Session's
 	// speculation: beyond the current round's node question and the mirror
@@ -106,7 +101,7 @@ type Config struct {
 	// Ordering names the question ordering (plan.PolicyName): among the
 	// unclassified generated lattice nodes, the one the ordering ranks
 	// best is asked about next. plan.PolicyMaxPrune picks through a fresh
-	// plan.MaxPrune over a read-only candidate view of the interned node
+	// plan.MaxPrune over a candidate table filled from the interned node
 	// store; any other value — "" and plan.PolicyPaperOrder included —
 	// runs the paper's §4 (size, key)-least order as the engine's
 	// allocation-free comparator scan. Callers validate names with
@@ -136,6 +131,15 @@ type Config struct {
 	// and non-blocking; like Metrics, tracing never perturbs the run.
 	Tracer obs.Tracer
 }
+
+const (
+	// maxSpecializationCandidates bounds the choices offered per
+	// specialization question (the UI's auto-completion list).
+	maxSpecializationCandidates = 10
+	// spamTolerance is the slack allowed before an answer pair counts as a
+	// monotonicity violation: one answer-scale step.
+	spamTolerance = 0.25
+)
 
 // Result is the outcome of a mining run.
 type Result struct {
@@ -184,17 +188,18 @@ type engine struct {
 	aborted  bool   // Session.Close: the run is canceled
 
 	// maxPrune is the run's max-prune selector, nil under the paper
-	// order; view holds its reusable candidate buffers.
+	// order; cands is its reusable candidate table and candIDs the node
+	// id of each row (candidates.go).
 	maxPrune *plan.MaxPrune
-	view     candidateView
+	cands    []plan.Candidate
+	candIDs  []uint32
 
 	inPool  []bool   // by id: node belongs to the generated pool
 	poolIDs []uint32 // pool nodes in generation order
 
-	memberAns  map[string]map[string]float64 // member -> question key -> answer
-	pruned     map[string][]vocab.Term       // member -> pruned terms
+	pruned     map[string][]vocab.Term // member -> pruned terms
 	stats      Stats
-	cache      *Cache
+	cache      *Cache // the CrowdCache, which is also the member answer memo
 	uniqueQ    map[string]struct{}
 	mspLog     map[string]int // chain maxima -> question count at discovery
 	newAnswers int            // answers recorded in the current round
@@ -279,7 +284,7 @@ func (e *engine) succsOf(id uint32) []assign.Assignment {
 
 // predsOf memoizes predecessor generation per node (sound for the same
 // reason as succsOf: the lattice is fixed for the whole run). Only the
-// max-prune candidate view walks predecessors, so paper-order runs never
+// max-prune candidate table walks predecessors, so paper-order runs never
 // pay for the memo.
 func (e *engine) predsOf(id uint32) []assign.Assignment {
 	e.growNode(id)
@@ -334,7 +339,6 @@ func newEngine(cfg Config, ids []string) *engine {
 		agg:       agg,
 		ns:        ns,
 		cls:       newClassifierOn(cfg.Space, ns),
-		memberAns: make(map[string]map[string]float64),
 		pruned:    make(map[string][]vocab.Term),
 		cache:     NewCacheSized(len(ids)),
 		uniqueQ:   make(map[string]struct{}),
@@ -368,7 +372,7 @@ func newEngine(cfg Config, ids []string) *engine {
 		e.toExpand = append(e.toExpand, id)
 	}
 	if cfg.SpamMaxViolations > 0 {
-		e.consistency = aggregate.NewConsistencyTracker(cfg.Space.Voc, cfg.SpamTolerance)
+		e.consistency = aggregate.NewConsistencyTracker(cfg.Space.Voc, spamTolerance)
 		e.banned = make(map[string]bool)
 	}
 	if cfg.Stop != nil {
@@ -435,7 +439,7 @@ func (e *engine) expandID(id uint32) {
 // pickUnclassified returns the unclassified generated node the ordering
 // ranks first, or ok=false when there is none. With answeredOnly, nodes
 // whose questions hold no recorded answers are skipped (the
-// frontier-settlement filter). Max-prune picks through a candidate view
+// frontier-settlement filter). Max-prune picks through a candidate table
 // (see pickSelected); the paper order scans the classifier's
 // incrementally-maintained unclassified set for the (size, key)-least
 // pool node without allocating. A node of minimal size is minimal in the
@@ -530,17 +534,12 @@ func (e *engine) pruneHit(member string, fs fact.Set) bool {
 	return false
 }
 
-// recordAnswer stores an answer in the member cache, the CrowdCache and the
-// aggregator, then updates the node classification from the verdict.
+// recordAnswer stores a member's first answer to a question in the
+// CrowdCache and the aggregator, then updates the node classification
+// from the verdict.
 func (e *engine) recordAnswer(node assign.Assignment, qKey string, member string,
 	sup float64, kind QuestionKind, counted bool) {
-	ma := e.memberAns[member]
-	if ma == nil {
-		ma = make(map[string]float64)
-		e.memberAns[member] = ma
-	}
-	if _, dup := ma[qKey]; !dup {
-		ma[qKey] = sup
+	if _, dup := e.cache.Lookup(qKey, member); !dup {
 		e.cache.Record(qKey, member, sup, kind)
 		e.sinkAnswer(qKey, member, sup, kind, counted)
 		e.agg.Record(qKey, member, sup)

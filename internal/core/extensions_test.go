@@ -75,7 +75,6 @@ func TestSpamFilterBansInconsistentMember(t *testing.T) {
 		Members:           members,
 		Agg:               aggregate.NewFixedSample(3),
 		SpamMaxViolations: 2,
-		SpamTolerance:     0.25,
 	})
 	if res.Stats.BannedMembers != 1 {
 		t.Fatalf("banned %d members, want 1", res.Stats.BannedMembers)
@@ -129,31 +128,30 @@ func TestConfidenceAggregatorInEngine(t *testing.T) {
 	}
 }
 
+// TestMaxSpecializationCandidates: the 16-member travel session offers
+// specialization questions at many lattice nodes with more than
+// maxSpecializationCandidates successors, so the cap must bind — no
+// question lists more choices, and some list exactly that many.
 func TestMaxSpecializationCandidates(t *testing.T) {
-	s, q, sp := buildSpace(t, figure3Restricted)
-	u1, u2 := crowd.SampleDBs(s)
-	members := []crowd.Member{
-		&crowd.SimMember{Name: "u1", DB: u1, Disc: crowd.Exact, SpecializeProb: 1, Theta: 0.3},
-		&crowd.SimMember{Name: "u2", DB: u2, Disc: crowd.Exact, SpecializeProb: 1, Theta: 0.3},
-	}
-	res := Run(Config{
-		Space:                       sp,
-		Theta:                       q.Support,
-		Members:                     members,
-		Agg:                         aggregate.NewFixedSample(2),
-		SpecializationRatio:         1,
-		MaxSpecializationCandidates: 2,
-		Rng:                         rand.New(rand.NewSource(5)),
-	})
-	got := mspNames(sp, res.ValidMSPs)
-	// Limiting the choice list must not lose correctness.
-	for _, w := range []string{
-		"y↦{Biking}, x↦{Central Park}",
-		"y↦{Feed a Monkey}, x↦{Bronx Zoo}",
-	} {
-		if !got[w] {
-			t.Errorf("missing MSP %s with capped candidate list", w)
+	sess, byID := newCrowdTravel(t).session()
+	asked, atCap := 0, 0
+	for qs := sess.Next(); qs != nil; qs = sess.Next() {
+		q := qs[0]
+		if q.Specialization() {
+			asked++
+			if n := len(q.Choices); n > maxSpecializationCandidates {
+				t.Fatalf("question %d offers %d choices, want at most %d", q.ID, n, maxSpecializationCandidates)
+			} else if n == maxSpecializationCandidates {
+				atCap++
+			}
 		}
+		if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+			t.Fatalf("submit %d: %v", q.ID, err)
+		}
+	}
+	if atCap == 0 {
+		t.Errorf("none of %d specialization questions reached the %d-choice cap; the check is vacuous",
+			asked, maxSpecializationCandidates)
 	}
 }
 

@@ -326,7 +326,7 @@ func (s *Session) compact() {
 func (s *Session) speculateOn(idx int, key string, fs fact.Set) {
 	e := s.eng
 	id := e.ids[idx]
-	_, cached := e.memberAns[id][key]
+	_, cached := e.cache.Lookup(key, id)
 	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(id, fs) {
 		return
 	}

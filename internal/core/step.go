@@ -249,7 +249,7 @@ func (e *engine) support(mi int, node assign.Assignment) (float64, bool) {
 	}
 	m := e.ids[mi]
 	fs, qKey := e.instantiate(node)
-	if s, ok := e.memberAns[m][qKey]; ok {
+	if s, ok := e.cache.Lookup(qKey, m); ok {
 		e.stats.FreeAnswers++
 		e.cfg.Metrics.freeAnswer()
 		e.applyVerdict(node, qKey)
@@ -302,15 +302,11 @@ func (e *engine) affirmed(s float64, n assign.Assignment) bool {
 }
 
 // offerSpecialization prepares a specialization question over (at most
-// MaxSpecializationCandidates of) the chain node's successors.
+// maxSpecializationCandidates of) the chain node's successors.
 func (e *engine) offerSpecialization() {
 	c := &e.at
-	max := e.cfg.MaxSpecializationCandidates
-	if max <= 0 {
-		max = 10
-	}
-	if len(c.succs) > max {
-		c.succs = c.succs[:max]
+	if len(c.succs) > maxSpecializationCandidates {
+		c.succs = c.succs[:maxSpecializationCandidates]
 	}
 	c.sets = make([]fact.Set, len(c.succs))
 	for i, s := range c.succs {

@@ -56,7 +56,7 @@ func figure1Config(t *testing.T) core.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, _, err := dom.Compile(q, nil)
+	pl, _, err := dom.CompileVariant(q, "", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,43 +8,23 @@ import (
 	"oassis/internal/obs"
 )
 
-// Cache is a content-addressed plan cache: plans are keyed on the pair
-// (canonical query text, domain fingerprint), so the same query over the
-// same domain compiles exactly once and every later execution reuses the
-// same *Plan pointer — the cache-hit path allocates nothing. A Cache is
-// safe for concurrent use; the server shares one per domain across all
-// sessions.
+// Cache is a content-addressed plan cache: plans are keyed on the query
+// text, the domain fingerprint and the plan's (stop, ordering) variant, so
+// the same query over the same domain compiles exactly once, each variant
+// derives exactly once, and every later execution reuses the same *Plan
+// pointer — the cache-hit path allocates nothing. A Cache is safe for
+// concurrent use; the server shares one per domain across all sessions.
 type Cache struct {
 	mu sync.Mutex
 	m  map[cacheKey]*Plan
 }
 
+// cacheKey is the one key every entry is filed under. stop and policy
+// are always the plan's own names, never the empty default, so a plan
+// reached by compiling, by deriving, or by deriving back to the base has
+// exactly one entry.
 type cacheKey struct {
-	query  string
-	domain string
-	// stop and policy are the variant dimensions of derived plans; the
-	// empty string is the planner's as-compiled default in each, so
-	// existing (query, domain) lookups are untouched by derivations.
-	stop   string
-	policy string
-}
-
-// stopDim normalizes a plan's StopName to its cache-key dimension: the
-// planner's default collapses to the empty string, matching the key the
-// as-compiled plan was stored under.
-func stopDim(name string) string {
-	if name == StopDefault {
-		return ""
-	}
-	return name
-}
-
-// policyDim normalizes a plan's PolicyName to its cache-key dimension.
-func policyDim(name string) string {
-	if name == PolicyPaperOrder {
-		return ""
-	}
-	return name
+	query, domain, stop, policy string
 }
 
 // NewCache returns an empty plan cache.
@@ -52,81 +32,51 @@ func NewCache() *Cache {
 	return &Cache{m: make(map[cacheKey]*Plan)}
 }
 
-// Get returns the cached plan for (queryText, domainFP), if any.
+// compiledKey is the key of the as-compiled plan for (queryText,
+// domainFP): the planner's default stop policy and ordering.
+func compiledKey(queryText, domainFP string) cacheKey {
+	return cacheKey{queryText, domainFP, StopDefault, PolicyPaperOrder}
+}
+
+// Get returns the cached as-compiled plan for (queryText, domainFP), if
+// any.
 func (c *Cache) Get(queryText, domainFP string) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.m[cacheKey{query: queryText, domain: domainFP}]
+	p, ok := c.m[compiledKey(queryText, domainFP)]
 	return p, ok
 }
 
-// GetOrCompile returns the cached plan for (queryText, domainFP), or
-// runs compile and caches its result. The boolean reports a cache hit.
-// Compilation happens under the cache lock, so concurrent sessions
-// racing on a cold key compile once, not once each. Metrics (hit/miss
-// counters and compile latency) are recorded on m; a nil m records
-// nothing.
+// GetOrCompile returns the cached as-compiled plan for (queryText,
+// domainFP), or runs compile and caches its result. The boolean reports
+// a cache hit. Compilation happens under the cache lock, so concurrent
+// sessions racing on a cold key compile once, not once each. Metrics
+// (hit/miss counters and compile latency) are recorded on m; a nil m
+// records nothing.
 func (c *Cache) GetOrCompile(queryText, domainFP string, m *CacheMetrics,
 	compile func() (*Plan, error)) (*Plan, bool, error) {
 
-	k := cacheKey{query: queryText, domain: domainFP}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.m[k]; ok {
-		m.hit()
-		return p, true, nil
-	}
-	start := time.Now()
-	p, err := compile()
-	if err != nil {
-		return nil, false, err
-	}
-	m.miss(time.Since(start))
-	c.m[k] = p
-	return p, false, nil
+	return c.getOr(compiledKey(queryText, domainFP), m, compile)
 }
 
-// GetOrDerive returns the cached stop-policy variant of base, deriving
-// and caching it on first use (Plan.WithStop shares the base plan's
-// precompiled tables, so a derivation is a re-serialization, not a
-// recompilation). Asking for base's own stop policy — or the empty
-// default — returns base as a hit. Like GetOrCompile, concurrent
-// sessions racing on a cold variant derive once.
-func (c *Cache) GetOrDerive(base *Plan, stop string, m *CacheMetrics) (*Plan, bool, error) {
-	if stop == "" || stop == base.StopName {
+// GetOrDerive returns the cached (stop, policy) variant of base,
+// deriving and caching it on first use (Plan.Variant shares the base
+// plan's precompiled tables, so a derivation is a re-serialization, not a
+// recompilation). An empty name keeps base's own, and asking for base's
+// own names returns base as a hit. Unknown names never reach the cache:
+// they miss, and the derivation rejects them. Like GetOrCompile,
+// concurrent sessions racing on a cold variant derive once.
+func (c *Cache) GetOrDerive(base *Plan, stop, policy string, m *CacheMetrics) (*Plan, bool, error) {
+	stop, policy = base.variantNames(stop, policy)
+	if stop == base.StopName && policy == base.PolicyName {
 		return base, true, nil
 	}
-	k := cacheKey{query: base.QueryText, domain: base.DomainFP,
-		stop: stop, policy: policyDim(base.PolicyName)}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.m[k]; ok {
-		m.hit()
-		return p, true, nil
-	}
-	start := time.Now()
-	p, err := base.WithStop(stop)
-	if err != nil {
-		return nil, false, err
-	}
-	m.miss(time.Since(start))
-	c.m[k] = p
-	return p, false, nil
+	k := cacheKey{base.QueryText, base.DomainFP, stop, policy}
+	return c.getOr(k, m, func() (*Plan, error) { return base.Variant(stop, policy) })
 }
 
-// GetOrDerivePolicy returns the cached ordering variant of base,
-// deriving and caching it on first use (Plan.WithPolicy shares the base
-// plan's precompiled tables, so a derivation is a re-serialization, not
-// a recompilation). Asking for base's own ordering — or the empty
-// default — returns base as a hit. The key keeps base's stop dimension,
-// so variants compose: the max-prune variant of a species-stop plan
-// never collides with the max-prune variant of the default plan.
-func (c *Cache) GetOrDerivePolicy(base *Plan, policy string, m *CacheMetrics) (*Plan, bool, error) {
-	if policy == "" || policy == base.PolicyName {
-		return base, true, nil
-	}
-	k := cacheKey{query: base.QueryText, domain: base.DomainFP,
-		stop: stopDim(base.StopName), policy: policy}
+// getOr returns the plan under k, or builds, caches and returns it.
+func (c *Cache) getOr(k cacheKey, m *CacheMetrics, build func() (*Plan, error)) (*Plan, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.m[k]; ok {
@@ -134,7 +84,7 @@ func (c *Cache) GetOrDerivePolicy(base *Plan, policy string, m *CacheMetrics) (*
 		return p, true, nil
 	}
 	start := time.Now()
-	p, err := base.WithPolicy(policy)
+	p, err := build()
 	if err != nil {
 		return nil, false, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // ErrUnknownPolicy is wrapped by every ordering-policy validation failure
-// (OrderingByName, Plan.WithPolicy), so callers at any layer — the
+// (OrderingByName, Plan.Variant), so callers at any layer — the
 // facade's option validation, the server's tenant boot — can errors.Is
 // against one sentinel instead of matching message text.
 var ErrUnknownPolicy = errors.New("plan: unknown ordering policy")

@@ -4,11 +4,11 @@
 // experiment grids execute precompiled plans instead of re-analyzing the
 // query. A Plan carries the resolved mining variables, the resolved
 // SATISFYING meta-fact-set (the pattern join tree after WHERE evaluation),
-// the valid base assignments, the name of the chosen question ordering and
-// the mining Substrate, plus the fingerprint of the domain it was compiled
-// against. Plans are content-addressed: Fingerprint is a SHA-256 over the
-// canonical JSON serialization, and Cache keys plans on
-// (query text, domain fingerprint).
+// the valid base assignments, the names of the question ordering, stop
+// policy and mining Substrate, plus the fingerprint of the domain it was
+// compiled against. Plans are content-addressed: Fingerprint is a SHA-256
+// over the canonical JSON serialization, and Cache keys plans on
+// (query text, domain fingerprint, stop policy, ordering).
 package plan
 
 import (
@@ -115,9 +115,6 @@ func (p *Plan) NewSpace() *assign.Space {
 	return assign.FromShared(p.voc, p.Vars, p.Sat, p.More, p.ValidBase, p.tab)
 }
 
-// Substrate resolves the plan's mining substrate.
-func (p *Plan) Substrate() (Substrate, error) { return SubstrateByName(p.SubstrateName) }
-
 // NewStop instantiates the plan's stop policy with default parameters.
 // Policies carry per-run streaming state, so every session gets a fresh
 // instance.
@@ -125,40 +122,37 @@ func (p *Plan) NewStop() (aggregate.StopPolicy, error) {
 	return aggregate.StopByName(p.StopName)
 }
 
-// WithStop derives the stop-policy variant of p: the same query over the
-// same domain with the same precompiled tables, differing only in
-// StopName — and therefore in serialization and fingerprint. Deriving
-// the plan's own stop name returns p itself.
-func (p *Plan) WithStop(name string) (*Plan, error) {
-	if name == "" {
-		name = StopDefault
-	}
-	if _, err := aggregate.StopByName(name); err != nil {
+// Variant derives the (stop, ordering) variant of p: the same query over
+// the same domain with the same precompiled tables, differing only in
+// StopName and PolicyName — and therefore in serialization and
+// fingerprint. An empty name keeps p's own; deriving p's own names
+// returns p itself. Unknown names fail as aggregate.StopByName and
+// OrderingByName do.
+func (p *Plan) Variant(stop, policy string) (*Plan, error) {
+	stop, policy = p.variantNames(stop, policy)
+	if _, err := aggregate.StopByName(stop); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	if name == p.StopName {
+	if _, err := OrderingByName(policy); err != nil {
+		return nil, err
+	}
+	if stop == p.StopName && policy == p.PolicyName {
 		return p, nil
 	}
 	q := *p
-	q.StopName = name
+	q.StopName, q.PolicyName = stop, policy
 	return newPlan(&q, p.voc, p.tab)
 }
 
-// WithPolicy derives the ordering variant of p: the same query over the
-// same domain with the same precompiled tables, differing only in
-// PolicyName — and therefore in serialization and fingerprint. Deriving
-// the plan's own ordering returns p itself.
-func (p *Plan) WithPolicy(name string) (*Plan, error) {
-	name, err := OrderingByName(name)
-	if err != nil {
-		return nil, err
+// variantNames fills an empty stop or policy name with p's own.
+func (p *Plan) variantNames(stop, policy string) (string, string) {
+	if stop == "" {
+		stop = p.StopName
 	}
-	if name == p.PolicyName {
-		return p, nil
+	if policy == "" {
+		policy = p.PolicyName
 	}
-	q := *p
-	q.PolicyName = name
-	return newPlan(&q, p.voc, p.tab)
+	return stop, policy
 }
 
 // StopDefault is the planner's default stop policy: the paper's

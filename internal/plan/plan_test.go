@@ -52,24 +52,24 @@ func captureDomain(t *testing.T, items int) (*vocab.Vocabulary, *ontology.Ontolo
 func TestPolicyOrder(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		cands []fakeCand
+		cands []plan.Candidate
 		want  int
 	}{
-		{"smaller size wins", []fakeCand{
-			{key: "a", size: 2, down: 2, up: 2},
-			{key: "z", size: 1, down: 2, up: 2},
+		{"smaller size wins", []plan.Candidate{
+			{Key: "a", Size: 2, Down: 2, Up: 2},
+			{Key: "z", Size: 1, Down: 2, Up: 2},
 		}, 1},
-		{"least key breaks a size tie", []fakeCand{
-			{key: "a", size: 2, down: 2, up: 2},
-			{key: "b", size: 2, down: 2, up: 2},
+		{"least key breaks a size tie", []plan.Candidate{
+			{Key: "a", Size: 2, Down: 2, Up: 2},
+			{Key: "b", Size: 2, Down: 2, Up: 2},
 		}, 0},
-		{"score outranks the order", []fakeCand{
-			{key: "a", size: 1, down: 1, up: 1},
-			{key: "b", size: 2, down: 2, up: 2},
+		{"score outranks the order", []plan.Candidate{
+			{Key: "a", Size: 1, Down: 1, Up: 1},
+			{Key: "b", Size: 2, Down: 2, Up: 2},
 		}, 1},
 	} {
 		var sel plan.MaxPrune
-		if got := sel.Select(fakeView{theta: 0.2, cands: c.cands}); got != c.want {
+		if got := sel.Select(c.cands, 0.2); got != c.want {
 			t.Errorf("%s: Select = %d, want %d", c.name, got, c.want)
 		}
 	}

@@ -28,50 +28,40 @@ func OrderingByName(name string) (string, error) {
 }
 
 // OrderingNames lists the ordering names, sorted — the vocabulary of
-// Plan.PolicyName, WithPolicy validation and the experiment sweeps.
+// Plan.PolicyName, Plan.Variant validation and the experiment sweeps.
 func OrderingNames() []string {
 	return []string{PolicyMaxPrune, PolicyPaperOrder}
 }
 
-// CandidateView is the read-only window MaxPrune gets over the engine's
-// current candidate set: every unclassified generated node, with its
-// lattice position (size, fringe counts among still-unclassified
-// neighbors) and its live answer aggregate. The engine materializes the
-// view over its interned node store; candidates are presented in
-// canonical key order, which is the one enumeration identical across
-// sequential, concurrent and panel execution — the determinism contract
-// rests on it.
+// Candidate is one row of the table MaxPrune selects from: an
+// unclassified generated node with its lattice position and its live
+// answer aggregate. The engine fills the table in canonical key order,
+// the one enumeration identical across sequential, concurrent and panel
+// execution — the determinism contract rests on it.
 //
-// The fringe counts are the pruning potential of Observation 4.4:
-// significance is downward closed and insignificance upward closed, so
-// classifying a candidate significant settles its unresolved down-set
-// (UnclassifiedPredecessors) and classifying it insignificant settles its
-// unresolved up-set (UnclassifiedSuccessors) — without asking a single
+// Up and Down are the pruning potential of Observation 4.4: significance
+// is downward closed and insignificance upward closed, so classifying a
+// candidate significant settles its unresolved down-set and classifying
+// it insignificant prunes its unresolved up-set — without asking a single
 // further question about those neighbors.
-type CandidateView interface {
-	// Len returns the number of candidates.
-	Len() int
-	// Key returns candidate i's canonical node key. Keys are distinct and
-	// ascending in i.
-	Key(i int) string
-	// Size returns candidate i's lattice size (pattern specificity).
-	Size(i int) int
-	// UnclassifiedSuccessors counts candidate i's immediate successors
-	// that are still unclassified — the up-set fringe an insignificant
-	// verdict prunes.
-	UnclassifiedSuccessors(i int) int
-	// UnclassifiedPredecessors counts candidate i's immediate predecessors
-	// that are still unclassified — the down-set fringe a significant
-	// verdict settles by inference.
-	UnclassifiedPredecessors(i int) int
-	// Answers returns how many crowd answers candidate i's question has
+type Candidate struct {
+	// Key is the node's canonical key, distinct and ascending in the
+	// table.
+	Key string
+	// Size is the node's lattice size (pattern specificity).
+	Size int
+	// Up counts the node's immediate successors that are still
+	// unclassified.
+	Up int
+	// Down counts the node's immediate predecessors that are still
+	// unclassified.
+	Down int
+	// Answers is how many crowd answers the node's question has
 	// collected so far.
-	Answers(i int) int
-	// Mean returns the running mean support of candidate i's question
-	// (0 with no answers).
-	Mean(i int) float64
-	// Theta returns the run's significance threshold.
-	Theta() float64
+	Answers int
+	// Mean is the running mean support of the node's question (0 with no
+	// answers).
+	Mean float64
 }
 
 // MaxPrune is the adaptive ordering: it re-scores every candidate from
@@ -86,7 +76,7 @@ type CandidateView interface {
 //
 // A MaxPrune carries that prior across rounds, so every run starts from a
 // fresh zero value (an indifferent prior of 0.5). It is deterministic:
-// the same view and state always pick the same index.
+// the same table and state always pick the same index.
 type MaxPrune struct {
 	// prior is the running estimate of P(significant) for candidates
 	// without answers; warm reports that it has been estimated at least
@@ -109,16 +99,15 @@ func probSignificant(mean, theta float64) float64 {
 	return p
 }
 
-// Select returns the index in [0, v.Len()) of the candidate with the
-// greatest expected prune p·down + (1−p)·up, breaking ties with the
-// paper's (size, key)-least order so the choice is a total order. It is
-// never called on an empty view.
-func (s *MaxPrune) Select(v CandidateView) int {
-	theta := v.Theta()
+// Select returns the index in cs of the candidate with the greatest
+// expected prune p·Down + (1−p)·Up under significance threshold theta,
+// breaking ties with the paper's (size, key)-least order so the choice is
+// a total order. It is never called on an empty table.
+func (s *MaxPrune) Select(cs []Candidate, theta float64) int {
 	sum, n := 0.0, 0
-	for i := 0; i < v.Len(); i++ {
-		if v.Answers(i) > 0 {
-			sum += probSignificant(v.Mean(i), theta)
+	for _, c := range cs {
+		if c.Answers > 0 {
+			sum += probSignificant(c.Mean, theta)
 			n++
 		}
 	}
@@ -128,15 +117,14 @@ func (s *MaxPrune) Select(v CandidateView) int {
 		s.prior = 0.5
 	}
 	best, bestScore := -1, 0.0
-	for i := 0; i < v.Len(); i++ {
+	for i, c := range cs {
 		p := s.prior
-		if v.Answers(i) > 0 {
-			p = probSignificant(v.Mean(i), theta)
+		if c.Answers > 0 {
+			p = probSignificant(c.Mean, theta)
 		}
-		score := p*float64(v.UnclassifiedPredecessors(i)) +
-			(1-p)*float64(v.UnclassifiedSuccessors(i))
+		score := p*float64(c.Down) + (1-p)*float64(c.Up)
 		if best < 0 || score > bestScore ||
-			(score == bestScore && paperBefore(v, i, best)) {
+			(score == bestScore && paperBefore(c, cs[best])) {
 			best, bestScore = i, score
 		}
 	}
@@ -145,9 +133,9 @@ func (s *MaxPrune) Select(v CandidateView) int {
 
 // paperBefore is MaxPrune's tie-break: between equally-scored
 // candidates, fall back to the paper's (size, key)-least order.
-func paperBefore(v CandidateView, i, j int) bool {
-	if v.Size(i) != v.Size(j) {
-		return v.Size(i) < v.Size(j)
+func paperBefore(a, b Candidate) bool {
+	if a.Size != b.Size {
+		return a.Size < b.Size
 	}
-	return v.Key(i) < v.Key(j)
+	return a.Key < b.Key
 }

@@ -7,34 +7,34 @@ import (
 	"oassis/internal/plan"
 )
 
-// benchView builds a deterministic n-candidate view with varied sizes,
-// fringe counts and answer state, shaped like a mid-run engine pool.
-func benchView(n int) fakeView {
-	v := fakeView{theta: 0.2}
-	for i := 0; i < n; i++ {
-		c := fakeCand{
-			key:  fmt.Sprintf("k%04d", i),
-			size: 1 + i%5,
-			down: i % 7,
-			up:   (i * 3) % 11,
+// benchCandidates builds a deterministic n-candidate table with varied
+// sizes, fringe counts and answer state, shaped like a mid-run engine
+// pool.
+func benchCandidates(n int) []plan.Candidate {
+	cs := make([]plan.Candidate, n)
+	for i := range cs {
+		cs[i] = plan.Candidate{
+			Key:  fmt.Sprintf("k%04d", i),
+			Size: 1 + i%5,
+			Down: i % 7,
+			Up:   (i * 3) % 11,
 		}
 		if i%3 == 0 {
-			c.answers = 1 + i%4
-			c.mean = float64(i%10) / 10
+			cs[i].Answers = 1 + i%4
+			cs[i].Mean = float64(i%10) / 10
 		}
-		v.cands = append(v.cands, c)
 	}
-	return v
+	return cs
 }
 
 // BenchmarkSelectorSelect measures one max-prune pick over a
-// 256-candidate view — the unit the engine pays once per question under
+// 256-candidate table — the unit the engine pays once per question under
 // max-prune.
 func BenchmarkSelectorSelect(b *testing.B) {
-	v := benchView(256)
+	cs := benchCandidates(256)
 	var sel plan.MaxPrune
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sel.Select(v)
+		sel.Select(cs, 0.2)
 	}
 }

@@ -9,34 +9,6 @@ import (
 	"oassis/internal/plan"
 )
 
-// fakeView is an in-test CandidateView: a fixed candidate table, already
-// in canonical key order as the contract requires.
-type fakeCand struct {
-	key      string
-	size     int
-	down, up int
-	answers  int
-	mean     float64
-}
-
-type fakeView struct {
-	cands []fakeCand
-	theta float64
-}
-
-func (v fakeView) Len() int                         { return len(v.cands) }
-func (v fakeView) Key(i int) string                 { return v.cands[i].key }
-func (v fakeView) Size(i int) int                   { return v.cands[i].size }
-func (v fakeView) UnclassifiedSuccessors(i int) int { return v.cands[i].up }
-func (v fakeView) UnclassifiedPredecessors(i int) int {
-	return v.cands[i].down
-}
-func (v fakeView) Answers(i int) int { return v.cands[i].answers }
-func (v fakeView) Mean(i int) float64 {
-	return v.cands[i].mean
-}
-func (v fakeView) Theta() float64 { return v.theta }
-
 func TestOrderingByName(t *testing.T) {
 	for _, name := range append(plan.OrderingNames(), "") {
 		got, err := plan.OrderingByName(name)
@@ -72,9 +44,9 @@ func TestErrUnknownPolicyGolden(t *testing.T) {
 		if err.Error() != want {
 			t.Errorf("OrderingByName message:\n got %q\nwant %q", err.Error(), want)
 		}
-		// WithPolicy propagates the same sentinel.
-		if _, err := pl.WithPolicy(name); !errors.Is(err, plan.ErrUnknownPolicy) {
-			t.Errorf("WithPolicy(%q) error %v does not wrap ErrUnknownPolicy", name, err)
+		// Variant propagates the same sentinel.
+		if _, err := pl.Variant("", name); !errors.Is(err, plan.ErrUnknownPolicy) {
+			t.Errorf("Variant(%q) error %v does not wrap ErrUnknownPolicy", name, err)
 		}
 	}
 }
@@ -83,11 +55,11 @@ func TestMaxPruneSelector(t *testing.T) {
 	// With no answers anywhere, the prior is indifferent (0.5): the
 	// balanced expected prune 0.5·down + 0.5·up decides.
 	sel := &plan.MaxPrune{}
-	cold := fakeView{theta: 0.2, cands: []fakeCand{
-		{key: "a", size: 1, down: 1, up: 1},
-		{key: "b", size: 2, down: 4, up: 3},
-	}}
-	if got := sel.Select(cold); got != 1 {
+	cold := []plan.Candidate{
+		{Key: "a", Size: 1, Down: 1, Up: 1},
+		{Key: "b", Size: 2, Down: 4, Up: 3},
+	}
+	if got := sel.Select(cold, 0.2); got != 1 {
 		t.Errorf("cold Select = %d, want 1 (largest balanced prune)", got)
 	}
 
@@ -95,34 +67,34 @@ func TestMaxPruneSelector(t *testing.T) {
 	// running prior up, so an unanswered down-heavy candidate now outranks
 	// an unanswered up-heavy one of equal total fringe.
 	sel = &plan.MaxPrune{}
-	warm := fakeView{theta: 0.2, cands: []fakeCand{
-		{key: "a", size: 1, down: 0, up: 0, answers: 3, mean: 0.9},
-		{key: "b", size: 2, down: 6, up: 0},
-		{key: "c", size: 2, down: 0, up: 6},
-	}}
-	if got := sel.Select(warm); got != 1 {
+	warm := []plan.Candidate{
+		{Key: "a", Size: 1, Down: 0, Up: 0, Answers: 3, Mean: 0.9},
+		{Key: "b", Size: 2, Down: 6, Up: 0},
+		{Key: "c", Size: 2, Down: 0, Up: 6},
+	}
+	if got := sel.Select(warm, 0.2); got != 1 {
 		t.Errorf("warm Select = %d, want 1 (high prior favors the down-set)", got)
 	}
 	// Mirror: insignificant evidence favors the up-heavy candidate.
 	sel = &plan.MaxPrune{}
-	low := fakeView{theta: 0.2, cands: []fakeCand{
-		{key: "a", size: 1, down: 0, up: 0, answers: 3, mean: 0.0},
-		{key: "b", size: 2, down: 6, up: 0},
-		{key: "c", size: 2, down: 0, up: 6},
-	}}
-	if got := sel.Select(low); got != 2 {
+	low := []plan.Candidate{
+		{Key: "a", Size: 1, Down: 0, Up: 0, Answers: 3, Mean: 0.0},
+		{Key: "b", Size: 2, Down: 6, Up: 0},
+		{Key: "c", Size: 2, Down: 0, Up: 6},
+	}
+	if got := sel.Select(low, 0.2); got != 2 {
 		t.Errorf("low Select = %d, want 2 (low prior favors the up-set)", got)
 	}
 
-	// The prior persists across rounds: after the warm view, a view with
+	// The prior persists across rounds: after the warm table, a table with
 	// no answered candidates still selects under the learned prior.
 	sel = &plan.MaxPrune{}
-	sel.Select(warm)
-	later := fakeView{theta: 0.2, cands: []fakeCand{
-		{key: "b", size: 2, down: 6, up: 0},
-		{key: "c", size: 2, down: 0, up: 6},
-	}}
-	if got := sel.Select(later); got != 0 {
+	sel.Select(warm, 0.2)
+	later := []plan.Candidate{
+		{Key: "b", Size: 2, Down: 6, Up: 0},
+		{Key: "c", Size: 2, Down: 0, Up: 6},
+	}
+	if got := sel.Select(later, 0.2); got != 0 {
 		t.Errorf("later Select = %d, want 0 (prior carried across rounds)", got)
 	}
 }
@@ -136,7 +108,7 @@ func TestWithPolicyFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := base.WithPolicy(plan.PolicyMaxPrune)
+	mp, err := base.Variant("", plan.PolicyMaxPrune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +124,7 @@ func TestWithPolicyFingerprints(t *testing.T) {
 	// Each ordering fingerprints distinctly from the other.
 	seen := map[string]string{base.PolicyName: base.Fingerprint()}
 	for _, name := range plan.OrderingNames() {
-		p, err := base.WithPolicy(name)
+		p, err := base.Variant("", name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,11 +139,11 @@ func TestWithPolicyFingerprints(t *testing.T) {
 		seen[name] = p.Fingerprint()
 	}
 	// No-op derivations return the base pointer itself.
-	if same, err := base.WithPolicy(""); err != nil || same != base {
-		t.Errorf("WithPolicy(\"\") = %v, %v; want base", same, err)
+	if same, err := base.Variant("", ""); err != nil || same != base {
+		t.Errorf("Variant(\"\", \"\") = %v, %v; want base", same, err)
 	}
-	if same, err := base.WithPolicy(base.PolicyName); err != nil || same != base {
-		t.Errorf("WithPolicy(base) = %v, %v; want base", same, err)
+	if same, err := base.Variant("", base.PolicyName); err != nil || same != base {
+		t.Errorf("Variant(base) = %v, %v; want base", same, err)
 	}
 }
 
@@ -190,38 +162,38 @@ func TestCachePolicyVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mp, hit, err := c.GetOrDerivePolicy(base, plan.PolicyMaxPrune, m)
+	mp, hit, err := c.GetOrDerive(base, "", plan.PolicyMaxPrune, m)
 	if err != nil || hit {
-		t.Fatalf("first GetOrDerivePolicy: hit=%v err=%v", hit, err)
+		t.Fatalf("first GetOrDerive: hit=%v err=%v", hit, err)
 	}
 	if mp == base || mp.Fingerprint() == base.Fingerprint() {
 		t.Error("policy variant shares the base plan or fingerprint")
 	}
-	mp2, hit, err := c.GetOrDerivePolicy(base, plan.PolicyMaxPrune, m)
+	mp2, hit, err := c.GetOrDerive(base, "", plan.PolicyMaxPrune, m)
 	if err != nil || !hit || mp2 != mp {
-		t.Fatalf("second GetOrDerivePolicy: plan=%p hit=%v err=%v, want %p hit", mp2, hit, err, mp)
+		t.Fatalf("second GetOrDerive: plan=%p hit=%v err=%v, want %p hit", mp2, hit, err, mp)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2 (base + one variant)", c.Len())
 	}
 
 	// The base's own name and the empty default are hits on base itself.
-	if p, hit, err := c.GetOrDerivePolicy(base, "", m); err != nil || !hit || p != base {
-		t.Errorf("GetOrDerivePolicy(\"\") = %v, %v, %v", p, hit, err)
+	if p, hit, err := c.GetOrDerive(base, "", "", m); err != nil || !hit || p != base {
+		t.Errorf("GetOrDerive(\"\") = %v, %v, %v", p, hit, err)
 	}
-	if p, hit, err := c.GetOrDerivePolicy(base, base.PolicyName, m); err != nil || !hit || p != base {
-		t.Errorf("GetOrDerivePolicy(default) = %v, %v, %v", p, hit, err)
+	if p, hit, err := c.GetOrDerive(base, "", base.PolicyName, m); err != nil || !hit || p != base {
+		t.Errorf("GetOrDerive(default) = %v, %v, %v", p, hit, err)
 	}
 
 	// Composition: the ordering variant of a stop variant occupies its own
 	// slot, distinct from the ordering variant of the default-stop plan.
-	sv, _, err := c.GetOrDerive(base, aggregate.StopSpecies, m)
+	sv, _, err := c.GetOrDerive(base, aggregate.StopSpecies, "", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, hit, err := c.GetOrDerivePolicy(sv, plan.PolicyMaxPrune, m)
+	both, hit, err := c.GetOrDerive(sv, "", plan.PolicyMaxPrune, m)
 	if err != nil || hit {
-		t.Fatalf("stop+policy GetOrDerivePolicy: hit=%v err=%v", hit, err)
+		t.Fatalf("stop+policy GetOrDerive: hit=%v err=%v", hit, err)
 	}
 	if both == mp || both.Fingerprint() == mp.Fingerprint() {
 		t.Error("stop+policy variant collided with the default-stop policy variant")
@@ -231,5 +203,52 @@ func TestCachePolicyVariants(t *testing.T) {
 	}
 	if c.Len() != 4 {
 		t.Errorf("Len = %d, want 4 (base, policy, stop, stop+policy)", c.Len())
+	}
+}
+
+// TestCacheOneEntryPerPlan: the cache files every plan under one key,
+// however the plan is reached. Deriving back to the base's names returns
+// the base pointer as a hit, deriving the default stop from a composed
+// variant returns the cached single-dimension variant, and Len and Plans
+// list each fingerprint once.
+func TestCacheOneEntryPerPlan(t *testing.T) {
+	v, o, q := captureDomain(t, 6)
+	fp := plan.DomainFingerprint(v, o)
+	c := plan.NewCache()
+	base, _, err := c.GetOrCompile(q.String(), fp, nil, func() (*plan.Plan, error) {
+		return plan.Compile(v, o, q, fp)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, _, err := c.GetOrDerive(base, "", plan.PolicyMaxPrune, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, hit, err := c.GetOrDerive(mp, "", plan.PolicyPaperOrder, nil); err != nil || !hit || p != base {
+		t.Errorf("paper-order from max-prune = %p, hit=%v, err=%v; want base %p as a hit", p, hit, err, base)
+	}
+	both, _, err := c.GetOrDerive(mp, aggregate.StopSpecies, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, hit, err := c.GetOrDerive(both, aggregate.StopThreshold, "", nil); err != nil || !hit || p != mp {
+		t.Errorf("threshold from (species, max-prune) = %p, hit=%v, err=%v; want max-prune %p as a hit", p, hit, err, mp)
+	}
+	if p, hit, err := c.GetOrDerive(both, aggregate.StopThreshold, plan.PolicyPaperOrder, nil); err != nil || !hit || p != base {
+		t.Errorf("defaults from (species, max-prune) = %p, hit=%v, err=%v; want base %p as a hit", p, hit, err, base)
+	}
+	if c.Len() != 3 {
+		t.Errorf("Len = %d, want 3 (base, max-prune, species+max-prune)", c.Len())
+	}
+	seen := map[string]bool{}
+	for _, p := range c.Plans() {
+		if seen[p.Fingerprint()] {
+			t.Errorf("Plans lists %s twice", p.Fingerprint())
+		}
+		seen[p.Fingerprint()] = true
+	}
+	if len(seen) != 3 {
+		t.Errorf("Plans lists %d fingerprints, want 3", len(seen))
 	}
 }

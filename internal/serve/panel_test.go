@@ -64,7 +64,7 @@ func TestServePanelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, _, err := dom.Compile(q, nil)
+	pl, _, err := dom.CompileVariant(q, "", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ WITH SUPPORT = 0.4
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := base.WithPolicy(plan.PolicyMaxPrune)
+	variant, err := base.Variant("", plan.PolicyMaxPrune)
 	if err != nil {
 		t.Fatal(err)
 	}

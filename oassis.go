@@ -755,17 +755,7 @@ func compilePlan(db *DB, q *Query, o *options) (*plan.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if o.stopPolicy != "" {
-			if pl, err = pl.WithStop(o.stopPolicy); err != nil {
-				return nil, err
-			}
-		}
-		if o.policy != "" {
-			if pl, err = pl.WithPolicy(o.policy); err != nil {
-				return nil, err
-			}
-		}
-		return pl, nil
+		return pl.Variant(o.stopPolicy, o.policy)
 	}
 	pl, _, err := dom.CompileVariant(q.ast, o.stopPolicy, o.policy, m)
 	return pl, err
@@ -800,7 +790,6 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		MaxQuestionsPerMember: o.maxPerMember,
 		MaxMSPs:               o.topK,
 		SpamMaxViolations:     o.spamMaxViolations,
-		SpamTolerance:         0.25,
 		PanelSpeculation:      o.panelSize,
 		Stop:                  stop,
 		Rng:                   rand.New(rand.NewSource(o.seed)),
@@ -983,25 +972,15 @@ func ExecPlanContext(ctx context.Context, db *DB, p *Plan, members []Member, opt
 		return nil, fmt.Errorf("oassis: plan was compiled against a different domain (plan %s, db %s)",
 			fp, dom.Fingerprint())
 	}
-	pl := p.inner
 	var m *plan.CacheMetrics
 	if o.metrics != nil {
 		m = o.metrics.plan
 	}
-	if o.stopPolicy != "" && o.stopPolicy != pl.StopName {
-		// WithStopPolicy on an already-compiled plan: derive the variant
-		// through the domain's cache (same tables, new fingerprint).
-		pl, _, err = dom.Plans().GetOrDerive(pl, o.stopPolicy, m)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if o.policy != "" && o.policy != pl.PolicyName {
-		// Same derivation discipline for WithPolicy.
-		pl, _, err = dom.Plans().GetOrDerivePolicy(pl, o.policy, m)
-		if err != nil {
-			return nil, err
-		}
+	// WithStopPolicy and WithPolicy on an already-compiled plan derive the
+	// variant through the domain's cache (same tables, new fingerprint).
+	pl, _, err := dom.Plans().GetOrDerive(p.inner, o.stopPolicy, o.policy, m)
+	if err != nil {
+		return nil, err
 	}
 	return execCompiled(ctx, db, pl, members, &o)
 }

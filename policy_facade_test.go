@@ -96,3 +96,59 @@ func TestWithPolicyCompile(t *testing.T) {
 		t.Errorf("ExecPlan(max-prune) mined %q, want %q", got, want)
 	}
 }
+
+// TestPlanVariantsOneCacheEntry: deriving a plan back to the default
+// ordering finds the base plan instead of filing it a second time, so
+// the DB's cache holds each plan once.
+func TestPlanVariantsOneCacheEntry(t *testing.T) {
+	db := SampleDB()
+	q, err := ParseQuery(restrictedQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(db, q); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := Compile(db, q, WithPolicy(PolicyMaxPrune))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecPlan(db, mp, table3Members(t, db),
+		WithAnswersPerQuestion(2), WithPolicy(PolicyPaperOrder)); err != nil {
+		t.Fatal(err)
+	}
+	dom, err := db.domain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dom.Plans().Len(); n != 2 {
+		t.Errorf("plan cache holds %d plans, want 2 (paper order and max-prune)", n)
+	}
+}
+
+// TestCompileVariantsWithoutPlanCache: for every (stop, ordering) pair,
+// the empty defaults included, compiling through the cache and around it
+// gives the same fingerprint.
+func TestCompileVariantsWithoutPlanCache(t *testing.T) {
+	db := SampleDB()
+	q, err := ParseQuery(restrictedQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []string{"", StopThreshold, StopSpecies, StopAccuracy} {
+		for _, policy := range []string{"", PolicyPaperOrder, PolicyMaxPrune} {
+			opts := []Option{WithStopPolicy(stop), WithPolicy(policy)}
+			cached, err := Compile(db, q, opts...)
+			if err != nil {
+				t.Fatalf("(%q, %q): %v", stop, policy, err)
+			}
+			fresh, err := Compile(db, q, append(opts, WithoutPlanCache())...)
+			if err != nil {
+				t.Fatalf("(%q, %q) without cache: %v", stop, policy, err)
+			}
+			if cached.Fingerprint() != fresh.Fingerprint() {
+				t.Errorf("(%q, %q): cached %s, uncached %s", stop, policy, cached.Fingerprint(), fresh.Fingerprint())
+			}
+		}
+	}
+}
