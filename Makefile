@@ -56,14 +56,17 @@ race:
 
 # Short fuzz passes over the durable-store record decoder (framing, CRC,
 # canonical re-encode), the Prometheus label escaping (round-trip,
-# scrape-safety) and the stop-policy contract (no panics, latched
-# ShouldStop, estimates in [0, 1]; see the fuzz_test.go in each package).
+# scrape-safety), the stop-policy contract (no panics, latched
+# ShouldStop, estimates in [0, 1]) and the classifier's term index (equal
+# to the scan oracle after every operation; see the fuzz_test.go in each
+# package).
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzLabelEscaping$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/aggregate -run '^$$' -fuzz '^FuzzStopPolicy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oassisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rdfio -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassifierIndex$$' -fuzztime $(FUZZTIME)
 
 # Combined core+plan+store+aggregate statement coverage, gated at
 # COVER_MIN so engine, planner (the paper-order scan and the max-prune

@@ -68,6 +68,8 @@ type Space struct {
 	hdrBuf   [][]vocab.Term // candidate header scratch
 	valBuf   []vocab.Term   // candidate value-row scratch
 	addBuf   []vocab.Term   // minimalAddable output scratch
+	walkBuf  []vocab.Term   // minimalAddable walk stack
+	walkSeen []uint64       // minimalAddable visited-term bitset
 	tupleBuf []vocab.Term   // boxContained tuple scratch
 }
 

@@ -310,29 +310,63 @@ func insertSortedBuf(buf []vocab.Term, t vocab.Term) []vocab.Term {
 
 // minimalAddable returns the most general domain values of variable i that
 // are incomparable with all current values: candidates t ∈ domain(i) such
-// that no immediate parent of t is itself addable. The result lives in
-// per-session scratch, valid until the next call.
+// that no immediate parent of t is itself addable, in ascending order. The
+// result lives in per-session scratch, valid until the next call.
+//
+// Every in-domain ancestor of an addable t is either addable or generalizes
+// a current value (an ancestor that specializes one would make t comparable
+// too), so a minimal addable t sits just below terms that generalize current
+// values. The walk therefore starts at the domain's most general values and
+// descends through in-domain children only while the term generalizes a
+// current value, instead of testing every domain term.
 func (sp *Space) minimalAddable(i int, vals []vocab.Term) []vocab.Term {
 	addable := func(t vocab.Term) bool {
 		return sp.tab.inDomain(i, t) && compatible(sp.Voc, vals, -1, t)
 	}
+	seen := sp.walkSeen
+	if len(seen) < sp.tab.words {
+		seen = make([]uint64, sp.tab.words)
+		sp.walkSeen = seen
+	}
+	stack := append(sp.walkBuf[:0], sp.tab.minVals[i]...)
+	for _, t := range stack {
+		seen[t>>6] |= 1 << (uint(t) & 63)
+	}
 	out := sp.addBuf[:0]
-	for _, t := range sp.tab.domains[i] { // sorted ascending
-		if !addable(t) {
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		below, above := false, false // t generalizes / specializes a value
+		for _, v := range vals {
+			below = below || sp.Voc.Leq(t, v)
+			above = above || sp.Voc.Leq(v, t)
+		}
+		if !below && !above {
+			minimal := true
+			for _, p := range sp.Voc.Parents(t) {
+				if addable(p) {
+					minimal = false
+					break
+				}
+			}
+			if minimal {
+				out = append(out, t)
+			}
 			continue
 		}
-		minimal := true
-		for _, p := range sp.Voc.Parents(t) {
-			if addable(p) {
-				minimal = false
-				break
+		if above {
+			continue // every specialization of t is comparable too
+		}
+		for _, c := range sp.Voc.Children(t) {
+			if sp.tab.inDomain(i, c) && seen[c>>6]&(1<<(uint(c)&63)) == 0 {
+				seen[c>>6] |= 1 << (uint(c) & 63)
+				stack = append(stack, c)
 			}
 		}
-		if minimal {
-			out = append(out, t)
-		}
 	}
-	sp.addBuf = out
+	clear(seen)
+	slices.Sort(out)
+	sp.walkBuf, sp.addBuf = stack, out
 	return out
 }
 

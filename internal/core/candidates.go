@@ -32,14 +32,15 @@ func (e *engine) countUnclassified(ns []assign.Assignment) int {
 // grows to.
 //
 // The order MUST be deterministic across execution modes: the
-// unclassified set is a Go map (iteration order random), and interned
-// node ids can differ between sequential and speculative (session/panel)
-// execution, so the table sorts by canonical node key — the one order
-// every mode agrees on. The equivalence matrix in internal/panel rests
-// on this.
+// unclassified set keeps no meaningful order (a removal swaps the last id
+// into the hole, and settling order follows the classifier's postings),
+// and interned node ids can differ between sequential and speculative
+// (session/panel) execution, so the table sorts by canonical node key —
+// the one order every mode agrees on. The equivalence matrix in
+// internal/panel rests on this.
 func (e *engine) candidates(answeredOnly bool) []plan.Candidate {
 	ids := e.candIDs[:0]
-	for id := range e.cls.unclassified {
+	for _, id := range e.cls.uncl {
 		if int(id) >= len(e.inPool) || !e.inPool[id] {
 			continue
 		}

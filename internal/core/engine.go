@@ -452,7 +452,7 @@ func (e *engine) pickUnclassified(answeredOnly bool) (assign.Assignment, bool) {
 	best := -1
 	bestKey := ""
 	bestSize := -1
-	for id := range e.cls.unclassified {
+	for _, id := range e.cls.uncl {
 		if int(id) >= len(e.inPool) || !e.inPool[id] {
 			continue
 		}
@@ -743,7 +743,7 @@ func (e *engine) result() *Result {
 			// an answer: each would have cost at least one more crowd
 			// answer, so the count is a lower bound on the questions saved.
 			saved := 0
-			for id := range e.cls.unclassified {
+			for _, id := range e.cls.uncl {
 				if int(id) < len(e.inPool) && e.inPool[id] {
 					saved++
 				}

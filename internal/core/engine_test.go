@@ -511,8 +511,8 @@ func TestTimelineMonotone(t *testing.T) {
 	want := 0
 	for _, row := range sp.ValidBase {
 		r := sp.Singleton(row...)
-		if slices.ContainsFunc(e.cls.sig, func(a assign.Assignment) bool { return sp.Leq(r, a) }) ||
-			slices.ContainsFunc(e.cls.insig, func(a assign.Assignment) bool { return sp.Leq(a, r) }) {
+		if slices.ContainsFunc(e.cls.sig, func(id uint32) bool { return sp.Leq(r, e.ns.node(id)) }) ||
+			slices.ContainsFunc(e.cls.insig, func(id uint32) bool { return sp.Leq(e.ns.node(id), r) }) {
 			want++
 		}
 	}

@@ -5,13 +5,15 @@
 // biking is a sport.
 //
 // The orders are stored as Hasse diagrams (immediate generalization /
-// specialization edges). Reachability queries are memoized, so Leq is cheap
-// after warm-up. A Vocabulary is mutable while it is being built; Freeze
-// makes it immutable and safe for concurrent readers.
+// specialization edges). A Vocabulary is mutable while it is being built;
+// Freeze makes it immutable and safe for concurrent readers, and stores
+// the reachability closure as bit rows, so Leq is a single bit test.
 package vocab
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -58,12 +60,10 @@ type Vocabulary struct {
 
 	frozen bool
 
-	// anc memoizes ancestor sets; filled at Freeze time (see ancestors).
-	anc []map[Term]struct{}
-
 	// ancBits is the frozen reflexive-transitive closure as a bitmap: bit a
 	// of row b is set iff a ≤ b. Rows are ancWords words wide. Filled at
-	// Freeze time; it turns Leq into a single word-indexed bit test.
+	// Freeze time; it turns Leq into a single word-indexed bit test, and a
+	// row decodes to the term's ancestors in ascending order.
 	ancBits  []uint64
 	ancWords int
 }
@@ -239,9 +239,10 @@ func (v *Vocabulary) Validate() error {
 	return nil
 }
 
-// Freeze validates the vocabulary and makes it immutable. It eagerly
-// precomputes the ancestor sets so that Leq is a single lock-free map
-// lookup afterward. After Freeze the vocabulary is safe for concurrent use.
+// Freeze validates the vocabulary and makes it immutable. It precomputes
+// the reflexive-transitive closure as one bit row per term, so that Leq is
+// a single lock-free bit test afterward. After Freeze the vocabulary is safe
+// for concurrent use.
 func (v *Vocabulary) Freeze() error {
 	if v.frozen {
 		return nil
@@ -249,19 +250,29 @@ func (v *Vocabulary) Freeze() error {
 	if err := v.Validate(); err != nil {
 		return err
 	}
-	v.anc = make([]map[Term]struct{}, len(v.names))
-	for t := range v.names {
-		v.ancestorsLocked(Term(t))
-	}
 	words := (len(v.names) + 63) / 64
 	v.ancWords = words
 	v.ancBits = make([]uint64, words*len(v.names))
-	for t := range v.names {
-		row := v.ancBits[t*words : (t+1)*words]
-		row[t>>6] |= 1 << (uint(t) & 63) // reflexive: t ≤ t
-		for a := range v.anc[t] {
-			row[a>>6] |= 1 << (uint(a) & 63)
+	done := make([]bool, len(v.names))
+	// fill ORs the parents' finished rows into t's row; Validate has ruled
+	// out cycles, so the recursion ends at the roots.
+	var fill func(t Term) []uint64
+	fill = func(t Term) []uint64 {
+		row := v.ancBits[int(t)*words : (int(t)+1)*words]
+		if done[t] {
+			return row
 		}
+		done[t] = true
+		row[t>>6] |= 1 << (uint(t) & 63) // reflexive: t ≤ t
+		for _, p := range v.parents[t] {
+			for w, x := range fill(p) {
+				row[w] |= x
+			}
+		}
+		return row
+	}
+	for t := range v.names {
+		fill(Term(t))
 	}
 	v.frozen = true
 	return nil
@@ -271,13 +282,10 @@ func (v *Vocabulary) Freeze() error {
 func (v *Vocabulary) Frozen() bool { return v.frozen }
 
 // ancestors returns the set of strict ancestors (proper generalizations) of
-// t. Frozen vocabularies read the precomputed sets lock-free; unfrozen ones
-// recompute on every call, because later AddOrder/Add calls would
-// invalidate any memo.
+// an unfrozen vocabulary's term t, recomputed on every call because later
+// AddOrder/Add calls would invalidate any memo. Frozen vocabularies read
+// their bit rows instead.
 func (v *Vocabulary) ancestors(t Term) map[Term]struct{} {
-	if v.frozen {
-		return v.anc[t]
-	}
 	s := make(map[Term]struct{})
 	v.collectAncestors(t, s)
 	return s
@@ -291,22 +299,6 @@ func (v *Vocabulary) collectAncestors(t Term, into map[Term]struct{}) {
 		into[p] = struct{}{}
 		v.collectAncestors(p, into)
 	}
-}
-
-// ancestorsLocked fills the memo table; called only from Freeze.
-func (v *Vocabulary) ancestorsLocked(t Term) map[Term]struct{} {
-	if s := v.anc[t]; s != nil {
-		return s
-	}
-	s := make(map[Term]struct{})
-	for _, p := range v.parents[t] {
-		s[p] = struct{}{}
-		for a := range v.ancestorsLocked(p) {
-			s[a] = struct{}{}
-		}
-	}
-	v.anc[t] = s
-	return s
 }
 
 // Leq reports whether a ≤ b, i.e. a is equal to b or a proper
@@ -340,20 +332,46 @@ func (v *Vocabulary) Lt(a, b Term) bool { return a != b && v.Leq(a, b) }
 // Comparable reports whether a ≤ b or b ≤ a.
 func (v *Vocabulary) Comparable(a, b Term) bool { return v.Leq(a, b) || v.Leq(b, a) }
 
-// Ancestors returns the proper generalizations of t in ascending Term order.
+// Ancestors returns the proper generalizations of t in ascending Term order;
+// a term outside the vocabulary (None, Any, or ≥ Len) has none.
 func (v *Vocabulary) Ancestors(t Term) []Term {
-	set := v.ancestors(t)
-	out := make([]Term, 0, len(set))
-	for a := range set {
-		out = append(out, a)
+	out := v.AppendAncestorsOrSelf(nil, t)
+	return slices.DeleteFunc(out, func(a Term) bool { return a == t })
+}
+
+// AppendAncestorsOrSelf appends t and its proper generalizations to dst in
+// ascending Term order and returns the extended slice; a term outside the
+// vocabulary appends nothing. On a frozen vocabulary it decodes t's closure
+// row without allocating beyond dst's growth.
+func (v *Vocabulary) AppendAncestorsOrSelf(dst []Term, t Term) []Term {
+	if !v.Contains(t) {
+		return dst
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if v.frozen {
+		row := v.ancBits[int(t)*v.ancWords : (int(t)+1)*v.ancWords]
+		for w, word := range row {
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, Term(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+		return dst
+	}
+	start := len(dst)
+	dst = append(dst, t)
+	for a := range v.ancestors(t) {
+		dst = append(dst, a)
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Descendants returns the proper specializations of t in ascending Term
-// order. It is computed by BFS (not memoized); prefer Leq for point queries.
+// order; a term outside the vocabulary has none. It is computed by BFS (not
+// memoized); prefer Leq for point queries.
 func (v *Vocabulary) Descendants(t Term) []Term {
+	if !v.Contains(t) {
+		return nil
+	}
 	seen := map[Term]struct{}{t: {}}
 	queue := []Term{t}
 	var out []Term

@@ -2,6 +2,7 @@ package vocab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,15 @@ import (
 //	Water Sport ≤ {Swimming, Water Polo}
 func buildSample(t *testing.T) (*Vocabulary, map[string]Term) {
 	t.Helper()
+	v, terms := buildSampleUnfrozen()
+	if err := v.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	return v, terms
+}
+
+// buildSampleUnfrozen builds buildSample's vocabulary without freezing it.
+func buildSampleUnfrozen() (*Vocabulary, map[string]Term) {
 	v := New()
 	names := []string{
 		"Activity", "Sport", "Biking", "Ball Game", "Water Sport",
@@ -30,9 +40,6 @@ func buildSample(t *testing.T) (*Vocabulary, map[string]Term) {
 	}
 	for _, e := range edges {
 		v.MustAddOrder(terms[e[0]], terms[e[1]])
-	}
-	if err := v.Freeze(); err != nil {
-		t.Fatalf("Freeze: %v", err)
 	}
 	return v, terms
 }
@@ -156,6 +163,65 @@ func TestAncestorsDescendants(t *testing.T) {
 	}
 }
 
+// TestAncestorsOutsideVocabulary: terms outside the vocabulary — the
+// wildcard, None, or an index past Len — have no ancestors and no
+// descendants, frozen or not, instead of indexing out of range.
+func TestAncestorsOutsideVocabulary(t *testing.T) {
+	for _, frozen := range []bool{false, true} {
+		v, _ := buildSampleUnfrozen()
+		if frozen {
+			if err := v.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, term := range []Term{Any, None, Term(v.Len()), Term(v.Len() + 64)} {
+			if got := v.Ancestors(term); len(got) != 0 {
+				t.Errorf("frozen=%v: Ancestors(%d) = %v, want none", frozen, term, got)
+			}
+			if got := v.Descendants(term); len(got) != 0 {
+				t.Errorf("frozen=%v: Descendants(%d) = %v, want none", frozen, term, got)
+			}
+			if got := v.AppendAncestorsOrSelf(nil, term); len(got) != 0 {
+				t.Errorf("frozen=%v: AppendAncestorsOrSelf(%d) = %v, want none", frozen, term, got)
+			}
+		}
+	}
+}
+
+// TestAncestorsFrozenMatchesUnfrozen: the frozen bit-row decode lists the
+// same ascending ancestors as the unfrozen graph walk, and
+// AppendAncestorsOrSelf adds exactly the term itself, in order, after
+// whatever dst already holds.
+func TestAncestorsFrozenMatchesUnfrozen(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5; trial++ {
+		seed := r.Int63()
+		live := randomDAGUnfrozen(rand.New(rand.NewSource(seed)), 5, 8)
+		frozen := randomDAGUnfrozen(rand.New(rand.NewSource(seed)), 5, 8)
+		if err := frozen.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		for x := Term(0); int(x) < live.Len(); x++ {
+			want := live.Ancestors(x)
+			if !slices.IsSorted(want) {
+				t.Fatalf("unfrozen Ancestors(%d) = %v, not ascending", x, want)
+			}
+			if got := frozen.Ancestors(x); !slices.Equal(got, want) {
+				t.Fatalf("Ancestors(%d): frozen %v, unfrozen %v", x, got, want)
+			}
+			self := append(slices.Clone(want), x)
+			slices.Sort(self)
+			for _, voc := range []*Vocabulary{live, frozen} {
+				got := voc.AppendAncestorsOrSelf([]Term{None}, x)
+				if got[0] != None || !slices.Equal(got[1:], self) {
+					t.Fatalf("frozen=%v: AppendAncestorsOrSelf(%d) = %v, want [-1 %v]",
+						voc.Frozen(), x, got, self)
+				}
+			}
+		}
+	}
+}
+
 func TestDepthAndRoots(t *testing.T) {
 	v, m := buildSample(t)
 	if d := v.Depth(m["Activity"]); d != 0 {
@@ -246,6 +312,15 @@ func TestConcurrentLeq(t *testing.T) {
 
 // randomDAG builds a random layered DAG for property tests.
 func randomDAG(r *rand.Rand, layers, perLayer int) *Vocabulary {
+	v := randomDAGUnfrozen(r, layers, perLayer)
+	if err := v.Freeze(); err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// randomDAGUnfrozen builds randomDAG's vocabulary without freezing it.
+func randomDAGUnfrozen(r *rand.Rand, layers, perLayer int) *Vocabulary {
 	v := New()
 	var prev []Term
 	for l := 0; l < layers; l++ {
@@ -260,9 +335,6 @@ func randomDAG(r *rand.Rand, layers, perLayer int) *Vocabulary {
 			}
 		}
 		prev = cur
-	}
-	if err := v.Freeze(); err != nil {
-		panic(err)
 	}
 	return v
 }
