@@ -69,9 +69,8 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassifierIndex$$' -fuzztime $(FUZZTIME)
 
 # Combined core+plan+store+aggregate statement coverage, gated at
-# COVER_MIN so engine, planner (the paper-order scan and the max-prune
-# selector included), store or stop-policy changes that shed tests fail
-# the build.
+# COVER_MIN so engine (the paper-order pick included), planner, store or
+# stop-policy changes that shed tests fail the build.
 cover:
 	@mkdir -p build
 	$(GO) test -coverprofile=build/cover.out -coverpkg=./internal/core,./internal/plan,./internal/store,./internal/aggregate ./internal/core ./internal/plan ./internal/store ./internal/aggregate
@@ -86,7 +85,7 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) run ./cmd/oassis-bench -exp summary,bounds,serving,panels,stopping,orderings -parallel 1 -out BENCH_$(BENCH_STAMP).json
+	$(GO) run ./cmd/oassis-bench -exp summary,bounds,serving,panels,stopping -parallel 1 -out BENCH_$(BENCH_STAMP).json
 	@echo "wrote BENCH_$(BENCH_STAMP).json"
 
 # One-iteration pass over every benchmark: catches bench-only compile rot
@@ -103,6 +102,6 @@ bench-smoke:
 # drift (the panels scenario's round-trip counts are deterministic, so the
 # gate pins the batching efficiency too). Refresh the baseline (same
 # flags!) only with a reviewed perf change:
-#   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,orderings -parallel 1 -out BENCH_baseline.json
+#   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping -parallel 1 -out BENCH_baseline.json
 bench-compare:
 	$(GO) run ./cmd/oassis-bench -parallel 1 -compare BENCH_baseline.json

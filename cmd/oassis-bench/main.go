@@ -175,7 +175,7 @@ func sameRows(base jsonReport, r *experiments.Report) bool {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids (all, fig4a..fig4f, fig5, sweeps, summary, bounds, serving, panels, capture, stopping, orderings, assoc)")
+		exp      = flag.String("exp", "all", "comma-separated experiment ids (all, fig4a..fig4f, fig5, sweeps, summary, bounds, serving, panels, capture, stopping, assoc)")
 		scale    = flag.Float64("scale", 0.2, "synthetic-DAG scale factor (1 = paper's width 500)")
 		full     = flag.Bool("full", false, "use the full 248-member crowd for the domain experiments")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text tables")
@@ -261,9 +261,6 @@ func main() {
 		}},
 		{"stopping", func() (*experiments.Report, error) {
 			return experiments.Stopping([]int{8, 10, 12})
-		}},
-		{"orderings", func() (*experiments.Report, error) {
-			return experiments.Orderings([]int{6, 8, 10})
 		}},
 		{"assoc", func() (*experiments.Report, error) {
 			return experiments.AssocMiner(30, 500, 11)

@@ -37,10 +37,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -66,7 +69,21 @@ type tenantSpec struct {
 	Store    string   `json:"store,omitempty"`    // durable store directory
 	Queries  []string `json:"queries,omitempty"`  // query files to open at boot
 	Panel    int      `json:"panel,omitempty"`    // panel speculation width (0 = flag/default)
-	Policy   string   `json:"policy,omitempty"`   // question-ordering policy (default paper-order)
+}
+
+// parseFleet decodes a -tenants file. Unknown keys are errors, so a
+// misspelt or retired key fails the boot instead of being ignored.
+func parseFleet(raw []byte) ([]tenantSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var specs []tenantSpec
+	if err := dec.Decode(&specs); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the tenant list")
+	}
+	return specs, nil
 }
 
 // loadDomain loads a vocabulary+ontology pair from a Turtle file, or the
@@ -101,7 +118,6 @@ func bootTenant(reg *serve.Registry, spec tenantSpec) error {
 		StoreDir:           spec.Store,
 		AnswersPerQuestion: spec.K,
 		PanelSpeculation:   spec.Panel,
-		Policy:             spec.Policy,
 	})
 	if err != nil {
 		return err
@@ -155,7 +171,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &specs); err != nil {
+		if specs, err = parseFleet(raw); err != nil {
 			log.Fatalf("oassis-server: %s: %v", *tenantsFile, err)
 		}
 		if len(specs) == 0 {

@@ -38,7 +38,6 @@ func main() {
 		all         = flag.Bool("stats", false, "print run statistics")
 		seed        = flag.Int64("seed", 1, "random seed")
 		storeDir    = flag.String("store", "", "durable answer-store directory: answers are persisted there and a rerun resumes without re-asking them")
-		policy      = flag.String("policy", "", "question-ordering policy: paper-order (default) or max-prune")
 	)
 	flag.Parse()
 	if *queryFile == "" {
@@ -46,13 +45,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*queryFile, *ontoFile, *crowdFile, *storeDir, *policy, *k, *interactive, *all, *seed); err != nil {
+	if err := run(*queryFile, *ontoFile, *crowdFile, *storeDir, *k, *interactive, *all, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "oassis:", err)
 		os.Exit(1)
 	}
 }
 
-func run(queryFile, ontoFile, crowdFile, storeDir, policy string, k int, interactive, stats bool, seed int64) error {
+func run(queryFile, ontoFile, crowdFile, storeDir string, k int, interactive, stats bool, seed int64) error {
 	qtext, err := os.ReadFile(queryFile)
 	if err != nil {
 		return err
@@ -98,9 +97,6 @@ func run(queryFile, ontoFile, crowdFile, storeDir, policy string, k int, interac
 	opts := []oassis.Option{
 		oassis.WithAnswersPerQuestion(k),
 		oassis.WithSeed(seed),
-	}
-	if policy != "" {
-		opts = append(opts, oassis.WithPolicy(policy))
 	}
 	if storeDir != "" {
 		st, err := oassis.OpenStore(storeDir)

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"oassis"
-	"oassis/internal/plan"
 )
 
 const testQuery = `
@@ -35,7 +33,7 @@ func writeFile(t *testing.T, name, content string) string {
 
 func TestRunWithSampleCrowd(t *testing.T) {
 	q := writeFile(t, "q.oql", testQuery)
-	if err := run(q, "", "", "", "", 2, false, true, 1); err != nil {
+	if err := run(q, "", "", "", 2, false, true, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,7 +50,7 @@ Feed a Monkey doAt Bronx Zoo
 member bob
 Biking doAt Central Park
 `)
-	if err := run(q, "", crowd, "", "", 2, false, false, 1); err != nil {
+	if err := run(q, "", crowd, "", 2, false, false, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,41 +74,16 @@ func TestLoadCrowdErrors(t *testing.T) {
 	}
 }
 
-// TestRunWithPolicy: the -policy flag reaches the facade — both
-// orderings run the sample query to completion, and an unknown name (the
-// removed chain-prune and largest-first included) is refused with the
-// planner's sentinel before any crowd work starts.
-func TestRunWithPolicy(t *testing.T) {
-	q := writeFile(t, "q.oql", testQuery)
-	for _, policy := range []string{"paper-order", "max-prune"} {
-		if err := run(q, "", "", "", policy, 2, false, false, 1); err != nil {
-			t.Errorf("-policy %s: %v", policy, err)
-		}
-	}
-	for _, policy := range []string{"nope", "chain-prune", "largest-first"} {
-		err := run(q, "", "", "", policy, 2, false, false, 1)
-		if err == nil {
-			t.Fatalf("-policy %s accepted", policy)
-		}
-		if !errors.Is(err, plan.ErrUnknownPolicy) {
-			t.Errorf("-policy %s error %v does not wrap plan.ErrUnknownPolicy", policy, err)
-		}
-		if !strings.Contains(err.Error(), "invalid option") || !strings.Contains(err.Error(), policy) {
-			t.Errorf("-policy %s error = %v", policy, err)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
-	if err := run(filepath.Join(t.TempDir(), "missing.oql"), "", "", "", "", 1, false, false, 1); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "missing.oql"), "", "", "", 1, false, false, 1); err == nil {
 		t.Error("missing query accepted")
 	}
 	bad := writeFile(t, "bad.oql", "SELECT nonsense")
-	if err := run(bad, "", "", "", "", 1, false, false, 1); err == nil {
+	if err := run(bad, "", "", "", 1, false, false, 1); err == nil {
 		t.Error("bad query accepted")
 	}
 	q := writeFile(t, "q.oql", testQuery)
-	if err := run(q, filepath.Join(t.TempDir(), "missing.ttl"), "", "", "", 1, false, false, 1); err == nil {
+	if err := run(q, filepath.Join(t.TempDir(), "missing.ttl"), "", "", 1, false, false, 1); err == nil {
 		t.Error("missing ontology accepted")
 	}
 }
@@ -125,7 +98,7 @@ func TestRunWithOntologyFile(t *testing.T) {
 	onto := writeFile(t, "o.ttl", sb.String())
 	q := writeFile(t, "q.oql", testQuery)
 	crowd := writeFile(t, "crowd.txt", "member a\nBiking doAt Central Park\n")
-	if err := run(q, onto, crowd, "", "", 1, false, false, 1); err != nil {
+	if err := run(q, onto, crowd, "", 1, false, false, 1); err != nil {
 		t.Fatal(err)
 	}
 }

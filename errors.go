@@ -8,7 +8,6 @@ import (
 	"oassis/internal/aggregate"
 	"oassis/internal/core"
 	"oassis/internal/oassisql"
-	"oassis/internal/plan"
 	"oassis/internal/serve"
 )
 
@@ -61,15 +60,6 @@ func invalidOption(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrInvalidOption, fmt.Sprintf(format, args...))
 }
 
-// causedError keeps an error's message but also matches, via errors.Is,
-// the internal sentinel it stems from.
-type causedError struct {
-	error
-	cause error
-}
-
-func (e causedError) Unwrap() []error { return []error{e.error, e.cause} }
-
 // validate rejects out-of-range option values before a run starts.
 func (o *options) validate() error {
 	if o.answersPerQuestion < 1 {
@@ -94,12 +84,6 @@ func (o *options) validate() error {
 		if _, err := aggregate.StopByName(o.stopPolicy); err != nil {
 			return invalidOption("stop policy %q (want one of %s)",
 				o.stopPolicy, strings.Join(aggregate.StopNames(), ", "))
-		}
-	}
-	if o.policy != "" {
-		if _, err := plan.OrderingByName(o.policy); err != nil {
-			return causedError{invalidOption("ordering policy %q (want one of %s)",
-				o.policy, strings.Join(plan.OrderingNames(), ", ")), err}
 		}
 	}
 	if o.parallelism < 0 {

@@ -9,7 +9,6 @@ import (
 	"oassis/internal/crowd"
 	"oassis/internal/fact"
 	"oassis/internal/obs"
-	"oassis/internal/plan"
 	"oassis/internal/vocab"
 )
 
@@ -98,16 +97,6 @@ type Config struct {
 	// mined result; Run and sequential sessions ignore it.
 	PanelSpeculation int
 
-	// Ordering names the question ordering (plan.PolicyName): among the
-	// unclassified generated lattice nodes, the one the ordering ranks
-	// best is asked about next. plan.PolicyMaxPrune picks through a fresh
-	// plan.MaxPrune over a candidate table filled from the interned node
-	// store; any other value — "" and plan.PolicyPaperOrder included —
-	// runs the paper's §4 (size, key)-least order as the engine's
-	// allocation-free comparator scan. Callers validate names with
-	// plan.OrderingByName.
-	Ordering string
-
 	// Rng drives the specialization-ratio coin flips; nil disables
 	// specialization questions unless the ratio is 1.
 	Rng *rand.Rand
@@ -187,13 +176,6 @@ type engine struct {
 	endRound func() // ends the current round's trace span
 	aborted  bool   // Session.Close: the run is canceled
 
-	// maxPrune is the run's max-prune selector, nil under the paper
-	// order; cands is its reusable candidate table and candIDs the node
-	// id of each row (candidates.go).
-	maxPrune *plan.MaxPrune
-	cands    []plan.Candidate
-	candIDs  []uint32
-
 	inPool  []bool   // by id: node belongs to the generated pool
 	poolIDs []uint32 // pool nodes in generation order
 
@@ -215,7 +197,6 @@ type engine struct {
 	toExpand []uint32 // significant nodes awaiting expansion
 
 	succs [][]assign.Assignment // by id: successor memo (noSuccs when empty)
-	preds [][]assign.Assignment // by id: predecessor memo, max-prune only
 
 	inst   []instEntry // by id: instantiation + question key memo
 	instOK []bool
@@ -241,7 +222,6 @@ func (e *engine) growNode(id uint32) {
 		e.inPool = append(e.inPool, false)
 		e.expanded = append(e.expanded, false)
 		e.succs = append(e.succs, nil)
-		e.preds = append(e.preds, nil)
 		e.inst = append(e.inst, instEntry{})
 		e.instOK = append(e.instOK, false)
 	}
@@ -280,23 +260,6 @@ func (e *engine) succsOf(id uint32) []assign.Assignment {
 	}
 	e.succs[id] = s
 	return s
-}
-
-// predsOf memoizes predecessor generation per node (sound for the same
-// reason as succsOf: the lattice is fixed for the whole run). Only the
-// max-prune candidate table walks predecessors, so paper-order runs never
-// pay for the memo.
-func (e *engine) predsOf(id uint32) []assign.Assignment {
-	e.growNode(id)
-	if p := e.preds[id]; p != nil {
-		return p
-	}
-	p := e.sp.Predecessors(e.ns.node(id))
-	if p == nil {
-		p = noSuccs
-	}
-	e.preds[id] = p
-	return p
 }
 
 // Run executes the vertical algorithm (Algorithm 1 with the multi-user
@@ -361,9 +324,6 @@ func newEngine(cfg Config, ids []string) *engine {
 		if cfg.MaxQuestionsPerMember > 0 {
 			e.budgets[i] = cfg.MaxQuestionsPerMember
 		}
-	}
-	if cfg.Ordering == plan.PolicyMaxPrune {
-		e.maxPrune = &plan.MaxPrune{}
 	}
 	// Every node that turns significant — explicitly or by inference — is
 	// scheduled for lattice expansion (Algorithm 1 iterates over all of 𝒜,
@@ -436,19 +396,17 @@ func (e *engine) expandID(id uint32) {
 	}
 }
 
-// pickUnclassified returns the unclassified generated node the ordering
-// ranks first, or ok=false when there is none. With answeredOnly, nodes
-// whose questions hold no recorded answers are skipped (the
-// frontier-settlement filter). Max-prune picks through a candidate table
-// (see pickSelected); the paper order scans the classifier's
+// pickUnclassified returns the unclassified generated node the paper's
+// §4 order asks about first, or ok=false when there is none. With
+// answeredOnly, nodes whose questions hold no recorded answers are
+// skipped (the frontier-settlement filter). It scans the classifier's
 // incrementally-maintained unclassified set for the (size, key)-least
-// pool node without allocating. A node of minimal size is minimal in the
-// order up to rare multi-cover DAG absorptions, which cost at most a few
-// extra questions, never correctness.
+// pool node without allocating; the key tie-break makes the choice
+// independent of the set's internal order, so every execution mode picks
+// the same node. A node of minimal size is minimal in the order up to
+// rare multi-cover DAG absorptions, which cost at most a few extra
+// questions, never correctness.
 func (e *engine) pickUnclassified(answeredOnly bool) (assign.Assignment, bool) {
-	if e.maxPrune != nil {
-		return e.pickSelected(answeredOnly)
-	}
 	best := -1
 	bestKey := ""
 	bestSize := -1

@@ -10,13 +10,12 @@ import (
 	"oassis/internal/crowd"
 	"oassis/internal/fact"
 	"oassis/internal/panel"
-	"oassis/internal/plan"
 	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
 
-// orderingWorkload is one domain of the ordering matrices; cfg builds a
-// fresh Config per run (the engine mutates its space).
+// orderingWorkload is one domain of the question-order matrices; cfg
+// builds a fresh Config per run (the engine mutates its space).
 type orderingWorkload struct {
 	name string
 	cfg  func(t *testing.T) core.Config
@@ -60,29 +59,22 @@ func orderingWorkloads() []orderingWorkload {
 	return workloads
 }
 
-// TestOrderingEquivalenceMatrix is the orderings' determinism claim: for
-// paper-order and max-prune alike, the sequential run is the reference,
-// and dispatch (one question or four per panel, parallelism 1 and 8)
-// reproduces it bit-identically: same MSPs, same valid MSPs, same
-// statistics. This is the guarantee that caches, WALs and the serving
-// tier may treat an ordering variant as one deterministic plan regardless
-// of how its session is driven.
+// TestOrderingEquivalenceMatrix is the question order's determinism
+// claim: the sequential run is the reference, and dispatch (one question
+// or four per panel, parallelism 1 and 8) reproduces it bit-identically:
+// same MSPs, same valid MSPs, same statistics. This is the guarantee that
+// caches, WALs and the serving tier may treat a plan as one deterministic
+// run regardless of how its session is driven.
 func TestOrderingEquivalenceMatrix(t *testing.T) {
-	for _, policy := range plan.OrderingNames() {
-		withOrd := func(cfg core.Config) core.Config {
-			cfg.Ordering = policy
-			return cfg
-		}
-		for _, wl := range orderingWorkloads() {
-			want := renderRun(core.Run(withOrd(wl.cfg(t))))
-			for _, size := range []int{1, 4} {
-				for _, par := range []int{1, 8} {
-					name := fmt.Sprintf("%s/%s/panels/size%d/p%d", policy, wl.name, size, par)
-					res, _ := panel.Run(withOrd(wl.cfg(t)), panel.Config{Size: size}, par)
-					if got := renderRun(res); got != want {
-						t.Errorf("%s drifted from sequential:\n--- sequential\n%s--- panels\n%s",
-							name, want, got)
-					}
+	for _, wl := range orderingWorkloads() {
+		want := renderRun(core.Run(wl.cfg(t)))
+		for _, size := range []int{1, 4} {
+			for _, par := range []int{1, 8} {
+				name := fmt.Sprintf("%s/panels/size%d/p%d", wl.name, size, par)
+				res, _ := panel.Run(wl.cfg(t), panel.Config{Size: size}, par)
+				if got := renderRun(res); got != want {
+					t.Errorf("%s drifted from sequential:\n--- sequential\n%s--- panels\n%s",
+						name, want, got)
 				}
 			}
 		}
@@ -116,32 +108,28 @@ func (m traceMember) Irrelevant(terms []vocab.Term) (vocab.Term, bool) {
 
 // TestQuestionTraceDeterminism: the question trace — every question asked
 // of every member, in order — not just the MSP set, is identical across
-// repeated runs under both orderings. The engine keeps its unclassified
-// set in a Go map whose iteration order changes from run to run, and
-// classifier.markSignificant walks it to schedule expansions, so node
-// intern order differs between runs; the trace must not.
+// repeated runs. The engine's unclassified set keeps no meaningful order
+// (a removal swaps the last id into the hole), so the pick must not
+// depend on it; the trace must not either.
 func TestQuestionTraceDeterminism(t *testing.T) {
 	const runs = 20
-	for _, policy := range plan.OrderingNames() {
-		for _, wl := range orderingWorkloads() {
-			trace := func() string {
-				var log []string
-				cfg := wl.cfg(t)
-				cfg.Ordering = policy
-				for i, m := range cfg.Members {
-					cfg.Members[i] = traceMember{m, &log}
-				}
-				core.Run(cfg)
-				return strings.Join(log, "\n")
+	for _, wl := range orderingWorkloads() {
+		trace := func() string {
+			var log []string
+			cfg := wl.cfg(t)
+			for i, m := range cfg.Members {
+				cfg.Members[i] = traceMember{m, &log}
 			}
-			want := trace()
-			if want == "" {
-				t.Fatalf("%s/%s: no questions asked", policy, wl.name)
-			}
-			for i := 1; i < runs; i++ {
-				if got := trace(); got != want {
-					t.Fatalf("%s/%s: run %d asked a different question sequence than run 0", policy, wl.name, i)
-				}
+			core.Run(cfg)
+			return strings.Join(log, "\n")
+		}
+		want := trace()
+		if want == "" {
+			t.Fatalf("%s: no questions asked", wl.name)
+		}
+		for i := 1; i < runs; i++ {
+			if got := trace(); got != want {
+				t.Fatalf("%s: run %d asked a different question sequence than run 0", wl.name, i)
 			}
 		}
 	}

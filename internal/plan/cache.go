@@ -9,7 +9,7 @@ import (
 )
 
 // Cache is a content-addressed plan cache: plans are keyed on the query
-// text, the domain fingerprint and the plan's (stop, ordering) variant, so
+// text, the domain fingerprint and the plan's stop variant, so
 // the same query over the same domain compiles exactly once, each variant
 // derives exactly once, and every later execution reuses the same *Plan
 // pointer — the cache-hit path allocates nothing. A Cache is safe for
@@ -19,12 +19,12 @@ type Cache struct {
 	m  map[cacheKey]*Plan
 }
 
-// cacheKey is the one key every entry is filed under. stop and policy
-// are always the plan's own names, never the empty default, so a plan
-// reached by compiling, by deriving, or by deriving back to the base has
-// exactly one entry.
+// cacheKey is the one key every entry is filed under. stop is always
+// the plan's own name, never the empty default, so a plan reached by
+// compiling, by deriving, or by deriving back to the base has exactly
+// one entry.
 type cacheKey struct {
-	query, domain, stop, policy string
+	query, domain, stop string
 }
 
 // NewCache returns an empty plan cache.
@@ -33,9 +33,9 @@ func NewCache() *Cache {
 }
 
 // compiledKey is the key of the as-compiled plan for (queryText,
-// domainFP): the planner's default stop policy and ordering.
+// domainFP): the planner's default stop policy.
 func compiledKey(queryText, domainFP string) cacheKey {
-	return cacheKey{queryText, domainFP, StopDefault, PolicyPaperOrder}
+	return cacheKey{queryText, domainFP, StopDefault}
 }
 
 // Get returns the cached as-compiled plan for (queryText, domainFP), if
@@ -59,20 +59,19 @@ func (c *Cache) GetOrCompile(queryText, domainFP string, m *CacheMetrics,
 	return c.getOr(compiledKey(queryText, domainFP), m, compile)
 }
 
-// GetOrDerive returns the cached (stop, policy) variant of base,
-// deriving and caching it on first use (Plan.Variant shares the base
-// plan's precompiled tables, so a derivation is a re-serialization, not a
+// GetOrDerive returns the cached stop variant of base, deriving and
+// caching it on first use (Plan.Variant shares the base plan's
+// precompiled tables, so a derivation is a re-serialization, not a
 // recompilation). An empty name keeps base's own, and asking for base's
-// own names returns base as a hit. Unknown names never reach the cache:
+// own name returns base as a hit. Unknown names never reach the cache:
 // they miss, and the derivation rejects them. Like GetOrCompile,
 // concurrent sessions racing on a cold variant derive once.
-func (c *Cache) GetOrDerive(base *Plan, stop, policy string, m *CacheMetrics) (*Plan, bool, error) {
-	stop, policy = base.variantNames(stop, policy)
-	if stop == base.StopName && policy == base.PolicyName {
+func (c *Cache) GetOrDerive(base *Plan, stop string, m *CacheMetrics) (*Plan, bool, error) {
+	if stop == "" || stop == base.StopName {
 		return base, true, nil
 	}
-	k := cacheKey{base.QueryText, base.DomainFP, stop, policy}
-	return c.getOr(k, m, func() (*Plan, error) { return base.Variant(stop, policy) })
+	k := cacheKey{base.QueryText, base.DomainFP, stop}
+	return c.getOr(k, m, func() (*Plan, error) { return base.Variant(stop) })
 }
 
 // getOr returns the plan under k, or builds, caches and returns it.
@@ -115,10 +114,7 @@ func (c *Cache) Plans() []*Plan {
 		if keys[i].domain != keys[j].domain {
 			return keys[i].domain < keys[j].domain
 		}
-		if keys[i].stop != keys[j].stop {
-			return keys[i].stop < keys[j].stop
-		}
-		return keys[i].policy < keys[j].policy
+		return keys[i].stop < keys[j].stop
 	})
 	out := make([]*Plan, len(keys))
 	for i, k := range keys {

@@ -66,10 +66,10 @@ func ShardIndex(fingerprint string, n int) int {
 
 // Compile analyzes query q over the frozen domain (voc, onto): it
 // evaluates the WHERE clause, resolves the SATISFYING meta-fact-set and
-// the valid base assignments, and picks the ordering policy and mining
-// substrate. domainFP is the precomputed DomainFingerprint of
-// (voc, onto); the caller usually holds it in a core.Domain so it is
-// hashed once per domain, not once per compile.
+// the valid base assignments, and picks the mining substrate. domainFP
+// is the precomputed DomainFingerprint of (voc, onto); the caller usually
+// holds it in a core.Domain so it is hashed once per domain, not once per
+// compile.
 func Compile(voc *vocab.Vocabulary, onto *ontology.Ontology, q *oassisql.Query,
 	domainFP string) (*Plan, error) {
 
@@ -96,7 +96,6 @@ func Compile(voc *vocab.Vocabulary, onto *ontology.Ontology, q *oassisql.Query,
 		Vars:          sp.Vars,
 		Sat:           sp.Sat,
 		ValidBase:     sp.ValidBase,
-		PolicyName:    PolicyPaperOrder,
 		SubstrateName: chooseSubstrate(q),
 		StopName:      StopDefault,
 		DomainFP:      domainFP,
@@ -131,7 +130,6 @@ func FromSpace(queryText string, support float64, all bool, domainFP string,
 		Vars:          sp.Vars,
 		Sat:           sp.Sat,
 		ValidBase:     sp.ValidBase,
-		PolicyName:    PolicyPaperOrder,
 		SubstrateName: SubstrateAssoc,
 		StopName:      StopDefault,
 		DomainFP:      domainFP,

@@ -9,7 +9,6 @@ import (
 	"oassis/internal/core"
 	"oassis/internal/crowd"
 	"oassis/internal/panel"
-	"oassis/internal/plan"
 	"oassis/internal/synth"
 )
 
@@ -86,55 +85,6 @@ func TestPlannedExecutionEquivalence(t *testing.T) {
 			// (spaces and crowds are private; nothing leaked between runs).
 			if again := renderRun(runMatrix(pl.NewSpace(), d2.NewCrowd(), par)); again != want {
 				t.Errorf("%s: second planned cell drifted:\n--- first\n%s--- second\n%s", name, want, again)
-			}
-		}
-	}
-}
-
-// TestPolicyThroughEngine wires both orderings through
-// core.Config.Ordering: with deterministic (exact, order-insensitive)
-// members, max-prune must converge on the same MSP set as the paper's
-// smallest-first order.
-func TestPolicyThroughEngine(t *testing.T) {
-	cfg := synth.DomainConfig{
-		Name: "policy", YTerms: 16, XTerms: 8, YDepth: 3, XDepth: 2,
-		Members: 1, Transactions: 16, Patterns: 4, Seed: 7,
-	}
-	run := func(ordering string) map[string]bool {
-		d, err := synth.GenerateDomain(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Make the single member exact and deterministic so the mined MSP
-		// set is a pure function of its history, not of question order.
-		for _, m := range d.Members {
-			m.(*crowd.SimMember).Disc = crowd.Exact
-		}
-		res := core.Run(core.Config{
-			Space:    d.Sp,
-			Theta:    0.2,
-			Members:  d.Members,
-			Ordering: ordering,
-		})
-		keys := make(map[string]bool, len(res.MSPs))
-		for _, m := range res.MSPs {
-			keys[m.Key()] = true
-		}
-		return keys
-	}
-	paper := run("") // "" means paper-order
-	if len(paper) == 0 {
-		t.Fatal("paper-order run found no MSPs")
-	}
-	for _, name := range plan.OrderingNames() {
-		got := run(name)
-		if len(got) != len(paper) {
-			t.Fatalf("%s: MSP counts differ: paper-order %d, %s %d",
-				name, len(paper), name, len(got))
-		}
-		for k := range paper {
-			if !got[k] {
-				t.Errorf("%s missed MSP %s", name, k)
 			}
 		}
 	}

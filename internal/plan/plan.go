@@ -4,11 +4,11 @@
 // experiment grids execute precompiled plans instead of re-analyzing the
 // query. A Plan carries the resolved mining variables, the resolved
 // SATISFYING meta-fact-set (the pattern join tree after WHERE evaluation),
-// the valid base assignments, the names of the question ordering, stop
-// policy and mining Substrate, plus the fingerprint of the domain it was
-// compiled against. Plans are content-addressed: Fingerprint is a SHA-256
-// over the canonical JSON serialization, and Cache keys plans on
-// (query text, domain fingerprint, stop policy, ordering).
+// the valid base assignments, the names of the stop policy and mining
+// Substrate, plus the fingerprint of the domain it was compiled against.
+// Plans are content-addressed: Fingerprint is a SHA-256 over the
+// canonical JSON serialization, and Cache keys plans on (query text,
+// domain fingerprint, stop policy).
 package plan
 
 import (
@@ -44,12 +44,6 @@ type Plan struct {
 	// ValidBase holds the valid multiplicity-1 assignments from WHERE
 	// evaluation, in canonical (sorted key) order.
 	ValidBase [][]vocab.Term
-	// PolicyName names the question ordering the plan runs with
-	// (PolicyPaperOrder or PolicyMaxPrune; see OrderingByName). It is
-	// part of the serialized IR and hence the fingerprint: an ordering
-	// variant is a distinct plan, so plan caches and the WAL's drift
-	// detection keep runs with different orderings apart.
-	PolicyName string
 	// SubstrateName names the mining Substrate chosen by the planner
 	// (see SubstrateByName).
 	SubstrateName string
@@ -122,37 +116,21 @@ func (p *Plan) NewStop() (aggregate.StopPolicy, error) {
 	return aggregate.StopByName(p.StopName)
 }
 
-// Variant derives the (stop, ordering) variant of p: the same query over
-// the same domain with the same precompiled tables, differing only in
-// StopName and PolicyName — and therefore in serialization and
-// fingerprint. An empty name keeps p's own; deriving p's own names
-// returns p itself. Unknown names fail as aggregate.StopByName and
-// OrderingByName do.
-func (p *Plan) Variant(stop, policy string) (*Plan, error) {
-	stop, policy = p.variantNames(stop, policy)
+// Variant derives the stop variant of p: the same query over the same
+// domain with the same precompiled tables, differing only in StopName —
+// and therefore in serialization and fingerprint. An empty name keeps
+// p's own; deriving p's own name returns p itself. Unknown names fail as
+// aggregate.StopByName does.
+func (p *Plan) Variant(stop string) (*Plan, error) {
+	if stop == "" || stop == p.StopName {
+		return p, nil
+	}
 	if _, err := aggregate.StopByName(stop); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	if _, err := OrderingByName(policy); err != nil {
-		return nil, err
-	}
-	if stop == p.StopName && policy == p.PolicyName {
-		return p, nil
-	}
 	q := *p
-	q.StopName, q.PolicyName = stop, policy
+	q.StopName = stop
 	return newPlan(&q, p.voc, p.tab)
-}
-
-// variantNames fills an empty stop or policy name with p's own.
-func (p *Plan) variantNames(stop, policy string) (string, string) {
-	if stop == "" {
-		stop = p.StopName
-	}
-	if policy == "" {
-		policy = p.PolicyName
-	}
-	return stop, policy
 }
 
 // StopDefault is the planner's default stop policy: the paper's
@@ -161,7 +139,9 @@ const StopDefault = aggregate.StopThreshold
 
 // planJSON is the serialized shape of the IR. Field order is fixed and
 // encoding/json is deterministic over it, so the serialization doubles as
-// the input of the content address.
+// the input of the content address. Policy is always "paper-order", the
+// engine's one question order: it stays in the IR only so fingerprints,
+// and with them the plan bindings of existing stores, do not move.
 type planJSON struct {
 	Query     string     `json:"query"`
 	Support   float64    `json:"support"`
@@ -207,7 +187,7 @@ func marshal(p *Plan) ([]byte, error) {
 		All:       p.All,
 		More:      p.More,
 		Domain:    p.DomainFP,
-		Policy:    p.PolicyName,
+		Policy:    "paper-order",
 		Substrate: p.SubstrateName,
 		Stop:      p.StopName,
 		Vars:      []varJSON{},

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"oassis/internal/assign"
+	"oassis/internal/core"
+	"oassis/internal/crowd"
 	"oassis/internal/fact"
 	"oassis/internal/itemset"
 	"oassis/internal/oassisql"
@@ -46,34 +49,55 @@ func captureDomain(t *testing.T, items int) (*vocab.Vocabulary, *ontology.Ontolo
 }
 
 // TestPolicyOrder pins the paper's §4 traversal order — smallest size
-// first, key ascending on ties — where it survives inside plan: as
-// max-prune's tie-break between equally-scored candidates, which keeps
-// the selector a total order.
+// first, key ascending on ties — the one order the engine asks in. A
+// member who finds every pattern insignificant settles nothing by
+// inference among the lattice's incomparable minimal nodes, so the run
+// asks exactly those nodes, in that order.
 func TestPolicyOrder(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		cands []plan.Candidate
-		want  int
-	}{
-		{"smaller size wins", []plan.Candidate{
-			{Key: "a", Size: 2, Down: 2, Up: 2},
-			{Key: "z", Size: 1, Down: 2, Up: 2},
-		}, 1},
-		{"least key breaks a size tie", []plan.Candidate{
-			{Key: "a", Size: 2, Down: 2, Up: 2},
-			{Key: "b", Size: 2, Down: 2, Up: 2},
-		}, 0},
-		{"score outranks the order", []plan.Candidate{
-			{Key: "a", Size: 1, Down: 1, Up: 1},
-			{Key: "b", Size: 2, Down: 2, Up: 2},
-		}, 1},
-	} {
-		var sel plan.MaxPrune
-		if got := sel.Select(c.cands, 0.2); got != c.want {
-			t.Errorf("%s: Select = %d, want %d", c.name, got, c.want)
+	v, o, q := captureDomain(t, 6)
+	pl, err := plan.Compile(v, o, q, plan.DomainFingerprint(v, o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := pl.NewSpace()
+	minimal := sp.Minimal()
+	sort.Slice(minimal, func(i, j int) bool {
+		if minimal[i].Size() != minimal[j].Size() {
+			return minimal[i].Size() < minimal[j].Size()
 		}
+		return minimal[i].Key() < minimal[j].Key()
+	})
+	var want []string
+	for _, m := range minimal {
+		want = append(want, sp.Instantiate(m).Key())
+	}
+	var asked []string
+	core.Run(core.Config{
+		Space:   sp,
+		Theta:   pl.Support,
+		Members: []crowd.Member{neverMember{&asked}},
+	})
+	if len(want) < 2 || !reflect.DeepEqual(asked, want) {
+		t.Errorf("asked %v, want %v", asked, want)
 	}
 }
+
+// neverMember answers support 0 to every concrete question and records
+// it.
+type neverMember struct{ asked *[]string }
+
+func (neverMember) ID() string { return "never" }
+
+func (m neverMember) Concrete(fs fact.Set) float64 {
+	*m.asked = append(*m.asked, fs.Key())
+	return 0
+}
+
+func (neverMember) ChooseSpecialization([]fact.Set) crowd.SpecializeResponse {
+	return crowd.SpecializeResponse{}
+}
+
+func (neverMember) Irrelevant([]vocab.Term) (vocab.Term, bool) { return 0, false }
 
 // randomDB builds a deterministic random transaction database.
 func randomDB(seed int64, transactions, items int) []itemset.Itemset {
@@ -165,9 +189,6 @@ func TestCompile(t *testing.T) {
 	pl, err := plan.Compile(v, o, q, fp)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pl.PolicyName != plan.PolicyPaperOrder {
-		t.Errorf("policy = %q", pl.PolicyName)
 	}
 	// Empty WHERE is the §4.1 itemset-capture form: classic substrate.
 	if pl.SubstrateName != plan.SubstrateItemset {

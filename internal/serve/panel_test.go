@@ -70,10 +70,9 @@ func TestServePanelEquivalence(t *testing.T) {
 	}
 	sp := pl.NewSpace()
 	ref := core.NewSession(core.Config{
-		Space:    sp,
-		Theta:    pl.Support,
-		Ordering: pl.PolicyName,
-		Agg:      aggregate.NewFixedSample(2),
+		Space: sp,
+		Theta: pl.Support,
+		Agg:   aggregate.NewFixedSample(2),
 	}, []string{"p00", "p01"})
 	for qs := ref.Next(); len(qs) > 0; qs = ref.Next() {
 		for _, rq := range qs {

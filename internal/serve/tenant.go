@@ -56,14 +56,6 @@ type TenantConfig struct {
 	// batch. 0 keeps the engine's default mirror-only speculation;
 	// mined results are identical either way.
 	PanelSpeculation int
-
-	// Policy names the question-ordering policy every session of this
-	// tenant compiles its plans with (plan.OrderingByName; empty means
-	// the planner's default, paper-order). The ordering is part of the
-	// compiled plan — and so of its fingerprint — so shard routing,
-	// session matching and the WAL's drift detection all see the
-	// tenant's variant consistently.
-	Policy string
 }
 
 // Tenant is one hosted domain with its roster, shards and sessions. All
@@ -76,7 +68,6 @@ type Tenant struct {
 	onto      *ontology.Ontology
 	k         int
 	panelSpec int
-	policy    string
 	storeDir  string
 	shards    []*shard
 	slots     []string       // roster member IDs, fixed at construction
@@ -172,14 +163,6 @@ func newTenant(r *Registry, tc TenantConfig) (*Tenant, error) {
 	if tc.AnswersPerQuestion <= 0 {
 		tc.AnswersPerQuestion = 1
 	}
-	if tc.Policy != "" {
-		// Validate at boot, not first query: a fleet file naming an
-		// unknown ordering should fail the tenant, with the plan
-		// registry's canonical message.
-		if _, err := plan.OrderingByName(tc.Policy); err != nil {
-			return nil, fmt.Errorf("serve: tenant %q: %w", tc.Name, err)
-		}
-	}
 	dom, err := core.NewDomain(tc.Voc, tc.Onto)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: %w", tc.Name, err)
@@ -192,7 +175,6 @@ func newTenant(r *Registry, tc TenantConfig) (*Tenant, error) {
 		onto:      tc.Onto,
 		k:         tc.AnswersPerQuestion,
 		panelSpec: tc.PanelSpeculation,
-		policy:    tc.Policy,
 		storeDir:  tc.StoreDir,
 		memberIdx: make(map[string]int, tc.Members),
 		obs:       newTenantObs(r.obs, tc.Name),
@@ -297,13 +279,12 @@ func (t *Tenant) bumpSeq(id string) {
 	t.mu.Unlock()
 }
 
-// compile resolves q through the tenant's plan cache, applying the
-// tenant's configured ordering policy. Every compile site in the tenant
-// goes through here — shard routing (Open), session matching
-// (EnsureSession) and attachment — so all of them agree on the variant
+// compile resolves q through the tenant's plan cache. Every compile site
+// in the tenant goes through here — shard routing (Open), session
+// matching (EnsureSession) and attachment — so all of them agree on the
 // plan's fingerprint, and recovery re-routes consistently.
 func (t *Tenant) compile(q *oassisql.Query) (*plan.Plan, error) {
-	pl, _, err := t.domain.CompileVariant(q, "", t.policy, t.reg.planMet)
+	pl, _, err := t.domain.CompileVariant(q, "", "", t.reg.planMet)
 	return pl, err
 }
 
@@ -442,7 +423,6 @@ func (t *Tenant) attach(id string, q *oassisql.Query, st *store.Store, rec *stor
 	cfg := core.Config{
 		Space:            sp,
 		Theta:            pl.Support,
-		Ordering:         pl.PolicyName,
 		Agg:              aggregate.NewFixedSample(t.k),
 		Metrics:          t.reg.coreMet,
 		PanelSpeculation: t.panelSpec,

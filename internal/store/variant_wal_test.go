@@ -3,16 +3,17 @@ package store
 import (
 	"testing"
 
+	"oassis/internal/aggregate"
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
 	"oassis/internal/plan"
 )
 
-// TestPolicyVariantWALSeparation: two plans differing only in their
-// ordering policy are different plans to the store — the fingerprint the
-// journal binds to changes with the policy, so a WAL written under
-// paper-order can never be replayed into a max-prune session (answers
-// collected under one question order priming a run that asks in another).
+// TestPolicyVariantWALSeparation: two plans differing only in their stop
+// policy are different plans to the store — the fingerprint the journal
+// binds to changes with the policy, so a WAL written under the threshold
+// rule can never be replayed into a species-stop session (answers
+// collected under one stopping rule priming a run that stops by another).
 func TestPolicyVariantWALSeparation(t *testing.T) {
 	s := ontology.NewSample()
 	q := oassisql.MustParse(`
@@ -28,12 +29,12 @@ WITH SUPPORT = 0.4
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := base.Variant("", plan.PolicyMaxPrune)
+	variant, err := base.Variant(aggregate.StopSpecies)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if variant.Fingerprint() == base.Fingerprint() {
-		t.Fatal("policy variant shares the base fingerprint; WAL separation impossible")
+		t.Fatal("stop variant shares the base fingerprint; WAL separation impossible")
 	}
 
 	dir := t.TempDir()
@@ -45,7 +46,7 @@ WITH SUPPORT = 0.4
 		t.Fatal(err)
 	}
 	if err := st.BindPlan(variant.Fingerprint()); err == nil {
-		t.Error("journal bound to paper-order accepted the max-prune variant")
+		t.Error("journal bound to the threshold plan accepted the species variant")
 	}
 	st.Close()
 

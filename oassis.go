@@ -593,7 +593,6 @@ type options struct {
 	topK                int
 	spamMaxViolations   int
 	stopPolicy          string
-	policy              string
 	parallelism         int
 	panelSize           int
 	priorSource         PriorSource
@@ -666,30 +665,6 @@ const (
 	StopAccuracy = aggregate.StopAccuracy
 )
 
-// Ordering-policy names for WithPolicy.
-const (
-	// PolicyPaperOrder is the default: the paper's §4 bottom-up order,
-	// smallest unclassified pattern first (bit-identical to not setting
-	// a policy at all).
-	PolicyPaperOrder = plan.PolicyPaperOrder
-	// PolicyMaxPrune is the adaptive ordering: candidates are re-scored
-	// every round from the live answer distribution, maximizing the
-	// expected number of patterns settled by inference per question.
-	PolicyMaxPrune = plan.PolicyMaxPrune
-)
-
-// WithPolicy selects the question-ordering policy of the run:
-// PolicyPaperOrder (default) or PolicyMaxPrune. The ordering is part of
-// the compiled plan — plans with different orderings have different
-// fingerprints, so the plan cache and a WithStore WAL keep them apart.
-// Both orderings yield the identical mined MSP set (the equivalence
-// matrix proves it across parallelism and panel batching); what changes
-// is how many questions the crowd answers to get there. An unknown name
-// is reported as ErrInvalidOption.
-func WithPolicy(name string) Option {
-	return func(o *options) { o.policy = name }
-}
-
 // WithStopPolicy selects the streaming stop-condition policy of the run:
 // StopThreshold (default), StopSpecies or StopAccuracy. The policy is
 // part of the compiled plan — plans with different stop policies have
@@ -755,9 +730,9 @@ func compilePlan(db *DB, q *Query, o *options) (*plan.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pl.Variant(o.stopPolicy, o.policy)
+		return pl.Variant(o.stopPolicy)
 	}
-	pl, _, err := dom.CompileVariant(q.ast, o.stopPolicy, o.policy, m)
+	pl, _, err := dom.CompileVariant(q.ast, o.stopPolicy, "", m)
 	return pl, err
 }
 
@@ -782,7 +757,6 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 	cfg = core.Config{
 		Space:                 sp,
 		Theta:                 pl.Support,
-		Ordering:              pl.PolicyName,
 		Agg:                   aggregate.NewFixedSample(o.answersPerQuestion),
 		SpecializationRatio:   o.specializationRatio,
 		EnablePruning:         o.pruning,
@@ -917,10 +891,6 @@ func (p *Plan) Query() string { return p.inner.QueryText }
 // (StopThreshold unless WithStopPolicy chose otherwise).
 func (p *Plan) StopPolicy() string { return p.inner.StopName }
 
-// Policy returns the name of the question-ordering policy compiled into
-// the plan (PolicyPaperOrder unless WithPolicy chose otherwise).
-func (p *Plan) Policy() string { return p.inner.PolicyName }
-
 // MarshalJSON returns the plan IR with terms resolved to names.
 func (p *Plan) MarshalJSON() ([]byte, error) { return p.inner.MarshalJSON() }
 
@@ -976,9 +946,9 @@ func ExecPlanContext(ctx context.Context, db *DB, p *Plan, members []Member, opt
 	if o.metrics != nil {
 		m = o.metrics.plan
 	}
-	// WithStopPolicy and WithPolicy on an already-compiled plan derive the
-	// variant through the domain's cache (same tables, new fingerprint).
-	pl, _, err := dom.Plans().GetOrDerive(p.inner, o.stopPolicy, o.policy, m)
+	// WithStopPolicy on an already-compiled plan derives the variant
+	// through the domain's cache (same tables, new fingerprint).
+	pl, _, err := dom.Plans().GetOrDerive(p.inner, o.stopPolicy, m)
 	if err != nil {
 		return nil, err
 	}
