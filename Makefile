@@ -56,10 +56,10 @@ race:
 
 # Short fuzz passes over the durable-store record decoder (framing, CRC,
 # canonical re-encode), the Prometheus label escaping (round-trip,
-# scrape-safety), the stop-policy contract (no panics, latched
-# ShouldStop, estimates in [0, 1]) and the classifier's term index (equal
-# to the scan oracle after every operation; see the fuzz_test.go in each
-# package).
+# scrape-safety), the contract of the threshold and species stop policies
+# (no panics, latched ShouldStop, estimates in [0, 1]) and the
+# classifier's term index (equal to the scan oracle after every
+# operation; see the fuzz_test.go in each package).
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzLabelEscaping$$' -fuzztime $(FUZZTIME)
@@ -85,7 +85,7 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) run ./cmd/oassis-bench -exp summary,bounds,serving,panels,stopping -parallel 1 -out BENCH_$(BENCH_STAMP).json
+	$(GO) run ./cmd/oassis-bench -exp summary,bounds,serving,panels,stopping,spam -parallel 1 -out BENCH_$(BENCH_STAMP).json
 	@echo "wrote BENCH_$(BENCH_STAMP).json"
 
 # One-iteration pass over every benchmark: catches bench-only compile rot
@@ -102,6 +102,6 @@ bench-smoke:
 # drift (the panels scenario's round-trip counts are deterministic, so the
 # gate pins the batching efficiency too). Refresh the baseline (same
 # flags!) only with a reviewed perf change:
-#   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping -parallel 1 -out BENCH_baseline.json
+#   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam -parallel 1 -out BENCH_baseline.json
 bench-compare:
 	$(GO) run ./cmd/oassis-bench -parallel 1 -compare BENCH_baseline.json

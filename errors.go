@@ -77,9 +77,6 @@ func (o *options) validate() error {
 	if o.topK < 0 {
 		return invalidOption("top-k %d (want >= 0)", o.topK)
 	}
-	if o.spamMaxViolations < 0 {
-		return invalidOption("spam filter violations %d (want >= 0)", o.spamMaxViolations)
-	}
 	if o.stopPolicy != "" {
 		if _, err := aggregate.StopByName(o.stopPolicy); err != nil {
 			return invalidOption("stop policy %q (want one of %s)",

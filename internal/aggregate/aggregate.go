@@ -2,15 +2,13 @@
 // Section 4.2 of the paper: given the answers collected from different crowd
 // members for a question, it decides (i) whether enough answers have been
 // gathered and (ii) whether the assignment in question is overall
-// significant. Two aggregators are provided: the fixed-sample mean used in
-// the paper's crowd experiments (5 answers, average against the threshold)
-// and a confidence-interval aggregator in the style of the SIGMOD'13 Crowd
-// Mining framework [3]. A consistency tracker for spammer filtering
-// (Section 4.2, crowd member selection) is in consistency.go.
+// significant. FixedSample is the black box of the paper's crowd
+// experiments (5 answers, average against the threshold). Crowd-member
+// selection (Section 4.2) is the engine's spam filter, which grades each
+// question's answers once this package's aggregator decides it.
 package aggregate
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
@@ -56,12 +54,14 @@ type Aggregator interface {
 	Mean(questionKey string) float64
 }
 
-// tally is the answer store every aggregator embeds: per question key,
-// each member's first answer plus the running sum and sum of squares.
-// It supplies Record, Answers and the plain Mean of the Aggregator
-// interface, so an aggregator adds only its Verdict (and, if it weighs
-// answers, its own Mean). It is safe for concurrent use.
-type tally struct {
+// FixedSample is the paper's crowd-experiment black box: a question is
+// undecided until K answers have been collected; then it is significant iff
+// the average support reaches the threshold. Per question key it keeps
+// each member's first answer plus the running sum. It is safe for
+// concurrent use.
+type FixedSample struct {
+	K int
+
 	mu   sync.Mutex
 	data map[string]*record
 }
@@ -69,7 +69,6 @@ type tally struct {
 type record struct {
 	byMember map[string]float64
 	sum      float64
-	sumSq    float64
 }
 
 // mean is the record's plain average answer (0 with no answers).
@@ -80,62 +79,52 @@ func (r *record) mean() float64 {
 	return r.sum / float64(len(r.byMember))
 }
 
-// Record implements Aggregator.
-func (t *tally) Record(key, member string, support float64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.data == nil {
-		t.data = make(map[string]*record)
-	}
-	r := t.data[key]
-	if r == nil {
-		r = &record{byMember: make(map[string]float64)}
-		t.data[key] = r
-	}
-	if _, dup := r.byMember[member]; dup {
-		return false
-	}
-	r.byMember[member] = support
-	r.sum += support
-	r.sumSq += support * support
-	return true
-}
-
-// Answers implements Aggregator.
-func (t *tally) Answers(key string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.data[key]; r != nil {
-		return len(r.byMember)
-	}
-	return 0
-}
-
-// Mean implements Aggregator: the plain average answer.
-func (t *tally) Mean(key string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.data[key]; r != nil {
-		return r.mean()
-	}
-	return 0
-}
-
-// FixedSample is the paper's crowd-experiment black box: a question is
-// undecided until K answers have been collected; then it is significant iff
-// the average support reaches the threshold.
-type FixedSample struct {
-	K int
-
-	tally
-}
-
 // NewFixedSample returns a FixedSample aggregator requiring k answers.
 func NewFixedSample(k int) *FixedSample {
 	if k < 1 {
 		k = 1
 	}
 	return &FixedSample{K: k}
+}
+
+// Record implements Aggregator.
+func (a *FixedSample) Record(key, member string, support float64) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.data == nil {
+		a.data = make(map[string]*record)
+	}
+	r := a.data[key]
+	if r == nil {
+		r = &record{byMember: make(map[string]float64)}
+		a.data[key] = r
+	}
+	if _, dup := r.byMember[member]; dup {
+		return false
+	}
+	r.byMember[member] = support
+	r.sum += support
+	return true
+}
+
+// Answers implements Aggregator.
+func (a *FixedSample) Answers(key string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if r := a.data[key]; r != nil {
+		return len(r.byMember)
+	}
+	return 0
+}
+
+// Mean implements Aggregator: the plain average answer.
+func (a *FixedSample) Mean(key string) float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if r := a.data[key]; r != nil {
+		return r.mean()
+	}
+	return 0
 }
 
 // Verdict implements Aggregator.
@@ -150,60 +139,6 @@ func (a *FixedSample) Verdict(key string, theta float64) Verdict {
 		return Significant
 	}
 	return Insignificant
-}
-
-// Confidence is a confidence-interval aggregator in the style of the
-// SIGMOD'13 Crowd Mining estimators: the question is decided as soon as the
-// threshold falls outside the mean ± Z·(sd/√n) interval (with n ≥ MinN), and
-// forced to a mean comparison at MaxN answers.
-type Confidence struct {
-	Z    float64 // normal quantile, e.g. 1.96 for 95%
-	MinN int
-	MaxN int
-
-	tally
-}
-
-// NewConfidence returns a Confidence aggregator with the given parameters.
-func NewConfidence(z float64, minN, maxN int) *Confidence {
-	if minN < 2 {
-		minN = 2
-	}
-	if maxN < minN {
-		maxN = minN
-	}
-	return &Confidence{Z: z, MinN: minN, MaxN: maxN}
-}
-
-// Verdict implements Aggregator.
-func (a *Confidence) Verdict(key string, theta float64) Verdict {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.data[key]
-	if r == nil || len(r.byMember) < a.MinN {
-		return Undecided
-	}
-	n := float64(len(r.byMember))
-	mean := r.sum / n
-	if len(r.byMember) >= a.MaxN {
-		if mean >= theta-Eps {
-			return Significant
-		}
-		return Insignificant
-	}
-	variance := r.sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	se := math.Sqrt(variance / n)
-	switch {
-	case mean-a.Z*se >= theta-Eps:
-		return Significant
-	case mean+a.Z*se < theta-Eps:
-		return Insignificant
-	default:
-		return Undecided
-	}
 }
 
 // SortedKeys returns the recorded question keys of a FixedSample in sorted

@@ -3,9 +3,6 @@ package aggregate
 import (
 	"fmt"
 	"testing"
-
-	"oassis/internal/fact"
-	"oassis/internal/ontology"
 )
 
 func TestFixedSampleLifecycle(t *testing.T) {
@@ -68,92 +65,5 @@ func TestFixedSampleExactThreshold(t *testing.T) {
 	a.Record("q", "u2", 0.75)
 	if v := a.Verdict("q", 0.5); v != Significant {
 		t.Errorf("verdict at exact threshold = %v", v)
-	}
-}
-
-func TestConfidenceEarlyDecision(t *testing.T) {
-	a := NewConfidence(1.96, 3, 50)
-	// Unanimous high answers decide quickly.
-	for i := 0; i < 3; i++ {
-		a.Record("hi", fmt.Sprintf("m%d", i), 0.9)
-	}
-	if v := a.Verdict("hi", 0.4); v != Significant {
-		t.Errorf("unanimous high: %v", v)
-	}
-	for i := 0; i < 3; i++ {
-		a.Record("lo", fmt.Sprintf("m%d", i), 0.0)
-	}
-	if v := a.Verdict("lo", 0.4); v != Insignificant {
-		t.Errorf("unanimous low: %v", v)
-	}
-	// Mixed answers near the threshold stay undecided.
-	vals := []float64{0.2, 0.6, 0.4, 0.5}
-	for i, s := range vals {
-		a.Record("mid", fmt.Sprintf("m%d", i), s)
-	}
-	if v := a.Verdict("mid", 0.42); v != Undecided {
-		t.Errorf("noisy mid: %v, want undecided", v)
-	}
-}
-
-func TestConfidenceForcedAtMaxN(t *testing.T) {
-	a := NewConfidence(1.96, 2, 4)
-	vals := []float64{0.0, 1.0, 0.0, 1.0} // high variance, mean 0.5
-	for i, s := range vals {
-		a.Record("q", fmt.Sprintf("m%d", i), s)
-	}
-	if v := a.Verdict("q", 0.4); v != Significant {
-		t.Errorf("forced verdict = %v, want significant (mean 0.5)", v)
-	}
-	if v := a.Verdict("q", 0.6); v != Insignificant {
-		t.Errorf("forced verdict = %v, want insignificant", v)
-	}
-	if a.Answers("q") != 4 || a.Mean("q") != 0.5 {
-		t.Error("bookkeeping wrong")
-	}
-}
-
-func TestConfidenceParamFloors(t *testing.T) {
-	a := NewConfidence(1.96, 0, -1)
-	if a.MinN != 2 || a.MaxN != 2 {
-		t.Errorf("floors: MinN=%d MaxN=%d", a.MinN, a.MaxN)
-	}
-}
-
-func TestConsistencyTracker(t *testing.T) {
-	s := ontology.NewSample()
-	sport := fact.Set{s.Fact("Sport", "doAt", "Central Park")}
-	biking := fact.Set{s.Fact("Biking", "doAt", "Central Park")}
-
-	c := NewConsistencyTracker(s.Voc, 0.0)
-	// Honest member: general ≥ specific.
-	c.Record("honest", sport, 0.75)
-	c.Record("honest", biking, 0.5)
-	if v := c.Violations("honest"); v != 0 {
-		t.Errorf("honest violations = %d", v)
-	}
-	// Spammer: claims the specific is MORE frequent than the general.
-	c.Record("spam", sport, 0.25)
-	c.Record("spam", biking, 1.0)
-	if v := c.Violations("spam"); v == 0 {
-		t.Error("spammer not detected")
-	}
-	bad := c.Inconsistent(0)
-	if len(bad) != 1 || bad[0] != "spam" {
-		t.Errorf("Inconsistent = %v", bad)
-	}
-	// Tolerance forgives one answer-scale step.
-	c3 := NewConsistencyTracker(s.Voc, 0.25)
-	c3.Record("sloppy", sport, 0.5)
-	c3.Record("sloppy", biking, 0.75)
-	if v := c3.Violations("sloppy"); v != 0 {
-		t.Errorf("tolerance not applied: %d violations", v)
-	}
-	// Incomparable fact-sets never conflict.
-	c4 := NewConsistencyTracker(s.Voc, 0.0)
-	c4.Record("ok", biking, 1.0)
-	c4.Record("ok", fact.Set{s.Fact("Pasta", "eatAt", "Pine")}, 0.0)
-	if v := c4.Violations("ok"); v != 0 {
-		t.Errorf("incomparable answers flagged: %d", v)
 	}
 }

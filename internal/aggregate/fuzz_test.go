@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// FuzzStopPolicy drives all three stop policies with an arbitrary
-// interleaved answer/discovery stream decoded from fuzzer bytes and
-// checks the contract every engine integration relies on: no panics,
-// estimates stay within [0, 1], and ShouldStop is monotone — once a
-// policy has latched it must never revive.
+// FuzzStopPolicy drives both stop policies with an arbitrary discovery
+// stream decoded from fuzzer bytes and checks the contract every engine
+// integration relies on: no panics, estimates stay within [0, 1], and
+// ShouldStop is monotone — once a policy has latched it must never
+// revive.
 func FuzzStopPolicy(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -22,22 +22,14 @@ func FuzzStopPolicy(f *testing.F) {
 		policies := []StopPolicy{
 			ThresholdStop{},
 			NewSpeciesStop(0.5, 4),
-			NewAccuracyWeightedStop(0.5, 2, 0.25),
 		}
 		latched := make([]bool, len(policies))
-		// Each event consumes 3 bytes: opcode/key, member, support.
-		for i := 0; i+2 < len(data); i += 3 {
-			op, key, member := data[i], data[i+1]&0x0F, data[i+2]&0x07
-			support := float64(data[i+2]) / 255
-			qk := string([]byte{'q', key})
-			pk := string([]byte{'p', key})
-			mid := string([]byte{'m', member})
+		// Each event consumes 2 bytes: pattern key, member.
+		for i := 0; i+1 < len(data); i += 2 {
+			pk := string([]byte{'p', data[i] & 0x0F})
+			mid := string([]byte{'m', data[i+1] & 0x07})
 			for pi, p := range policies {
-				if op&1 == 0 {
-					p.ObserveAnswer(qk, mid, support)
-				} else {
-					p.ObserveDiscovery(pk, mid)
-				}
+				p.ObserveDiscovery(pk, mid)
 				if est := p.Estimate(); est < 0 || est > 1 {
 					t.Fatalf("%s: estimate %v outside [0, 1]", p.Name(), est)
 				}
@@ -50,16 +42,6 @@ func FuzzStopPolicy(f *testing.F) {
 		}
 		if policies[0].ShouldStop() {
 			t.Fatal("threshold: must never stop")
-		}
-		// A weighter's outputs must stay sane for any member, graded or not.
-		w := policies[2].(*AccuracyWeightedStop)
-		for _, mid := range []string{"m\x00", "m\x03", "never-seen"} {
-			if wt := w.Weight(mid); wt < 0 || wt > 1 {
-				t.Fatalf("accuracy: weight %v outside [0, 1] for %q", wt, mid)
-			}
-			if w.Flagged(mid) && w.Weight(mid) != 0 {
-				t.Fatalf("accuracy: flagged member %q has nonzero weight", mid)
-			}
 		}
 	})
 }

@@ -1,18 +1,16 @@
 // Streaming stop-condition estimators: pluggable "when to stop asking"
 // policies the engine consults between questions. The paper's engine asks
 // until every generated node is classified, which over-asks on open-world
-// enumeration queries and trusts every member equally. A StopPolicy watches
-// the answer stream and can end the run early (SpeciesStop, a Chao92-style
-// completeness estimator in the spirit of Trushkowsky et al., "Getting It
-// All from the Crowd") or reweight it (AccuracyWeightedStop, per-member
-// accuracy rates against the running consensus in the spirit of Zhang et
-// al.'s accuracy-rate crowdsourcing). ThresholdStop is the inert default:
-// attaching it is bit-identical to attaching nothing.
+// enumeration queries. A StopPolicy watches the members' discoveries and
+// can end the run early (SpeciesStop, a Chao92-style completeness
+// estimator in the spirit of Trushkowsky et al., "Getting It All from the
+// Crowd"). ThresholdStop is the inert default: attaching it is
+// bit-identical to attaching nothing. A stop policy only decides when to
+// stop; which members to trust is the engine's spam filter.
 package aggregate
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -22,22 +20,17 @@ import (
 const (
 	StopThreshold = "threshold"
 	StopSpecies   = "species"
-	StopAccuracy  = "accuracy"
 )
 
 // StopPolicy decides when the engine should stop asking questions. The
-// engine feeds it two event streams — every recorded answer and every
-// member's maximal affirmed pattern (the end of a descent chain) — and
-// polls ShouldStop on the question hot path. Implementations must be safe
-// for concurrent use and monotone: once ShouldStop reports true it must
-// keep reporting true (the fuzzer enforces non-revival).
+// engine feeds it every member's maximal affirmed pattern (the end of a
+// descent chain) and polls ShouldStop on the question hot path.
+// Implementations must be safe for concurrent use and monotone: once
+// ShouldStop reports true it must keep reporting true (the fuzzer enforces
+// non-revival).
 type StopPolicy interface {
 	// Name returns the registry name of the policy.
 	Name() string
-	// ObserveAnswer sees every answer recorded into the aggregator, in
-	// recording order: the question key, the answering member and the
-	// reported support.
-	ObserveAnswer(questionKey, memberID string, support float64)
 	// ObserveDiscovery sees the maximal pattern a member's descent chain
 	// ended at — the open-world enumeration stream the species estimator
 	// tracks.
@@ -46,25 +39,14 @@ type StopPolicy interface {
 	// once true, always true.
 	ShouldStop() bool
 	// Estimate is the policy's current confidence statistic in [0, 1]:
-	// estimated answer-set completeness for SpeciesStop, mean member
-	// accuracy for AccuracyWeightedStop, 0 for ThresholdStop.
+	// estimated answer-set completeness for SpeciesStop, 0 for
+	// ThresholdStop.
 	Estimate() float64
-}
-
-// MemberWeighter is the optional StopPolicy extension for policies that
-// grade crowd members: per-member aggregation weights and a spammer flag.
-// The engine excludes flagged members from further questions, and the
-// Weighted aggregator discounts their recorded answers.
-type MemberWeighter interface {
-	// Weight returns the member's aggregation weight (0 when flagged).
-	Weight(memberID string) float64
-	// Flagged reports whether the member fell below the spammer floor.
-	Flagged(memberID string) bool
 }
 
 // StopNames lists the registry names, sorted, for error messages.
 func StopNames() []string {
-	return []string{StopAccuracy, StopSpecies, StopThreshold}
+	return []string{StopSpecies, StopThreshold}
 }
 
 // StopByName instantiates a stop policy with default parameters. The
@@ -75,8 +57,6 @@ func StopByName(name string) (StopPolicy, error) {
 		return ThresholdStop{}, nil
 	case StopSpecies:
 		return NewSpeciesStop(0, 0), nil
-	case StopAccuracy:
-		return NewAccuracyWeightedStop(0, 0, 0), nil
 	}
 	return nil, fmt.Errorf("aggregate: unknown stop policy %q", name)
 }
@@ -89,9 +69,6 @@ type ThresholdStop struct{}
 
 // Name implements StopPolicy.
 func (ThresholdStop) Name() string { return StopThreshold }
-
-// ObserveAnswer implements StopPolicy (no-op).
-func (ThresholdStop) ObserveAnswer(string, string, float64) {}
 
 // ObserveDiscovery implements StopPolicy (no-op).
 func (ThresholdStop) ObserveDiscovery(string, string) {}
@@ -165,10 +142,6 @@ func NewSpeciesStop(target float64, minObservations int) *SpeciesStop {
 
 // Name implements StopPolicy.
 func (s *SpeciesStop) Name() string { return StopSpecies }
-
-// ObserveAnswer implements StopPolicy: the species estimator only
-// consumes the discovery stream.
-func (s *SpeciesStop) ObserveAnswer(string, string, float64) {}
 
 // ObserveDiscovery implements StopPolicy: one observation of species
 // patternKey by memberID, deduplicated per (member, species).
@@ -277,253 +250,4 @@ func (s *SpeciesStop) EstimatedRichness() float64 {
 		return c / est
 	}
 	return c
-}
-
-// AccuracyWeightedStop maintains per-member accuracy rates online: each
-// recorded answer is compared against the running consensus (the mean of
-// the answers recorded before it), a member agreeing within Tolerance
-// scores a hit, and the Laplace-smoothed hit rate (hits+1)/(trials+2)
-// becomes the member's aggregation weight. Members whose rate falls below
-// Floor after MinAnswers trials are flagged as spammers: the engine stops
-// asking them and the Weighted aggregator drops their recorded answers.
-// The policy never ends the run — it reweights it.
-type AccuracyWeightedStop struct {
-	// Floor is the smoothed accuracy rate below which a member is
-	// flagged, in (0, 1).
-	Floor float64
-	// MinAnswers is the number of consensus comparisons required before a
-	// member can be flagged.
-	MinAnswers int
-	// Tolerance is how far from the consensus an answer may fall and
-	// still count as agreement (one answer-scale step, 0.25, by default).
-	Tolerance float64
-
-	mu        sync.Mutex
-	members   map[string]*memberAcc
-	questions map[string]*qConsensus
-}
-
-type memberAcc struct {
-	hits, trials int
-	flagged      bool
-}
-
-type qConsensus struct {
-	sum float64
-	n   int
-}
-
-// NewAccuracyWeightedStop returns an AccuracyWeightedStop; zero values
-// select the defaults (floor 0.4, 8 answers, tolerance 0.25).
-func NewAccuracyWeightedStop(floor float64, minAnswers int, tolerance float64) *AccuracyWeightedStop {
-	if floor <= 0 || floor >= 1 {
-		floor = 0.4
-	}
-	if minAnswers <= 0 {
-		minAnswers = 8
-	}
-	if tolerance <= 0 {
-		tolerance = 0.25
-	}
-	return &AccuracyWeightedStop{
-		Floor:      floor,
-		MinAnswers: minAnswers,
-		Tolerance:  tolerance,
-		members:    make(map[string]*memberAcc),
-		questions:  make(map[string]*qConsensus),
-	}
-}
-
-// Name implements StopPolicy.
-func (a *AccuracyWeightedStop) Name() string { return StopAccuracy }
-
-// ObserveAnswer implements StopPolicy: grade the answer against the
-// running consensus of earlier answers to the same question, then fold it
-// into the consensus.
-func (a *AccuracyWeightedStop) ObserveAnswer(questionKey, memberID string, support float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	q := a.questions[questionKey]
-	if q == nil {
-		q = &qConsensus{}
-		a.questions[questionKey] = q
-	}
-	if q.n > 0 {
-		m := a.members[memberID]
-		if m == nil {
-			m = &memberAcc{}
-			a.members[memberID] = m
-		}
-		consensus := q.sum / float64(q.n)
-		diff := support - consensus
-		if diff < 0 {
-			diff = -diff
-		}
-		m.trials++
-		if diff <= a.Tolerance+Eps {
-			m.hits++
-		}
-		if !m.flagged && m.trials >= a.MinAnswers && rateOf(m) < a.Floor {
-			m.flagged = true // flags latch: a spammer stays excluded
-		}
-	}
-	q.sum += support
-	q.n++
-}
-
-// rateOf is the Laplace-smoothed accuracy rate.
-func rateOf(m *memberAcc) float64 {
-	return (float64(m.hits) + 1) / (float64(m.trials) + 2)
-}
-
-// ObserveDiscovery implements StopPolicy (accuracy tracking only consumes
-// answers).
-func (a *AccuracyWeightedStop) ObserveDiscovery(string, string) {}
-
-// ShouldStop implements StopPolicy: the accuracy policy reweights the run
-// instead of ending it.
-func (a *AccuracyWeightedStop) ShouldStop() bool { return false }
-
-// Estimate implements StopPolicy: the mean smoothed accuracy rate over
-// graded members (1 before anyone has been graded — an unexamined crowd
-// is trusted).
-func (a *AccuracyWeightedStop) Estimate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.members) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, m := range a.members {
-		sum += rateOf(m)
-	}
-	return sum / float64(len(a.members))
-}
-
-// Weight implements MemberWeighter: the member's smoothed accuracy rate,
-// 0 when flagged, 0.5 (the uninformed prior) before any grading.
-func (a *AccuracyWeightedStop) Weight(memberID string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.members[memberID]
-	if m == nil {
-		return 0.5
-	}
-	if m.flagged {
-		return 0
-	}
-	return rateOf(m)
-}
-
-// Flagged implements MemberWeighter.
-func (a *AccuracyWeightedStop) Flagged(memberID string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.members[memberID]
-	return m != nil && m.flagged
-}
-
-// Rate returns the member's smoothed accuracy rate (0.5 before any
-// grading), for reports and tests.
-func (a *AccuracyWeightedStop) Rate(memberID string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.members[memberID]
-	if m == nil {
-		return 0.5
-	}
-	return rateOf(m)
-}
-
-// FlaggedMembers returns the flagged member IDs, sorted.
-func (a *AccuracyWeightedStop) FlaggedMembers() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []string
-	for id, m := range a.members {
-		if m.flagged {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Weighted is the accuracy-weighted aggregation black box: like
-// FixedSample it waits for K answers per question, but the verdict
-// compares the weight-averaged support against the threshold, with each
-// member's contribution scaled by W.Weight and flagged members dropped
-// entirely. With a nil W it degenerates to FixedSample's plain mean.
-// Weights are read at verdict time, so a member flagged late loses
-// influence over every still-undecided question at once.
-type Weighted struct {
-	K int
-	W MemberWeighter
-
-	tally
-}
-
-// NewWeighted returns a Weighted aggregator requiring k answers and
-// weighting them by w.
-func NewWeighted(k int, w MemberWeighter) *Weighted {
-	if k < 1 {
-		k = 1
-	}
-	return &Weighted{K: k, W: w}
-}
-
-// weightedMean computes the current weighted mean of a record, iterating
-// members in sorted order so float summation is deterministic. When every
-// weight is zero (the whole sample flagged) it falls back to the plain
-// mean — a degenerate crowd still gets the paper's semantics.
-func (a *Weighted) weightedMean(r *record) float64 {
-	if len(r.byMember) == 0 || a.W == nil {
-		return r.mean()
-	}
-	members := make([]string, 0, len(r.byMember))
-	for m := range r.byMember {
-		members = append(members, m)
-	}
-	sort.Strings(members)
-	num, den := 0.0, 0.0
-	for _, m := range members {
-		if a.W.Flagged(m) {
-			continue
-		}
-		w := a.W.Weight(m)
-		if w <= 0 {
-			continue
-		}
-		num += w * r.byMember[m]
-		den += w
-	}
-	if den <= 0 {
-		return r.mean()
-	}
-	return num / den
-}
-
-// Verdict implements Aggregator.
-func (a *Weighted) Verdict(key string, theta float64) Verdict {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.data[key]
-	if r == nil || len(r.byMember) < a.K {
-		return Undecided
-	}
-	if a.weightedMean(r) >= theta-Eps {
-		return Significant
-	}
-	return Insignificant
-}
-
-// Mean implements Aggregator: the current weighted mean.
-func (a *Weighted) Mean(key string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.data[key]
-	if r == nil {
-		return 0
-	}
-	return a.weightedMean(r)
 }

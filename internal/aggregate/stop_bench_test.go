@@ -35,37 +35,3 @@ func BenchmarkSpeciesEstimate(b *testing.B) {
 		_ = s.Estimate()
 	}
 }
-
-// BenchmarkAccuracyObserve measures consensus grading on the answer
-// recording path.
-func BenchmarkAccuracyObserve(b *testing.B) {
-	a := NewAccuracyWeightedStop(0, 0, 0)
-	keys := make([]string, 128)
-	members := make([]string, 32)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("q%03d", i)
-	}
-	for i := range members {
-		members[i] = fmt.Sprintf("m%02d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ObserveAnswer(keys[i%len(keys)], members[i%len(members)], float64(i%5)/4)
-	}
-}
-
-// BenchmarkWeightedVerdict measures the sorted weighted-mean verdict over
-// a full K-member sample.
-func BenchmarkWeightedVerdict(b *testing.B) {
-	w := NewAccuracyWeightedStop(0, 0, 0)
-	agg := NewWeighted(5, w)
-	for m := 0; m < 5; m++ {
-		mid := fmt.Sprintf("m%02d", m)
-		agg.Record("q", mid, float64(m%2))
-		w.ObserveAnswer("q", mid, float64(m%2))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = agg.Verdict("q", 0.5)
-	}
-}

@@ -201,8 +201,8 @@ func TestStopByName(t *testing.T) {
 	if _, err := StopByName("nope"); err == nil {
 		t.Error("unknown stop policy accepted")
 	}
-	if len(StopNames()) != 3 {
-		t.Errorf("StopNames() = %v, want 3 names", StopNames())
+	if len(StopNames()) != 2 {
+		t.Errorf("StopNames() = %v, want 2 names", StopNames())
 	}
 }
 
@@ -210,139 +210,8 @@ func TestStopByName(t *testing.T) {
 // does nothing.
 func TestThresholdStopInert(t *testing.T) {
 	var s ThresholdStop
-	s.ObserveAnswer("q", "m", 0.5)
 	s.ObserveDiscovery("p", "m")
 	if s.ShouldStop() || s.Estimate() != 0 || s.Name() != StopThreshold {
 		t.Errorf("ThresholdStop not inert: stop=%v est=%v name=%q", s.ShouldStop(), s.Estimate(), s.Name())
-	}
-}
-
-// feedConsensus records one question answered by honest members at
-// honest, then by the graded member at sup — the minimal stream that
-// grades the member once against an established consensus.
-func feedConsensus(a *AccuracyWeightedStop, q string, honest float64, member string, sup float64) {
-	a.ObserveAnswer(q, "h1", honest)
-	a.ObserveAnswer(q, "h2", honest)
-	a.ObserveAnswer(q, member, sup)
-}
-
-// TestAccuracyFlagsDisagreement: a member consistently far from the
-// consensus is flagged once MinAnswers trials accumulate; members inside
-// the tolerance are not.
-func TestAccuracyFlagsDisagreement(t *testing.T) {
-	a := NewAccuracyWeightedStop(0.4, 4, 0.25)
-	for i := 0; i < 6; i++ {
-		q := fmt.Sprintf("q%d", i)
-		feedConsensus(a, q, 0.75, "spam", 0.0) // always disagrees by 0.75
-	}
-	if !a.Flagged("spam") {
-		t.Errorf("disagreeing member not flagged: rate %.3f", a.Rate("spam"))
-	}
-	if a.Weight("spam") != 0 {
-		t.Errorf("flagged member weight = %v, want 0", a.Weight("spam"))
-	}
-	// h1 answered first on every question (no consensus yet), so h2 is the
-	// graded honest member: always within tolerance.
-	if a.Flagged("h2") {
-		t.Errorf("agreeing member flagged: rate %.3f", a.Rate("h2"))
-	}
-	if w := a.Weight("h2"); w <= 0.5 {
-		t.Errorf("agreeing member weight = %v, want > 0.5", w)
-	}
-	if got := a.FlaggedMembers(); len(got) != 1 || got[0] != "spam" {
-		t.Errorf("FlaggedMembers() = %v, want [spam]", got)
-	}
-	if est := a.Estimate(); est <= 0 || est > 1 {
-		t.Errorf("estimate %v outside (0,1]", est)
-	}
-}
-
-// TestAccuracyNeedsMinAnswers: no flag before MinAnswers consensus
-// comparisons, however bad the answers.
-func TestAccuracyNeedsMinAnswers(t *testing.T) {
-	a := NewAccuracyWeightedStop(0.4, 8, 0.25)
-	for i := 0; i < 7; i++ {
-		feedConsensus(a, fmt.Sprintf("q%d", i), 1.0, "spam", 0.0)
-	}
-	if a.Flagged("spam") {
-		t.Error("flagged after 7 trials with MinAnswers=8")
-	}
-	feedConsensus(a, "q8", 1.0, "spam", 0.0)
-	if !a.Flagged("spam") {
-		t.Errorf("not flagged after 8 trials: rate %.3f", a.Rate("spam"))
-	}
-}
-
-// TestAccuracyUngradedDefaults: unseen members carry the uninformed 0.5
-// prior and the policy never ends the run.
-func TestAccuracyUngradedDefaults(t *testing.T) {
-	a := NewAccuracyWeightedStop(0, 0, 0)
-	if a.Floor != 0.4 || a.MinAnswers != 8 || a.Tolerance != 0.25 {
-		t.Errorf("defaults = (%v, %d, %v)", a.Floor, a.MinAnswers, a.Tolerance)
-	}
-	if a.Weight("nobody") != 0.5 || a.Rate("nobody") != 0.5 || a.Flagged("nobody") {
-		t.Error("ungraded member not at the 0.5 prior")
-	}
-	if a.Estimate() != 1 {
-		t.Errorf("ungraded crowd estimate = %v, want 1", a.Estimate())
-	}
-	if a.ShouldStop() {
-		t.Error("accuracy policy must never stop the run")
-	}
-}
-
-// fixedWeights is a test MemberWeighter with explicit weights and flags.
-type fixedWeights struct {
-	w       map[string]float64
-	flagged map[string]bool
-}
-
-func (f fixedWeights) Weight(m string) float64 { return f.w[m] }
-func (f fixedWeights) Flagged(m string) bool   { return f.flagged[m] }
-
-// TestWeightedAggregator: verdicts wait for K answers, weight the mean,
-// drop flagged members, and fall back to the plain mean when the whole
-// sample is flagged.
-func TestWeightedAggregator(t *testing.T) {
-	w := fixedWeights{
-		w:       map[string]float64{"good": 0.9, "meh": 0.3, "bad": 0.8},
-		flagged: map[string]bool{"bad": true},
-	}
-	a := NewWeighted(3, w)
-	if a.Record("q", "good", 1.0) != true || a.Record("q", "good", 0.5) != false {
-		t.Fatal("Record dedup broken")
-	}
-	if v := a.Verdict("q", 0.5); v != Undecided {
-		t.Fatalf("verdict with 1/3 answers = %v", v)
-	}
-	a.Record("q", "meh", 0.0)
-	a.Record("q", "bad", 0.0)
-	// Weighted mean ignores bad: (0.9·1 + 0.3·0)/1.2 = 0.75; plain mean
-	// would be 0.33 — the weighting flips the verdict at θ=0.5.
-	if v := a.Verdict("q", 0.5); v != Significant {
-		t.Errorf("weighted verdict = %v, want significant (mean %v)", v, a.Mean("q"))
-	}
-	if m := a.Mean("q"); math.Abs(m-0.75) > 1e-9 {
-		t.Errorf("weighted mean = %v, want 0.75", m)
-	}
-	if a.Answers("q") != 3 {
-		t.Errorf("answers = %d, want 3", a.Answers("q"))
-	}
-	// All-flagged sample: plain-mean fallback.
-	all := fixedWeights{w: map[string]float64{}, flagged: map[string]bool{"x": true, "y": true}}
-	b := NewWeighted(2, all)
-	b.Record("q", "x", 1.0)
-	b.Record("q", "y", 0.0)
-	if m := b.Mean("q"); math.Abs(m-0.5) > 1e-9 {
-		t.Errorf("all-flagged fallback mean = %v, want 0.5", m)
-	}
-	// Nil weighter degenerates to FixedSample's mean.
-	c := NewWeighted(1, nil)
-	c.Record("q", "x", 0.6)
-	if m := c.Mean("q"); math.Abs(m-0.6) > 1e-9 {
-		t.Errorf("nil-weighter mean = %v, want 0.6", m)
-	}
-	if a.Answers("missing") != 0 || a.Mean("missing") != 0 || a.Verdict("missing", 0.5) != Undecided {
-		t.Error("empty-key accessors broken")
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // TestCompileVariantGrid: every stop name, the empty default included,
 // resolves through one cache entry. A repeated CompileVariant returns the
-// same pointer as a hit, and the three distinct resolved stop policies
-// have three distinct fingerprints.
+// same pointer as a hit, and the two distinct resolved stop policies
+// have two distinct fingerprints.
 func TestCompileVariantGrid(t *testing.T) {
 	s := ontology.NewSample()
 	dom, err := NewDomain(s.Voc, s.Onto)
@@ -20,7 +20,7 @@ func TestCompileVariantGrid(t *testing.T) {
 	}
 	q := oassisql.MustParse(figure3Restricted)
 	byStop := map[string]string{} // resolved stop name -> fingerprint
-	for _, stop := range []string{"", aggregate.StopThreshold, aggregate.StopSpecies, aggregate.StopAccuracy} {
+	for _, stop := range []string{"", aggregate.StopThreshold, aggregate.StopSpecies} {
 		first, _, err := dom.CompileVariant(q, stop, "", nil)
 		if err != nil {
 			t.Fatalf("%q: %v", stop, err)
@@ -38,10 +38,10 @@ func TestCompileVariantGrid(t *testing.T) {
 	for _, fp := range byStop {
 		fps[fp] = true
 	}
-	if len(byStop) != 3 || len(fps) != 3 {
-		t.Errorf("%d resolved stop policies with %d fingerprints, want 3 and 3", len(byStop), len(fps))
+	if len(byStop) != 2 || len(fps) != 2 {
+		t.Errorf("%d resolved stop policies with %d fingerprints, want 2 and 2", len(byStop), len(fps))
 	}
-	if n := dom.Plans().Len(); n != 3 {
-		t.Errorf("cache holds %d plans, want 3", n)
+	if n := dom.Plans().Len(); n != 2 {
+		t.Errorf("cache holds %d plans, want 2", n)
 	}
 }

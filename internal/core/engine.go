@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 
@@ -70,21 +71,26 @@ type Config struct {
 
 	// Stop, when non-nil, is the streaming stop-condition estimator the
 	// run consults between questions (see aggregate.StopPolicy): it
-	// observes every recorded answer and every member's maximal affirmed
-	// pattern, may end the run once its estimate crosses its target
-	// (SpeciesStop), and may grade members online (AccuracyWeightedStop,
-	// whose spammer flags exclude members like the consistency filter
-	// does). nil — and the inert aggregate.ThresholdStop{} — reproduce
-	// the paper's ask-until-settled behavior bit-identically.
+	// observes every member's maximal affirmed pattern and may end the
+	// run once its estimate crosses its target (SpeciesStop). nil — and
+	// the inert aggregate.ThresholdStop{} — reproduce the paper's
+	// ask-until-settled behavior bit-identically.
 	Stop aggregate.StopPolicy
 
-	// SpamMaxViolations, when positive, enables the §4.2 crowd-member
-	// selection: a member whose answers violate support monotonicity (a
-	// more specific fact-set reported more frequent than a more general
-	// one, beyond spamTolerance) more than this many times is excluded
-	// from further questions and their answers are ignored by the
-	// aggregator.
-	SpamMaxViolations int
+	// SpamFilter enables the §4.2 crowd-member selection. When the
+	// aggregator first decides a question, every answer to it is graded
+	// against the consensus — the median of those answers — and scores a
+	// hit when it lies within one scale step (gradeTolerance) of it. All
+	// answers to a question are graded at once against the same
+	// consensus, so a member's grade does not depend on the order in
+	// which the question reached the crowd, and a minority answer cannot
+	// drag an honest majority's consensus off the scale step. A member
+	// whose smoothed accuracy rate (hits+1)/(trials+2) falls below
+	// banFloor after banMinGraded graded answers is banned: the engine
+	// asks them nothing more. Answers they already gave stay recorded and
+	// keep counting in the aggregator. This is the accuracy-rate member
+	// model of Zhang et al. used as a ban only.
+	SpamFilter bool
 
 	// PanelSpeculation, when positive, widens the step-driven Session's
 	// speculation: beyond the current round's node question and the mirror
@@ -125,9 +131,16 @@ const (
 	// maxSpecializationCandidates bounds the choices offered per
 	// specialization question (the UI's auto-completion list).
 	maxSpecializationCandidates = 10
-	// spamTolerance is the slack allowed before an answer pair counts as a
-	// monotonicity violation: one answer-scale step.
-	spamTolerance = 0.25
+	// The spam filter (Config.SpamFilter): an answer within
+	// gradeTolerance (one answer-scale step) of the consensus is a hit,
+	// and a member whose smoothed hit rate falls below banFloor after
+	// banMinGraded graded answers is banned. Honest members grade near 1
+	// against a median consensus; a random five-level spammer lands
+	// within one step of a mid-range consensus about half the time, so
+	// the floor sits above 0.5.
+	gradeTolerance = 0.25
+	banFloor       = 0.6
+	banMinGraded   = 8
 )
 
 // Result is the outcome of a mining run.
@@ -152,6 +165,9 @@ type Result struct {
 	// AnswersByMember counts each member's counted answers — the data
 	// behind the paper's top-20 contributors statistics page (§6.2).
 	AnswersByMember map[string]int
+
+	// Banned lists the members the spam filter banned, in turn order.
+	Banned []string
 }
 
 // engine carries the run state of the vertical multi-user algorithm. All
@@ -204,11 +220,16 @@ type engine struct {
 	answersBy map[string]int // counted answers per member (§6.2 stats page)
 	budgets   []int          // by member index: remaining answers (-1 = unlimited)
 
-	consistency *aggregate.ConsistencyTracker // §4.2 spammer filter (optional)
-	banned      map[string]bool               // members excluded as inconsistent
+	grades []memberGrade // by member index: the spam filter's (nil when off)
 
-	stop  aggregate.StopPolicy     // optional stop-condition estimator
-	stopW aggregate.MemberWeighter // stop's member-grading view, if any
+	stop aggregate.StopPolicy // optional stop-condition estimator
+}
+
+// memberGrade is the spam filter's record of one member: answers graded
+// against a consensus, the hits among them, and whether they are banned.
+type memberGrade struct {
+	trials, hits int
+	banned       bool
 }
 
 type instEntry struct {
@@ -331,19 +352,10 @@ func newEngine(cfg Config, ids []string) *engine {
 	e.cls.onSignificant = func(id uint32) {
 		e.toExpand = append(e.toExpand, id)
 	}
-	if cfg.SpamMaxViolations > 0 {
-		e.consistency = aggregate.NewConsistencyTracker(cfg.Space.Voc, spamTolerance)
-		e.banned = make(map[string]bool)
+	if cfg.SpamFilter {
+		e.grades = make([]memberGrade, len(ids))
 	}
-	if cfg.Stop != nil {
-		e.stop = cfg.Stop
-		if w, ok := cfg.Stop.(aggregate.MemberWeighter); ok {
-			e.stopW = w
-			if e.banned == nil {
-				e.banned = make(map[string]bool)
-			}
-		}
-	}
+	e.stop = cfg.Stop
 	return e
 }
 
@@ -449,10 +461,9 @@ func (e *engine) canceled() bool {
 }
 
 // memberActive reports whether member mi may still be asked questions:
-// they have not left, and neither the consistency filter nor the stop
-// policy has banned them.
+// they have not left, and the spam filter has not banned them.
 func (e *engine) memberActive(mi int) bool {
-	return !e.left[mi] && (e.banned == nil || !e.banned[e.ids[mi]])
+	return !e.left[mi] && (e.grades == nil || !e.grades[mi].banned)
 }
 
 // countAnswer books one counted crowd answer.
@@ -500,8 +511,7 @@ func (e *engine) recordAnswer(node assign.Assignment, qKey string, member string
 	if _, dup := e.cache.Lookup(qKey, member); !dup {
 		e.cache.Record(qKey, member, sup, kind)
 		e.sinkAnswer(qKey, member, sup, kind, counted)
-		e.agg.Record(qKey, member, sup)
-		e.observeStopAnswer(qKey, member, sup)
+		e.tally(qKey, member, sup)
 		if counted {
 			e.uniqueQ[qKey] = struct{}{}
 			e.countAnswer(kind)
@@ -510,32 +520,56 @@ func (e *engine) recordAnswer(node assign.Assignment, qKey string, member string
 			e.stats.FreeAnswers++
 			e.cfg.Metrics.freeAnswer()
 		}
-		if e.consistency != nil && !e.banned[member] {
-			fs, _ := e.instantiate(node)
-			e.consistency.Record(member, fs, sup)
-			if e.consistency.Violations(member) > e.cfg.SpamMaxViolations {
-				e.banned[member] = true
-				e.stats.BannedMembers++
-			}
-		}
 	}
 	e.applyVerdict(node, qKey)
 }
 
-// observeStopAnswer feeds a recorded answer to the stop policy and applies
-// any fresh spammer flag: a flagged member joins the banned set, so
-// memberActive and session eligibility exclude them exactly like the
-// consistency filter's bans.
-func (e *engine) observeStopAnswer(qKey, member string, sup float64) {
-	if e.stop == nil {
+// tally records a member's new answer in the aggregator. With the spam
+// filter on, the answer that makes the aggregator decide the question
+// has the question graded.
+func (e *engine) tally(qKey, member string, sup float64) {
+	grading := e.grades != nil && e.agg.Verdict(qKey, e.cfg.Theta) == aggregate.Undecided
+	e.agg.Record(qKey, member, sup)
+	if grading && e.agg.Verdict(qKey, e.cfg.Theta) != aggregate.Undecided {
+		e.grade(qKey)
+	}
+}
+
+// grade is the spam filter's step for question qKey (see
+// Config.SpamFilter), run once, when the answer just recorded made the
+// aggregator decide it: every member's answer is graded against the
+// median of all the answers to it. A question with a single answer has no
+// consensus and grades nobody.
+func (e *engine) grade(qKey string) {
+	var buf [16]float64
+	ans := buf[:0]
+	for _, id := range e.ids {
+		if s, ok := e.cache.Lookup(qKey, id); ok {
+			ans = append(ans, s)
+		}
+	}
+	n := len(ans)
+	if n < 2 {
 		return
 	}
-	e.stop.ObserveAnswer(qKey, member, sup)
-	e.cfg.Metrics.stopEstimate(e.stop.Name(), e.stop.Estimate())
-	if e.stopW != nil && !e.banned[member] && e.stopW.Flagged(member) {
-		e.banned[member] = true
-		e.stats.SpamFlagged++
-		e.cfg.Metrics.spamFlagged(e.stop.Name())
+	sort.Float64s(ans)
+	consensus := (ans[(n-1)/2] + ans[n/2]) / 2
+	for mi, id := range e.ids {
+		s, ok := e.cache.Lookup(qKey, id)
+		if !ok {
+			continue
+		}
+		g := &e.grades[mi]
+		g.trials++
+		if d := math.Abs(s - consensus); d <= gradeTolerance+aggregate.Eps {
+			g.hits++
+		}
+		rate := float64(g.hits+1) / float64(g.trials+2)
+		if !g.banned && g.trials >= banMinGraded && rate < banFloor {
+			g.banned = true
+			e.stats.BannedMembers++
+			e.cfg.Metrics.memberBanned()
+		}
 	}
 }
 
@@ -730,6 +764,12 @@ func (e *engine) result() *Result {
 	for m, n := range e.answersBy {
 		answersBy[m] = n
 	}
+	var banned []string
+	for mi, g := range e.grades {
+		if g.banned {
+			banned = append(banned, e.ids[mi])
+		}
+	}
 	return &Result{
 		MSPs:            msps,
 		ValidMSPs:       valid,
@@ -738,6 +778,7 @@ func (e *engine) result() *Result {
 		MSPQuestion:     mspQ,
 		InsigMinimal:    len(e.cls.insig),
 		AnswersByMember: answersBy,
+		Banned:          banned,
 	}
 }
 

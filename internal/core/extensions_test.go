@@ -50,7 +50,8 @@ func TestTopKEarlyStop(t *testing.T) {
 	}
 }
 
-// spammer answers randomly, violating support monotonicity.
+// spammer answers randomly, violating support monotonicity. Unlike
+// crowd.RandomSpammer its answers are off the five-level scale.
 type spammer struct {
 	name string
 	rng  *rand.Rand
@@ -69,13 +70,20 @@ func TestSpamFilterBansInconsistentMember(t *testing.T) {
 	// so it participates in every aggregation until caught.
 	members := append([]crowd.Member{&spammer{name: "spam", rng: rand.New(rand.NewSource(3))}},
 		sampleMembers(s)...)
-	res := Run(Config{
-		Space:             sp,
-		Theta:             q.Support,
-		Members:           members,
-		Agg:               aggregate.NewFixedSample(3),
-		SpamMaxViolations: 2,
+	sess := runSession(Config{
+		Space:      sp,
+		Theta:      q.Support,
+		Members:    members,
+		Agg:        aggregate.NewFixedSample(3),
+		SpamFilter: true,
 	})
+	res := sess.res
+	for mi, g := range sess.eng.grades {
+		if g.banned != (mi == 0) {
+			t.Errorf("%s: banned=%v (%d of %d graded answers hit); only the spammer should be",
+				members[mi].ID(), g.banned, g.hits, g.trials)
+		}
+	}
 	if res.Stats.BannedMembers != 1 {
 		t.Fatalf("banned %d members, want 1", res.Stats.BannedMembers)
 	}
@@ -98,33 +106,6 @@ func TestSpamFilterOffByDefault(t *testing.T) {
 	})
 	if res.Stats.BannedMembers != 0 {
 		t.Error("members banned with filter disabled")
-	}
-}
-
-func TestConfidenceAggregatorInEngine(t *testing.T) {
-	// The CI-based aggregator (the SIGMOD'13-style black box) also drives
-	// the engine; with unanimous members it needs no more than MinN
-	// answers per question.
-	s, q, sp := buildSpace(t, figure3Restricted)
-	u1, u2 := crowd.SampleDBs(s)
-	members := []crowd.Member{
-		&crowd.SimMember{Name: "u1", DB: u1, Disc: crowd.Exact},
-		&crowd.SimMember{Name: "u2", DB: u2, Disc: crowd.Exact},
-		&crowd.SimMember{Name: "u3", DB: u1, Disc: crowd.Exact}, // u1's twin
-		&crowd.SimMember{Name: "u4", DB: u2, Disc: crowd.Exact},
-	}
-	res := Run(Config{
-		Space:   sp,
-		Theta:   q.Support,
-		Members: members,
-		Agg:     aggregate.NewConfidence(1.96, 2, 4),
-	})
-	if len(res.ValidMSPs) == 0 {
-		t.Fatal("no MSPs with the confidence aggregator")
-	}
-	got := mspNames(sp, res.ValidMSPs)
-	if !got["y↦{Feed a Monkey}, x↦{Bronx Zoo}"] {
-		t.Errorf("MSPs = %v", got)
 	}
 }
 

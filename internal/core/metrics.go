@@ -35,7 +35,7 @@ type Metrics struct {
 
 	stopEstimates map[string]*obs.Gauge   // by stop-policy name, basis points
 	stopSaveds    map[string]*obs.Counter // questions saved by early stops
-	spamFlaggeds  map[string]*obs.Counter // members flagged below the floor
+	membersBanned *obs.Counter            // members banned by the spam filter
 }
 
 // kindLabels maps QuestionKind to the exposition label value. Speculation
@@ -80,25 +80,23 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		"dispatcher answers collected but never consumed by the engine")
 	m.stopEstimates = make(map[string]*obs.Gauge, len(stopPolicyLabels))
 	m.stopSaveds = make(map[string]*obs.Counter, len(stopPolicyLabels))
-	m.spamFlaggeds = make(map[string]*obs.Counter, len(stopPolicyLabels))
 	for _, name := range stopPolicyLabels {
 		m.stopEstimates[name] = r.Gauge("oassis_engine_stop_estimate_bp",
-			"stop policy estimate (completeness or mean accuracy) in basis points of 1",
+			"stop policy estimate (answer-set completeness) in basis points of 1",
 			obs.L("policy", name))
 		m.stopSaveds[name] = r.Counter("oassis_engine_stop_saved_questions_total",
 			"pool nodes left unclassified by early stops (lower bound on answers saved)",
 			obs.L("policy", name))
-		m.spamFlaggeds[name] = r.Counter("oassis_engine_stop_spam_flagged_total",
-			"members flagged below a stop policy's spammer floor",
-			obs.L("policy", name))
 	}
+	m.membersBanned = r.Counter("oassis_engine_members_banned_total",
+		"members the spam filter banned from further questions")
 	return m
 }
 
 // stopPolicyLabels are the per-policy label values of the stop-policy
 // instruments, one series per registry name.
 var stopPolicyLabels = [...]string{
-	aggregate.StopThreshold, aggregate.StopSpecies, aggregate.StopAccuracy,
+	aggregate.StopThreshold, aggregate.StopSpecies,
 }
 
 // kindIdx clamps a QuestionKind into the per-kind instrument arrays.
@@ -219,13 +217,11 @@ func (m *Metrics) stopSaved(policy string, n int) {
 	}
 }
 
-func (m *Metrics) spamFlagged(policy string) {
+func (m *Metrics) memberBanned() {
 	if m == nil {
 		return
 	}
-	if c := m.spamFlaggeds[policy]; c != nil {
-		c.Inc()
-	}
+	m.membersBanned.Inc()
 }
 
 // strID renders a QuestionID for span attributes.

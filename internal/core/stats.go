@@ -62,15 +62,11 @@ type Stats struct {
 	// crowd was exhausted before the aggregator could decide.
 	ForcedClassifications int
 
-	// BannedMembers counts members excluded by the consistency spam filter
-	// (§4.2 crowd-member selection).
+	// BannedMembers counts members the spam filter banned (Config.
+	// SpamFilter, §4.2 crowd-member selection). A banned member is asked
+	// nothing more; the answers they gave before the ban stay recorded
+	// and keep counting in the aggregator.
 	BannedMembers int
-
-	// SpamFlagged counts members flagged by an accuracy-weighted stop
-	// policy's spammer floor (Config.Stop); like consistency bans, a
-	// flagged member stops receiving questions, and the weighted
-	// aggregator drops their answers.
-	SpamFlagged int
 
 	// StoppedEarly reports that the stop policy ended the run before
 	// every generated node was classified (the species estimator's

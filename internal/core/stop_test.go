@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -12,33 +10,6 @@ import (
 	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
-
-// randomSpammer answers every concrete question with a uniformly random
-// five-level support, ignoring the question entirely.
-type randomSpammer struct {
-	name string
-	rng  *rand.Rand
-}
-
-func (m *randomSpammer) ID() string { return m.name }
-func (m *randomSpammer) Concrete(fact.Set) float64 {
-	return float64(m.rng.Intn(5)) * 0.25
-}
-func (m *randomSpammer) ChooseSpecialization([]fact.Set) crowd.SpecializeResponse {
-	return crowd.DeclineSpecialization()
-}
-func (m *randomSpammer) Irrelevant([]vocab.Term) (vocab.Term, bool) { return vocab.None, false }
-
-// yesSpammer claims full support for everything — the lazy worker who
-// clicks through every question affirmatively.
-type yesSpammer struct{ name string }
-
-func (m *yesSpammer) ID() string                { return m.name }
-func (m *yesSpammer) Concrete(fact.Set) float64 { return 1 }
-func (m *yesSpammer) ChooseSpecialization([]fact.Set) crowd.SpecializeResponse {
-	return crowd.DeclineSpecialization()
-}
-func (m *yesSpammer) Irrelevant([]vocab.Term) (vocab.Term, bool) { return vocab.None, false }
 
 // flipSpammer adversarially inverts the answers an honest member would
 // give, so it is anti-correlated with the crowd consensus.
@@ -71,20 +42,21 @@ func stopTravelDomain(t testing.TB) *synth.Domain {
 }
 
 // TestAccuracyStopFlagsSpammers injects one spammer of each kind into a
-// latency-wrapped synthetic crowd and checks the accuracy policy flags the
-// spammer while leaving every honest member unflagged. The spammer sits
-// right after two honest consensus anchors in member order, so its answers
-// are graded against an honest consensus.
+// latency-wrapped synthetic crowd and checks the spam filter's
+// consensus-accuracy ban stops asking the spammer while leaving every
+// honest member alone. The spammer sits right after two honest consensus
+// anchors in member order, so its answers are graded against an honest
+// consensus.
 func TestAccuracyStopFlagsSpammers(t *testing.T) {
 	cases := []struct {
 		kind string
 		mk   func(honest crowd.Member) crowd.Member
 	}{
 		{"random", func(crowd.Member) crowd.Member {
-			return &randomSpammer{name: "spammer", rng: rand.New(rand.NewSource(7))}
+			return &crowd.RandomSpammer{Name: "spammer", Seed: 7}
 		}},
 		{"always-yes", func(crowd.Member) crowd.Member {
-			return &yesSpammer{name: "spammer"}
+			return &crowd.YesSpammer{Name: "spammer"}
 		}},
 		{"adversarial-flip", func(honest crowd.Member) crowd.Member {
 			return &flipSpammer{name: "spammer", honest: honest}
@@ -102,123 +74,33 @@ func TestAccuracyStopFlagsSpammers(t *testing.T) {
 			for i, m := range members {
 				members[i] = &crowd.Latent{M: m}
 			}
-			// Floor 0.6: graded honest members rate >= 0.84 on this
-			// domain while the random spammer hovers near 0.5 (mid-range
-			// consensus answers give uniform noise a 3-in-5 accidental
-			// agreement); the margin separates cleanly on both sides.
-			stop := aggregate.NewAccuracyWeightedStop(0.6, 5, 0.25)
-			res := Run(Config{
-				Space:   d.Sp,
-				Theta:   0.2,
-				Members: members,
-				Agg:     aggregate.NewWeighted(3, stop),
-				Stop:    stop,
+			sess := runSession(Config{
+				Space:      d.Sp,
+				Theta:      0.2,
+				Members:    members,
+				Agg:        aggregate.NewFixedSample(3),
+				SpamFilter: true,
 			})
-			if !stop.Flagged("spammer") {
-				t.Errorf("%s spammer not flagged (rate %.3f)", tc.kind, stop.Rate("spammer"))
+			res := sess.res
+			if g := sess.eng.grades[2]; !g.banned {
+				t.Errorf("%s spammer not banned (%d of %d graded answers hit)",
+					tc.kind, g.hits, g.trials)
 			}
-			for _, m := range honest {
-				if stop.Flagged(m.ID()) {
-					t.Errorf("honest member %s flagged (rate %.3f)", m.ID(), stop.Rate(m.ID()))
-				}
-			}
-			if res.Stats.SpamFlagged != 1 {
-				t.Errorf("stats.SpamFlagged = %d, want 1", res.Stats.SpamFlagged)
+			if res.Stats.BannedMembers != 1 {
+				t.Errorf("stats.BannedMembers = %d, want 1", res.Stats.BannedMembers)
 			}
 			if len(res.MSPs) == 0 {
-				t.Error("run with flagged spammer mined no MSPs")
+				t.Error("run with a banned spammer mined no MSPs")
 			}
 		})
 	}
 }
 
-// calibrateStop grades members on synthetic calibration questions before a
-// run: honest members answer 0 (alternating who anchors the consensus so
-// both accumulate trials), spammers answer 1.
-func calibrateStop(stop *aggregate.AccuracyWeightedStop, honest, spammers []string, rounds int) {
-	for i := 0; i < rounds; i++ {
-		qk := fmt.Sprintf("calibration-%02d", i)
-		first, second := honest[i%len(honest)], honest[(i+1)%len(honest)]
-		stop.ObserveAnswer(qk, first, 0)
-		stop.ObserveAnswer(qk, second, 0)
-		for _, s := range spammers {
-			stop.ObserveAnswer(qk, s, 1)
-		}
-	}
-}
-
-// TestWeightedMSPsMatchHonestBaseline is satellite 2's correctness claim
-// on the Figure-1 domain: with two always-yes spammers alongside u1 and
-// u2, plain mean aggregation corrupts the mined MSPs (every insignificant
-// set averages to 0.5 >= 0.4), while accuracy-weighted aggregation with a
-// calibrated policy drops the flagged spammers and reproduces exactly the
-// MSPs of the honest two-member baseline.
-func TestWeightedMSPsMatchHonestBaseline(t *testing.T) {
-	baseline := func() map[string]bool {
-		s, q, sp := buildSpace(t, figure3Restricted)
-		res := Run(Config{
-			Space:   sp,
-			Theta:   q.Support,
-			Members: sampleMembers(s),
-			Agg:     aggregate.NewFixedSample(2),
-		})
-		return mspNames(sp, res.MSPs)
-	}()
-
-	// Unweighted control: the spammers corrupt the result.
-	{
-		s, q, sp := buildSpace(t, figure3Restricted)
-		members := append(sampleMembers(s),
-			&yesSpammer{name: "s1"}, &yesSpammer{name: "s2"})
-		res := Run(Config{
-			Space:   sp,
-			Theta:   q.Support,
-			Members: members,
-			Agg:     aggregate.NewFixedSample(4),
-		})
-		if got := mspNames(sp, res.MSPs); fmt.Sprint(got) == fmt.Sprint(baseline) {
-			t.Log("control: plain mean with spammers happened to match baseline")
-		} else {
-			t.Logf("control: plain mean with spammers drifted (%d vs %d MSPs)", len(got), len(baseline))
-		}
-	}
-
-	// Weighted run: calibrated policy, spammers flagged and dropped.
-	s, q, sp := buildSpace(t, figure3Restricted)
-	stop := aggregate.NewAccuracyWeightedStop(0.4, 6, 0.25)
-	calibrateStop(stop, []string{"u1", "u2"}, []string{"s1", "s2"}, 8)
-	if !stop.Flagged("s1") || !stop.Flagged("s2") {
-		t.Fatalf("calibration did not flag the spammers: %v", stop.FlaggedMembers())
-	}
-	members := append(sampleMembers(s),
-		&yesSpammer{name: "s1"}, &yesSpammer{name: "s2"})
-	res := Run(Config{
-		Space:   sp,
-		Theta:   q.Support,
-		Members: members,
-		Agg:     aggregate.NewWeighted(4, stop),
-		Stop:    stop,
-	})
-	got := mspNames(sp, res.MSPs)
-	if len(got) != len(baseline) {
-		t.Fatalf("weighted MSPs = %v, want honest baseline %v", got, baseline)
-	}
-	for k := range baseline {
-		if !got[k] {
-			t.Errorf("weighted run missing honest MSP %s", k)
-		}
-	}
-	if res.Stats.SpamFlagged != 2 {
-		t.Errorf("stats.SpamFlagged = %d, want 2 (both spammers banned in-run)", res.Stats.SpamFlagged)
-	}
-}
-
-// TestStopPolicySharedAcrossSessions shares one accuracy-weighted policy
-// (cross-run member reputation) between 16 concurrent runs: the policy's
-// internal locking must hold up when many engines grade the same members
-// at once.
+// TestStopPolicySharedAcrossSessions shares one species policy between 16
+// concurrent runs: the policy's internal locking must hold up when many
+// engines feed and poll it at once.
 func TestStopPolicySharedAcrossSessions(t *testing.T) {
-	stop := aggregate.NewAccuracyWeightedStop(0, 0, 0)
+	stop := aggregate.NewSpeciesStop(0, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -229,7 +111,7 @@ func TestStopPolicySharedAcrossSessions(t *testing.T) {
 				Space:   d.Sp,
 				Theta:   0.2,
 				Members: d.Members,
-				Agg:     aggregate.NewWeighted(3, stop),
+				Agg:     aggregate.NewFixedSample(3),
 				Stop:    stop,
 			})
 		}()
@@ -237,6 +119,9 @@ func TestStopPolicySharedAcrossSessions(t *testing.T) {
 	wg.Wait()
 	if est := stop.Estimate(); est < 0 || est > 1 {
 		t.Errorf("estimate %v outside [0, 1]", est)
+	}
+	if stop.Observed() == 0 {
+		t.Error("shared policy observed no discoveries")
 	}
 }
 

@@ -97,19 +97,8 @@ func TestCachePolicyVariants(t *testing.T) {
 		t.Errorf("GetOrDerive(default) = %v, %v, %v", p, hit, err)
 	}
 
-	// A second stop variant occupies its own slot.
-	av, hit, err := c.GetOrDerive(base, aggregate.StopAccuracy, m)
-	if err != nil || hit {
-		t.Fatalf("accuracy GetOrDerive: hit=%v err=%v", hit, err)
-	}
-	if av == sv || av.Fingerprint() == sv.Fingerprint() {
-		t.Error("accuracy variant collided with the species variant")
-	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (base, species, accuracy)", c.Len())
-	}
 	// Unknown names never reach the cache.
-	if _, _, err := c.GetOrDerive(base, "nope", m); err == nil || c.Len() != 3 {
+	if _, _, err := c.GetOrDerive(base, "nope", m); err == nil || c.Len() != 2 {
 		t.Errorf("unknown stop policy: err=%v, Len=%d", err, c.Len())
 	}
 }
@@ -135,18 +124,14 @@ func TestCacheOneEntryPerPlan(t *testing.T) {
 	if p, hit, err := c.GetOrDerive(sv, aggregate.StopThreshold, nil); err != nil || !hit || p != base {
 		t.Errorf("threshold from species = %p, hit=%v, err=%v; want base %p as a hit", p, hit, err, base)
 	}
-	av, _, err := c.GetOrDerive(sv, aggregate.StopAccuracy, nil)
-	if err != nil {
-		t.Fatal(err)
+	if p, hit, err := c.GetOrDerive(sv, aggregate.StopSpecies, nil); err != nil || !hit || p != sv {
+		t.Errorf("species from species = %p, hit=%v, err=%v; want species %p as a hit", p, hit, err, sv)
 	}
-	if p, hit, err := c.GetOrDerive(av, aggregate.StopSpecies, nil); err != nil || !hit || p != sv {
-		t.Errorf("species from accuracy = %p, hit=%v, err=%v; want species %p as a hit", p, hit, err, sv)
+	if p, hit, err := c.GetOrDerive(base, aggregate.StopSpecies, nil); err != nil || !hit || p != sv {
+		t.Errorf("species from threshold = %p, hit=%v, err=%v; want species %p as a hit", p, hit, err, sv)
 	}
-	if p, hit, err := c.GetOrDerive(av, aggregate.StopThreshold, nil); err != nil || !hit || p != base {
-		t.Errorf("threshold from accuracy = %p, hit=%v, err=%v; want base %p as a hit", p, hit, err, base)
-	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (base, species, accuracy)", c.Len())
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2 (base, species)", c.Len())
 	}
 	seen := map[string]bool{}
 	for _, p := range c.Plans() {
@@ -155,7 +140,7 @@ func TestCacheOneEntryPerPlan(t *testing.T) {
 		}
 		seen[p.Fingerprint()] = true
 	}
-	if len(seen) != 3 {
-		t.Errorf("Plans lists %d fingerprints, want 3", len(seen))
+	if len(seen) != 2 {
+		t.Errorf("Plans lists %d fingerprints, want 2", len(seen))
 	}
 }

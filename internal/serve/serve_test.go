@@ -274,6 +274,34 @@ func TestServeDrainWakesWaiters(t *testing.T) {
 	}
 }
 
+// TestServePollTimeouts: the poll deadline is armed only when a poll
+// parks, so both ends must still time out — a zero-timeout poll on a
+// tenant with no sessions returns at once, and a parked poll returns once
+// its timeout has elapsed.
+func TestServePollTimeouts(t *testing.T) {
+	s := ontology.NewSample()
+	reg := NewRegistry(Config{})
+	defer reg.Close()
+	tn, err := reg.AddTenant(TenantConfig{Name: "a", Voc: s.Voc, Onto: s.Onto, Members: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Join("ann"); err != nil {
+		t.Fatal(err)
+	}
+	for _, timeout := range []time.Duration{0, 50 * time.Millisecond} {
+		start := time.Now()
+		_, out, err := tn.Poll(context.Background(), "p00", timeout)
+		waited := time.Since(start)
+		if err != nil || out != OutcomeTimeout {
+			t.Fatalf("timeout %v: out=%v err=%v, want %v", timeout, out, err, OutcomeTimeout)
+		}
+		if waited < timeout || waited > timeout+5*time.Second {
+			t.Errorf("timeout %v: poll returned after %v", timeout, waited)
+		}
+	}
+}
+
 // TestServeAdmissionControl covers both shed paths — the global
 // in-flight budget and the per-shard waiter bound — and their typed
 // error plus metrics.

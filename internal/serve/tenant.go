@@ -595,8 +595,9 @@ func (t *Tenant) wait(ctx context.Context, member string, slots int, timeout tim
 	}
 	defer t.reg.release(slots)
 	start := time.Now()
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	// The deadline timer is armed only when the poll first parks, so a
+	// poll that finds a question on its first scan never allocates one.
+	var deadline *time.Timer
 	for {
 		if t.reg.Draining() {
 			t.obs.poll("shutdown")
@@ -614,6 +615,15 @@ func (t *Tenant) wait(ctx context.Context, member string, slots int, timeout tim
 		if t.allDone() {
 			t.obs.poll("done")
 			return OutcomeDone, nil
+		}
+		if deadline == nil {
+			left := timeout - time.Since(start)
+			if left <= 0 {
+				t.obs.poll("timeout")
+				return OutcomeTimeout, nil
+			}
+			deadline = time.NewTimer(left)
+			defer deadline.Stop()
 		}
 		if !home.park() {
 			home.obs.shedShard.Inc()

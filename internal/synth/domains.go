@@ -26,12 +26,50 @@ type DomainConfig struct {
 	YTerms, XTerms int
 	// YDepth/XDepth shape the term trees.
 	YDepth, XDepth int
-	// Members is the crowd size; Transactions the personal-history length.
+	// Members is the honest crowd size; Transactions the personal-history
+	// length.
 	Members, Transactions int
 	// Patterns is the number of planted habit patterns; their popularity
 	// decays geometrically so that threshold sweeps change the MSP count.
 	Patterns int
 	Seed     int64
+	// Spammers is the number of spammer members NewCrowd appends after
+	// the Members honest ones; Spam picks their kind.
+	Spammers int
+	Spam     SpamKind
+}
+
+// SpamKind selects the spammers of a generated crowd.
+type SpamKind int
+
+// Spammer kinds: random five-level answers, always-yes answers, or both
+// (spammer i is random or always-yes by the parity of i + Seed, so a
+// seed sweep sees each kind equally often even with one spammer).
+const (
+	SpamRandom SpamKind = iota
+	SpamYes
+	SpamMixed
+)
+
+// SpamHonest is the honest crowd size of SpamDomain.
+const SpamHonest = 8
+
+// SpamDomain generates one point of the spam sweep: a travel-shaped
+// domain with SpamHonest honest members, `patterns` planted patterns and
+// `spammers` spammers of kind, its crowd shuffled by seed so that
+// spammers and honest members interleave differently per seed.
+func SpamDomain(seed int64, patterns, spammers int, kind SpamKind) (*Domain, error) {
+	d, err := GenerateDomain(DomainConfig{
+		Name: "spam", YTerms: 30, XTerms: 10, YDepth: 4, XDepth: 3,
+		Members: SpamHonest, Transactions: 12, Patterns: patterns, Seed: seed,
+		Spammers: spammers, Spam: kind,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ms := d.Members
+	rand.New(rand.NewSource(seed)).Shuffle(len(ms), func(a, b int) { ms[a], ms[b] = ms[b], ms[a] })
+	return d, nil
 }
 
 // Domain is a generated domain workload.
@@ -250,6 +288,18 @@ func (d *Domain) NewCrowd() []crowd.Member {
 			Theta:          0.2,
 			Rng:            mRng,
 		})
+	}
+	for i := 0; i < cfg.Spammers; i++ {
+		name := fmt.Sprintf("%s-s%03d", cfg.Name, i)
+		kind := cfg.Spam
+		if kind == SpamMixed {
+			kind = SpamKind((int64(i) + cfg.Seed) & 1)
+		}
+		if kind == SpamYes {
+			members = append(members, &crowd.YesSpammer{Name: name})
+		} else {
+			members = append(members, &crowd.RandomSpammer{Name: name, Seed: cfg.Seed + int64(i)*104729 + 2})
+		}
 	}
 	return members
 }

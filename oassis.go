@@ -545,17 +545,17 @@ type Stats struct {
 	// StoreErrors counts failed writes to a WithStore store; non-zero
 	// means the store is missing records (the run itself kept going).
 	StoreErrors int
-	// SpamFlagged counts members the StopAccuracy policy flagged below
-	// its spammer floor (flagged members stop receiving questions and
-	// their answers lose aggregation weight).
-	SpamFlagged int
+	// BannedMembers counts members the WithSpamFilter filter banned. A
+	// banned member is asked nothing more; the answers they gave before
+	// the ban still count.
+	BannedMembers int
 	// StoppedEarly reports that the stop policy ended the run before
 	// every generated pattern was classified (the StopSpecies coverage
 	// target was reached).
 	StoppedEarly bool
 	// StopEstimate is the stop policy's final estimate in [0, 1]:
-	// answer-set completeness for StopSpecies, mean member accuracy for
-	// StopAccuracy, 0 under the default threshold policy.
+	// answer-set completeness for StopSpecies, 0 under the default
+	// threshold policy.
 	StopEstimate float64
 	// StopSettled counts patterns an early stop classified from answers
 	// already in hand (the frontier settlement pass) instead of asking
@@ -591,7 +591,7 @@ type options struct {
 	maxPerMember        int
 	moreCandidates      []Triple
 	topK                int
-	spamMaxViolations   int
+	spamFilter          bool
 	stopPolicy          string
 	parallelism         int
 	panelSize           int
@@ -640,12 +640,13 @@ func WithMoreCandidates(ts ...Triple) Option {
 // confirmed (the incremental top-k extension of the paper's Section 8).
 func WithTopK(k int) Option { return func(o *options) { o.topK = k } }
 
-// WithSpamFilter enables the consistency-based crowd-member filter of
-// Section 4.2: members whose answers violate support monotonicity more than
-// maxViolations times (beyond a one-scale-step tolerance) are excluded from
-// further questions.
-func WithSpamFilter(maxViolations int) Option {
-	return func(o *options) { o.spamMaxViolations = maxViolations }
+// WithSpamFilter enables the crowd-member filter of Section 4.2: once a
+// question is decided, every answer to it is graded against the median
+// answer, and a member whose answers too rarely agree with it (within one
+// scale step) is banned from further questions. Answers a banned member
+// already gave still count.
+func WithSpamFilter() Option {
+	return func(o *options) { o.spamFilter = true }
 }
 
 // Stop-policy names for WithStopPolicy.
@@ -659,14 +660,10 @@ const (
 	// patterns ends the run once estimated answer-set completeness
 	// crosses its target.
 	StopSpecies = aggregate.StopSpecies
-	// StopAccuracy grades members online against the running consensus:
-	// answers are aggregation-weighted by each member's accuracy rate,
-	// and members below the spammer floor are excluded.
-	StopAccuracy = aggregate.StopAccuracy
 )
 
 // WithStopPolicy selects the streaming stop-condition policy of the run:
-// StopThreshold (default), StopSpecies or StopAccuracy. The policy is
+// StopThreshold (default) or StopSpecies. The policy is
 // part of the compiled plan — plans with different stop policies have
 // different fingerprints, so the plan cache and a WithStore WAL keep
 // them apart. An unknown name is reported as ErrInvalidOption.
@@ -763,16 +760,10 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		MaxQuestions:          o.maxQuestions,
 		MaxQuestionsPerMember: o.maxPerMember,
 		MaxMSPs:               o.topK,
-		SpamMaxViolations:     o.spamMaxViolations,
+		SpamFilter:            o.spamFilter,
 		PanelSpeculation:      o.panelSize,
 		Stop:                  stop,
 		Rng:                   rand.New(rand.NewSource(o.seed)),
-	}
-	if w, ok := stop.(aggregate.MemberWeighter); ok {
-		// A member-grading policy pairs with the weighted aggregator: the
-		// two share the accuracy tracker, so flags and weights take effect
-		// in the verdicts immediately.
-		cfg.Agg = aggregate.NewWeighted(o.answersPerQuestion, w)
 	}
 	if o.store != nil {
 		cfg.Store = o.store.inner
@@ -811,7 +802,7 @@ func convertResult(db *DB, all bool, sp *assign.Space, res *core.Result) *Result
 		GeneratedNodes:   res.Stats.GeneratedNodes,
 		PrimedAnswers:    res.Stats.PrimedAnswers,
 		StoreErrors:      res.Stats.StoreErrors,
-		SpamFlagged:      res.Stats.SpamFlagged,
+		BannedMembers:    res.Stats.BannedMembers,
 		StoppedEarly:     res.Stats.StoppedEarly,
 		StopEstimate:     res.Stats.StopEstimate,
 		StopSettled:      res.Stats.StopSettled,

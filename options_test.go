@@ -148,17 +148,50 @@ func TestSpamFilterOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A member whose answers invert monotonicity: generalities never,
-	// specifics always.
-	members := append([]Member{&invertedMember{}}, table3Members(t, db)...)
+	// A member whose answers alternate between never and always, whatever
+	// the question, answering before the two honest members.
+	inv := &invertedMember{}
+	members := []Member{inv}
+	for _, m := range table3Members(t, db) {
+		members = append(members, &askCounter{Member: m})
+	}
 	res, err := Exec(db, q, members,
 		WithAnswersPerQuestion(3),
-		WithSpamFilter(2),
+		WithSpamFilter(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res // the run must terminate; banning is logged in internal stats
+	if res.Stats.BannedMembers != 1 {
+		t.Fatalf("BannedMembers = %d, want 1 (the inverted member)", res.Stats.BannedMembers)
+	}
+	// Banned members are asked nothing more: the one ban must have cut
+	// the inverted member short of both honest members.
+	for _, m := range members[1:] {
+		if h := m.(*askCounter); inv.n >= h.n {
+			t.Errorf("inverted member asked %d questions, honest %s %d: an honest member was banned",
+				inv.n, h.ID(), h.n)
+		}
+	}
+	plain, err := Exec(db, q, []Member{&invertedMember{}, members[1], members[2]},
+		WithAnswersPerQuestion(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats.BannedMembers != 0 {
+		t.Errorf("BannedMembers = %d without the filter", plain.Stats.BannedMembers)
+	}
+}
+
+// askCounter counts the concrete questions its member is asked.
+type askCounter struct {
+	Member
+	n int
+}
+
+func (m *askCounter) HowOften(facts []Triple) float64 {
+	m.n++
+	return m.Member.HowOften(facts)
 }
 
 type invertedMember struct{ n int }

@@ -93,7 +93,7 @@ func TestCompileVariantsWithoutPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stop := range []string{"", StopThreshold, StopSpecies, StopAccuracy} {
+	for _, stop := range []string{"", StopThreshold, StopSpecies} {
 		cached, err := Compile(db, q, WithStopPolicy(stop))
 		if err != nil {
 			t.Fatalf("%q: %v", stop, err)
