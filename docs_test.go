@@ -78,3 +78,39 @@ func extractBlocks(doc, lang string) []string {
 	}
 	return out
 }
+
+// TestBaselineRefreshCommandsAgree keeps DESIGN.md's baseline-refresh
+// command equal, up to whitespace, to the one in the Makefile's
+// bench-compare comment, so the two cannot drift apart silently.
+func TestBaselineRefreshCommandsAgree(t *testing.T) {
+	var cmds [2]string
+	for i, path := range []string{"DESIGN.md", "Makefile"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd, ok := refreshCommand(string(data))
+		if !ok {
+			t.Fatalf("%s: no baseline-refresh command (go run ./cmd/oassis-bench -exp … -out BENCH_baseline.json)", path)
+		}
+		cmds[i] = cmd
+	}
+	if cmds[0] != cmds[1] {
+		t.Errorf("baseline-refresh commands differ:\n  DESIGN.md: %s\n  Makefile:  %s", cmds[0], cmds[1])
+	}
+}
+
+// refreshCommand extracts the first `go run ./cmd/oassis-bench -exp …
+// -out BENCH_baseline.json` command from doc, whitespace normalized.
+func refreshCommand(doc string) (string, bool) {
+	const start, end = "go run ./cmd/oassis-bench -exp", "-out BENCH_baseline.json"
+	i := strings.Index(doc, start)
+	if i < 0 {
+		return "", false
+	}
+	j := strings.Index(doc[i:], end)
+	if j < 0 {
+		return "", false
+	}
+	return strings.Join(strings.Fields(doc[i:i+j+len(end)]), " "), true
+}

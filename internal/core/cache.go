@@ -1,20 +1,15 @@
 package core
 
-import (
-	"oassis/internal/crowd"
-	"oassis/internal/fact"
-	"oassis/internal/vocab"
-)
-
 // Cache is the CrowdCache of the paper's architecture (§6.1): it records
 // every answer collected from the crowd, keyed by question fact-set and
-// member. Cached answers are independent of the support threshold, so a
-// query can be re-evaluated for a different threshold by replaying the cache
-// (§6.3) — CachedMember wraps the cache as a crowd member for that purpose.
+// member, and is the run's only per-question answer state — the
+// aggregation rule decides a question from its entry's count and sum.
+// Cached answers are independent of the support threshold, so a query can
+// be re-evaluated for a different threshold by priming a run with the
+// cache (Config.Prime, §6.3).
 type Cache struct {
-	answers map[string]map[string]float64 // question key -> member -> support
-	keys    map[string]string             // question key interning (one copy per key)
-	order   []CachedAnswer                // insertion order, for inspection
+	entries map[string]*entry // question key -> its answers
+	n       int               // recorded answers
 
 	// memberHint sizes each per-question member map at creation: in a run
 	// every member eventually answers most questions, so allocating for the
@@ -22,12 +17,40 @@ type Cache struct {
 	memberHint int
 }
 
-// CachedAnswer is one recorded answer.
-type CachedAnswer struct {
-	QuestionKey string
-	Member      string
-	Support     float64
-	Kind        QuestionKind
+// entry is one question's record: each member's first answer, their sum
+// accumulated in recording order (so means are reproducible bit for bit),
+// and whether the run asked the question — a counted answer or a
+// specialization choice named it (Stats.UniqueQuestions).
+type entry struct {
+	byMember map[string]float64
+	sum      float64
+	asked    bool
+}
+
+// answers reports how many members answered the question (0 for the nil
+// entry of a question nobody answered).
+func (q *entry) answers() int {
+	if q == nil {
+		return 0
+	}
+	return len(q.byMember)
+}
+
+// support returns member's recorded answer to the question.
+func (q *entry) support(member string) (float64, bool) {
+	if q == nil {
+		return 0, false
+	}
+	s, ok := q.byMember[member]
+	return s, ok
+}
+
+// mean is the plain average answer (0 with no answers).
+func (q *entry) mean() float64 {
+	if q.answers() == 0 {
+		return 0
+	}
+	return q.sum / float64(len(q.byMember))
 }
 
 // NewCache returns an empty cache.
@@ -36,91 +59,39 @@ func NewCache() *Cache { return NewCacheSized(0) }
 // NewCacheSized returns an empty cache whose per-question member maps are
 // preallocated for memberHint members (the crowd size of the run feeding it).
 func NewCacheSized(memberHint int) *Cache {
-	return &Cache{
-		answers:    make(map[string]map[string]float64),
-		keys:       make(map[string]string),
-		memberHint: memberHint,
-	}
+	return &Cache{entries: make(map[string]*entry), memberHint: memberHint}
 }
 
 // Record stores an answer; re-recording the same (question, member) pair is
-// ignored. The question key is interned so the cache retains one copy of each
-// key string instead of one per recorded answer.
-func (c *Cache) Record(qKey, member string, support float64, kind QuestionKind) {
-	if k, ok := c.keys[qKey]; ok {
-		qKey = k
-	} else {
-		c.keys[qKey] = qKey
+// ignored.
+func (c *Cache) Record(qKey, member string, support float64) { c.record(qKey, member, support) }
+
+// record stores an answer and returns the question's entry, reporting
+// whether the answer was new.
+func (c *Cache) record(qKey, member string, support float64) (*entry, bool) {
+	q := c.entries[qKey]
+	if q == nil {
+		q = &entry{byMember: make(map[string]float64, c.memberHint)}
+		c.entries[qKey] = q
 	}
-	byMember := c.answers[qKey]
-	if byMember == nil {
-		byMember = make(map[string]float64, c.memberHint)
-		c.answers[qKey] = byMember
+	if _, dup := q.byMember[member]; dup {
+		return q, false
 	}
-	if _, dup := byMember[member]; dup {
-		return
-	}
-	byMember[member] = support
-	c.order = append(c.order, CachedAnswer{QuestionKey: qKey, Member: member, Support: support, Kind: kind})
+	q.byMember[member] = support
+	q.sum += support
+	c.n++
+	return q, true
 }
+
+// question returns the question's entry, nil when nobody answered it.
+// Like Lookup it never writes, so a finished run's cache can prime
+// concurrent runs.
+func (c *Cache) question(qKey string) *entry { return c.entries[qKey] }
 
 // Lookup returns the recorded answer of member for the question.
 func (c *Cache) Lookup(qKey, member string) (float64, bool) {
-	s, ok := c.answers[qKey][member]
-	return s, ok
-}
-
-// Members returns the distinct member IDs appearing in the cache, in first-
-// answer order.
-func (c *Cache) Members() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range c.order {
-		if !seen[a.Member] {
-			seen[a.Member] = true
-			out = append(out, a.Member)
-		}
-	}
-	return out
+	return c.entries[qKey].support(member)
 }
 
 // Len reports the number of recorded answers.
-func (c *Cache) Len() int { return len(c.order) }
-
-// Answers returns the recorded answers in insertion order.
-func (c *Cache) Answers() []CachedAnswer { return c.order }
-
-// CachedMember replays a member's cached answers: concrete questions are
-// answered from the cache (with Misses counting questions the original run
-// never asked this member), specialization questions are declined, and no
-// pruning clicks are offered — matching the paper's replay methodology,
-// which counts only the cached answers the algorithm actually uses (§6.3).
-type CachedMember struct {
-	Name   string
-	Cache  *Cache
-	Misses int
-	Hits   int
-}
-
-// ID implements crowd.Member.
-func (m *CachedMember) ID() string { return m.Name }
-
-// Concrete implements crowd.Member.
-func (m *CachedMember) Concrete(fs fact.Set) float64 {
-	if s, ok := m.Cache.Lookup(fs.Key(), m.Name); ok {
-		m.Hits++
-		return s
-	}
-	m.Misses++
-	return 0
-}
-
-// ChooseSpecialization implements crowd.Member by declining.
-func (m *CachedMember) ChooseSpecialization([]fact.Set) crowd.SpecializeResponse {
-	return crowd.DeclineSpecialization()
-}
-
-// Irrelevant implements crowd.Member by never pruning.
-func (m *CachedMember) Irrelevant([]vocab.Term) (vocab.Term, bool) {
-	return vocab.None, false
-}
+func (c *Cache) Len() int { return c.n }

@@ -22,8 +22,10 @@ type Config struct {
 	// aggregator reproduces the single-user vertical algorithm of §4.1.
 	Members []crowd.Member
 
-	// Agg decides overall significance; nil means aggregate.NewFixedSample(1).
-	Agg aggregate.Aggregator
+	// Agg decides overall significance from each question's answers in
+	// the run's CrowdCache; nil means aggregate.NewFixedSample(1). It is a
+	// stateless rule, so one Config can drive any number of runs.
+	Agg *aggregate.FixedSample
 
 	// SpecializationRatio is the probability of posing a specialization
 	// question instead of concrete questions while descending (§4.1, §6.4).
@@ -177,7 +179,7 @@ type Result struct {
 type engine struct {
 	cfg Config
 	sp  *assign.Space
-	agg aggregate.Aggregator
+	agg *aggregate.FixedSample
 	ns  *nodeStore
 	cls *classifier
 
@@ -197,8 +199,7 @@ type engine struct {
 
 	pruned     map[string][]vocab.Term // member -> pruned terms
 	stats      Stats
-	cache      *Cache // the CrowdCache, which is also the member answer memo
-	uniqueQ    map[string]struct{}
+	cache      *Cache         // the CrowdCache: the member answer memo and the aggregator's input
 	mspLog     map[string]int // chain maxima -> question count at discovery
 	newAnswers int            // answers recorded in the current round
 
@@ -217,8 +218,8 @@ type engine struct {
 	inst   []instEntry // by id: instantiation + question key memo
 	instOK []bool
 
-	answersBy map[string]int // counted answers per member (§6.2 stats page)
-	budgets   []int          // by member index: remaining answers (-1 = unlimited)
+	answersBy []int // by member index: counted answers (§6.2 stats page)
+	budgets   []int // by member index: remaining answers (-1 = unlimited)
 
 	grades []memberGrade // by member index: the spam filter's (nil when off)
 
@@ -312,9 +313,9 @@ func memberIDs(ms []crowd.Member) []string {
 // newEngine returns an engine over the crowd with the given member IDs,
 // positioned before its first round.
 func newEngine(cfg Config, ids []string) *engine {
-	agg := cfg.Agg
-	if agg == nil {
-		agg = aggregate.NewFixedSample(1)
+	agg := aggregate.NewFixedSample(1)
+	if cfg.Agg != nil {
+		agg = aggregate.NewFixedSample(cfg.Agg.K)
 	}
 	ns := newNodeStore()
 	e := &engine{
@@ -325,9 +326,8 @@ func newEngine(cfg Config, ids []string) *engine {
 		cls:       newClassifierOn(cfg.Space, ns),
 		pruned:    make(map[string][]vocab.Term),
 		cache:     NewCacheSized(len(ids)),
-		uniqueQ:   make(map[string]struct{}),
 		mspLog:    make(map[string]int),
-		answersBy: make(map[string]int),
+		answersBy: make([]int, len(ids)),
 		ids:       ids,
 		left:      make([]bool, len(ids)),
 		budgets:   make([]int, len(ids)),
@@ -428,7 +428,7 @@ func (e *engine) pickUnclassified(answeredOnly bool) (assign.Assignment, bool) {
 		}
 		n := e.ns.node(id)
 		if answeredOnly {
-			if _, qKey := e.instantiate(n); e.agg.Answers(qKey) == 0 {
+			if _, qKey := e.instantiate(n); e.cache.question(qKey).answers() == 0 {
 				continue
 			}
 		}
@@ -503,48 +503,46 @@ func (e *engine) pruneHit(member string, fs fact.Set) bool {
 	return false
 }
 
-// recordAnswer stores a member's first answer to a question in the
-// CrowdCache and the aggregator, then updates the node classification
-// from the verdict.
-func (e *engine) recordAnswer(node assign.Assignment, qKey string, member string,
+// recordAnswer stores member mi's first answer to a question in the
+// CrowdCache, then updates the node classification from the verdict.
+func (e *engine) recordAnswer(node assign.Assignment, qKey string, mi int,
 	sup float64, kind QuestionKind, counted bool) {
-	if _, dup := e.cache.Lookup(qKey, member); !dup {
-		e.cache.Record(qKey, member, sup, kind)
+	member := e.ids[mi]
+	q, isNew := e.cache.record(qKey, member, sup)
+	if isNew {
 		e.sinkAnswer(qKey, member, sup, kind, counted)
-		e.tally(qKey, member, sup)
+		e.tally(q)
 		if counted {
-			e.uniqueQ[qKey] = struct{}{}
+			q.asked = true
 			e.countAnswer(kind)
-			e.answersBy[member]++
+			e.answersBy[mi]++
 		} else {
 			e.stats.FreeAnswers++
 			e.cfg.Metrics.freeAnswer()
 		}
 	}
-	e.applyVerdict(node, qKey)
+	e.applyVerdict(node, q)
 }
 
-// tally records a member's new answer in the aggregator. With the spam
-// filter on, the answer that makes the aggregator decide the question
-// has the question graded.
-func (e *engine) tally(qKey, member string, sup float64) {
-	grading := e.grades != nil && e.agg.Verdict(qKey, e.cfg.Theta) == aggregate.Undecided
-	e.agg.Record(qKey, member, sup)
-	if grading && e.agg.Verdict(qKey, e.cfg.Theta) != aggregate.Undecided {
-		e.grade(qKey)
+// tally runs the spam filter's grading for a question that just received
+// a new answer: a FixedSample question is undecided until its K-th
+// answer, so that answer is the one that decides it and has it graded.
+func (e *engine) tally(q *entry) {
+	if e.grades != nil && q.answers() == e.agg.K {
+		e.grade(q)
 	}
 }
 
-// grade is the spam filter's step for question qKey (see
+// grade is the spam filter's step for question q (see
 // Config.SpamFilter), run once, when the answer just recorded made the
 // aggregator decide it: every member's answer is graded against the
 // median of all the answers to it. A question with a single answer has no
 // consensus and grades nobody.
-func (e *engine) grade(qKey string) {
+func (e *engine) grade(q *entry) {
 	var buf [16]float64
 	ans := buf[:0]
 	for _, id := range e.ids {
-		if s, ok := e.cache.Lookup(qKey, id); ok {
+		if s, ok := q.support(id); ok {
 			ans = append(ans, s)
 		}
 	}
@@ -555,7 +553,7 @@ func (e *engine) grade(qKey string) {
 	sort.Float64s(ans)
 	consensus := (ans[(n-1)/2] + ans[n/2]) / 2
 	for mi, id := range e.ids {
-		s, ok := e.cache.Lookup(qKey, id)
+		s, ok := q.support(id)
 		if !ok {
 			continue
 		}
@@ -602,8 +600,10 @@ func (e *engine) confirmedMSPs() int {
 	return n
 }
 
-func (e *engine) applyVerdict(node assign.Assignment, qKey string) {
-	switch e.agg.Verdict(qKey, e.cfg.Theta) {
+// applyVerdict classifies node from the aggregator's verdict on its
+// question q.
+func (e *engine) applyVerdict(node assign.Assignment, q *entry) {
+	switch e.agg.Verdict(q.answers(), q.sum, e.cfg.Theta) {
 	case aggregate.Significant:
 		if e.cls.status(node) != Significant {
 			e.cls.markSignificant(node)
@@ -690,11 +690,11 @@ func (e *engine) specializeCoin() bool {
 	return e.cfg.Rng.Float64() < r
 }
 
-// forceClassify decides a node from the aggregator's current mean.
+// forceClassify decides a node from the current mean of its answers.
 func (e *engine) forceClassify(node assign.Assignment) {
 	_, qKey := e.instantiate(node)
 	e.stats.ForcedClassifications++
-	if e.agg.Mean(qKey) >= e.cfg.Theta-aggregate.Eps && e.agg.Answers(qKey) > 0 {
+	if q := e.cache.question(qKey); q.answers() > 0 && q.mean() >= e.cfg.Theta-aggregate.Eps {
 		e.cls.markSignificant(node)
 		e.sinkClassified(node, true)
 		e.recordChainMax(node)
@@ -726,7 +726,12 @@ func (e *engine) settleFrontier() {
 
 // result finalizes the run.
 func (e *engine) result() *Result {
-	e.stats.UniqueQuestions = len(e.uniqueQ)
+	e.stats.UniqueQuestions = 0
+	for _, q := range e.cache.entries {
+		if q.asked {
+			e.stats.UniqueQuestions++
+		}
+	}
 	if e.stop != nil {
 		e.stats.StopEstimate = e.stop.Estimate()
 		if e.stats.StoppedEarly {
@@ -761,8 +766,10 @@ func (e *engine) result() *Result {
 		}
 	}
 	answersBy := make(map[string]int, len(e.answersBy))
-	for m, n := range e.answersBy {
-		answersBy[m] = n
+	for mi, n := range e.answersBy {
+		if n > 0 {
+			answersBy[e.ids[mi]] += n
+		}
 	}
 	var banned []string
 	for mi, g := range e.grades {

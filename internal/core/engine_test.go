@@ -287,31 +287,6 @@ func TestThresholdReplay(t *testing.T) {
 	}
 }
 
-func TestCachedMemberFallback(t *testing.T) {
-	s, _, sp := buildSpace(t, figure3Restricted)
-	low := Run(Config{Space: sp, Theta: 0.2, Members: sampleMembers(s),
-		Agg: aggregate.NewFixedSample(2)})
-	cm := &CachedMember{Name: "u1", Cache: low.Cache}
-	// A question asked at theta 0.2 hits; a made-up one misses with 0.
-	asked := sp.Instantiate(sp.Singleton(s.T("Activity"), s.T("Attraction")))
-	if cm.Concrete(asked) <= 0 || cm.Hits != 1 {
-		t.Error("cached answer not served")
-	}
-	never := fact.Set{s.Fact("Swimming", "doAt", "Madison Square")}
-	if cm.Concrete(never) != 0 || cm.Misses != 1 {
-		t.Error("miss not recorded")
-	}
-	if r := cm.ChooseSpecialization(nil); r.Chosen || !r.Declined {
-		t.Error("cached member should decline specializations")
-	}
-	if _, ok := cm.Irrelevant(nil); ok {
-		t.Error("cached member should not prune")
-	}
-	if cm.ID() != "u1" {
-		t.Error("ID wrong")
-	}
-}
-
 func TestQuestionsDecreaseWithThreshold(t *testing.T) {
 	// The paper observes that the number of questions generally decreases
 	// as the threshold rises (fewer MSPs, more pruning); the trend is not

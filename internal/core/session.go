@@ -540,8 +540,8 @@ func bySubmissionID(a, b Submission) int { return cmp.Compare(a.ID, b.ID) }
 // are. It is how prior sources derive best guesses from the crowd state
 // without reaching into the engine.
 func (s *Session) AggregateHint(fs fact.Set) (mean float64, answers int) {
-	key := fs.Key()
-	return s.eng.agg.Mean(key), s.eng.agg.Answers(key)
+	q := s.eng.cache.question(fs.Key())
+	return q.mean(), q.answers()
 }
 
 // Leave ends a member's participation: the engine stops asking them, their

@@ -9,10 +9,10 @@ import "oassis/internal/assign"
 // expensive to discard over a disk hiccup — but is counted in
 // Stats.StoreErrors so callers can surface it.
 type Sink interface {
-	// AppendAnswer records one crowd answer exactly as the CrowdCache
-	// sees it: the question key, the member, the reported support, the
-	// question kind, and whether the answer was counted toward the run's
-	// question statistics.
+	// AppendAnswer records one crowd answer as the engine enters it in
+	// the CrowdCache — the question key, the member and the reported
+	// support — plus the question kind and whether the answer was
+	// counted toward the run's question statistics.
 	AppendAnswer(question, member string, support float64, kind QuestionKind, counted bool) error
 	// AppendClassification records that a lattice node (by key) was
 	// explicitly classified significant or insignificant.

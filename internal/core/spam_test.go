@@ -67,21 +67,22 @@ func (o *gradeOracle) observe(key, member string, sup float64) {
 	}
 }
 
-// oracleAgg is the FixedSample the engine aggregates with, extended to
-// feed every recorded answer to the oracle. Each Record first runs check:
-// the engine grades a question right after the Record that decides it, so
-// at the next Record both graders have seen the same answers.
-type oracleAgg struct {
-	*aggregate.FixedSample
+// oracleSink is a Sink feeding every recorded answer to the oracle. Each
+// answer first runs check: the engine sinks an answer right before the
+// grading it may trigger, so at the next answer both graders have seen
+// the same answers.
+type oracleSink struct {
 	oracle *gradeOracle
 	check  func()
 }
 
-func (a *oracleAgg) Record(key, member string, support float64) bool {
-	a.check()
-	a.oracle.observe(key, member, support)
-	return a.FixedSample.Record(key, member, support)
+func (o *oracleSink) AppendAnswer(key, member string, support float64, _ QuestionKind, _ bool) error {
+	o.check()
+	o.oracle.observe(key, member, support)
+	return nil
 }
+
+func (o *oracleSink) AppendClassification(string, bool) error { return nil }
 
 // spamSweepDomain is the spam experiment's domain (seed, patterns) with n
 // spammers of kind.
@@ -104,30 +105,30 @@ func TestSpamBanMatchesOracle(t *testing.T) {
 			name := fmt.Sprintf("seed%d/kind%d", seed, kind)
 			d := spamSweepDomain(t, seed, 6, 3, kind)
 			ms := d.Members
-			agg := &oracleAgg{FixedSample: aggregate.NewFixedSample(5), oracle: newGradeOracle(5)}
+			sink := &oracleSink{oracle: newGradeOracle(5)}
 			var s *Session
 			answers := 0
-			agg.check = func() {
+			sink.check = func() {
 				if s == nil {
 					t.Fatalf("%s: answer recorded before the session started", name)
 				}
 				for mi, id := range s.eng.ids {
-					if s.eng.grades[mi].banned != agg.oracle.flags[id] {
+					if s.eng.grades[mi].banned != sink.oracle.flags[id] {
 						t.Fatalf("%s: after answer %d, %s banned=%v, oracle flagged=%v",
-							name, answers, id, s.eng.grades[mi].banned, agg.oracle.flags[id])
+							name, answers, id, s.eng.grades[mi].banned, sink.oracle.flags[id])
 					}
 				}
 				answers++
 			}
 			s = NewSession(Config{
-				Space: d.Sp, Theta: 0.2, Members: ms, Agg: agg,
-				MaxQuestions: 2000, SpamFilter: true,
+				Space: d.Sp, Theta: 0.2, Members: ms, Agg: aggregate.NewFixedSample(5),
+				MaxQuestions: 2000, SpamFilter: true, Store: sink,
 			}, memberIDs(ms))
 			for s.blocked != nil {
 				q := s.blocked.q
 				s.Submit(q.ID, AnswerFrom(ms[s.eng.want.mi], q))
 			}
-			agg.check()
+			sink.check()
 			bans += s.res.Stats.BannedMembers
 		}
 	}
@@ -188,10 +189,11 @@ func gradeEngine(t *testing.T) *engine {
 }
 
 // answerAs records member mi's answer the way recordAnswer does: in the
-// cache, then in the aggregator, grading the question if it decides it.
-func answerAs(e *engine, q string, mi int, sup float64) {
-	e.cache.Record(q, e.ids[mi], sup, KindConcrete)
-	e.tally(q, e.ids[mi], sup)
+// cache, grading the question if the new answer decides it.
+func answerAs(e *engine, qKey string, mi int, sup float64) {
+	if q, isNew := e.cache.record(qKey, e.ids[mi], sup); isNew {
+		e.tally(q)
+	}
 }
 
 // feedConsensus has the spammer answer question q at sup first, then h1
@@ -226,7 +228,7 @@ func TestSpamBanFlagsDisagreement(t *testing.T) {
 	if e.memberActive(2) || !e.memberActive(1) {
 		t.Error("memberActive does not follow the ban")
 	}
-	if n := e.agg.Answers("q0"); n != 3 {
+	if n := e.cache.question("q0").answers(); n != 3 {
 		t.Errorf("q0 holds %d answers after the ban, want 3 (the banned member's kept)", n)
 	}
 }
@@ -267,7 +269,8 @@ func TestSpamBanNeedsMinGraded(t *testing.T) {
 
 // TestSpamBanSkipsUngraded: a question is graded only when the aggregator
 // decides it, so answers to questions still short of their sample grade
-// nobody, and with the filter off there are no grades at all.
+// nobody, an answer to an already decided question grades nobody again,
+// and with the filter off there are no grades at all.
 func TestSpamBanSkipsUngraded(t *testing.T) {
 	e := gradeEngine(t)
 	for i := 0; i < 4*banMinGraded; i++ {
@@ -281,6 +284,21 @@ func TestSpamBanSkipsUngraded(t *testing.T) {
 		}
 	}
 	_, q, sp := buildSpace(t, figure3Restricted)
+	late := newEngine(Config{
+		Space: sp, Theta: q.Support, Agg: aggregate.NewFixedSample(3), SpamFilter: true,
+	}, []string{"h1", "h2", "spam", "late"})
+	for mi := range late.ids {
+		answerAs(late, "q", mi, 0.5)
+	}
+	for mi, g := range late.grades {
+		want := 1 // the three answers that decided the question
+		if mi == 3 {
+			want = 0 // the answer after the verdict
+		}
+		if g.trials != want {
+			t.Errorf("%s graded %d times on one question, want %d", late.ids[mi], g.trials, want)
+		}
+	}
 	off := newEngine(Config{Space: sp, Theta: q.Support}, []string{"h1"})
 	if off.grades != nil {
 		t.Error("grades allocated with the filter off")

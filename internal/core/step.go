@@ -100,10 +100,10 @@ func (e *engine) answer(a Answer) {
 		}
 		m := w.q.Member
 		e.pruned[m] = append(e.pruned[m], w.q.Terms[a.Choice])
-		e.recordAnswer(w.node, w.qKey, m, 0, KindPruning, true)
+		e.recordAnswer(w.node, w.qKey, w.mi, 0, KindPruning, true)
 		e.rep = reply{ok: true}
 	default:
-		e.recordAnswer(w.node, w.qKey, w.q.Member, a.Support, KindConcrete, true)
+		e.recordAnswer(w.node, w.qKey, w.mi, a.Support, KindConcrete, true)
 		e.rep = reply{ok: true, sup: a.Support}
 	}
 }
@@ -249,21 +249,22 @@ func (e *engine) support(mi int, node assign.Assignment) (float64, bool) {
 	}
 	m := e.ids[mi]
 	fs, qKey := e.instantiate(node)
-	if s, ok := e.cache.Lookup(qKey, m); ok {
+	q := e.cache.question(qKey)
+	if s, ok := q.support(m); ok {
 		e.stats.FreeAnswers++
 		e.cfg.Metrics.freeAnswer()
-		e.applyVerdict(node, qKey)
+		e.applyVerdict(node, q)
 		return s, true
 	}
 	if e.pruneHit(m, fs) {
-		e.recordAnswer(node, qKey, m, 0, KindConcrete, false)
+		e.recordAnswer(node, qKey, mi, 0, KindConcrete, false)
 		return 0, true
 	}
 	if e.cfg.Prime != nil {
 		if s, ok := e.cfg.Prime.Lookup(qKey, m); ok {
 			e.stats.PrimedAnswers++
 			e.cfg.Metrics.primedAnswer()
-			e.recordAnswer(node, qKey, m, s, KindConcrete, true)
+			e.recordAnswer(node, qKey, mi, s, KindConcrete, true)
 			return s, true
 		}
 	}
@@ -322,7 +323,6 @@ func (e *engine) offerSpecialization() {
 // chosen candidate when its support reaches the threshold.
 func (e *engine) specialized(a Answer) {
 	c := &e.at
-	m := e.ids[c.turn]
 	switch {
 	case e.canceled():
 		// Canceled while the question was in flight: discard the answer so
@@ -332,21 +332,21 @@ func (e *engine) specialized(a Answer) {
 		c.at = phDeclineQ
 	case !a.Chosen || a.Choice < 0 || a.Choice >= len(c.succs):
 		e.countAnswer(KindNoneOfThese)
-		e.answersBy[m]++
+		e.answersBy[c.turn]++
 		e.decBudget(c.turn)
 		for _, s := range c.succs {
 			_, qk := e.instantiate(s)
-			e.recordAnswer(s, qk, m, 0, KindNoneOfThese, false)
+			e.recordAnswer(s, qk, c.turn, 0, KindNoneOfThese, false)
 		}
 		c.at = phChainEnd
 	default:
 		chosen := c.succs[a.Choice]
 		_, qKey := e.instantiate(chosen)
-		e.uniqueQ[qKey] = struct{}{}
 		e.countAnswer(KindSpecialization)
-		e.answersBy[m]++
+		e.answersBy[c.turn]++
 		e.decBudget(c.turn)
-		e.recordAnswer(chosen, qKey, m, a.Support, KindSpecialization, false)
+		e.recordAnswer(chosen, qKey, c.turn, a.Support, KindSpecialization, false)
+		e.cache.question(qKey).asked = true
 		if a.Support >= e.cfg.Theta-aggregate.Eps && e.cls.status(chosen) != Insignificant {
 			c.cur, c.at = chosen, phDescend
 		} else {

@@ -90,7 +90,7 @@ type Recovered struct {
 func (r *Recovered) PrimeCache() *core.Cache {
 	c := core.NewCache()
 	for _, a := range r.Answers {
-		c.Record(a.Question, a.Member, a.Support, a.Kind)
+		c.Record(a.Question, a.Member, a.Support)
 	}
 	return c
 }
