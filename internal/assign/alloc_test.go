@@ -41,17 +41,25 @@ func TestAllocsDomainLookup(t *testing.T) {
 	}
 }
 
-// TestAllocsSuccessors: memo-warm successor generation allocates only the
-// result slice and the arena copies of the emitted nodes — a handful of
-// allocations, not one per candidate (the seed paid 65 on this node).
+// TestAllocsSuccessors: once a node's successors are in the node table,
+// the id form of successor generation allocates nothing, and the value
+// form only its result slice — not one allocation per candidate (the seed
+// paid 65 on this node).
 func TestAllocsSuccessors(t *testing.T) {
 	s, sp := buildSpace(t, figure3Query)
 	a := node(s, sp, []string{"Biking", "Ball Game"}, "Central Park")
-	succs := sp.Successors(a) // warm the node memos
+	succs := sp.Successors(a) // warm the node table
 	if len(succs) == 0 {
 		t.Fatal("gate node has no successors")
 	}
-	const maxAllocs = 8
+	id := sp.ID(a)
+	buf := make([]uint32, 0, len(succs))
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = sp.AppendSuccessorIDs(buf[:0], id)
+	}); allocs != 0 {
+		t.Fatalf("warm AppendSuccessorIDs allocates %.1f times per call, want 0", allocs)
+	}
+	const maxAllocs = 1
 	allocs := testing.AllocsPerRun(100, func() {
 		sp.Successors(a)
 	})

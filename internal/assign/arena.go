@@ -18,9 +18,10 @@ import (
 // out (assignments are canonical and never mutated in place), blocks are
 // never reused or shrunk, and the arenas are single-owner — only the
 // engine that owns the Space, driven by one goroutine at a time, may
-// allocate. Rejected successor candidates never touch the arenas; they
-// are assembled in reusable scratch buffers and copied in only once
-// accepted.
+// allocate. Successor candidates are assembled in reusable scratch
+// buffers and copied in only on the node's first sight, when it enters the
+// Space's node table; candidates outside 𝒜's structural bounds and
+// re-derivations of known nodes never touch the arenas.
 
 // arenaBlock is the number of terms (or rows) allocated per backing block;
 // large enough to amortize the block allocations, small enough not to

@@ -38,9 +38,13 @@ type Meta struct {
 // computed from the WHERE clause, and the candidate pool for MORE facts.
 // The frozen lattice tables (exploration domains, cover lists) live in a
 // read-only Tables value that concurrent sessions share; everything
-// mutable on the Space — the 𝒜-membership memo, the successor arenas and
-// scratch buffers — is private to the single goroutine driving the
-// session.
+// mutable on the Space — the node table, the successor arenas and scratch
+// buffers — is private to the single goroutine driving the session.
+//
+// The node table gives every lattice node one identity: its canonical key
+// maps to a dense id, handed out in first-sight order, and id-indexed
+// slices hold the node and its memoized box-cover test. The engine and its
+// classifier index all their per-node state by these ids.
 type Space struct {
 	Voc  *vocab.Vocabulary
 	Vars []VarSpec
@@ -54,9 +58,12 @@ type Space struct {
 	// variable), deduplicated, from WHERE evaluation.
 	ValidBase [][]vocab.Term
 
-	tab       *Tables              // frozen lattice tables, shared read-only
-	validKeys map[string]struct{}  // keys of ValidBase rows
-	nodes     map[string]*nodeInfo // per-node memo: interned key + 𝒜 membership
+	tab       *Tables             // frozen lattice tables, shared read-only
+	validKeys map[string]struct{} // keys of ValidBase rows
+
+	ids   map[string]uint32 // the node table: canonical key -> dense id
+	nodes []Assignment      // by id: the node, sealed with the interned key
+	cover []coverState      // by id: the memoized box-cover test
 
 	// Per-session scratch and arenas for successor generation (see
 	// arena.go for the lifetime rules). Never touched on the shared
@@ -67,21 +74,23 @@ type Space struct {
 	baseBuf  []byte         // base-tuple-key scratch
 	hdrBuf   [][]vocab.Term // candidate header scratch
 	valBuf   []vocab.Term   // candidate value-row scratch
+	idBuf    []uint32       // Successors/Predecessors id scratch
 	addBuf   []vocab.Term   // minimalAddable output scratch
 	walkBuf  []vocab.Term   // minimalAddable walk stack
 	walkSeen []uint64       // minimalAddable visited-term bitset
 	tupleBuf []vocab.Term   // boxContained tuple scratch
 }
 
-// nodeInfo is the per-session memo record of one lattice node: the canonical
-// key string, interned so every re-derivation of the node shares one
-// allocation, and the memoized result of the box-cover test. A single map
-// probe on the serialized key bytes answers both questions the emit pipeline
-// asks.
-type nodeInfo struct {
-	key     string
-	covered bool
-}
+// coverState is a node's memoized box-cover test: whether some valid
+// assignment lies at or above it. A node is tested on first need — by InA,
+// or by the emit pipeline before a lattice move keeps it.
+type coverState uint8
+
+const (
+	coverUnknown coverState = iota
+	coverYes
+	coverNo
+)
 
 // baseKey builds the key of a multiplicity-1 tuple.
 func baseKey(vals []vocab.Term) string {
@@ -216,17 +225,6 @@ func NewSpace(v *vocab.Vocabulary, q *oassisql.Query, bindings []map[string]voca
 	return sp, nil
 }
 
-// FromParts rebuilds a Space from previously compiled parts (see
-// internal/plan): the variable specs, resolved meta-facts, MORE flag and
-// the valid base rows in their canonical (sorted-key) order. The lattice
-// tables are recomputed; callers that compiled the parts once (a plan)
-// should use FromShared with the plan's Tables instead.
-func FromParts(v *vocab.Vocabulary, vars []VarSpec, sat []Meta, more bool,
-	validBase [][]vocab.Term) *Space {
-
-	return FromShared(v, vars, sat, more, validBase, nil)
-}
-
 // FromShared rebuilds a Space from previously compiled parts together with
 // the precomputed read-only lattice tables (nil recomputes them). The
 // immutable parts and tables are shared; the mutable memo structures,
@@ -256,7 +254,7 @@ func (sp *Space) Tables() *Tables { return sp.tab }
 
 // initSession allocates the per-session mutable state.
 func (sp *Space) initSession() {
-	sp.nodes = make(map[string]*nodeInfo)
+	sp.ids = make(map[string]uint32)
 	sp.tupleBuf = make([]vocab.Term, len(sp.Vars))
 	sp.hdrBuf = make([][]vocab.Term, 0, len(sp.Vars))
 }
@@ -316,21 +314,44 @@ func (sp *Space) IsValid(a Assignment) bool {
 // line 1): a is a (not necessarily proper) generalization of some valid
 // assignment, subject to the anchor caps and the multiplicity upper bounds.
 func (sp *Space) InA(a Assignment) bool {
-	if !sp.structuralInA(a) {
-		return false
-	}
-	return sp.nodeOf(a, a.Key()).covered
+	return sp.structuralInA(a) && sp.covered(sp.ID(a))
 }
 
-// nodeOf returns (computing on first visit) a's session memo record; key
-// must be a's canonical key.
-func (sp *Space) nodeOf(a Assignment, key string) *nodeInfo {
-	if info, ok := sp.nodes[key]; ok {
-		return info
+// ID returns the dense id of a, interning it on first sight. Nodes the
+// lattice moves emit are interned as they are generated; ID is for nodes
+// built elsewhere — the Minimal seeds, hand-built assignments, nodes of
+// another Space.
+func (sp *Space) ID(a Assignment) uint32 {
+	k := a.Key()
+	if id, ok := sp.ids[k]; ok {
+		return id
 	}
-	info := &nodeInfo{key: key, covered: sp.coveredByValidBox(a)}
-	sp.nodes[key] = info
-	return info
+	a.key = k
+	return sp.intern(a)
+}
+
+// Node returns the node with the given id.
+func (sp *Space) Node(id uint32) Assignment { return sp.nodes[id] }
+
+// intern adds the sealed, not yet interned node a to the node table.
+func (sp *Space) intern(a Assignment) uint32 {
+	id := uint32(len(sp.nodes))
+	sp.ids[a.key] = id
+	sp.nodes = append(sp.nodes, a)
+	sp.cover = append(sp.cover, coverUnknown)
+	return id
+}
+
+// covered reports whether some valid assignment lies at or above node id,
+// running the box-cover test on first need.
+func (sp *Space) covered(id uint32) bool {
+	if sp.cover[id] == coverUnknown {
+		sp.cover[id] = coverNo
+		if sp.coveredByValidBox(sp.nodes[id]) {
+			sp.cover[id] = coverYes
+		}
+	}
+	return sp.cover[id] == coverYes
 }
 
 // structuralInA is the cheap, key-free part of the 𝒜-membership test:
@@ -468,13 +489,6 @@ func (sp *Space) VarIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// QuestionKey returns the crowd-question key of a: distinct assignments that
-// instantiate the SATISFYING meta-fact-set to the same fact-set share one
-// crowd question (Section 4.1 counts unique questions).
-func (sp *Space) QuestionKey(a Assignment) string {
-	return sp.Instantiate(a).Key()
 }
 
 // Stats about the space, for reports.

@@ -10,12 +10,13 @@ import (
 
 // Lattice moves. Successor and predecessor generation dominate the engine's
 // per-answer CPU cost, so this file is written for raw speed: candidates are
-// assembled in reusable scratch buffers (hdrBuf/valBuf/keyBuf), deduplicated
-// with a single no-allocation map probe on their serialized key, and only
-// the accepted ones are copied into the Space's bump arenas (see arena.go).
-// Unchanged value rows are shared structurally with the parent assignment —
-// rows are immutable once published, so a successor differs from its parent
-// by exactly one arena-allocated row. The emit order and canonical forms are
+// assembled in reusable scratch buffers (hdrBuf/valBuf/keyBuf) and looked up
+// in the node table with a single no-allocation map probe on their
+// serialized key; only a node seen for the first time is copied into the
+// Space's bump arenas (see arena.go) and interned. Unchanged value rows are
+// shared structurally with the parent assignment — rows are immutable once
+// published, so a node differs from the parent that first derived it by
+// exactly one arena-allocated row. The emit order and canonical forms are
 // byte-identical to the original clone-based generator, which the
 // equivalence and golden tests pin down.
 
@@ -146,17 +147,18 @@ func (sp *Space) isMinimalAntichain(i int, set []vocab.Term) bool {
 // one value one Hasse step, add one minimal compatible value to a variable
 // whose multiplicity allows it (the lazy combination of Proposition 5.1), or
 // extend/specialize the MORE fact-set from the candidate pool. Results are
-// deduplicated and sorted by key.
+// deduplicated and sorted by key. A node that did not come from this Space
+// is interned first.
 func (sp *Space) Successors(a Assignment) []Assignment {
-	return sp.AppendSuccessors(nil, a)
+	sp.idBuf = sp.AppendSuccessorIDs(sp.idBuf[:0], sp.ID(a))
+	return sp.nodesOf(sp.idBuf)
 }
 
-// AppendSuccessors appends the immediate successors of a to dst and returns
-// the extended slice, so batched callers can collect the successors of many
-// nodes into one buffer. The appended region is deduplicated and sorted by
-// key; accepted assignments live in the Space's arenas and share unchanged
-// rows with a.
-func (sp *Space) AppendSuccessors(dst []Assignment, a Assignment) []Assignment {
+// AppendSuccessorIDs appends the ids of the immediate successors of node id
+// (see Successors) to dst and returns the extended slice. The appended
+// region is deduplicated and sorted by key.
+func (sp *Space) AppendSuccessorIDs(dst []uint32, id uint32) []uint32 {
+	a := sp.nodes[id]
 	start := len(dst)
 	for i := range sp.Vars {
 		vals := a.Vals[i]
@@ -189,13 +191,25 @@ func (sp *Space) AppendSuccessors(dst []Assignment, a Assignment) []Assignment {
 	if sp.More && len(sp.MoreCandidates) > 0 {
 		dst = sp.moreSuccessors(dst, a)
 	}
-	return finishMoves(dst, start)
+	return sp.finishMoves(dst, start)
+}
+
+// nodesOf returns the nodes with the given ids, nil when there are none.
+func (sp *Space) nodesOf(ids []uint32) []Assignment {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]Assignment, len(ids))
+	for k, id := range ids {
+		out[k] = sp.nodes[id]
+	}
+	return out
 }
 
 // emitRow runs the emit pipeline for the candidate obtained from a by
 // replacing variable i's value row with row (a canonical sorted antichain in
 // scratch storage).
-func (sp *Space) emitRow(dst []Assignment, a Assignment, i int, row []vocab.Term) []Assignment {
+func (sp *Space) emitRow(dst []uint32, a Assignment, i int, row []vocab.Term) []uint32 {
 	hdr := append(sp.hdrBuf[:0], a.Vals...)
 	sp.hdrBuf = hdr
 	hdr[i] = row
@@ -203,16 +217,16 @@ func (sp *Space) emitRow(dst []Assignment, a Assignment, i int, row []vocab.Term
 }
 
 // emitCand is the shared emit pipeline: serialize the candidate's key into
-// scratch, test 𝒜-membership (structural part first, then a single
-// no-allocation map probe into the per-node memo) and order against a, and
-// on acceptance intern the candidate (changed names the single value row
-// that differs from a, or -1 for a pure MORE move). Together with the
-// post-sort compaction in finishMoves it emits exactly the set the original
-// seal → dedup → InA → Lt clone-based pipeline emitted: duplicate
-// derivations of one node are collapsed after sorting instead of probed per
-// candidate, and the strictness half of Lt reduces to the key comparison
-// against a.
-func (sp *Space) emitCand(dst []Assignment, a, cand Assignment, changed int) []Assignment {
+// scratch, test 𝒜-membership (structural part first, then the node's
+// memoized box-cover test, found with a single no-allocation probe of the
+// node table) and order against a, and on acceptance append the node's id
+// (changed names the single value row that differs from a, or -1 for a
+// pure MORE move). Together with the post-sort compaction in finishMoves it
+// emits exactly the set the original seal → dedup → InA → Lt clone-based
+// pipeline emitted: duplicate derivations of one node carry one id and are
+// collapsed after sorting, and the strictness half of Lt reduces to the key
+// comparison against a.
+func (sp *Space) emitCand(dst []uint32, a, cand Assignment, changed int) []uint32 {
 	kb := cand.appendKey(sp.keyBuf[:0])
 	sp.keyBuf = kb
 	if string(kb) == a.Key() || !sp.structuralInA(cand) {
@@ -227,47 +241,33 @@ func (sp *Space) emitCand(dst []Assignment, a, cand Assignment, changed int) []A
 	// comparison above. The old pipeline evaluated Lt anyway; on these
 	// candidates it could only fail on equality, so the emitted set is
 	// unchanged.
-	info, visited := sp.nodes[string(kb)]
-	if visited && !info.covered {
+	id, seen := sp.ids[string(kb)]
+	if !seen {
+		// First sight: materialize the key and the changed row, once per
+		// distinct node per session — re-derivations from other parents
+		// share them. A pure MORE move shares a's value rows wholesale.
+		cand.key = string(kb)
+		if changed >= 0 {
+			hdr := sp.hdrs.alloc(len(a.Vals))
+			copy(hdr, a.Vals)
+			hdr[changed] = sp.arena.clone(cand.Vals[changed])
+			cand.Vals = hdr
+		}
+		id = sp.intern(cand)
+	}
+	if !sp.covered(id) {
 		return dst
 	}
-	if !visited {
-		// First visit: materialize the key, one allocation per distinct
-		// node per session — re-derivations from other parents share it.
-		info = sp.nodeOf(cand, string(kb))
-		if !info.covered {
-			return dst
-		}
-	}
-	cand.key = info.key
-	if changed < 0 {
-		// Pure MORE move: the value rows are a's own, shared wholesale.
-		cand.Vals = a.Vals
-		return append(dst, cand)
-	}
-	hdr := sp.hdrs.alloc(len(a.Vals))
-	copy(hdr, a.Vals)
-	hdr[changed] = sp.arena.clone(cand.Vals[changed])
-	cand.Vals = hdr
-	return append(dst, cand)
+	return append(dst, id)
 }
 
 // finishMoves puts the emitted region dst[start:] into canonical form:
-// sorted by key with duplicate derivations of the same node collapsed
-// (duplicates are adjacent after sorting and bit-identical by canonicality,
-// so keeping the first matches the old probe-per-candidate dedup exactly).
-func finishMoves(dst []Assignment, start int) []Assignment {
+// sorted by key with duplicate derivations of the same node — adjacent after
+// sorting, and one id — collapsed.
+func (sp *Space) finishMoves(dst []uint32, start int) []uint32 {
 	out := dst[start:]
-	slices.SortFunc(out, func(x, y Assignment) int { return strings.Compare(x.key, y.key) })
-	w := start
-	for i := range out {
-		if i > 0 && out[i].key == out[i-1].key {
-			continue
-		}
-		dst[w] = out[i]
-		w++
-	}
-	return dst[:w]
+	slices.SortFunc(out, func(x, y uint32) int { return strings.Compare(sp.nodes[x].key, sp.nodes[y].key) })
+	return dst[:start+len(slices.Compact(out))]
 }
 
 // compatible reports whether c is incomparable with every value of vals
@@ -373,7 +373,7 @@ func (sp *Space) minimalAddable(i int, vals []vocab.Term) []vocab.Term {
 // moreSuccessors emits MORE-fact extensions of a: adding a minimal pool
 // candidate, or replacing an existing MORE fact by a pool candidate that
 // specializes it with nothing from the pool strictly between.
-func (sp *Space) moreSuccessors(dst []Assignment, a Assignment) []Assignment {
+func (sp *Space) moreSuccessors(dst []uint32, a Assignment) []uint32 {
 	pool := sp.MoreCandidates
 	covered := func(f fact.Fact) bool {
 		for _, g := range a.More {
@@ -433,9 +433,18 @@ func (sp *Space) moreSuccessors(dst []Assignment, a Assignment) []Assignment {
 // Predecessors generates the immediate predecessors of a within 𝒜:
 // generalize one value one Hasse step (with antichain absorption), drop one
 // value where the multiplicity lower bound allows, or drop/generalize a MORE
-// fact. Results are deduplicated and sorted by key.
+// fact. Results are deduplicated and sorted by key. A node that did not
+// come from this Space is interned first.
 func (sp *Space) Predecessors(a Assignment) []Assignment {
-	var dst []Assignment
+	sp.idBuf = sp.AppendPredecessorIDs(sp.idBuf[:0], sp.ID(a))
+	return sp.nodesOf(sp.idBuf)
+}
+
+// AppendPredecessorIDs appends the ids of the immediate predecessors of
+// node id (see Predecessors) to dst and returns the extended slice.
+func (sp *Space) AppendPredecessorIDs(dst []uint32, id uint32) []uint32 {
+	a := sp.nodes[id]
+	start := len(dst)
 	for i := range sp.Vars {
 		vals := a.Vals[i]
 		for vi, v := range vals {
@@ -476,38 +485,5 @@ func (sp *Space) Predecessors(a Assignment) []Assignment {
 			}
 		}
 	}
-	return finishMoves(dst, 0)
-}
-
-// Combine implements Proposition 5.1 directly: if a and b differ on exactly
-// one variable, it returns their combination (the union on that variable)
-// and true; otherwise it returns false.
-func (sp *Space) Combine(a, b Assignment) (Assignment, bool) {
-	diff := -1
-	for i := range sp.Vars {
-		if !termsEqual(a.Vals[i], b.Vals[i]) {
-			if diff >= 0 {
-				return Assignment{}, false
-			}
-			diff = i
-		}
-	}
-	if diff < 0 || !a.More.Equal(b.More) {
-		return Assignment{}, false
-	}
-	c := a.Clone()
-	c.Vals[diff] = sp.Voc.ReduceAntichain(append(append([]vocab.Term(nil), a.Vals[diff]...), b.Vals[diff]...))
-	return c.sealed(), true
-}
-
-func termsEqual(a, b []vocab.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return sp.finishMoves(dst, start)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"oassis/internal/assign"
 	"oassis/internal/synth"
 )
 
@@ -74,11 +73,11 @@ func TestAllocsOnClassified(t *testing.T) {
 		e.seed()
 		e.drainExpansions()
 		for _, c := range []struct {
-			node        assign.Assignment
+			node        uint32
 			significant bool
 		}{
-			{sp.Sp.Singleton(rows[len(rows)/2]...), true}, // settles itself and its generalizations
-			{e.ns.node(e.poolIDs[0]), false},              // a minimal node: settles every row above it
+			{sp.Sp.ID(sp.Sp.Singleton(rows[len(rows)/2]...)), true}, // settles itself and its generalizations
+			{e.poolIDs[0], false}, // a minimal node: settles every row above it
 		} {
 			allocs := testing.AllocsPerRun(100, func() {
 				clear(e.classifiedRows) // re-test every row on each call

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"oassis/internal/aggregate"
 	"oassis/internal/assign"
 )
@@ -17,15 +15,12 @@ func RunHorizontal(cfg Config) *Result {
 	e.seed()
 
 	frontier := append([]uint32(nil), e.poolIDs...)
+	var preds []uint32
 	for len(frontier) > 0 && e.budgetLeft() {
 		// Ask every unclassified node of the current level.
-		level := make([]assign.Assignment, 0, len(frontier))
-		for _, id := range frontier {
-			level = append(level, e.ns.node(id))
-		}
-		sort.Slice(level, func(i, j int) bool { return level[i].Key() < level[j].Key() })
+		e.sortByKey(frontier)
 		next := map[uint32]struct{}{}
-		for _, node := range level {
+		for _, node := range frontier {
 			if !e.budgetLeft() {
 				break
 			}
@@ -33,20 +28,22 @@ func RunHorizontal(cfg Config) *Result {
 			if e.cls.status(node) != Significant {
 				continue
 			}
-			for _, s := range e.succsOf(e.ns.intern(node)) {
+			for _, s := range e.succsOf(node) {
 				// Apriori candidate condition: all predecessors significant.
 				if e.cls.status(s) != Unclassified {
 					continue
 				}
 				allSig := true
-				for _, p := range e.sp.Predecessors(s) {
+				preds = e.sp.AppendPredecessorIDs(preds[:0], s)
+				for _, p := range preds {
 					if e.cls.status(p) != Significant {
 						allSig = false
 						break
 					}
 				}
 				if allSig {
-					next[e.addNode(s)] = struct{}{}
+					e.addNode(s)
+					next[s] = struct{}{}
 				}
 			}
 		}
@@ -54,9 +51,6 @@ func RunHorizontal(cfg Config) *Result {
 		for id := range next {
 			frontier = append(frontier, id)
 		}
-		sort.Slice(frontier, func(i, j int) bool {
-			return e.ns.node(frontier[i]).Key() < e.ns.node(frontier[j]).Key()
-		})
 	}
 	return e.result()
 }
@@ -68,22 +62,19 @@ func RunHorizontal(cfg Config) *Result {
 // scheme and skips classified assignments.
 func RunNaive(cfg Config, extra []assign.Assignment) *Result {
 	e := newEngine(cfg, memberIDs(cfg.Members))
-	nodes := make([]assign.Assignment, 0, len(cfg.Space.ValidBase)+len(extra))
-	seen := map[string]struct{}{}
-	for _, row := range cfg.Space.ValidBase {
-		n := cfg.Space.Singleton(row...)
-		if _, dup := seen[n.Key()]; dup {
-			continue
+	nodes := make([]uint32, 0, len(cfg.Space.ValidBase)+len(extra))
+	seen := map[uint32]bool{}
+	add := func(a assign.Assignment) {
+		if id := cfg.Space.ID(a); !seen[id] {
+			seen[id] = true
+			nodes = append(nodes, id)
 		}
-		seen[n.Key()] = struct{}{}
-		nodes = append(nodes, n)
+	}
+	for _, row := range cfg.Space.ValidBase {
+		add(cfg.Space.Singleton(row...))
 	}
 	for _, n := range extra {
-		if _, dup := seen[n.Key()]; dup {
-			continue
-		}
-		seen[n.Key()] = struct{}{}
-		nodes = append(nodes, n)
+		add(n)
 	}
 	if cfg.Rng != nil {
 		cfg.Rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
@@ -103,7 +94,7 @@ func RunNaive(cfg Config, extra []assign.Assignment) *Result {
 
 // classify collects answers for one node from the crowd until the aggregator
 // decides (or the crowd is exhausted, forcing a verdict).
-func (e *engine) classify(node assign.Assignment) {
+func (e *engine) classify(node uint32) {
 	if e.cls.status(node) != Unclassified {
 		return
 	}

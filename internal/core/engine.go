@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"oassis/internal/aggregate"
 	"oassis/internal/assign"
@@ -155,10 +157,10 @@ type Result struct {
 	Stats     Stats
 	Cache     *Cache
 
-	// MSPQuestion maps each MSP (by key) to the number of counted answers
-	// at the moment it was first classified significant — the basis of the
-	// pace-of-collection curves.
-	MSPQuestion map[string]int
+	// MSPQuestion[i] is the number of counted answers at the moment
+	// MSPs[i] was first classified significant — the basis of the
+	// pace-of-collection curves (see DiscoveredAt).
+	MSPQuestion []int
 
 	// InsigMinimal is the number of minimal insignificant anchors (the
 	// |msp⁻| quantity of Propositions 4.7/4.8).
@@ -173,14 +175,13 @@ type Result struct {
 }
 
 // engine carries the run state of the vertical multi-user algorithm. All
-// per-node state is flat, indexed by the nodeStore's dense ids, which the
-// classifier shares: one key-string map probe interns a node, everything
-// after that is slice indexing.
+// per-node state is flat, indexed by the Space's dense node ids, which the
+// classifier shares: the engine passes ids and reads a node's values from
+// the Space only to order, instantiate or report it.
 type engine struct {
 	cfg Config
 	sp  *assign.Space
 	agg *aggregate.FixedSample
-	ns  *nodeStore
 	cls *classifier
 
 	// The step machine (step.go): the crowd by index, the position in the
@@ -200,7 +201,7 @@ type engine struct {
 	pruned     map[string][]vocab.Term // member -> pruned terms
 	stats      Stats
 	cache      *Cache         // the CrowdCache: the member answer memo and the aggregator's input
-	mspLog     map[string]int // chain maxima -> question count at discovery
+	mspLog     map[uint32]int // chain maxima by id -> question count at discovery
 	newAnswers int            // answers recorded in the current round
 
 	// Timeline bookkeeping, allocated only under Config.TrackTimeline:
@@ -213,7 +214,8 @@ type engine struct {
 	expanded []bool   // by id: successors were generated
 	toExpand []uint32 // significant nodes awaiting expansion
 
-	succs [][]assign.Assignment // by id: successor memo (noSuccs when empty)
+	succs   [][]uint32 // by id: successor memo (noSuccs when empty)
+	succBuf []uint32   // backing store the successor memos are cut from
 
 	inst   []instEntry // by id: instantiation + question key memo
 	instOK []bool
@@ -250,14 +252,13 @@ func (e *engine) growNode(id uint32) {
 }
 
 // instantiate memoizes the node's fact-set question.
-func (e *engine) instantiate(node assign.Assignment) (fact.Set, string) {
-	id := e.ns.intern(node)
+func (e *engine) instantiate(id uint32) (fact.Set, string) {
 	e.growNode(id)
 	if e.instOK[id] {
 		ent := &e.inst[id]
 		return ent.fs, ent.qKey
 	}
-	fs := e.sp.Instantiate(node)
+	fs := e.sp.Instantiate(e.sp.Node(id))
 	ent := instEntry{fs: fs, qKey: fs.Key()}
 	e.inst[id] = ent
 	e.instOK[id] = true
@@ -266,18 +267,22 @@ func (e *engine) instantiate(node assign.Assignment) (fact.Set, string) {
 
 // noSuccs is the memo sentinel distinguishing "no successors" from "not yet
 // generated".
-var noSuccs = []assign.Assignment{}
+var noSuccs = []uint32{}
 
 // succsOf memoizes successor generation per node. Memoization is sound
 // because the successor relation is fixed for the whole run: the space, its
-// tables and MoreCandidates are all set before the engine starts.
-func (e *engine) succsOf(id uint32) []assign.Assignment {
+// tables and MoreCandidates are all set before the engine starts. Each memo
+// is a capacity-capped window of succBuf, so appending past it never
+// touches an earlier memo.
+func (e *engine) succsOf(id uint32) []uint32 {
 	e.growNode(id)
 	if s := e.succs[id]; s != nil {
 		return s
 	}
-	s := e.sp.Successors(e.ns.node(id))
-	if s == nil {
+	start := len(e.succBuf)
+	e.succBuf = e.sp.AppendSuccessorIDs(e.succBuf, id)
+	s := e.succBuf[start:len(e.succBuf):len(e.succBuf)]
+	if len(s) == 0 {
 		s = noSuccs
 	}
 	e.succs[id] = s
@@ -317,16 +322,14 @@ func newEngine(cfg Config, ids []string) *engine {
 	if cfg.Agg != nil {
 		agg = aggregate.NewFixedSample(cfg.Agg.K)
 	}
-	ns := newNodeStore()
 	e := &engine{
 		cfg:       cfg,
 		sp:        cfg.Space,
 		agg:       agg,
-		ns:        ns,
-		cls:       newClassifierOn(cfg.Space, ns),
+		cls:       newClassifier(cfg.Space),
 		pruned:    make(map[string][]vocab.Term),
 		cache:     NewCacheSized(len(ids)),
-		mspLog:    make(map[string]int),
+		mspLog:    make(map[uint32]int),
 		answersBy: make([]int, len(ids)),
 		ids:       ids,
 		left:      make([]bool, len(ids)),
@@ -360,44 +363,39 @@ func newEngine(cfg Config, ids []string) *engine {
 }
 
 // drainExpansions expands every scheduled significant node in one batched
-// pass: the queue is walked front to back, each node's successors come from
-// the per-node memo (generated into the Space's shared scratch and arenas on
-// first need), and each generated candidate costs a single intern probe in
-// addNode. Expansion can schedule more nodes (newly registered significant
-// successors), so the walk naturally drains the queue to a fixpoint.
+// pass: the queue is walked front to back, each node's successor ids come
+// from the per-node memo (generated through the Space's node table on first
+// need) and go straight to addNode. Expansion can schedule more nodes
+// (newly registered significant successors), so the walk naturally drains
+// the queue to a fixpoint.
 func (e *engine) drainExpansions() {
 	for i := 0; i < len(e.toExpand); i++ {
-		e.expandID(e.toExpand[i])
+		e.expand(e.toExpand[i])
 	}
 	e.toExpand = e.toExpand[:0]
 }
 
 func (e *engine) seed() {
 	for _, m := range e.sp.Minimal() {
-		e.addNode(m)
+		e.addNode(e.sp.ID(m))
 	}
 }
 
-func (e *engine) addNode(a assign.Assignment) uint32 {
-	id := e.ns.intern(a)
+// addNode adds node id to the generated pool.
+func (e *engine) addNode(id uint32) {
 	e.growNode(id)
 	if e.inPool[id] {
-		return id
+		return
 	}
 	e.inPool[id] = true
 	e.poolIDs = append(e.poolIDs, id)
 	e.stats.GeneratedNodes++
 	e.cfg.Metrics.nodeGenerated()
-	e.cls.registerID(id) // track its status incrementally from now on
-	return id
+	e.cls.register(id) // track its status incrementally from now on
 }
 
 // expand generates the successors of a significant node into the pool.
-func (e *engine) expand(a assign.Assignment) {
-	e.expandID(e.ns.intern(a))
-}
-
-func (e *engine) expandID(id uint32) {
+func (e *engine) expand(id uint32) {
 	e.growNode(id)
 	if e.expanded[id] {
 		return
@@ -418,30 +416,27 @@ func (e *engine) expandID(id uint32) {
 // the same node. A node of minimal size is minimal in the order up to
 // rare multi-cover DAG absorptions, which cost at most a few extra
 // questions, never correctness.
-func (e *engine) pickUnclassified(answeredOnly bool) (assign.Assignment, bool) {
-	best := -1
+func (e *engine) pickUnclassified(answeredOnly bool) (uint32, bool) {
+	var best uint32
 	bestKey := ""
 	bestSize := -1
 	for _, id := range e.cls.uncl {
 		if int(id) >= len(e.inPool) || !e.inPool[id] {
 			continue
 		}
-		n := e.ns.node(id)
 		if answeredOnly {
-			if _, qKey := e.instantiate(n); e.cache.question(qKey).answers() == 0 {
+			if _, qKey := e.instantiate(id); e.cache.question(qKey).answers() == 0 {
 				continue
 			}
 		}
+		n := e.sp.Node(id)
 		size := n.Size()
 		key := n.Key()
 		if bestSize < 0 || size < bestSize || (size == bestSize && key < bestKey) {
-			best, bestKey, bestSize = int(id), key, size
+			best, bestKey, bestSize = id, key, size
 		}
 	}
-	if best < 0 {
-		return assign.Assignment{}, false
-	}
-	return e.ns.node(uint32(best)), true
+	return best, bestSize >= 0
 }
 
 func (e *engine) budgetLeft() bool {
@@ -505,7 +500,7 @@ func (e *engine) pruneHit(member string, fs fact.Set) bool {
 
 // recordAnswer stores member mi's first answer to a question in the
 // CrowdCache, then updates the node classification from the verdict.
-func (e *engine) recordAnswer(node assign.Assignment, qKey string, mi int,
+func (e *engine) recordAnswer(node uint32, qKey string, mi int,
 	sup float64, kind QuestionKind, counted bool) {
 	member := e.ids[mi]
 	q, isNew := e.cache.record(qKey, member, sup)
@@ -573,11 +568,11 @@ func (e *engine) grade(q *entry) {
 
 // observeStopDiscovery feeds the end of a member's descent chain — their
 // maximal affirmed pattern — to the stop policy's species stream.
-func (e *engine) observeStopDiscovery(node assign.Assignment, member string) {
+func (e *engine) observeStopDiscovery(node uint32, member string) {
 	if e.stop == nil {
 		return
 	}
-	e.stop.ObserveDiscovery(node.Key(), member)
+	e.stop.ObserveDiscovery(e.sp.Node(node).Key(), member)
 	e.cfg.Metrics.stopEstimate(e.stop.Name(), e.stop.Estimate())
 }
 
@@ -585,9 +580,9 @@ func (e *engine) observeStopDiscovery(node assign.Assignment, member string) {
 // classified (hence confirmed maximal) — the top-k early-stop condition.
 func (e *engine) confirmedMSPs() int {
 	n := 0
-	for _, a := range e.cls.maximalSignificant() {
+	for _, a := range e.cls.sig {
 		confirmed := true
-		for _, s := range e.succsOf(e.ns.intern(a)) {
+		for _, s := range e.succsOf(a) {
 			if e.cls.status(s) == Unclassified {
 				confirmed = false
 				break
@@ -602,7 +597,7 @@ func (e *engine) confirmedMSPs() int {
 
 // applyVerdict classifies node from the aggregator's verdict on its
 // question q.
-func (e *engine) applyVerdict(node assign.Assignment, q *entry) {
+func (e *engine) applyVerdict(node uint32, q *entry) {
 	switch e.agg.Verdict(q.answers(), q.sum, e.cfg.Theta) {
 	case aggregate.Significant:
 		if e.cls.status(node) != Significant {
@@ -624,10 +619,11 @@ func (e *engine) applyVerdict(node assign.Assignment, q *entry) {
 // onClassified updates the classified-valid-rows counter for the timeline:
 // one order test per not-yet-counted ValidBase row. Untimed runs keep no
 // row state and return at once.
-func (e *engine) onClassified(a assign.Assignment, significant bool) {
+func (e *engine) onClassified(id uint32, significant bool) {
 	if e.classifiedRows == nil {
 		return
 	}
+	a := e.sp.Node(id)
 	for i, r := range e.rowNodes {
 		if e.classifiedRows[i] {
 			continue
@@ -658,9 +654,9 @@ func termsOf(fs fact.Set) []vocab.Term {
 
 // unclassifiedSuccessors lists node's immediate successors that are still
 // unclassified, generating them into the pool.
-func (e *engine) unclassifiedSuccessors(node assign.Assignment) []assign.Assignment {
-	var out []assign.Assignment
-	for _, s := range e.succsOf(e.ns.intern(node)) {
+func (e *engine) unclassifiedSuccessors(node uint32) []uint32 {
+	var out []uint32
+	for _, s := range e.succsOf(node) {
 		if e.cls.status(s) == Unclassified {
 			e.addNode(s)
 			out = append(out, s)
@@ -671,10 +667,9 @@ func (e *engine) unclassifiedSuccessors(node assign.Assignment) []assign.Assignm
 
 // recordChainMax records node as the maximum of a member's descent chain
 // (line 8 of Algorithm 1).
-func (e *engine) recordChainMax(node assign.Assignment) {
-	k := node.Key()
-	if _, ok := e.mspLog[k]; !ok {
-		e.mspLog[k] = e.stats.TotalQuestions
+func (e *engine) recordChainMax(node uint32) {
+	if _, ok := e.mspLog[node]; !ok {
+		e.mspLog[node] = e.stats.TotalQuestions
 	}
 }
 
@@ -691,7 +686,7 @@ func (e *engine) specializeCoin() bool {
 }
 
 // forceClassify decides a node from the current mean of its answers.
-func (e *engine) forceClassify(node assign.Assignment) {
+func (e *engine) forceClassify(node uint32) {
 	_, qKey := e.instantiate(node)
 	e.stats.ForcedClassifications++
 	if q := e.cache.question(qKey); q.answers() > 0 && q.mean() >= e.cfg.Theta-aggregate.Eps {
@@ -749,20 +744,22 @@ func (e *engine) result() *Result {
 			e.cfg.Metrics.stopSaved(e.stop.Name(), saved)
 		}
 	}
-	msps := e.cls.maximalSignificant()
-	sort.Slice(msps, func(i, j int) bool { return msps[i].Key() < msps[j].Key() })
+	ids := slices.Clone(e.cls.sig)
+	e.sortByKey(ids)
+	msps := make([]assign.Assignment, len(ids))
+	mspQ := make([]int, len(ids))
+	for k, id := range ids {
+		msps[k] = e.sp.Node(id)
+		q, ok := e.mspLog[id]
+		if !ok {
+			q = e.stats.TotalQuestions
+		}
+		mspQ[k] = q
+	}
 	var valid []assign.Assignment
 	for _, m := range msps {
 		if e.sp.IsValid(m) {
 			valid = append(valid, m)
-		}
-	}
-	mspQ := make(map[string]int, len(msps))
-	for _, m := range msps {
-		if q, ok := e.mspLog[m.Key()]; ok {
-			mspQ[m.Key()] = q
-		} else {
-			mspQ[m.Key()] = e.stats.TotalQuestions
 		}
 	}
 	answersBy := make(map[string]int, len(e.answersBy))
@@ -789,6 +786,25 @@ func (e *engine) result() *Result {
 	}
 }
 
+// DiscoveredAt returns the number of counted answers at which m was first
+// classified significant, and whether m is one of the result's MSPs.
+func (r *Result) DiscoveredAt(m assign.Assignment) (int, bool) {
+	i, ok := slices.BinarySearchFunc(r.MSPs, m.Key(), func(a assign.Assignment, k string) int {
+		return strings.Compare(a.Key(), k)
+	})
+	if !ok {
+		return 0, false
+	}
+	return r.MSPQuestion[i], true
+}
+
+// sortByKey sorts node ids by their nodes' keys.
+func (e *engine) sortByKey(ids []uint32) {
+	slices.SortFunc(ids, func(x, y uint32) int {
+		return strings.Compare(e.sp.Node(x).Key(), e.sp.Node(y).Key())
+	})
+}
+
 // AllSignificant enumerates the significant valid assignments implied by a
 // result (the SELECT ... ALL form): the valid base assignments below some
 // MSP, plus the valid multiplicity nodes among the MSPs themselves and their
@@ -796,29 +812,20 @@ func (e *engine) result() *Result {
 // closure over the valid base rows.
 func AllSignificant(sp *assign.Space, msps []assign.Assignment) []assign.Assignment {
 	var out []assign.Assignment
-	seen := map[string]struct{}{}
-	add := func(a assign.Assignment) {
-		k := a.Key()
-		if _, dup := seen[k]; dup {
-			return
-		}
-		seen[k] = struct{}{}
-		out = append(out, a)
-	}
 	for _, row := range sp.ValidBase {
 		r := sp.Singleton(row...)
 		for _, m := range msps {
 			if sp.Leq(r, m) {
-				add(r)
+				out = append(out, r)
 				break
 			}
 		}
 	}
 	for _, m := range msps {
 		if sp.IsValid(m) {
-			add(m)
+			out = append(out, m)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	return slices.CompactFunc(out, assign.Assignment.Equal)
 }

@@ -89,8 +89,8 @@ func mspNames(sp *assign.Space, msps []assign.Assignment) map[string]bool {
 func TestClassifierAnchors(t *testing.T) {
 	s, _, sp := buildSpace(t, figure3Restricted)
 	c := newClassifier(sp)
-	mk := func(y, x string) assign.Assignment {
-		return sp.Singleton(s.T(y), s.T(x))
+	mk := func(y, x string) uint32 {
+		return sp.ID(sp.Singleton(s.T(y), s.T(x)))
 	}
 	sport := mk("Sport", "Central Park")
 	biking := mk("Biking", "Central Park")
@@ -486,8 +486,8 @@ func TestTimelineMonotone(t *testing.T) {
 	want := 0
 	for _, row := range sp.ValidBase {
 		r := sp.Singleton(row...)
-		if slices.ContainsFunc(e.cls.sig, func(id uint32) bool { return sp.Leq(r, e.ns.node(id)) }) ||
-			slices.ContainsFunc(e.cls.insig, func(id uint32) bool { return sp.Leq(e.ns.node(id), r) }) {
+		if slices.ContainsFunc(e.cls.sig, func(id uint32) bool { return sp.Leq(r, sp.Node(id)) }) ||
+			slices.ContainsFunc(e.cls.insig, func(id uint32) bool { return sp.Leq(sp.Node(id), r) }) {
 			want++
 		}
 	}
@@ -560,7 +560,7 @@ func TestMSPQuestionRecorded(t *testing.T) {
 		Agg:     aggregate.NewFixedSample(2),
 	})
 	for _, m := range res.MSPs {
-		qn, ok := res.MSPQuestion[m.Key()]
+		qn, ok := res.DiscoveredAt(m)
 		if !ok {
 			t.Errorf("MSP %s has no discovery question", sp.Format(m))
 		}

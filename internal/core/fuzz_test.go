@@ -13,11 +13,11 @@ func FuzzClassifierIndex(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{0, 4, 0, 8, 2, 3, 3, 7, 1, 11})
 	for _, seed := range []int64{3, 13, 20} {
-		_, pool, err := classifierDomain(seed)
+		sp, pool, err := classifierDomain(seed)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed, encodeClassifierOps(randomClassifierOps(seed, pool)))
+		f.Add(seed, encodeClassifierOps(randomClassifierOps(seed, sp, pool)))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		if len(data) > 1024 {

@@ -283,7 +283,7 @@ func TestEngineClassifiesEverything(t *testing.T) {
 		}).eng
 		for _, row := range s.sp.ValidBase {
 			a := s.sp.Singleton(row...)
-			st := e.cls.status(a)
+			st := e.cls.status(s.sp.ID(a))
 			if st == Unclassified {
 				t.Fatalf("trial %d: valid assignment left unclassified: %s",
 					trial, s.sp.Format(a))

@@ -15,100 +15,104 @@ import (
 // scanClassifier is the classifier as it was before the term index: every
 // order question scans the anchor lists or the unclassified set with
 // Space.Leq. It is kept as the oracle the indexed classifier must match
-// operation for operation.
+// operation for operation. Like the classifier, it names nodes by their
+// Space ids.
 type scanClassifier struct {
 	sp           *assign.Space
-	sig, insig   []assign.Assignment
-	status       map[string]Status // tracked nodes only
-	unclassified map[string]assign.Assignment
-	significant  []string // onSignificant calls, by node key
+	sig, insig   []uint32
+	status       map[uint32]Status // tracked nodes only
+	unclassified map[uint32]bool
+	significant  []uint32 // onSignificant calls
 }
 
 func newScanClassifier(sp *assign.Space) *scanClassifier {
-	return &scanClassifier{sp: sp, status: map[string]Status{}, unclassified: map[string]assign.Assignment{}}
+	return &scanClassifier{sp: sp, status: map[uint32]Status{}, unclassified: map[uint32]bool{}}
 }
 
-func (c *scanClassifier) register(a assign.Assignment) Status {
-	if st, ok := c.status[a.Key()]; ok {
+// leq is Space.Leq on node ids.
+func (c *scanClassifier) leq(a, b uint32) bool { return c.sp.Leq(c.sp.Node(a), c.sp.Node(b)) }
+
+func (c *scanClassifier) register(a uint32) Status {
+	if st, ok := c.status[a]; ok {
 		return st
 	}
 	st := Unclassified
 	for _, s := range c.sig {
-		if c.sp.Leq(a, s) {
+		if c.leq(a, s) {
 			st = Significant
 			break
 		}
 	}
 	if st == Unclassified {
 		for _, i := range c.insig {
-			if c.sp.Leq(i, a) {
+			if c.leq(i, a) {
 				st = Insignificant
 				break
 			}
 		}
 	}
-	c.status[a.Key()] = st
+	c.status[a] = st
 	if st == Unclassified {
-		c.unclassified[a.Key()] = a
+		c.unclassified[a] = true
 	} else if st == Significant {
-		c.significant = append(c.significant, a.Key())
+		c.significant = append(c.significant, a)
 	}
 	return st
 }
 
-func (c *scanClassifier) markSignificant(a assign.Assignment) {
+func (c *scanClassifier) markSignificant(a uint32) {
 	for _, s := range c.sig {
-		if c.sp.Leq(a, s) {
+		if c.leq(a, s) {
 			c.setStatus(a, Significant)
 			return
 		}
 	}
 	kept := c.sig[:0]
 	for _, s := range c.sig {
-		if !c.sp.Leq(s, a) {
+		if !c.leq(s, a) {
 			kept = append(kept, s)
 		}
 	}
 	c.sig = append(kept, a)
 	c.setStatus(a, Significant)
-	for k, w := range c.unclassified {
-		if c.sp.Leq(w, a) {
-			c.status[k] = Significant
-			delete(c.unclassified, k)
-			c.significant = append(c.significant, k)
+	for w := range c.unclassified {
+		if c.leq(w, a) {
+			c.status[w] = Significant
+			delete(c.unclassified, w)
+			c.significant = append(c.significant, w)
 		}
 	}
 }
 
-func (c *scanClassifier) markInsignificant(a assign.Assignment) {
+func (c *scanClassifier) markInsignificant(a uint32) {
 	for _, i := range c.insig {
-		if c.sp.Leq(i, a) {
+		if c.leq(i, a) {
 			c.setStatus(a, Insignificant)
 			return
 		}
 	}
 	kept := c.insig[:0]
 	for _, i := range c.insig {
-		if !c.sp.Leq(a, i) {
+		if !c.leq(a, i) {
 			kept = append(kept, i)
 		}
 	}
 	c.insig = append(kept, a)
 	c.setStatus(a, Insignificant)
-	for k, w := range c.unclassified {
-		if c.sp.Leq(a, w) {
-			c.status[k] = Insignificant
-			delete(c.unclassified, k)
+	for w := range c.unclassified {
+		if c.leq(a, w) {
+			c.status[w] = Insignificant
+			delete(c.unclassified, w)
 		}
 	}
 }
 
-func (c *scanClassifier) setStatus(a assign.Assignment, st Status) {
-	prev := c.status[a.Key()]
-	c.status[a.Key()] = st
-	delete(c.unclassified, a.Key())
+func (c *scanClassifier) setStatus(a uint32, st Status) {
+	prev := c.status[a]
+	c.status[a] = st
+	delete(c.unclassified, a)
 	if st == Significant && prev != Significant {
-		c.significant = append(c.significant, a.Key())
+		c.significant = append(c.significant, a)
 	}
 }
 
@@ -117,8 +121,8 @@ func (c *scanClassifier) setStatus(a assign.Assignment, st Status) {
 // mined variables, every term or only leaves valid, multiplicities on or
 // off — and the pool mixes real lattice nodes (a breadth-first successor
 // walk from the floor) with random antichains, nodes with no values, and
-// MORE-only nodes, which no term can index.
-func classifierDomain(seed int64) (*assign.Space, []assign.Assignment, error) {
+// MORE-only nodes, which no term can index. Pool nodes are Space ids.
+func classifierDomain(seed int64) (*assign.Space, []uint32, error) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := synth.DAGConfig{Width: 8 + rng.Intn(24), Depth: 2 + rng.Intn(3),
 		ValidLeavesOnly: rng.Intn(2) == 0, Multiplicities: rng.Intn(3) != 0, Seed: seed}
@@ -133,12 +137,12 @@ func classifierDomain(seed int64) (*assign.Space, []assign.Assignment, error) {
 		return nil, nil, err
 	}
 	sp := s.Sp
-	var pool []assign.Assignment
-	seen := map[string]bool{}
+	var pool []uint32
+	seen := map[uint32]bool{}
 	add := func(a assign.Assignment) {
-		if !seen[a.Key()] {
-			seen[a.Key()] = true
-			pool = append(pool, a)
+		if id := sp.ID(a); !seen[id] {
+			seen[id] = true
+			pool = append(pool, id)
 		}
 	}
 	queue := sp.Minimal()
@@ -204,7 +208,7 @@ func encodeClassifierOps(ops []classifierOp) []byte {
 // uncl passes indexMin, then all four operations mixed. An insignificant
 // mark takes the most specific of three random nodes: a general one would
 // absorb the rest, and the insignificant anchors would never pass indexMin.
-func randomClassifierOps(seed int64, pool []assign.Assignment) []classifierOp {
+func randomClassifierOps(seed int64, sp *assign.Space, pool []uint32) []classifierOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]classifierOp, 400)
 	for k := range ops {
@@ -213,7 +217,7 @@ func randomClassifierOps(seed int64, pool []assign.Assignment) []classifierOp {
 			ops[k].kind = 0
 		}
 		for j := 0; j < 2 && ops[k].kind == 3; j++ {
-			if n := rng.Intn(len(pool)); pool[n].Size() > pool[ops[k].node].Size() {
+			if n := rng.Intn(len(pool)); sp.Node(pool[n]).Size() > sp.Node(pool[ops[k].node]).Size() {
 				ops[k].node = n
 			}
 		}
@@ -226,25 +230,14 @@ func randomClassifierOps(seed int64, pool []assign.Assignment) []classifierOp {
 // statuses, the unclassified set, both anchor sets and the onSignificant
 // calls must agree. It reports which sets were indexed by the end; none is
 // on the first operation, so each indexed set switched from scan partway.
-func checkClassifierOps(t *testing.T, sp *assign.Space, pool []assign.Assignment, ops []classifierOp) (indexed [3]bool) {
+func checkClassifierOps(t *testing.T, sp *assign.Space, pool []uint32, ops []classifierOp) (indexed [3]bool) {
 	t.Helper()
 	c := newClassifier(sp)
-	var significant []string
-	c.onSignificant = func(id uint32) { significant = append(significant, c.ns.node(id).Key()) }
+	var significant []uint32
+	c.onSignificant = func(id uint32) { significant = append(significant, id) }
 	o := newScanClassifier(sp)
-	keys := func(ids []uint32) []string {
-		out := make([]string, len(ids))
-		for k, id := range ids {
-			out[k] = c.ns.node(id).Key()
-		}
-		slices.Sort(out)
-		return out
-	}
-	anchorKeys := func(as []assign.Assignment) []string {
-		out := make([]string, len(as))
-		for k, a := range as {
-			out[k] = a.Key()
-		}
+	sorted := func(ids []uint32) []uint32 {
+		out := slices.Clone(ids)
 		slices.Sort(out)
 		return out
 	}
@@ -252,7 +245,7 @@ func checkClassifierOps(t *testing.T, sp *assign.Space, pool []assign.Assignment
 		a := pool[op.node]
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("step %d (op %d on %s): %s", step, op.kind, sp.Format(a), fmt.Sprintf(format, args...))
+			t.Fatalf("step %d (op %d on %s): %s", step, op.kind, sp.Format(sp.Node(a)), fmt.Sprintf(format, args...))
 		}
 		switch op.kind {
 		case 0, 1:
@@ -272,26 +265,25 @@ func checkClassifierOps(t *testing.T, sp *assign.Space, pool []assign.Assignment
 				continue
 			}
 			tracked++
-			k := c.ns.node(uint32(id)).Key()
-			if want, ok := o.status[k]; !ok || c.status_[id] != want {
-				fail("%s is %v, scan %v (tracked %v)", sp.Format(c.ns.node(uint32(id))), c.status_[id], want, ok)
+			if want, ok := o.status[uint32(id)]; !ok || c.status_[id] != want {
+				fail("%s is %v, scan %v (tracked %v)", sp.Format(sp.Node(uint32(id))), c.status_[id], want, ok)
 			}
 		}
 		if tracked != len(o.status) {
 			fail("%d tracked nodes, scan %d", tracked, len(o.status))
 		}
-		var uncl []string
-		for k := range o.unclassified {
-			uncl = append(uncl, k)
+		var uncl []uint32
+		for w := range o.unclassified {
+			uncl = append(uncl, w)
 		}
 		slices.Sort(uncl)
-		if got := keys(c.uncl); !slices.Equal(got, uncl) {
+		if got := sorted(c.uncl); !slices.Equal(got, uncl) {
 			fail("%d unclassified, scan %d", len(got), len(uncl))
 		}
-		if got, want := keys(c.sig), anchorKeys(o.sig); !slices.Equal(got, want) {
+		if got, want := sorted(c.sig), sorted(o.sig); !slices.Equal(got, want) {
 			fail("%d significant anchors, scan %d", len(got), len(want))
 		}
-		if got, want := keys(c.insig), anchorKeys(o.insig); !slices.Equal(got, want) {
+		if got, want := sorted(c.insig), sorted(o.insig); !slices.Equal(got, want) {
 			fail("%d insignificant anchors, scan %d", len(got), len(want))
 		}
 		slices.Sort(significant)
@@ -322,7 +314,7 @@ func TestClassifierIndexMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for set, on := range checkClassifierOps(t, sp, pool, randomClassifierOps(seed, pool)) {
+		for set, on := range checkClassifierOps(t, sp, pool, randomClassifierOps(seed, sp, pool)) {
 			if on {
 				indexed[set]++
 			}

@@ -387,7 +387,7 @@ func (s *Session) speculateSuccessors() {
 	if n <= 0 {
 		return
 	}
-	succs := e.succsOf(e.ns.intern(e.at.node))
+	succs := e.succsOf(e.at.node)
 	if len(succs) > n {
 		succs = succs[:n]
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "oassis/internal/assign"
-
 // Sink receives every recorded crowd answer and explicit classification
 // event, in engine order, for durable storage (implemented by
 // internal/store.Store). Appends happen on the engine's hot path and must
@@ -31,11 +29,11 @@ func (e *engine) sinkAnswer(qKey, member string, sup float64, kind QuestionKind,
 }
 
 // sinkClassified forwards a classification event to the configured store.
-func (e *engine) sinkClassified(node assign.Assignment, significant bool) {
+func (e *engine) sinkClassified(node uint32, significant bool) {
 	if e.cfg.Store == nil {
 		return
 	}
-	if err := e.cfg.Store.AppendClassification(node.Key(), significant); err != nil {
+	if err := e.cfg.Store.AppendClassification(e.sp.Node(node).Key(), significant); err != nil {
 		e.stats.StoreErrors++
 		e.cfg.Metrics.storeError()
 	}

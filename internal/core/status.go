@@ -59,9 +59,9 @@ var setFlags = [3]uint8{setUncl: flagUncl, setSig: flagSig, setInsig: flagInsig}
 // upward closed). Nodes seen once are registered and their status is
 // maintained incrementally — each new anchor settles the still-unclassified
 // registered nodes it implies — so repeated status queries over the
-// engine's node pool are O(1). Per-node state is flat, indexed by the
-// shared nodeStore's dense ids; the zero value of a status slot is
-// Unclassified.
+// engine's node pool are O(1). Nodes are the Space's dense ids, and
+// per-node state is flat, indexed by them; the zero value of a status slot
+// is Unclassified.
 //
 // Every order question the classifier asks — is a node under a significant
 // anchor or over an insignificant one, which anchors does a new anchor
@@ -72,7 +72,6 @@ var setFlags = [3]uint8{setUncl: flagUncl, setSig: flagSig, setInsig: flagInsig}
 // can stand in the asked relation to the query node's values.
 type classifier struct {
 	sp    *assign.Space
-	ns    *nodeStore
 	sig   []uint32 // ids of the maximal significant anchors
 	insig []uint32 // ids of the minimal insignificant anchors
 	uncl  []uint32 // ids of the tracked nodes still unclassified, unordered
@@ -90,13 +89,7 @@ type classifier struct {
 }
 
 func newClassifier(sp *assign.Space) *classifier {
-	return newClassifierOn(sp, newNodeStore())
-}
-
-// newClassifierOn builds a classifier sharing the caller's node store, so
-// the engine and the classifier agree on node ids.
-func newClassifierOn(sp *assign.Space, ns *nodeStore) *classifier {
-	return &classifier{sp: sp, ns: ns}
+	return &classifier{sp: sp}
 }
 
 // grow extends the flat per-node state to cover id.
@@ -108,19 +101,14 @@ func (c *classifier) grow(id uint32) {
 	}
 }
 
-// register adds a to the watch list, computing its status against the
-// current anchors once.
-func (c *classifier) register(a assign.Assignment) Status {
-	return c.registerID(c.ns.intern(a))
-}
-
-// registerID is register for an already-interned node.
-func (c *classifier) registerID(id uint32) Status {
+// register adds node id to the watch list, computing its status against
+// the current anchors once.
+func (c *classifier) register(id uint32) Status {
 	c.grow(id)
 	if c.flags[id]&flagTracked != 0 {
 		return c.status_[id]
 	}
-	a := c.ns.node(id)
+	a := c.sp.Node(id)
 	st := Unclassified
 	if c.underSig(a) {
 		st = Significant
@@ -142,44 +130,35 @@ func (c *classifier) registerID(id uint32) Status {
 
 // underSig reports whether a lies at or below some significant anchor.
 func (c *classifier) underSig(a assign.Assignment) bool {
-	return c.above(setSig, a, func(s uint32) bool { return c.sp.Leq(a, c.ns.node(s)) })
+	return c.above(setSig, a, func(s uint32) bool { return c.sp.Leq(a, c.sp.Node(s)) })
 }
 
 // overInsig reports whether a lies at or above some insignificant anchor.
 func (c *classifier) overInsig(a assign.Assignment) bool {
-	return c.below(setInsig, a, func(i uint32) bool { return c.sp.Leq(c.ns.node(i), a) })
+	return c.below(setInsig, a, func(i uint32) bool { return c.sp.Leq(c.sp.Node(i), a) })
 }
 
-// status returns the classification of a, registering it if new.
-func (c *classifier) status(a assign.Assignment) Status {
-	if id, ok := c.ns.byKey(a.Key()); ok {
-		return c.statusID(id)
-	}
-	return c.register(a)
-}
-
-// statusID returns the classification of an interned node, registering it
-// if new.
-func (c *classifier) statusID(id uint32) Status {
+// status returns the classification of node id, registering it if new.
+func (c *classifier) status(id uint32) Status {
 	if int(id) < len(c.flags) && c.flags[id]&flagTracked != 0 {
 		return c.status_[id]
 	}
-	return c.registerID(id)
+	return c.register(id)
 }
 
-// markSignificant records that a (and hence every predecessor of a) is
-// significant. The anchor list keeps only maximal elements, and only the
-// tracked unclassified nodes below a are settled.
-func (c *classifier) markSignificant(a assign.Assignment) {
-	id := c.ns.intern(a)
+// markSignificant records that node id (and hence every predecessor of
+// it) is significant. The anchor list keeps only maximal elements, and
+// only the tracked unclassified nodes below it are settled.
+func (c *classifier) markSignificant(id uint32) {
 	c.grow(id)
+	a := c.sp.Node(id)
 	if c.underSig(a) {
 		c.setStatus(id, Significant)
 		return // already implied
 	}
 	absorbed := false
 	c.below(setSig, a, func(s uint32) bool {
-		if c.sp.Leq(c.ns.node(s), a) {
+		if c.sp.Leq(c.sp.Node(s), a) {
 			c.flags[s] &^= flagSig
 			absorbed = true
 		}
@@ -193,25 +172,25 @@ func (c *classifier) markSignificant(a assign.Assignment) {
 	c.post(setSig, id, a)
 	c.setStatus(id, Significant)
 	c.below(setUncl, a, func(w uint32) bool {
-		if c.sp.Leq(c.ns.node(w), a) {
+		if c.sp.Leq(c.sp.Node(w), a) {
 			c.setStatus(w, Significant)
 		}
 		return false
 	})
 }
 
-// markInsignificant records that a (and hence every successor of a) is
-// insignificant.
-func (c *classifier) markInsignificant(a assign.Assignment) {
-	id := c.ns.intern(a)
+// markInsignificant records that node id (and hence every successor of
+// it) is insignificant.
+func (c *classifier) markInsignificant(id uint32) {
 	c.grow(id)
+	a := c.sp.Node(id)
 	if c.overInsig(a) {
 		c.setStatus(id, Insignificant)
 		return
 	}
 	absorbed := false
 	c.above(setInsig, a, func(i uint32) bool {
-		if c.sp.Leq(a, c.ns.node(i)) {
+		if c.sp.Leq(a, c.sp.Node(i)) {
 			c.flags[i] &^= flagInsig
 			absorbed = true
 		}
@@ -225,7 +204,7 @@ func (c *classifier) markInsignificant(a assign.Assignment) {
 	c.post(setInsig, id, a)
 	c.setStatus(id, Insignificant)
 	c.above(setUncl, a, func(w uint32) bool {
-		if c.sp.Leq(a, c.ns.node(w)) {
+		if c.sp.Leq(a, c.sp.Node(w)) {
 			c.setStatus(w, Insignificant)
 		}
 		return false
@@ -255,17 +234,6 @@ func (c *classifier) setStatus(id uint32, st Status) {
 // keeping the survivors in order.
 func (c *classifier) compact(list []uint32, flag uint8) []uint32 {
 	return slices.DeleteFunc(list, func(id uint32) bool { return c.flags[id]&flag == 0 })
-}
-
-// maximalSignificant returns the maximal significant nodes discovered — the
-// set M of Algorithm 1 (which may include invalid assignments; the valid
-// ones are the query's MSP output).
-func (c *classifier) maximalSignificant() []assign.Assignment {
-	out := make([]assign.Assignment, len(c.sig))
-	for k, id := range c.sig {
-		out[k] = c.ns.node(id)
-	}
-	return out
 }
 
 // members returns the id list of set.
@@ -314,7 +282,7 @@ func (c *classifier) post(set int, id uint32, a assign.Assignment) {
 		}
 		c.idx.on[set] = true
 		for _, m := range c.members(set) {
-			c.idx.post(set, m, c.ns.node(m))
+			c.idx.post(set, m, c.sp.Node(m))
 		}
 	}
 }

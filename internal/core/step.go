@@ -2,7 +2,6 @@ package core
 
 import (
 	"oassis/internal/aggregate"
-	"oassis/internal/assign"
 	"oassis/internal/crowd"
 	"oassis/internal/fact"
 	"oassis/internal/obs"
@@ -40,21 +39,21 @@ const (
 // cursor is the engine's position in the algorithm.
 type cursor struct {
 	at    phase
-	round int                 // rounds started so far
-	node  assign.Assignment   // the round's node
-	turn  int                 // index of the member whose turn it is (-1 before the first)
-	cur   assign.Assignment   // the node the member's descent chain has reached
-	succs []assign.Assignment // cur's unclassified successors being asked
-	next  int                 // index into succs of the successor being asked
-	sets  []fact.Set          // the specialization question's candidates
+	round int        // rounds started so far
+	node  uint32     // id of the round's node
+	turn  int        // index of the member whose turn it is (-1 before the first)
+	cur   uint32     // id of the node the member's descent chain has reached
+	succs []uint32   // ids of cur's unclassified successors being asked
+	next  int        // index into succs of the successor being asked
+	sets  []fact.Set // the specialization question's candidates
 }
 
 // want is the crowd question the engine is parked on.
 type want struct {
-	mi   int               // index of the asked member
-	node assign.Assignment // the questioned node (concrete and pruning questions)
-	qKey string            // the node's question key
-	q    Question          // the question itself; IDs are the Session's business
+	mi   int      // index of the asked member
+	node uint32   // id of the questioned node (concrete and pruning questions)
+	qKey string   // the node's question key
+	q    Question // the question itself; IDs are the Session's business
 }
 
 // reply hands a delivered answer to the phase that parked for it.
@@ -109,7 +108,7 @@ func (e *engine) answer(a Answer) {
 }
 
 // park suspends the machine on a question to member mi.
-func (e *engine) park(mi int, node assign.Assignment, qKey string, q Question) {
+func (e *engine) park(mi int, node uint32, qKey string, q Question) {
 	q.Member = e.ids[mi]
 	e.want = want{mi: mi, node: node, qKey: qKey, q: q}
 	e.parked = true
@@ -182,7 +181,7 @@ func (e *engine) step() {
 		if r := e.take(); r.ok {
 			e.specialized(r.ans)
 		} else {
-			e.park(c.turn, assign.Assignment{}, "", Question{Kind: KindSpecialization, Choices: c.sets})
+			e.park(c.turn, 0, "", Question{Kind: KindSpecialization, Choices: c.sets})
 		}
 	case phDeclineQ:
 		n := c.succs[0]
@@ -224,7 +223,7 @@ func (e *engine) startRound() {
 	}
 	e.cfg.Metrics.roundStarted()
 	e.endRound()
-	e.endRound = obs.Begin(e.cfg.Tracer, "round", obs.A("node", node.Key()))
+	e.endRound = obs.Begin(e.cfg.Tracer, "round", obs.A("node", e.sp.Node(node).Key()))
 	e.newAnswers = 0
 	c := &e.at
 	c.round++
@@ -242,7 +241,7 @@ func (e *engine) finish() {
 // inference or the primed cache (ok), or else parked on a pruning offer
 // and then a concrete question (!ok), whose delivered answer the next
 // call returns.
-func (e *engine) support(mi int, node assign.Assignment) (float64, bool) {
+func (e *engine) support(mi int, node uint32) (float64, bool) {
 	r := e.take()
 	if r.ok {
 		return r.sup, true
@@ -283,7 +282,7 @@ func (e *engine) support(mi int, node assign.Assignment) (float64, bool) {
 
 // pull obtains member mi's support for node synchronously from
 // cfg.Members: the baselines' use of the question point.
-func (e *engine) pull(mi int, node assign.Assignment) float64 {
+func (e *engine) pull(mi int, node uint32) float64 {
 	for {
 		if s, ok := e.support(mi, node); ok {
 			return s
@@ -297,7 +296,7 @@ func (e *engine) pull(mi int, node assign.Assignment) float64 {
 // §4.2 modification — the member's own support reaches the threshold AND
 // n is not overall insignificant, so members are not sent down branches
 // that are already globally dead.
-func (e *engine) affirmed(s float64, n assign.Assignment) bool {
+func (e *engine) affirmed(s float64, n uint32) bool {
 	e.decBudget(e.at.turn)
 	return s >= e.cfg.Theta-aggregate.Eps && e.cls.status(n) != Insignificant
 }

@@ -164,7 +164,7 @@ func classifiedCurve(res *core.Result) []int {
 func mspCurve(res *core.Result, msps []assign.Assignment) []int {
 	var out []int
 	for _, m := range msps {
-		if q, ok := res.MSPQuestion[m.Key()]; ok {
+		if q, ok := res.DiscoveredAt(m); ok {
 			out = append(out, q)
 		} else {
 			out = append(out, res.Stats.TotalQuestions)

@@ -49,7 +49,7 @@ func DefaultFig5(scale float64) Fig5Config {
 func discoveryCurve(res *core.Result, planted []assign.Assignment, steps []int) []int {
 	var times []int
 	for _, m := range planted {
-		if q, ok := res.MSPQuestion[m.Key()]; ok {
+		if q, ok := res.DiscoveredAt(m); ok {
 			times = append(times, q)
 		} else {
 			times = append(times, res.Stats.TotalQuestions) // never discovered

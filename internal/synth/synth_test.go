@@ -1,10 +1,13 @@
 package synth
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"oassis/internal/aggregate"
+	"oassis/internal/assign"
 	"oassis/internal/core"
 	"oassis/internal/crowd"
 	"oassis/internal/fact"
@@ -141,32 +144,56 @@ func TestOracleAnswers(t *testing.T) {
 	}
 }
 
+// TestVerticalRecoversPlantedMSPs: with one noiseless oracle member, the
+// vertical algorithm recovers exactly the planted MSPs on every cell of a
+// sweep over seeds 1–20, one and two mined variables, trees and DAGs
+// (ExtraParentProb 0 and 0.3), and multiplicities off and on.
 func TestVerticalRecoversPlantedMSPs(t *testing.T) {
-	s, err := GenerateSpace(DAGConfig{Width: 80, Depth: 5, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msps, err := s.PlantMSPs(MSPConfig{Count: 5, ValidOnly: true, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewOracle("oracle", s, msps)
-	res := core.Run(core.Config{
-		Space:   s.Sp,
-		Theta:   0.5,
-		Members: []crowd.Member{o},
-	})
-	want := map[string]bool{}
-	for _, m := range msps {
-		want[m.Key()] = true
-	}
-	if len(res.MSPs) != len(msps) {
-		t.Fatalf("recovered %d MSPs, want %d", len(res.MSPs), len(msps))
-	}
-	for _, m := range res.MSPs {
-		if !want[m.Key()] {
-			t.Errorf("unexpected MSP %s", s.Sp.Format(m))
+	keys := func(as []assign.Assignment) []string {
+		out := make([]string, len(as))
+		for k, a := range as {
+			out[k] = a.Key()
 		}
+		slices.Sort(out)
+		return out
+	}
+	cells := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, twoVars := range []bool{false, true} {
+			for _, extra := range []float64{0, 0.3} {
+				for _, mult := range []bool{false, true} {
+					dag := DAGConfig{Width: 60, Depth: 4, ExtraParentProb: extra, Multiplicities: mult, Seed: seed}
+					if twoVars {
+						dag.XWidth, dag.XDepth = 6, 2
+					}
+					plant := MSPConfig{Count: 4, ValidOnly: true, Seed: seed + 1000}
+					if mult {
+						plant.MultCount, plant.MaxMultSize = 2, 3
+					}
+					name := fmt.Sprintf("%+v %+v", dag, plant)
+					s, err := GenerateSpace(dag)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					msps, err := s.PlantMSPs(plant)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					res := core.Run(core.Config{
+						Space:   s.Sp,
+						Theta:   0.5,
+						Members: []crowd.Member{NewOracle("oracle", s, msps)},
+					})
+					if got, want := keys(res.MSPs), keys(msps); !slices.Equal(got, want) {
+						t.Errorf("%s: recovered %d MSPs, planted %d, and the sets differ", name, len(got), len(want))
+					}
+					cells++
+				}
+			}
+		}
+	}
+	if cells != 160 {
+		t.Fatalf("swept %d cells, want 160", cells)
 	}
 }
 
