@@ -67,3 +67,25 @@ func TestAllocsSuccessors(t *testing.T) {
 		t.Fatalf("warm Successors allocates %.1f times per call, want <= %d", allocs, maxAllocs)
 	}
 }
+
+// TestAllocsCoverTest: with its scratch warm, the box-cover test on a
+// multi-valued two-variable node — the test every node gets on first
+// sight — allocates nothing, and neither does the box walk behind IsValid.
+func TestAllocsCoverTest(t *testing.T) {
+	s, sp := buildSpace(t, figure3Query)
+	a := node(s, sp, []string{"Biking", "Ball Game"}, "Central Park")
+	if !sp.coveredByValidBox(a) { // warm the scratch
+		t.Fatal("gate node is not covered")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp.coveredByValidBox(a)
+	}); allocs != 0 {
+		t.Fatalf("warm box-cover test allocates %.1f times per call, want 0", allocs)
+	}
+	sp.IsValid(a)
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp.IsValid(a)
+	}); allocs != 0 {
+		t.Fatalf("IsValid allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -42,7 +42,7 @@ func (sp *Space) NewAssignment(vals [][]vocab.Term, more fact.Set) Assignment {
 	out := Assignment{Vals: make([][]vocab.Term, len(sp.Vars))}
 	for i := range sp.Vars {
 		if i < len(vals) {
-			out.Vals[i] = sp.Voc.ReduceAntichain(vals[i])
+			out.Vals[i] = sp.Voc.AppendReduceAntichain(nil, vals[i])
 		}
 	}
 	if len(more) > 0 {

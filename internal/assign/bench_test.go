@@ -26,6 +26,40 @@ func BenchmarkSuccessors(b *testing.B) {
 	}
 }
 
+// BenchmarkSuccessorsCold measures successor generation the way a session
+// meets its nodes: each op runs AppendSuccessorIDs on the next node of a
+// breadth-first walk of the Figure 3 lattice, replayed on a fresh Space
+// over the same compiled parts, so every node and every successor it emits
+// is interned and box-cover tested there for the first time in the walk.
+// Its allocs/op is the per-call count the repository benchmark's traced
+// run reports as assign.successors.allocs_per_call.
+func BenchmarkSuccessorsCold(b *testing.B) {
+	_, sp := buildSpace(b, figure3Query)
+	nodes := sp.Minimal()
+	seen := map[string]bool{}
+	for n := 0; n < len(nodes); n++ {
+		for _, s := range sp.Successors(nodes[n]) {
+			if !seen[s.Key()] {
+				seen[s.Key()] = true
+				nodes = append(nodes, s)
+			}
+		}
+	}
+	var fresh *Space
+	var buf []uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(nodes)
+		if k == 0 {
+			b.StopTimer()
+			fresh = FromShared(sp.Voc, sp.Vars, sp.Sat, sp.More, sp.ValidBase, sp.Tables())
+			b.StartTimer()
+		}
+		buf = fresh.AppendSuccessorIDs(buf[:0], fresh.ID(nodes[k]))
+	}
+}
+
 // BenchmarkSuccessorsWide measures successor generation across a sample of
 // nodes of a wider random DAG space (the property-test generator), so the
 // number is not an artifact of one lattice shape.

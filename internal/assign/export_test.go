@@ -1,6 +1,10 @@
 package assign
 
-import "oassis/internal/vocab"
+import (
+	"sort"
+
+	"oassis/internal/vocab"
+)
 
 // MinimalAddable exposes the successor generator's minimal-addable walk to
 // the external tests, which build their spaces with internal/synth.
@@ -32,5 +36,117 @@ func (sp *Space) MinimalAddableScan(i int, vals []vocab.Term) []vocab.Term {
 			out = append(out, t)
 		}
 	}
+	return out
+}
+
+// CoveredByValidBox exposes the box-cover test, unmemoized, to the
+// external tests.
+func (sp *Space) CoveredByValidBox(a Assignment) bool { return sp.coveredByValidBox(a) }
+
+// InAOracle is InA with the box-cover test replaced by its oracle and no
+// memo.
+func (sp *Space) InAOracle(a Assignment) bool {
+	return sp.structuralInA(a) && sp.CoveredByValidBoxOracle(a)
+}
+
+// IsValidOracle is IsValid with the box walk replaced by its oracle.
+func (sp *Space) IsValidOracle(a Assignment) bool {
+	for i, vs := range sp.Vars {
+		if !vs.Mult.Allows(len(a.Vals[i])) {
+			return false
+		}
+	}
+	if len(a.More) > 0 && !sp.More {
+		return false
+	}
+	return sp.boxContainedOracle(a.Vals)
+}
+
+// CoveredByValidBoxOracle is the box-cover test as it was before it moved
+// into reused scratch, kept as its oracle: per-call cover and choice
+// tables, a recursive closure, and a fresh canonical box per tried choice.
+// The box's rows are reduced by reduceAntichainOracle rather than the
+// shared vocab reduction, so a fault there cannot hide on both sides.
+func (sp *Space) CoveredByValidBoxOracle(a Assignment) bool {
+	covers := make([][][]vocab.Term, len(sp.Vars))
+	for i := range sp.Vars {
+		covers[i] = make([][]vocab.Term, len(a.Vals[i]))
+		for j, v := range a.Vals[i] {
+			cs := sp.tab.coversOf(i, v)
+			if len(cs) == 0 {
+				return false
+			}
+			covers[i][j] = cs
+		}
+	}
+	chosen := make([][]vocab.Term, len(sp.Vars))
+	var pick func(i, j int) bool
+	pick = func(i, j int) bool {
+		if i == len(sp.Vars) {
+			box := make([][]vocab.Term, len(chosen))
+			for k, vs := range chosen {
+				box[k] = reduceAntichainOracle(sp.Voc, vs)
+			}
+			return sp.boxContainedOracle(box)
+		}
+		if j == len(covers[i]) {
+			return pick(i+1, 0)
+		}
+		for _, c := range covers[i][j] {
+			chosen[i] = append(chosen[i], c)
+			if pick(i, j+1) {
+				chosen[i] = chosen[i][:len(chosen[i])-1]
+				return true
+			}
+			chosen[i] = chosen[i][:len(chosen[i])-1]
+		}
+		return false
+	}
+	return pick(0, 0)
+}
+
+// boxContainedOracle is the closure-driven box walk: every combination of
+// one value per nonempty row must match some valid base row, with empty
+// rows as projection wildcards.
+func (sp *Space) boxContainedOracle(rows [][]vocab.Term) bool {
+	tuple := make([]vocab.Term, len(sp.Vars))
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(sp.Vars) {
+			return sp.matchesSomeBase(tuple)
+		}
+		if len(rows[i]) == 0 {
+			tuple[i] = vocab.None
+			return rec(i + 1)
+		}
+		for _, v := range rows[i] {
+			tuple[i] = v
+			if !rec(i + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	return rec(0)
+}
+
+// reduceAntichainOracle is the allocating antichain reduction the append
+// form replaced: the maximally specific values of ts, sorted and
+// deduplicated.
+func reduceAntichainOracle(v *vocab.Vocabulary, ts []vocab.Term) []vocab.Term {
+	var out []vocab.Term
+	for i, a := range ts {
+		redundant := false
+		for j, b := range ts {
+			if i != j && (v.Lt(a, b) || (a == b && j < i)) {
+				redundant = true
+				break
+			}
+		}
+		if !redundant {
+			out = append(out, a)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

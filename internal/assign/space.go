@@ -3,6 +3,7 @@ package assign
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,10 +76,27 @@ type Space struct {
 	hdrBuf   [][]vocab.Term // candidate header scratch
 	valBuf   []vocab.Term   // candidate value-row scratch
 	idBuf    []uint32       // Successors/Predecessors id scratch
-	addBuf   []vocab.Term   // minimalAddable output scratch
+	tupleBuf []vocab.Term   // box walk tuple scratch
+	multi    *multiScratch  // multi-valued scratch, allocated on first need
+}
+
+// multiScratch is the scratch only multi-valued variables need: the
+// minimal-addable walk's and the box-cover test's. A Space allocates it on
+// first need, so sessions whose nodes are all single-valued never pay for it.
+type multiScratch struct {
+	addBuf   []vocab.Term   // minimalAddable output
 	walkBuf  []vocab.Term   // minimalAddable walk stack
 	walkSeen []uint64       // minimalAddable visited-term bitset
-	tupleBuf []vocab.Term   // boxContained tuple scratch
+	rows     [][]vocab.Term // box-cover test: the box's multi-valued rows
+	picks    []vocab.Term   // box-cover test: picked covers and their antichains
+}
+
+// scratch returns the multi-valued scratch, allocating it on first need.
+func (sp *Space) scratch() *multiScratch {
+	if sp.multi == nil {
+		sp.multi = &multiScratch{rows: make([][]vocab.Term, len(sp.Vars))}
+	}
+	return sp.multi
 }
 
 // coverState is a node's memoized box-cover test: whether some valid
@@ -307,7 +325,10 @@ func (sp *Space) IsValid(a Assignment) bool {
 	if len(a.More) > 0 && !sp.More {
 		return false
 	}
-	return sp.boxContained(a)
+	for i := range sp.tupleBuf {
+		sp.tupleBuf[i] = vocab.None // empty value sets: projection semantics
+	}
+	return sp.walkBox(a.Vals, 0)
 }
 
 // InA reports whether a belongs to the explored set 𝒜 (Algorithm 1,
@@ -382,29 +403,24 @@ func (sp *Space) respectsAnchors(i int, t vocab.Term) bool {
 	return sp.tab.anchorOK(i, t)
 }
 
-// boxContained checks whether every combination of one value per (nonempty)
-// variable of a is a valid base assignment. Variables with empty value sets
-// use projection semantics: the combination must extend to some valid row.
-func (sp *Space) boxContained(a Assignment) bool {
-	tuple := sp.tupleBuf
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(sp.Vars) {
-			return sp.matchesSomeBase(tuple)
-		}
-		if len(a.Vals[i]) == 0 {
-			tuple[i] = vocab.None // wildcard position: projection semantics
-			return rec(i + 1)
-		}
-		for _, v := range a.Vals[i] {
-			tuple[i] = v
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
+// walkBox reports whether every combination of one value per nonempty row
+// of rows[i:] matches some valid base row. A position whose row is empty
+// keeps the value already in the tuple: vocab.None for an empty value set
+// (projection semantics), or a single-valued variable's pick.
+func (sp *Space) walkBox(rows [][]vocab.Term, i int) bool {
+	for i < len(rows) && len(rows[i]) == 0 {
+		i++
 	}
-	return rec(0)
+	if i == len(rows) {
+		return sp.matchesSomeBase(sp.tupleBuf)
+	}
+	for _, v := range rows[i] {
+		sp.tupleBuf[i] = v
+		if !sp.walkBox(rows, i+1) {
+			return false
+		}
+	}
+	return true
 }
 
 // matchesSomeBase reports whether some valid base row agrees with tuple on
@@ -437,48 +453,66 @@ func (sp *Space) matchesSomeBase(tuple []vocab.Term) bool {
 
 // coveredByValidBox reports whether there exists a valid assignment ψ with
 // a ≤ ψ: for each variable a set of covering valid values must exist whose
-// full cross product lies in ValidBase. The search assigns, per variable and
-// per value of a, a covering valid value, then verifies the box.
+// full cross product lies in ValidBase. The search picks, per variable and
+// per value of a, a covering valid value, then walks the box the picks span.
+// It allocates nothing: a single-valued variable picks straight into the
+// walk's tuple, and a multi-valued one stacks its picks, and their antichain
+// (its row of the box), in the multi-valued scratch.
 func (sp *Space) coveredByValidBox(a Assignment) bool {
-	// candidate covers per variable per value (memoized per var/value).
-	covers := make([][][]vocab.Term, len(sp.Vars))
-	for i := range sp.Vars {
-		covers[i] = make([][]vocab.Term, len(a.Vals[i]))
-		for j, v := range a.Vals[i] {
-			cs := sp.coversOf(i, v)
-			if len(cs) == 0 {
+	n := 0 // scratch the multi-valued variables' picks and rows take
+	for i, vals := range a.Vals {
+		for _, v := range vals {
+			if len(sp.tab.coversOf(i, v)) == 0 {
 				return false
 			}
-			covers[i][j] = cs
+		}
+		if len(vals) > 1 {
+			n += 2 * len(vals)
 		}
 	}
-	// chosen[i] collects the selected cover values for variable i.
-	chosen := make([][]vocab.Term, len(sp.Vars))
-	var pick func(i, j int) bool
-	pick = func(i, j int) bool {
-		if i == len(sp.Vars) {
-			return sp.boxContained(sp.NewAssignment(chosen, nil))
-		}
-		if j == len(covers[i]) {
-			return pick(i+1, 0)
-		}
-		for _, c := range covers[i][j] {
-			chosen[i] = append(chosen[i], c)
-			if pick(i, j+1) {
-				chosen[i] = chosen[i][:len(chosen[i])-1]
-				return true
-			}
-			chosen[i] = chosen[i][:len(chosen[i])-1]
-		}
-		return false
+	var rows [][]vocab.Term
+	var picks []vocab.Term
+	if n > 0 {
+		ms := sp.scratch()
+		clear(ms.rows)
+		ms.picks = slices.Grow(ms.picks[:0], n)
+		rows, picks = ms.rows, ms.picks
 	}
-	return pick(0, 0)
+	return sp.pickCover(a, rows, picks, 0, 0)
 }
 
-// coversOf returns the precomputed valid values of variable i that are at or
-// below v, i.e. the candidate covers of v in a valid assignment.
-func (sp *Space) coversOf(i int, v vocab.Term) []vocab.Term {
-	return sp.tab.coversOf(i, v)
+// pickCover picks a covering valid value for value j of variable i of a and
+// for every later value, in variable order, and reports whether some choice
+// spans a box of valid base rows. picks holds the multi-valued variables'
+// picks and rows so far; rows is nil when a has no multi-valued variable.
+func (sp *Space) pickCover(a Assignment, rows [][]vocab.Term, picks []vocab.Term, i, j int) bool {
+	if i == len(a.Vals) {
+		return sp.walkBox(rows, 0)
+	}
+	vals := a.Vals[i]
+	if j == len(vals) {
+		switch {
+		case len(vals) == 0:
+			sp.tupleBuf[i] = vocab.None
+		case len(vals) > 1:
+			// The box's row: the picks' antichain, most specific values kept.
+			out := sp.Voc.AppendReduceAntichain(picks, picks[len(picks)-len(vals):])
+			rows[i], picks = out[len(picks):], out
+		}
+		return sp.pickCover(a, rows, picks, i+1, 0)
+	}
+	for _, c := range sp.tab.coversOf(i, vals[j]) {
+		next := picks
+		if len(vals) == 1 {
+			sp.tupleBuf[i] = c
+		} else {
+			next = append(picks, c)
+		}
+		if sp.pickCover(a, rows, next, i, j+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // VarIndex returns the index of the named mining variable, or -1.

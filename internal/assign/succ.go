@@ -323,16 +323,17 @@ func (sp *Space) minimalAddable(i int, vals []vocab.Term) []vocab.Term {
 	addable := func(t vocab.Term) bool {
 		return sp.tab.inDomain(i, t) && compatible(sp.Voc, vals, -1, t)
 	}
-	seen := sp.walkSeen
+	ms := sp.scratch()
+	seen := ms.walkSeen
 	if len(seen) < sp.tab.words {
 		seen = make([]uint64, sp.tab.words)
-		sp.walkSeen = seen
+		ms.walkSeen = seen
 	}
-	stack := append(sp.walkBuf[:0], sp.tab.minVals[i]...)
+	stack := append(ms.walkBuf[:0], sp.tab.minVals[i]...)
 	for _, t := range stack {
 		seen[t>>6] |= 1 << (uint(t) & 63)
 	}
-	out := sp.addBuf[:0]
+	out := ms.addBuf[:0]
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -366,7 +367,7 @@ func (sp *Space) minimalAddable(i int, vals []vocab.Term) []vocab.Term {
 	}
 	clear(seen)
 	slices.Sort(out)
-	sp.walkBuf, sp.addBuf = stack, out
+	ms.walkBuf, ms.addBuf = stack, out
 	return out
 }
 
@@ -455,8 +456,8 @@ func (sp *Space) AppendPredecessorIDs(dst []uint32, id uint32) []uint32 {
 				nv := append(sp.valBuf[:0], vals[:vi]...)
 				nv = append(nv, vals[vi+1:]...)
 				nv = append(nv, p)
-				sp.valBuf = nv
-				dst = sp.emitRow(dst, a, i, sp.Voc.ReduceAntichain(nv))
+				sp.valBuf = sp.Voc.AppendReduceAntichain(nv, nv)
+				dst = sp.emitRow(dst, a, i, sp.valBuf[len(nv):])
 			}
 		}
 		if len(vals) > sp.Vars[i].Mult.Min {

@@ -48,7 +48,7 @@ func checkWalkMatchesScan(t *testing.T, name string, sp *assign.Space, rng *rand
 		for j := range vals {
 			vals[j] = terms[rng.Intn(len(terms))]
 		}
-		check(i, sp.Voc.ReduceAntichain(vals))
+		check(i, sp.Voc.AppendReduceAntichain(nil, vals))
 	}
 	if len(seen) < 2 {
 		t.Fatalf("%s: successor walk reached %d nodes; the check needs a lattice", name, len(seen))

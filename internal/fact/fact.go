@@ -9,7 +9,7 @@ package fact
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"oassis/internal/vocab"
@@ -67,16 +67,16 @@ func (s Set) Clone() Set {
 // duplicates removed. The receiver is not modified.
 func (s Set) Canon() Set {
 	out := s.Clone()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	w := 0
-	for i, f := range out {
-		if i > 0 && f == out[w-1] {
-			continue
+	slices.SortFunc(out, func(f, g Fact) int {
+		if f.Less(g) {
+			return -1
 		}
-		out[w] = f
-		w++
-	}
-	return out[:w]
+		if g.Less(f) {
+			return 1
+		}
+		return 0
+	})
+	return slices.Compact(out)
 }
 
 // Contains reports whether s contains exactly f.

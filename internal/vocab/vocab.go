@@ -424,11 +424,13 @@ func (v *Vocabulary) IsAntichain(ts []Term) bool {
 	return true
 }
 
-// ReduceAntichain drops from ts every term that is a proper generalization
-// of another term in ts, returning the canonical antichain representation
-// (maximally specific values only), sorted and deduplicated.
-func (v *Vocabulary) ReduceAntichain(ts []Term) []Term {
-	var out []Term
+// AppendReduceAntichain appends to dst the canonical antichain
+// representation of ts — ts without every term that is a proper
+// generalization of another term in ts (maximally specific values only),
+// sorted and deduplicated — and returns the extended slice. ts must not
+// overlap dst's spare capacity.
+func (v *Vocabulary) AppendReduceAntichain(dst, ts []Term) []Term {
+	start := len(dst)
 	for i, a := range ts {
 		redundant := false
 		for j, b := range ts {
@@ -441,11 +443,11 @@ func (v *Vocabulary) ReduceAntichain(ts []Term) []Term {
 			}
 		}
 		if !redundant {
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Names returns the names of ts, for diagnostics.

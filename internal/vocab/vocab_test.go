@@ -277,16 +277,18 @@ func TestAntichain(t *testing.T) {
 	if v.IsAntichain([]Term{m["Sport"], m["Basketball"]}) {
 		t.Error("Sport,Basketball should not be an antichain")
 	}
-	got := v.ReduceAntichain([]Term{m["Sport"], m["Basketball"], m["Biking"], m["Basketball"]})
-	if len(got) != 2 {
-		t.Fatalf("ReduceAntichain = %v", v.Names(got))
+	prefix := []Term{m["Sport"]}
+	out := v.AppendReduceAntichain(prefix, []Term{m["Sport"], m["Basketball"], m["Biking"], m["Basketball"]})
+	if len(out) != 3 || out[0] != m["Sport"] {
+		t.Fatalf("AppendReduceAntichain = %v, want the prefix Sport kept", v.Names(out))
 	}
+	got := out[1:]
 	seen := map[Term]bool{}
 	for _, g := range got {
 		seen[g] = true
 	}
 	if !seen[m["Basketball"]] || !seen[m["Biking"]] {
-		t.Errorf("ReduceAntichain = %v, want Basketball+Biking", v.Names(got))
+		t.Errorf("AppendReduceAntichain = %v, want Basketball+Biking", v.Names(got))
 	}
 	if !v.IsAntichain(got) {
 		t.Error("reduced set is not an antichain")
@@ -365,8 +367,8 @@ func TestLeqIsPartialOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: ReduceAntichain output is always an antichain and every dropped
-// term is ≤ some kept term.
+// Property: AppendReduceAntichain keeps dst, and its appended output is
+// always an ascending antichain and every dropped term is ≤ some kept term.
 func TestReduceAntichainProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	v := randomDAG(r, 5, 5)
@@ -376,8 +378,9 @@ func TestReduceAntichainProperty(t *testing.T) {
 		for i := range in {
 			in[i] = Term(r.Intn(n))
 		}
-		out := v.ReduceAntichain(in)
-		if !v.IsAntichain(out) {
+		dst := v.AppendReduceAntichain([]Term{None}, in)
+		out := dst[1:]
+		if dst[0] != None || !slices.IsSorted(out) || !v.IsAntichain(out) {
 			return false
 		}
 		for _, a := range in {
