@@ -2,7 +2,8 @@
 # vet, build, the public-API drift guard, the full test suite under the
 # race detector (the experiment grids in internal/experiments fan cells
 # across goroutines, so -race exercises the concurrency model for real),
-# and short passes of the six fuzzers listed under the fuzz target.
+# short passes of the six fuzzers listed under the fuzz target, and vet
+# plus tests of the separate bench module.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -15,9 +16,9 @@ BENCH_STAMP := $(shell date +%Y%m%d_%H%M%S)
 # timing-dependent recovery paths.
 COVER_MIN ?= 80.0
 
-.PHONY: check fmt vet build api api-update test race fuzz cover bench bench-smoke bench-compare plan-golden plan-golden-update
+.PHONY: check fmt vet build api api-update test race fuzz cover bench bench-smoke bench-compare bench-module plan-golden plan-golden-update
 
-check: fmt vet build api plan-golden race fuzz cover bench-smoke bench-compare
+check: fmt vet build api plan-golden race fuzz cover bench-smoke bench-compare bench-module
 
 # Fail when the root package's exported surface no longer matches the
 # committed api.txt golden; `make api-update` regenerates it after a
@@ -108,3 +109,12 @@ bench-smoke:
 #   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam -parallel 1 -out BENCH_baseline.json
 bench-compare:
 	$(GO) run ./cmd/oassis-bench -parallel 1 -compare BENCH_baseline.json
+
+# The repo benchmark (bench/) is its own module, built against this one
+# through a replace directive, so ./... above never reaches it. Vet it and
+# run its tests, whose TestSmokeEveryWorkload drives every workload
+# briefly: a change to an API the benchmark uses fails here, not only when
+# the benchmark is next run.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...

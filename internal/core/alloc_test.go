@@ -26,10 +26,11 @@ func TestAllocsPick(t *testing.T) {
 	}
 }
 
-// TestAllocsSessionNext gates Next at one allocation — the returned
-// slice — however many questions are open: a warm Next over the 16-member
-// travel session that issues nothing new copies the ordered open list and
-// does nothing else on the heap.
+// TestAllocsSessionNext gates a warm Next at zero allocations however many
+// questions are open: over the 16-member travel session, a Next that
+// issues nothing new copies the ordered open list into the session's
+// reused view and does nothing else on the heap. AppendNext into a buffer
+// already sized for the open list allocates nothing either.
 func TestAllocsSessionNext(t *testing.T) {
 	sess, byID := newCrowdTravel(t).session()
 	for i := 0; i < 400; i++ {
@@ -50,8 +51,18 @@ func TestAllocsSessionNext(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sess.Next()
 	})
-	if allocs != 1 {
-		t.Errorf("Next allocates %.1f times per call at %d open questions, want 1", allocs, open)
+	if allocs != 0 {
+		t.Errorf("Next allocates %.1f times per call at %d open questions, want 0", allocs, open)
+	}
+	buf := make([]Question, 0, open)
+	allocs = testing.AllocsPerRun(100, func() {
+		buf = sess.AppendNext(buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("AppendNext into a sized buffer allocates %.1f times per call at %d open questions, want 0", allocs, open)
+	}
+	if len(buf) != open {
+		t.Errorf("AppendNext returned %d questions, Next %d", len(buf), open)
 	}
 }
 

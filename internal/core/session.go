@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -158,6 +159,9 @@ type Session struct {
 	blocked  *instance
 	nextID   QuestionID // IDs start at 1, so 0 never names a question
 
+	view      []Question // Next's result, reused from call to call
+	specRound int        // the round whose node question was last offered
+
 	// Observability (nil/empty when neither metrics nor tracer is
 	// attached). issuedAt and spanEnd are keyed by question ID; recording
 	// is write-only w.r.t. the engine, so instrumented runs stay
@@ -230,6 +234,7 @@ func (s *Session) advance() {
 func (s *Session) finish() {
 	s.res = s.eng.result()
 	s.blocked = nil
+	s.view = nil
 	for _, inst := range s.open {
 		if inst.live {
 			s.retire(inst)
@@ -355,18 +360,31 @@ func (s *Session) speculateOn(idx int, key string, fs fact.Set) {
 // Only members the engine would actually ask are considered, and answers
 // the engine never consumes are discarded without entering the statistics
 // — so speculation affects wall clock and waste, never the result.
+//
+// The node question is offered on the round's first call only. Every
+// reason speculateOn skips a member is monotone within a round — cached
+// or buffered (a buffered answer is consumed into the cache), left or
+// banned, budget spent or pruning-implied, primed, or already open — and
+// a later call's members are a subset of the first call's, since the turn
+// only moves forward; compact retires only earlier rounds' questions. So
+// a repeat offer could never issue anything. The mirror follows the
+// blocked question and is offered on every call.
 func (s *Session) speculate() {
 	c := &s.eng.at
 	fs, qKey := s.eng.instantiate(c.node)
+	offerNode := s.specRound != c.round
+	s.specRound = c.round
 	mirror := ""
 	var mirrorFS fact.Set
-	if s.blocked.key.kind == KindConcrete {
+	if s.blocked.key.kind == KindConcrete && s.blocked.key.key != qKey {
 		mirror = s.blocked.key.key
 		mirrorFS = s.blocked.q.Facts
 	}
 	for i := c.turn + 1; i < len(s.eng.ids); i++ {
-		s.speculateOn(i, qKey, fs)
-		if mirror != "" && mirror != qKey {
+		if offerNode {
+			s.speculateOn(i, qKey, fs)
+		}
+		if mirror != "" {
 			s.speculateOn(i, mirror, mirrorFS)
 		}
 	}
@@ -405,29 +423,48 @@ func (s *Session) speculateSuccessors() {
 
 // Next returns every question that can be answered right now: the one the
 // engine is blocked on (always first), followed by the open speculative
-// questions in issue order. Each call returns a fresh slice: one copy of
-// the ordered open list. It returns nil exactly when the run has finished
-// and Close/Result hold the outcome.
+// questions in issue order. It returns nil exactly when the run has
+// finished and Close/Result hold the outcome.
+//
+// The returned slice is the session's own view, reused by the next call to
+// Next: it stays valid until then. Submit, SubmitBatch, AppendOpen and
+// Lookup never write to it, so answering the questions of one Next in a
+// loop is safe; a caller that keeps questions across Nexts copies them, or
+// calls AppendNext with a buffer of its own.
 func (s *Session) Next() []Question {
 	if s.res != nil || s.closed {
 		return nil
 	}
+	s.view = s.AppendNext(s.view[:0])
+	return s.view
+}
+
+// AppendNext is Next in append form: it retires stale speculation,
+// speculates, and appends every question answerable right now to dst —
+// the blocked one first, then the open speculative ones in issue order —
+// returning the extended slice. It leaves Next's view alone. Once the run
+// has finished it returns dst unchanged.
+func (s *Session) AppendNext(dst []Question) []Question {
+	if s.res != nil || s.closed {
+		return dst
+	}
 	s.compact()
 	s.speculate()
-	out := make([]Question, 1, len(s.open)) // all live, the blocked one included
-	out[0] = s.blocked.q
+	dst = slices.Grow(dst, len(s.open)) // all live, the blocked one included
+	dst = append(dst, s.blocked.q)
 	for _, inst := range s.open {
 		if inst != s.blocked {
-			out = append(out, inst.q)
+			dst = append(dst, inst.q)
 		}
 	}
-	return out
+	return dst
 }
 
 // AppendOpen appends the member's open questions to dst and returns the
 // extended slice: the engine's blocked question first when it is theirs,
 // then the rest in ID order. Unlike Next it neither speculates nor
-// retires, so readers may call it as often as they like between Nexts.
+// retires, so readers may call it as often as they like between Nexts; nor
+// does it touch Next's view.
 func (s *Session) AppendOpen(dst []Question, member string) []Question {
 	if s.res != nil || s.closed {
 		return dst
@@ -609,12 +646,13 @@ func specKey(candidates []fact.Set) string {
 
 // pruneKey builds the ask key of a pruning question from its term list.
 func pruneKey(terms []vocab.Term) string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, t := range terms {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", int(t))
+		b = strconv.AppendInt(b, int64(t), 10)
 	}
-	return b.String()
+	return string(b)
 }

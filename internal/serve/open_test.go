@@ -185,9 +185,31 @@ func TestAllocsShardTake(t *testing.T) {
 	}
 }
 
+// TestAllocsServeRefill gates the answer path's refill: a warm refill
+// that publishes nothing reads the engine's open list into the shard's
+// scratch buffer, shared with take, without allocating.
+func TestAllocsServeRefill(t *testing.T) {
+	_, sessions := newOpenTenant(t, TenantConfig{Name: "refill", Members: 2}, 1)
+	sess := sessions[0]
+	sh := sess.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	seen := sess.seen
+	if seen == 0 || sess.finished {
+		t.Fatal("the opened session published nothing")
+	}
+	allocs := testing.AllocsPerRun(100, sess.refillLocked)
+	if allocs != 0 {
+		t.Errorf("warm refillLocked allocates %.1f times", allocs)
+	}
+	if sess.seen != seen {
+		t.Errorf("refill published questions %d..%d; the gate needs a refill with nothing new", seen+1, sess.seen)
+	}
+}
+
 // TestAllocsSessionDone gates Done as a plain read: on a live session it
-// neither refills (a refill runs core.Session.Next, which copies the open
-// list) nor allocates.
+// neither refills (a refill runs core.Session.AppendNext, which copies the
+// open list) nor allocates.
 func TestAllocsSessionDone(t *testing.T) {
 	_, sessions := newOpenTenant(t, TenantConfig{Name: "done", Members: 2}, 1)
 	sess := sessions[0]

@@ -130,8 +130,9 @@ func (s *Session) SubmitPanel(member string, answers []PanelAnswer) (int, error)
 // refillLocked lets the engine speculate and retire, then publishes the
 // questions it issued since the last refill: each is journaled, and it
 // queues the session on its member's ready list unless an older open
-// question of theirs already did. Pollers wake on any new question.
-// Caller holds sh.mu.
+// question of theirs already did. Pollers wake on any new question. The
+// open list is read into the shard's scratch buffer, shared with take, so
+// a hosted session keeps no question view of its own. Caller holds sh.mu.
 func (s *Session) refillLocked() {
 	if s.finished {
 		return
@@ -144,7 +145,8 @@ func (s *Session) refillLocked() {
 		s.t.sessionFinished()
 		return
 	}
-	qs := s.inner.Next()
+	s.sh.open = s.inner.AppendNext(s.sh.open[:0])
+	qs := s.sh.open
 	seen := s.seen
 	for _, q := range qs {
 		if q.ID <= seen {

@@ -27,7 +27,7 @@ type shard struct {
 	// session no longer has an open question for the member (answered,
 	// finished, retired) is dropped in passing.
 	ready map[string][]*Session
-	open  []core.Question // take's scratch buffer
+	open  []core.Question // take's and refill's scratch buffer
 }
 
 // take walks the member's ready queue on this shard to the first session
