@@ -59,10 +59,11 @@ race:
 
 # Short fuzz passes over the durable-store record decoder (framing, CRC,
 # canonical re-encode), the Prometheus label escaping (round-trip,
-# scrape-safety), the contract of the threshold and species stop policies
-# (no panics, latched ShouldStop, estimates in [0, 1]) and the
-# classifier's term index (equal to the scan oracle after every
-# operation; see the fuzz_test.go in each package).
+# scrape-safety), the contract of the species stop rule (no panics,
+# latched ShouldStop, an estimate in [0, 1] equal to a brute-force
+# 1 − f1/n over the stream) and the classifier's term index (equal to
+# the scan oracle after every operation; see the fuzz_test.go in each
+# package).
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzLabelEscaping$$' -fuzztime $(FUZZTIME)

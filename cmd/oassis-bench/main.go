@@ -260,7 +260,7 @@ func main() {
 			return experiments.ItemsetCapture(12, 60, 0.15, 7)
 		}},
 		{"stopping", func() (*experiments.Report, error) {
-			return experiments.Stopping([]int{8, 10, 12})
+			return experiments.Stopping(*parallel)
 		}},
 		{"spam", func() (*experiments.Report, error) {
 			return experiments.Spam(8, *parallel)

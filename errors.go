@@ -3,7 +3,6 @@ package oassis
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"oassis/internal/aggregate"
 	"oassis/internal/core"
@@ -77,11 +76,9 @@ func (o *options) validate() error {
 	if o.topK < 0 {
 		return invalidOption("top-k %d (want >= 0)", o.topK)
 	}
-	if o.stopPolicy != "" {
-		if _, err := aggregate.StopByName(o.stopPolicy); err != nil {
-			return invalidOption("stop policy %q (want one of %s)",
-				o.stopPolicy, strings.Join(aggregate.StopNames(), ", "))
-		}
+	if s := o.stopPolicy; s != "" && s != aggregate.StopThreshold && s != aggregate.StopSpecies {
+		return invalidOption("stop policy %q (want one of %s, %s)",
+			s, aggregate.StopSpecies, aggregate.StopThreshold)
 	}
 	if o.parallelism < 0 {
 		return invalidOption("parallelism %d (want >= 0)", o.parallelism)

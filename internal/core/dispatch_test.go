@@ -28,7 +28,7 @@ func TestStopPolicyConcurrentDispatch(t *testing.T) {
 	// The spammers answer third and sixth, inside the 5-answer sample.
 	ms := d.Members
 	members := []crowd.Member{ms[0], ms[1], ms[8], ms[2], ms[3], ms[9], ms[4], ms[5], ms[6], ms[7]}
-	stop := aggregate.NewSpeciesStop(0, 0)
+	stop := aggregate.NewSpeciesStop()
 	res, _ := panel.Run(core.Config{
 		Space:      d.Sp,
 		Theta:      0.2,

@@ -73,13 +73,11 @@ type Config struct {
 	// Incremental evaluation returns the first-discovered answers early.
 	MaxMSPs int
 
-	// Stop, when non-nil, is the streaming stop-condition estimator the
-	// run consults between questions (see aggregate.StopPolicy): it
-	// observes every member's maximal affirmed pattern and may end the
-	// run once its estimate crosses its target (SpeciesStop). nil — and
-	// the inert aggregate.ThresholdStop{} — reproduce the paper's
-	// ask-until-settled behavior bit-identically.
-	Stop aggregate.StopPolicy
+	// Stop, when non-nil, is the streaming stop rule the run consults
+	// between questions: it observes every member's maximal affirmed
+	// pattern and ends the run once the crowd has stopped volunteering
+	// new ones. nil is the paper's ask-until-settled behavior.
+	Stop *aggregate.SpeciesStop
 
 	// SpamFilter enables the §4.2 crowd-member selection. When the
 	// aggregator first decides a question, every answer to it is graded
@@ -225,7 +223,7 @@ type engine struct {
 
 	grades []memberGrade // by member index: the spam filter's (nil when off)
 
-	stop aggregate.StopPolicy // optional stop-condition estimator
+	stop *aggregate.SpeciesStop // optional stop rule
 }
 
 // memberGrade is the spam filter's record of one member: answers graded
@@ -408,15 +406,15 @@ func (e *engine) expand(id uint32) {
 
 // pickUnclassified returns the unclassified generated node the paper's
 // §4 order asks about first, or ok=false when there is none. With
-// answeredOnly, nodes whose questions hold no recorded answers are
-// skipped (the frontier-settlement filter). It scans the classifier's
+// settledOnly, nodes whose recorded answers do not yet fix their verdict
+// are skipped (the frontier-settlement filter). It scans the classifier's
 // incrementally-maintained unclassified set for the (size, key)-least
 // pool node without allocating; the key tie-break makes the choice
 // independent of the set's internal order, so every execution mode picks
 // the same node. A node of minimal size is minimal in the order up to
 // rare multi-cover DAG absorptions, which cost at most a few extra
 // questions, never correctness.
-func (e *engine) pickUnclassified(answeredOnly bool) (uint32, bool) {
+func (e *engine) pickUnclassified(settledOnly bool) (uint32, bool) {
 	var best uint32
 	bestKey := ""
 	bestSize := -1
@@ -424,10 +422,8 @@ func (e *engine) pickUnclassified(answeredOnly bool) (uint32, bool) {
 		if int(id) >= len(e.inPool) || !e.inPool[id] {
 			continue
 		}
-		if answeredOnly {
-			if _, qKey := e.instantiate(id); e.cache.question(qKey).answers() == 0 {
-				continue
-			}
+		if settledOnly && e.settledVerdict(id) == aggregate.Undecided {
+			continue
 		}
 		n := e.sp.Node(id)
 		size := n.Size()
@@ -573,7 +569,7 @@ func (e *engine) observeStopDiscovery(node uint32, member string) {
 		return
 	}
 	e.stop.ObserveDiscovery(e.sp.Node(node).Key(), member)
-	e.cfg.Metrics.stopEstimate(e.stop.Name(), e.stop.Estimate())
+	e.cfg.Metrics.stopEstimate(e.stop.Estimate())
 }
 
 // confirmedMSPs counts the significant anchors whose successors are all
@@ -598,7 +594,12 @@ func (e *engine) confirmedMSPs() int {
 // applyVerdict classifies node from the aggregator's verdict on its
 // question q.
 func (e *engine) applyVerdict(node uint32, q *entry) {
-	switch e.agg.Verdict(q.answers(), q.sum, e.cfg.Theta) {
+	e.classifyAs(node, e.agg.Verdict(q.answers(), q.sum, e.cfg.Theta))
+}
+
+// classifyAs classifies node by verdict v; Undecided leaves it as it is.
+func (e *engine) classifyAs(node uint32, v aggregate.Verdict) {
+	switch v {
 	case aggregate.Significant:
 		if e.cls.status(node) != Significant {
 			e.cls.markSignificant(node)
@@ -685,28 +686,47 @@ func (e *engine) specializeCoin() bool {
 	return e.cfg.Rng.Float64() < r
 }
 
-// forceClassify decides a node from the current mean of its answers.
+// forceClassify decides a node from the current mean of its answers:
+// the paper's fallback when the crowd cannot give it K answers.
 func (e *engine) forceClassify(node uint32) {
 	_, qKey := e.instantiate(node)
 	e.stats.ForcedClassifications++
+	v := aggregate.Insignificant
 	if q := e.cache.question(qKey); q.answers() > 0 && q.mean() >= e.cfg.Theta-aggregate.Eps {
-		e.cls.markSignificant(node)
-		e.sinkClassified(node, true)
-		e.recordChainMax(node)
-		e.onClassified(node, true)
-		e.expand(node)
-	} else {
-		e.cls.markInsignificant(node)
-		e.sinkClassified(node, false)
-		e.onClassified(node, false)
+		v = aggregate.Significant
 	}
+	e.classifyAs(node, v)
 }
 
-// settleFrontier force-classifies, in the run's order and without asking
-// a single further question, every unclassified pool node that already
-// holds recorded answers: an early stop keeps the evidence it paid for
-// instead of discarding partially-sampled nodes. Nodes with no answers at
-// all stay unclassified — there is no evidence to settle them with.
+// settledVerdict is the verdict node's recorded answers fix whatever the
+// answers still missing from its sample of K would be: Significant when
+// the sum s of the k answers in hand reaches θ even if the rest are all
+// 0 (s/K ≥ θ), Insignificant when it stays below θ even if they are all
+// 1 ((s+K−k)/K < θ), and Undecided otherwise or with no answers.
+func (e *engine) settledVerdict(node uint32) aggregate.Verdict {
+	_, qKey := e.instantiate(node)
+	q := e.cache.question(qKey)
+	k := q.answers()
+	if k == 0 {
+		return aggregate.Undecided
+	}
+	n := max(k, e.agg.K)
+	if e.agg.Verdict(n, q.sum, e.cfg.Theta) == aggregate.Significant {
+		return aggregate.Significant
+	}
+	if e.agg.Verdict(n, q.sum+float64(n-k), e.cfg.Theta) == aggregate.Insignificant {
+		return aggregate.Insignificant
+	}
+	return aggregate.Undecided
+}
+
+// settleFrontier classifies, in the run's order and without asking a
+// single further question, every unclassified pool node whose recorded
+// answers already fix its verdict (settledVerdict): an early stop keeps
+// the evidence it paid for. Every other node stays unclassified. Deciding
+// one from the mean of fewer than K answers could mark a pattern
+// significant that its full sample rejects, and put an early MSP outside
+// the exhaustive run's answer set.
 func (e *engine) settleFrontier() {
 	for {
 		e.drainExpansions()
@@ -715,7 +735,7 @@ func (e *engine) settleFrontier() {
 			return
 		}
 		e.stats.StopSettled++
-		e.forceClassify(node)
+		e.classifyAs(node, e.settledVerdict(node))
 	}
 }
 
@@ -731,9 +751,9 @@ func (e *engine) result() *Result {
 		e.stats.StopEstimate = e.stop.Estimate()
 		if e.stats.StoppedEarly {
 			e.settleFrontier()
-			// Pool nodes still unclassified after settling never received
-			// an answer: each would have cost at least one more crowd
-			// answer, so the count is a lower bound on the questions saved.
+			// Each pool node still unclassified after settling needs at
+			// least one more crowd answer, so the count is a lower bound on
+			// the questions saved.
 			saved := 0
 			for _, id := range e.cls.uncl {
 				if int(id) < len(e.inPool) && e.inPool[id] {
@@ -741,7 +761,7 @@ func (e *engine) result() *Result {
 				}
 			}
 			e.stats.StopUnclassified = saved
-			e.cfg.Metrics.stopSaved(e.stop.Name(), saved)
+			e.cfg.Metrics.stopSaved(saved)
 		}
 	}
 	ids := slices.Clone(e.cls.sig)

@@ -33,9 +33,9 @@ type Metrics struct {
 	dispatchLaunched *obs.Counter
 	dispatchWasted   *obs.Counter
 
-	stopEstimates map[string]*obs.Gauge   // by stop-policy name, basis points
-	stopSaveds    map[string]*obs.Counter // questions saved by early stops
-	membersBanned *obs.Counter            // members banned by the spam filter
+	stopEstimateBP *obs.Gauge   // the stop rule's coverage, basis points
+	stopSavedQs    *obs.Counter // questions saved by early stops
+	membersBanned  *obs.Counter // members banned by the spam filter
 }
 
 // kindLabels maps QuestionKind to the exposition label value. Speculation
@@ -78,25 +78,14 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		"questions sent to members by the dispatcher, including speculation")
 	m.dispatchWasted = r.Counter("oassis_dispatch_wasted_total",
 		"dispatcher answers collected but never consumed by the engine")
-	m.stopEstimates = make(map[string]*obs.Gauge, len(stopPolicyLabels))
-	m.stopSaveds = make(map[string]*obs.Counter, len(stopPolicyLabels))
-	for _, name := range stopPolicyLabels {
-		m.stopEstimates[name] = r.Gauge("oassis_engine_stop_estimate_bp",
-			"stop policy estimate (answer-set completeness) in basis points of 1",
-			obs.L("policy", name))
-		m.stopSaveds[name] = r.Counter("oassis_engine_stop_saved_questions_total",
-			"pool nodes left unclassified by early stops (lower bound on answers saved)",
-			obs.L("policy", name))
-	}
+	species := obs.L("policy", aggregate.StopSpecies)
+	m.stopEstimateBP = r.Gauge("oassis_engine_stop_estimate_bp",
+		"stop rule estimate (answer-set coverage) in basis points of 1", species)
+	m.stopSavedQs = r.Counter("oassis_engine_stop_saved_questions_total",
+		"pool nodes left unclassified by early stops (lower bound on answers saved)", species)
 	m.membersBanned = r.Counter("oassis_engine_members_banned_total",
 		"members the spam filter banned from further questions")
 	return m
-}
-
-// stopPolicyLabels are the per-policy label values of the stop-policy
-// instruments, one series per registry name.
-var stopPolicyLabels = [...]string{
-	aggregate.StopThreshold, aggregate.StopSpecies,
 }
 
 // kindIdx clamps a QuestionKind into the per-kind instrument arrays.
@@ -199,22 +188,18 @@ func (m *Metrics) Wasted(n int) {
 	m.dispatchWasted.Add(n)
 }
 
-func (m *Metrics) stopEstimate(policy string, est float64) {
+func (m *Metrics) stopEstimate(est float64) {
 	if m == nil {
 		return
 	}
-	if g := m.stopEstimates[policy]; g != nil {
-		g.Set(int64(est * 10000))
-	}
+	m.stopEstimateBP.Set(int64(est * 10000))
 }
 
-func (m *Metrics) stopSaved(policy string, n int) {
+func (m *Metrics) stopSaved(n int) {
 	if m == nil || n <= 0 {
 		return
 	}
-	if c := m.stopSaveds[policy]; c != nil {
-		c.Add(n)
-	}
+	m.stopSavedQs.Add(n)
 }
 
 func (m *Metrics) memberBanned() {

@@ -59,7 +59,9 @@ type Stats struct {
 	PrimedAnswers int
 
 	// ForcedClassifications counts nodes classified by mean because the
-	// crowd was exhausted before the aggregator could decide.
+	// crowd was exhausted (by leaving, budgets or bans) before the
+	// aggregator could decide. Early-stop settlement is not among them
+	// (StopSettled).
 	ForcedClassifications int
 
 	// BannedMembers counts members the spam filter banned (Config.
@@ -68,24 +70,23 @@ type Stats struct {
 	// and keep counting in the aggregator.
 	BannedMembers int
 
-	// StoppedEarly reports that the stop policy ended the run before
-	// every generated node was classified (the species estimator's
-	// coverage target was reached).
+	// StoppedEarly reports that the stop rule ended the run before
+	// every generated node was classified.
 	StoppedEarly bool
 
-	// StopEstimate is the stop policy's final estimate in [0, 1]:
-	// answer-set completeness for the species estimator, mean member
-	// accuracy for the accuracy policy, 0 otherwise.
+	// StopEstimate is the stop rule's final Good–Turing coverage in
+	// [0, 1]; 0 with no rule attached.
 	StopEstimate float64
 
-	// StopSettled counts pool nodes an early stop force-classified from
-	// the answers already in hand (the frontier settlement pass) instead
-	// of asking further questions.
+	// StopSettled counts pool nodes an early stop classified from the
+	// answers already in hand (the frontier settlement pass): nodes whose
+	// verdict no answer still missing from their sample could change.
 	StopSettled int
 
 	// StopUnclassified counts pool nodes an early stop left
-	// unclassified — nodes that never received an answer, a lower bound
-	// on the crowd answers saved.
+	// unclassified — nodes with no answers or with answers that do not
+	// yet fix their verdict. Each needs at least one more crowd answer,
+	// so the count is a lower bound on the answers saved.
 	StopUnclassified int
 
 	// StoreErrors counts failed appends to Config.Store; the run keeps

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestAccuracyStopFlagsSpammers(t *testing.T) {
 // concurrent runs: the policy's internal locking must hold up when many
 // engines feed and poll it at once.
 func TestStopPolicySharedAcrossSessions(t *testing.T) {
-	stop := aggregate.NewSpeciesStop(0, 0)
+	stop := aggregate.NewSpeciesStop()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -117,75 +118,93 @@ func TestStopPolicySharedAcrossSessions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if est := stop.Estimate(); est < 0 || est > 1 {
-		t.Errorf("estimate %v outside [0, 1]", est)
-	}
-	if stop.Observed() == 0 {
-		t.Error("shared policy observed no discoveries")
+	if est := stop.Estimate(); est <= 0 || est > 1 {
+		t.Errorf("estimate %v outside (0, 1]: the shared policy observed no repeat discoveries", est)
 	}
 }
 
-// TestSpeciesStopEndsRunEarly pins the tentpole's payoff at engine level:
-// on an open-world synthetic domain a tuned species estimator ends the run
-// with fewer questions than the run-to-exhaustion default, and the result
-// reports the early stop.
-func TestSpeciesStopEndsRunEarly(t *testing.T) {
-	// A wider sample (K=5) and a deeper pattern pool give the estimator
-	// the repeat sightings coverage estimation feeds on.
-	mk := func() *synth.Domain {
-		d, err := synth.GenerateDomain(synth.DomainConfig{
-			Name: "travel", YTerms: 30, XTerms: 10, YDepth: 4, XDepth: 3,
-			Members: 8, Transactions: 12, Patterns: 10, Seed: 101,
-		})
+// mineBothWays runs one open-world domain to exhaustion and under the
+// species stop rule, on fresh copies of the domain.
+func mineBothWays(t *testing.T, seed int64, patterns int) (d *synth.Domain, full, early *Result) {
+	t.Helper()
+	run := func(stop *aggregate.SpeciesStop) (*synth.Domain, *Result) {
+		d, err := synth.OpenWorldDomain(seed, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return d, Run(Config{
+			Space:   d.Sp,
+			Theta:   0.2,
+			Members: d.Members,
+			Agg:     aggregate.NewFixedSample(5),
+			Stop:    stop,
+		})
 	}
-	d := mk()
-	full := Run(Config{
-		Space:   d.Sp,
-		Theta:   0.2,
-		Members: d.Members,
-		Agg:     aggregate.NewFixedSample(5),
-	})
-	stop := aggregate.NewSpeciesStop(0.7, 20)
-	d2 := mk()
-	early := Run(Config{
-		Space:   d2.Sp,
-		Theta:   0.2,
-		Members: d2.Members,
-		Agg:     aggregate.NewFixedSample(5),
-		Stop:    stop,
-	})
+	d, full = run(nil)
+	_, early = run(aggregate.NewSpeciesStop())
+	return d, full, early
+}
+
+// TestSpeciesStopEndsRunEarly pins the stop rule's payoff at engine
+// level: on an open-world synthetic domain it ends the run with fewer
+// questions than the run-to-exhaustion default, and the result reports
+// the early stop.
+func TestSpeciesStopEndsRunEarly(t *testing.T) {
+	_, full, early := mineBothWays(t, 101, 10)
 	if !early.Stats.StoppedEarly {
-		t.Fatalf("species policy never stopped the run (estimate %.3f after %d questions)",
-			stop.Estimate(), early.Stats.TotalQuestions)
+		t.Fatalf("species rule never stopped the run (estimate %.3f after %d questions)",
+			early.Stats.StopEstimate, early.Stats.TotalQuestions)
 	}
 	if early.Stats.TotalQuestions >= full.Stats.TotalQuestions {
 		t.Errorf("early stop asked %d questions, full run %d — no savings",
 			early.Stats.TotalQuestions, full.Stats.TotalQuestions)
 	}
-	if early.Stats.StopEstimate < 0.7 {
-		t.Errorf("final estimate %.3f below the 0.7 target", early.Stats.StopEstimate)
+	if early.Stats.StopEstimate <= 1-0.275 {
+		t.Errorf("final coverage %.3f not above the rule's 0.725", early.Stats.StopEstimate)
 	}
 	if early.Stats.StopUnclassified == 0 {
 		t.Error("early stop reported no unclassified pool nodes")
 	}
-	// Stopping early may truncate exploration, so an early MSP can sit
-	// below a deeper pattern the full run went on to find — but it must
-	// never be spurious: each one is generalized by (or equal to) some
-	// MSP of the full run.
-	for _, m := range early.MSPs {
-		covered := false
-		for _, fm := range full.MSPs {
-			if d.Sp.Leq(m, fm) {
-				covered = true
-				break
+	if early.Stats.ForcedClassifications != full.Stats.ForcedClassifications {
+		t.Errorf("settlement counted as forced: %d forced verdicts, %d in the full run",
+			early.Stats.ForcedClassifications, full.Stats.ForcedClassifications)
+	}
+}
+
+// TestStopSettlementSound is the regression table of frontier
+// settlement: on each (patterns, seed) domain the species rule fires, and
+// settling the frontier from the mean of fewer than K answers put an
+// early MSP below no MSP of the exhaustive run. Settling only the
+// verdicts no missing answer could change keeps every early MSP at or
+// below an exhaustive one (precision 1.00): stopping may truncate the
+// answer set, never corrupt it.
+func TestStopSettlementSound(t *testing.T) {
+	cases := []struct {
+		patterns int
+		seed     int64
+	}{
+		{8, 1}, {8, 4}, {8, 6}, {8, 9}, {8, 20}, {8, 39},
+		{10, 3}, {10, 27}, {10, 39},
+		{12, 3}, {12, 5}, {12, 20}, {12, 24}, {12, 34},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("patterns%d/seed%d", tc.patterns, tc.seed), func(t *testing.T) {
+			d, full, early := mineBothWays(t, tc.seed, tc.patterns)
+			if !early.Stats.StoppedEarly {
+				t.Fatal("species rule never stopped the run")
 			}
-		}
-		if !covered {
-			t.Errorf("early-stop MSP %s is not below any full-run MSP", d2.Sp.Format(m))
-		}
+			for _, m := range early.MSPs {
+				covered := false
+				for _, fm := range full.MSPs {
+					if d.Sp.Leq(m, fm) {
+						covered = true
+						break
+					}
+				}
+				if !covered {
+					t.Errorf("early-stop MSP %s is below no full-run MSP", d.Sp.Format(m))
+				}
+			}
+		})
 	}
 }

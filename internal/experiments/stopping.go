@@ -2,146 +2,190 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"oassis/internal/aggregate"
 	"oassis/internal/core"
 	"oassis/internal/synth"
 )
 
-// stoppingDomain generates one open-world enumeration domain: a fixed
-// taxonomy mined by 8 members whose histories share a pattern pool of the
-// given depth, sampled at 5 answers per question so popular patterns are
-// sighted by several members (the repeat sightings completeness
-// estimation feeds on).
-func stoppingDomain(patterns int) (*synth.Domain, error) {
-	return synth.GenerateDomain(synth.DomainConfig{
-		Name: "openworld", YTerms: 30, XTerms: 10, YDepth: 4, XDepth: 3,
-		Members: 8, Transactions: 12, Patterns: patterns, Seed: 101,
-	})
-}
+// The stopping sweep's grid: every seed of each range × every pattern
+// count is one open-world domain. The stop rule's constants were chosen
+// on the first range; the second is held out.
+var (
+	stoppingRanges   = [][2]int{{1, 40}, {41, 80}}
+	stoppingPatterns = []int{8, 10, 12}
+)
 
-// stoppingCell compares run-to-exhaustion (ThresholdStop) against the
-// species estimator on one domain, measuring questions asked and answer
-// quality relative to the exhaustive run.
+// stoppingCell compares run-to-exhaustion against the species stop rule
+// on one domain: the answers each asked and the early run's quality
+// relative to the exhaustive one.
 type stoppingCell struct {
-	Patterns int
-	// QFull / QSpecies are total crowd answers consumed by each policy.
-	QFull, QSpecies int
-	// MSPFull / MSPSpecies count mined maximal significant patterns.
-	MSPFull, MSPSpecies int
-	// Recall is the fraction of the exhaustive run's MSPs the early-
-	// stopped run reproduced exactly.
+	// QFull / QEarly are the crowd answers each run consumed.
+	QFull, QEarly int
+	// Fired reports that the stop rule ended the early run.
+	Fired bool
+	// Recall is the fraction of the exhaustive run's MSPs the early run
+	// reproduced exactly (1 when the exhaustive run found none).
 	Recall float64
-	// Precision is the fraction of the early-stop run's MSPs below (or
-	// equal to) an exhaustive-run MSP — 1.0 means the answer set was
-	// truncated, never corrupted.
-	Precision float64
-	// Sound reports Precision == 1.
+	// Sound reports that every early MSP is below (or equal to) an
+	// exhaustive-run MSP: the answer set was truncated, never corrupted.
 	Sound bool
-	// Estimate is the species policy's final completeness estimate.
-	Estimate float64
-	// Unclassified counts pool nodes the early stop left undecided (a
-	// lower bound on the questions it saved).
-	Unclassified int
 }
 
-func runStoppingCell(patterns int, target float64, minObs int) (stoppingCell, error) {
-	c := stoppingCell{Patterns: patterns}
-	d, err := stoppingDomain(patterns)
+func runStoppingCell(seed int64, patterns int) (stoppingCell, error) {
+	var c stoppingCell
+	run := func(stop *aggregate.SpeciesStop) (*synth.Domain, *core.Result, error) {
+		d, err := synth.OpenWorldDomain(seed, patterns)
+		if err != nil {
+			return nil, nil, err
+		}
+		return d, core.Run(core.Config{
+			Space: d.Sp, Theta: 0.2, Members: d.Members,
+			Agg:  aggregate.NewFixedSample(5),
+			Stop: stop,
+		}), nil
+	}
+	d, full, err := run(nil)
 	if err != nil {
 		return c, err
 	}
-	full := core.Run(core.Config{
-		Space: d.Sp, Theta: 0.2, Members: d.Members,
-		Agg: aggregate.NewFixedSample(5),
-	})
-	d2, err := stoppingDomain(patterns)
+	d2, early, err := run(aggregate.NewSpeciesStop())
 	if err != nil {
 		return c, err
 	}
-	stop := aggregate.NewSpeciesStop(target, minObs)
-	early := core.Run(core.Config{
-		Space: d2.Sp, Theta: 0.2, Members: d2.Members,
-		Agg:  aggregate.NewFixedSample(5),
-		Stop: stop,
-	})
 	c.QFull = full.Stats.TotalQuestions
-	c.QSpecies = early.Stats.TotalQuestions
-	c.MSPFull = len(full.MSPs)
-	c.MSPSpecies = len(early.MSPs)
-	c.Estimate = early.Stats.StopEstimate
-	c.Unclassified = early.Stats.StopUnclassified
+	c.QEarly = early.Stats.TotalQuestions
+	c.Fired = early.Stats.StoppedEarly
 	fullKeys := map[string]bool{}
 	for _, m := range full.MSPs {
 		fullKeys[d.Sp.Format(m)] = true
 	}
-	hit, below := 0, 0
+	hit := 0
+	c.Sound = true
 	for _, m := range early.MSPs {
 		if fullKeys[d2.Sp.Format(m)] {
 			hit++
 		}
+		below := false
 		for _, fm := range full.MSPs {
 			if d.Sp.Leq(m, fm) {
-				below++
+				below = true
 				break
 			}
 		}
+		c.Sound = c.Sound && below
 	}
-	if c.MSPFull > 0 {
-		c.Recall = float64(hit) / float64(c.MSPFull)
+	c.Recall = 1
+	if len(full.MSPs) > 0 {
+		c.Recall = float64(hit) / float64(len(full.MSPs))
 	}
-	c.Precision = 1
-	if c.MSPSpecies > 0 {
-		c.Precision = float64(below) / float64(c.MSPSpecies)
-	}
-	c.Sound = c.Precision == 1
 	return c, nil
 }
 
-// Stopping regenerates the open-world enumeration scenario: domains whose
-// members keep volunteering patterns from pools of increasing depth, mined
-// to exhaustion (the paper's threshold behavior) and with the Chao92
-// species estimator stopping at an estimated completeness target. The
-// species column buys its question savings with an explicit completeness
-// bet, so the table reports the quality it kept: exact-MSP recall against
-// the exhaustive run and soundness (no early MSP outside the exhaustive
-// answer set). Everything is seeded, so the rows are deterministic and the
-// bench gate can diff them.
-func Stopping(patternGrid []int) (*Report, error) {
-	const (
-		target = 0.75
-		minObs = 30
-	)
+// stoppingTally pools the cells of one row of the report.
+type stoppingTally struct {
+	qFull, qEarly, fired, unsound int
+	recalls                       []float64
+}
+
+func (t *stoppingTally) add(c stoppingCell) {
+	t.qFull += c.QFull
+	t.qEarly += c.QEarly
+	if c.Fired {
+		t.fired++
+	}
+	if !c.Sound {
+		t.unsound++
+	}
+	t.recalls = append(t.recalls, c.Recall)
+}
+
+// recall returns the median and the worst recall of the tallied cells.
+func (t *stoppingTally) recall() (median, worst float64) {
+	rs := append([]float64(nil), t.recalls...)
+	sort.Float64s(rs)
+	n := len(rs)
+	return (rs[(n-1)/2] + rs[n/2]) / 2, rs[0]
+}
+
+// row renders the tally as a report row under the given labels.
+func (t *stoppingTally) row(seeds, patterns string) []interface{} {
+	median, worst := t.recall()
+	return []interface{}{seeds, patterns, len(t.recalls), t.qFull, t.qEarly,
+		pct(t.qFull-t.qEarly, t.qFull), t.fired, t.unsound,
+		fmt.Sprintf("%.2f", median), fmt.Sprintf("%.2f", worst)}
+}
+
+// stoppingSweep mines every domain of the grid both ways and tallies the
+// cells per seed range: one tally per pattern count, then one over all
+// of them.
+func stoppingSweep(parallel int) ([][]stoppingTally, error) {
+	var seeds []int64
+	for _, sr := range stoppingRanges {
+		for s := sr[0]; s <= sr[1]; s++ {
+			seeds = append(seeds, int64(s))
+		}
+	}
+	np := len(stoppingPatterns)
+	cells := make([]stoppingCell, len(seeds)*np)
+	err := RunGrid(parallel, len(cells), func(i int) error {
+		var err error
+		cells[i], err = runStoppingCell(seeds[i/np], stoppingPatterns[i%np])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]stoppingTally, len(stoppingRanges))
+	i := 0
+	for k, sr := range stoppingRanges {
+		out[k] = make([]stoppingTally, np+1)
+		for s := sr[0]; s <= sr[1]; s++ {
+			for p := range stoppingPatterns {
+				out[k][p].add(cells[i])
+				out[k][np].add(cells[i])
+				i++
+			}
+		}
+	}
+	return out, nil
+}
+
+// Stopping sweeps the open-world enumeration scenario: domains whose
+// members keep volunteering patterns from pools of increasing depth,
+// each mined to exhaustion (the paper's behavior) and with the species
+// stop rule. The rule buys its question savings with a completeness bet,
+// so the table reports the quality it kept: how many domains it fired on,
+// how many were unsound (an early MSP outside the exhaustive answer set),
+// and the median and worst exact-MSP recall against the exhaustive run.
+// Each seed range gets one row per pattern count and one over all of
+// them. Everything is seeded, so the rows are deterministic at any
+// parallelism and the bench gate diffs them.
+func Stopping(parallel int) (*Report, error) {
+	sweep, err := stoppingSweep(parallel)
+	if err != nil {
+		return nil, err
+	}
 	r := &Report{
 		ID:    "stopping",
-		Title: "stop policies: questions asked vs answer quality, open-world enumeration",
-		Header: []string{"patterns", "q threshold", "q species", "saved",
-			"msp threshold", "msp species", "recall", "precision", "estimate", "unclassified"},
+		Title: "species stop rule vs run-to-exhaustion: questions asked and answer quality, open-world enumeration",
+		Header: []string{"seeds", "patterns", "domains", "q exhaustive", "q early", "saved",
+			"fired", "unsound", "median recall", "worst recall"},
 	}
-	totalFull, totalSpecies := 0, 0
-	for _, p := range patternGrid {
-		c, err := runStoppingCell(p, target, minObs)
-		if err != nil {
-			return nil, err
+	for k, sr := range stoppingRanges {
+		label := fmt.Sprintf("%d–%d", sr[0], sr[1])
+		for p, t := range sweep[k] {
+			patterns := "all"
+			if p < len(stoppingPatterns) {
+				patterns = fmt.Sprint(stoppingPatterns[p])
+			}
+			r.Add(t.row(label, patterns)...)
 		}
-		if c.QSpecies > c.QFull {
-			return nil, fmt.Errorf("stopping: species policy asked more questions (%d) than exhaustion (%d) at %d patterns",
-				c.QSpecies, c.QFull, c.Patterns)
-		}
-		totalFull += c.QFull
-		totalSpecies += c.QSpecies
-		r.Add(c.Patterns, c.QFull, c.QSpecies,
-			pct(c.QFull-c.QSpecies, c.QFull),
-			c.MSPFull, c.MSPSpecies,
-			fmt.Sprintf("%.2f", c.Recall), fmt.Sprintf("%.2f", c.Precision),
-			fmt.Sprintf("%.3f", c.Estimate), c.Unclassified)
 	}
-	r.Note("species policy: Chao92 completeness target %.2f after %d chain-max observations,", target, minObs)
-	r.Note("then the frontier settles from answers already in hand (no further questions)")
-	r.Note("8 members, 5 answers per question, theta 0.2, seeded synthetic domains")
-	if totalFull > 0 {
-		r.Note("questions saved overall: %s (%d vs %d)",
-			pct(totalFull-totalSpecies, totalFull), totalFull-totalSpecies, totalFull)
-	}
+	r.Note("species rule: stop once ≥ 30 distinct chain-max sightings have a new-item rate f1/n < 0.275")
+	r.Note("(Good–Turing coverage 1 − f1/n > 0.725); the frontier then settles only verdicts")
+	r.Note("no missing answer could change, asking no further questions")
+	r.Note("8 members, 5 answers per question, theta 0.2; unsound: an early MSP below no exhaustive MSP")
 	return r, nil
 }

@@ -2,38 +2,42 @@ package experiments
 
 import "testing"
 
-// TestStoppingSavesQuestions pins the stopping experiment's headline: on
-// the open-world grid the species estimator asks fewer questions than
-// run-to-exhaustion on every domain, and on at least one domain it does so
-// at full quality (exact recall and precision 1.0).
+// TestStoppingSavesQuestions holds the species stop rule to the bar an
+// early stop must clear to earn its place, on the seed range its
+// constants were chosen on and on the held-out one: over each range's
+// domains it saves at least 10% of the exhaustive run's questions, fires
+// on most domains, is sound on every one (precision 1.00) and keeps the
+// median exact-MSP recall at 0.9 or above. The exact counts pin the
+// sweep: the rule and the engine's question order decide them, and
+// frontier settlement asks no questions, so it cannot move them.
 func TestStoppingSavesQuestions(t *testing.T) {
-	grid := []int{8, 10, 12}
-	r, err := Stopping(grid)
+	sweep, err := stoppingSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != len(grid) {
-		t.Fatalf("rows = %d, want %d", len(r.Rows), len(grid))
+	want := []struct{ qFull, qEarly, fired int }{
+		{91456, 82233, 71}, // seeds 1–40
+		{90938, 80717, 73}, // seeds 41–80
 	}
-	equalQuality := false
-	for _, p := range grid {
-		c, err := runStoppingCell(p, 0.75, 30)
-		if err != nil {
-			t.Fatal(err)
+	for k, sr := range stoppingRanges {
+		all := sweep[k][len(stoppingPatterns)]
+		n := len(all.recalls)
+		if all.qFull != want[k].qFull || all.qEarly != want[k].qEarly || all.fired != want[k].fired {
+			t.Errorf("seeds %v: %d of %d answers, fired on %d; want %d of %d, fired on %d",
+				sr, all.qEarly, all.qFull, all.fired, want[k].qEarly, want[k].qFull, want[k].fired)
 		}
-		if c.QSpecies >= c.QFull {
-			t.Errorf("patterns=%d: species asked %d questions, exhaustion %d — no savings",
-				p, c.QSpecies, c.QFull)
+		if saved := all.qFull - all.qEarly; 10*saved < all.qFull {
+			t.Errorf("seeds %v: saved %d of %d questions, want at least 10%%", sr, saved, all.qFull)
 		}
-		if !c.Sound {
-			t.Errorf("patterns=%d: early-stop MSPs outside the exhaustive answer set (precision %.2f)",
-				p, c.Precision)
+		if 2*all.fired <= n {
+			t.Errorf("seeds %v: the rule fired on %d of %d domains, want most", sr, all.fired, n)
 		}
-		if c.Recall == 1 && c.Precision == 1 {
-			equalQuality = true
+		if all.unsound != 0 {
+			t.Errorf("seeds %v: %d of %d domains unsound (an early MSP below no exhaustive MSP)",
+				sr, all.unsound, n)
 		}
-	}
-	if !equalQuality {
-		t.Error("no grid cell reached equal quality (recall and precision 1.0)")
+		if median, _ := all.recall(); median < 0.9 {
+			t.Errorf("seeds %v: median recall %.2f, want at least 0.90", sr, median)
+		}
 	}
 }

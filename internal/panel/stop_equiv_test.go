@@ -10,32 +10,20 @@ import (
 	"oassis/internal/synth"
 )
 
-// TestThresholdStopEquivalenceMatrix is the stop-policy PR's correctness
-// claim: attaching the default ThresholdStop is bit-identical to attaching
-// no policy at all — over the same matrix the panel equivalence test pins
-// (Figure-1 plus the travel and culinary synthetic domains, sequential
-// and dispatched at parallelism 1 and 8, one question or four per panel).
-func TestThresholdStopEquivalenceMatrix(t *testing.T) {
-	travel := synth.DomainConfig{
-		Name: "travel", YTerms: 30, XTerms: 10, YDepth: 4, XDepth: 3,
-		Members: 8, Transactions: 12, Patterns: 6, Seed: 101,
-	}
-	culinary := synth.DomainConfig{
-		Name: "culinary", YTerms: 24, XTerms: 12, YDepth: 4, XDepth: 3,
-		Members: 8, Transactions: 12, Patterns: 8, Seed: 202,
-	}
-	type workload struct {
-		name string
-		cfg  func(t *testing.T) core.Config
-	}
-	workloads := []workload{
-		{"figure1", figure1Config},
-	}
-	for _, dc := range []synth.DomainConfig{travel, culinary} {
-		dc := dc
-		workloads = append(workloads, workload{dc.Name, func(t *testing.T) core.Config {
-			t.Helper()
-			d, err := synth.GenerateDomain(dc)
+// TestStopSettlementEquivalenceMatrix: a run the species stop rule ends
+// early, and whose frontier settlement then classifies nodes, is
+// bit-identical across execution modes — the sequential engine against
+// panels of one question or four at parallelism 1 and 8. Each mode gets
+// its own rule, so the rule must fire on the same answer in every mode,
+// and settlement must read the same answers in the same order.
+func TestStopSettlementEquivalenceMatrix(t *testing.T) {
+	cases := []struct {
+		patterns int
+		seed     int64
+	}{{8, 1}, {10, 3}, {12, 5}}
+	for _, tc := range cases {
+		cfg := func() core.Config {
+			d, err := synth.OpenWorldDomain(tc.seed, tc.patterns)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,29 +31,23 @@ func TestThresholdStopEquivalenceMatrix(t *testing.T) {
 				Space:   d.Sp,
 				Theta:   0.2,
 				Members: d.Members,
-				Agg:     aggregate.NewFixedSample(3),
+				Agg:     aggregate.NewFixedSample(5),
+				Stop:    aggregate.NewSpeciesStop(),
 			}
-		}})
-	}
-	withStop := func(cfg core.Config) core.Config {
-		cfg.Stop = aggregate.ThresholdStop{}
-		return cfg
-	}
-	for _, wl := range workloads {
-		// Sequential engine, no policy attached: the pre-PR behavior.
-		want := renderRun(core.Run(wl.cfg(t)))
-
-		if got := renderRun(core.Run(withStop(wl.cfg(t)))); got != want {
-			t.Errorf("%s/sequential: ThresholdStop drifted from no-policy:\n--- none\n%s--- threshold\n%s",
-				wl.name, want, got)
 		}
+		name := fmt.Sprintf("patterns%d/seed%d", tc.patterns, tc.seed)
+		seq := core.Run(cfg())
+		if !seq.Stats.StoppedEarly || seq.Stats.StopSettled == 0 {
+			t.Fatalf("%s: the run must stop early and settle (stopped %v, settled %d)",
+				name, seq.Stats.StoppedEarly, seq.Stats.StopSettled)
+		}
+		want := renderRun(seq)
 		for _, size := range []int{1, 4} {
 			for _, par := range []int{1, 8} {
-				name := fmt.Sprintf("%s/panels/size%d/p%d", wl.name, size, par)
-				res, _ := panel.Run(withStop(wl.cfg(t)), panel.Config{Size: size}, par)
+				res, _ := panel.Run(cfg(), panel.Config{Size: size}, par)
 				if got := renderRun(res); got != want {
-					t.Errorf("%s: ThresholdStop drifted from no-policy:\n--- none\n%s--- threshold\n%s",
-						name, want, got)
+					t.Errorf("%s/panels/size%d/p%d drifted from the sequential run:\n--- sequential\n%s--- panels\n%s",
+						name, size, par, want, got)
 				}
 			}
 		}

@@ -47,11 +47,11 @@ type Plan struct {
 	// SubstrateName names the mining Substrate chosen by the planner
 	// (see SubstrateByName).
 	SubstrateName string
-	// StopName names the streaming stop-condition policy the plan runs
-	// with (see aggregate.StopByName). It is part of the serialized IR
-	// and hence the fingerprint: a stop-policy variant is a distinct
-	// plan, so plan caches and the WAL's drift detection keep runs with
-	// different stopping rules apart.
+	// StopName names the stop rule the plan runs with
+	// (aggregate.StopThreshold or aggregate.StopSpecies). It is part of
+	// the serialized IR and hence the fingerprint: a stop-policy variant
+	// is a distinct plan, so plan caches and the WAL's drift detection
+	// keep runs with different stopping rules apart.
 	StopName string
 	// DomainFP is the fingerprint of the domain (vocabulary + ontology)
 	// the plan was compiled against, the second half of the cache key.
@@ -109,24 +109,27 @@ func (p *Plan) NewSpace() *assign.Space {
 	return assign.FromShared(p.voc, p.Vars, p.Sat, p.More, p.ValidBase, p.tab)
 }
 
-// NewStop instantiates the plan's stop policy with default parameters.
-// Policies carry per-run streaming state, so every session gets a fresh
-// instance.
-func (p *Plan) NewStop() (aggregate.StopPolicy, error) {
-	return aggregate.StopByName(p.StopName)
+// NewStop returns a fresh instance of the plan's stop rule: nil for the
+// paper's threshold behavior, a SpeciesStop for StopSpecies. Rules carry
+// per-run streaming state, so every session gets its own.
+func (p *Plan) NewStop() *aggregate.SpeciesStop {
+	if p.StopName == aggregate.StopSpecies {
+		return aggregate.NewSpeciesStop()
+	}
+	return nil
 }
 
 // Variant derives the stop variant of p: the same query over the same
 // domain with the same precompiled tables, differing only in StopName —
 // and therefore in serialization and fingerprint. An empty name keeps
-// p's own; deriving p's own name returns p itself. Unknown names fail as
-// aggregate.StopByName does.
+// p's own; deriving p's own name returns p itself. Names other than
+// aggregate.StopThreshold and aggregate.StopSpecies fail.
 func (p *Plan) Variant(stop string) (*Plan, error) {
 	if stop == "" || stop == p.StopName {
 		return p, nil
 	}
-	if _, err := aggregate.StopByName(stop); err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
+	if stop != aggregate.StopThreshold && stop != aggregate.StopSpecies {
+		return nil, fmt.Errorf("plan: unknown stop policy %q", stop)
 	}
 	q := *p
 	q.StopName = stop

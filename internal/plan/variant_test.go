@@ -32,7 +32,7 @@ func TestWithPolicyFingerprints(t *testing.T) {
 	}
 	// Each stop policy fingerprints distinctly from the others.
 	seen := map[string]string{}
-	for _, name := range aggregate.StopNames() {
+	for _, name := range []string{aggregate.StopSpecies, aggregate.StopThreshold} {
 		p, err := base.Variant(name)
 		if err != nil {
 			t.Fatal(err)

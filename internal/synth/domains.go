@@ -72,6 +72,18 @@ func SpamDomain(seed int64, patterns, spammers int, kind SpamKind) (*Domain, err
 	return d, nil
 }
 
+// OpenWorldDomain generates one point of the early-stopping sweep: a
+// travel-shaped taxonomy mined by 8 members whose histories share a pool
+// of `patterns` planted patterns, so that popular patterns are sighted by
+// several members (the repeat sightings a stop rule's coverage estimate
+// feeds on).
+func OpenWorldDomain(seed int64, patterns int) (*Domain, error) {
+	return GenerateDomain(DomainConfig{
+		Name: "openworld", YTerms: 30, XTerms: 10, YDepth: 4, XDepth: 3,
+		Members: 8, Transactions: 12, Patterns: patterns, Seed: seed,
+	})
+}
+
 // Domain is a generated domain workload.
 type Domain struct {
 	Cfg     DomainConfig

@@ -550,20 +550,21 @@ type Stats struct {
 	// the ban still count.
 	BannedMembers int
 	// StoppedEarly reports that the stop policy ended the run before
-	// every generated pattern was classified (the StopSpecies coverage
-	// target was reached).
+	// every generated pattern was classified (StopSpecies saw the crowd
+	// stop volunteering new patterns).
 	StoppedEarly bool
-	// StopEstimate is the stop policy's final estimate in [0, 1]:
-	// answer-set completeness for StopSpecies, 0 under the default
-	// threshold policy.
+	// StopEstimate is the stop policy's final estimate in [0, 1]: the
+	// Good–Turing coverage of the crowd's discoveries for StopSpecies, 0
+	// under the default threshold policy.
 	StopEstimate float64
 	// StopSettled counts patterns an early stop classified from answers
 	// already in hand (the frontier settlement pass) instead of asking
-	// further questions.
+	// further questions: those whose verdict no missing answer could
+	// change.
 	StopSettled int
 	// StopUnclassified counts generated patterns an early stop left
-	// unclassified (never answered) — a lower bound on the crowd answers
-	// saved.
+	// unclassified (unanswered, or answered too little to decide) — a
+	// lower bound on the crowd answers saved.
 	StopUnclassified int
 }
 
@@ -655,10 +656,10 @@ const (
 	// thresholds settle on every generated pattern (the paper's
 	// behavior, bit-identical to not setting a policy at all).
 	StopThreshold = aggregate.StopThreshold
-	// StopSpecies stops open-world enumeration early: a streaming
-	// Chao92 species-richness estimator over the crowd's discovered
-	// patterns ends the run once estimated answer-set completeness
-	// crosses its target.
+	// StopSpecies stops open-world enumeration early: once the crowd
+	// has made 30 distinct discoveries and fewer than 27.5% of them are
+	// patterns only one member reported (Good–Turing coverage above
+	// 0.725), the run ends.
 	StopSpecies = aggregate.StopSpecies
 )
 
@@ -747,10 +748,6 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		}
 		sp.MoreCandidates = pool
 	}
-	stop, err := pl.NewStop()
-	if err != nil {
-		return nil, cfg, err
-	}
 	cfg = core.Config{
 		Space:                 sp,
 		Theta:                 pl.Support,
@@ -762,7 +759,7 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		MaxMSPs:               o.topK,
 		SpamFilter:            o.spamFilter,
 		PanelSpeculation:      o.panelSize,
-		Stop:                  stop,
+		Stop:                  pl.NewStop(),
 		Rng:                   rand.New(rand.NewSource(o.seed)),
 	}
 	if o.store != nil {
