@@ -15,6 +15,7 @@
 package assign
 
 import (
+	"slices"
 	"strings"
 
 	"oassis/internal/fact"
@@ -174,8 +175,9 @@ func (sp *Space) Instantiate(a Assignment) fact.Set {
 	for _, m := range sp.Sat {
 		out = appendMetaFacts(out, sp, m, a)
 	}
-	out = append(out, a.More...)
-	return out.Canon()
+	out = append(out, a.More...) // out is fresh: canonicalize it in place
+	slices.SortFunc(out, fact.Compare)
+	return slices.Compact(out)
 }
 
 func appendMetaFacts(out fact.Set, sp *Space, m Meta, a Assignment) fact.Set {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"oassis/internal/crowd"
 	"oassis/internal/synth"
 )
 
@@ -102,5 +103,44 @@ func TestAllocsOnClassified(t *testing.T) {
 		if timeline && e.classifiedN == 0 {
 			t.Error("timed engine counted no classified rows")
 		}
+	}
+}
+
+// TestAllocsSessionLoopCrowd gates the 16-member travel loop — Next, then
+// Submit the blocked question's answer, to the end of the run — at
+// allocsPerAnswerCrowd heap allocations per answer, session set-up
+// excluded. The count barely moves between runs: 4,838–4,841
+// allocations over 1,912 answers (2.53 per answer), against 12.3 when
+// questions were keyed by string and each open question was a heap
+// instance. What remains is
+// lattice growth (successor generation, instantiation, the classifier's
+// postings), the answer lists and map growth.
+func TestAllocsSessionLoopCrowd(t *testing.T) {
+	const allocsPerAnswerCrowd = 2.6
+	ct := newCrowdTravel(t)
+	const runs = 3
+	type drive struct {
+		sess *Session
+		byID map[string]crowd.Member
+	}
+	drives := make([]drive, runs+1) // AllocsPerRun warms up with one extra run
+	for i := range drives {
+		drives[i].sess, drives[i].byID = ct.session()
+	}
+	answers, next := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		d := drives[next]
+		next++
+		answers = 0
+		for qs := d.sess.Next(); qs != nil; qs = d.sess.Next() {
+			q := qs[0]
+			d.sess.Submit(q.ID, AnswerFrom(d.byID[q.Member], q))
+			answers++
+		}
+	})
+	perAnswer := allocs / float64(answers)
+	t.Logf("%.0f allocations over %d answers: %.3f per answer", allocs, answers, perAnswer)
+	if perAnswer > allocsPerAnswerCrowd {
+		t.Errorf("the travel loop allocates %.3f times per answer, want at most %v", perAnswer, allocsPerAnswerCrowd)
 	}
 }

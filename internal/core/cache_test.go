@@ -5,26 +5,37 @@ import (
 	"testing"
 
 	"oassis/internal/aggregate"
+	"oassis/internal/fact"
 )
 
 // TestCacheDuplicateMember: a member's repeated answer to a question is
-// ignored — the first answer, the count and the running sum stand.
+// ignored — the first answer, the count and the running sum stand — in the
+// run's question table and in the string-keyed Cache alike.
 func TestCacheDuplicateMember(t *testing.T) {
-	c := NewCache()
-	if _, isNew := c.record("q", "alice", 1); !isNew {
+	var qs questionTable
+	q := &qs.all[qs.intern(fact.Set{{S: 1, R: 1, O: 1}})]
+	if !q.record(0, 1, 2) {
 		t.Fatal("first answer rejected")
 	}
-	if _, isNew := c.record("q", "alice", 0); isNew {
+	if q.record(0, 0, 2) {
 		t.Fatal("duplicate answer accepted")
 	}
-	q := c.question("q")
-	if q.answers() != 1 || q.mean() != 1 || c.Len() != 1 {
-		t.Errorf("answers=%d mean=%v Len=%d, want 1, 1, 1", q.answers(), q.mean(), c.Len())
+	if len(q.answers) != 1 || q.mean() != 1 {
+		t.Errorf("answers=%d mean=%v, want 1, 1", len(q.answers), q.mean())
 	}
-	if s, ok := c.Lookup("q", "alice"); !ok || s != 1 {
-		t.Errorf("Lookup = %v, %v; want the first answer", s, ok)
+	if s, ok := q.support(0); !ok || s != 1 {
+		t.Errorf("support = %v, %v; want the first answer", s, ok)
 	}
-	if c.question("nope").answers() != 0 || c.question("nope").mean() != 0 {
+	if _, ok := q.support(1); ok {
+		t.Error("a member who never answered has support")
+	}
+	c := NewCache()
+	c.Record("q", "alice", 1)
+	c.Record("q", "alice", 0)
+	if s, ok := c.Lookup("q", "alice"); !ok || s != 1 || c.Len() != 1 {
+		t.Errorf("Lookup = %v, %v, Len %d; want the first answer, Len 1", s, ok, c.Len())
+	}
+	if _, ok := c.Lookup("nope", "alice"); ok {
 		t.Error("unknown question should hold no answers")
 	}
 }

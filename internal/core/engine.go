@@ -198,7 +198,7 @@ type engine struct {
 
 	pruned     map[string][]vocab.Term // member -> pruned terms
 	stats      Stats
-	cache      *Cache         // the CrowdCache: the member answer memo and the aggregator's input
+	qs         questionTable  // the CrowdCache: the member answer memo and the aggregator's input
 	mspLog     map[uint32]int // chain maxima by id -> question count at discovery
 	newAnswers int            // answers recorded in the current round
 
@@ -215,8 +215,14 @@ type engine struct {
 	succs   [][]uint32 // by id: successor memo (noSuccs when empty)
 	succBuf []uint32   // backing store the successor memos are cut from
 
-	inst   []instEntry // by id: instantiation + question key memo
-	instOK []bool
+	nodeQ []uint32 // by id: the node's question id + 1 (0 until instantiated)
+
+	// Pruning offers (Config.EnablePruning only): by question id, the
+	// terms offered (nil until first offered), cut from termBuf.
+	terms   [][]vocab.Term
+	termBuf []vocab.Term
+
+	keyBuf []byte // scratch for a question key in bytes (Prime lookups)
 
 	answersBy []int // by member index: counted answers (§6.2 stats page)
 	budgets   []int // by member index: remaining answers (-1 = unlimited)
@@ -233,34 +239,33 @@ type memberGrade struct {
 	banned       bool
 }
 
-type instEntry struct {
-	fs   fact.Set
-	qKey string
-}
-
 // growNode extends the engine's flat per-node state to cover id.
 func (e *engine) growNode(id uint32) {
 	for uint32(len(e.inPool)) <= id {
 		e.inPool = append(e.inPool, false)
 		e.expanded = append(e.expanded, false)
 		e.succs = append(e.succs, nil)
-		e.inst = append(e.inst, instEntry{})
-		e.instOK = append(e.instOK, false)
+		e.nodeQ = append(e.nodeQ, 0)
 	}
 }
 
-// instantiate memoizes the node's fact-set question.
-func (e *engine) instantiate(id uint32) (fact.Set, string) {
+// instantiate returns the id of node id's question, instantiating the
+// node and interning its fact-set on first need.
+func (e *engine) instantiate(id uint32) uint32 {
 	e.growNode(id)
-	if e.instOK[id] {
-		ent := &e.inst[id]
-		return ent.fs, ent.qKey
+	if q := e.nodeQ[id]; q != 0 {
+		return q - 1
 	}
-	fs := e.sp.Instantiate(e.sp.Node(id))
-	ent := instEntry{fs: fs, qKey: fs.Key()}
-	e.inst[id] = ent
-	e.instOK[id] = true
-	return ent.fs, ent.qKey
+	q := e.qs.intern(e.sp.Instantiate(e.sp.Node(id)))
+	e.nodeQ[id] = q + 1
+	return q
+}
+
+// questionOf returns node id's question, instantiating it on first need. The
+// pointer is valid until the next question is interned.
+func (e *engine) questionOf(id uint32) (uint32, *question) {
+	q := e.instantiate(id)
+	return q, &e.qs.all[q]
 }
 
 // noSuccs is the memo sentinel distinguishing "no successors" from "not yet
@@ -297,8 +302,8 @@ func Run(cfg Config) *Result { return runSession(cfg).res }
 // cfg.Members.
 func runSession(cfg Config) *Session {
 	s := NewSession(cfg, memberIDs(cfg.Members))
-	for s.blocked != nil {
-		q := s.blocked.q
+	for s.blocked >= 0 {
+		q := s.open[s.blocked]
 		s.Submit(q.ID, AnswerFrom(cfg.Members[s.eng.want.mi], q))
 	}
 	return s
@@ -326,7 +331,6 @@ func newEngine(cfg Config, ids []string) *engine {
 		agg:       agg,
 		cls:       newClassifier(cfg.Space),
 		pruned:    make(map[string][]vocab.Term),
-		cache:     NewCacheSized(len(ids)),
 		mspLog:    make(map[uint32]int),
 		answersBy: make([]int, len(ids)),
 		ids:       ids,
@@ -481,6 +485,16 @@ func (e *engine) countAnswer(kind QuestionKind) {
 	}
 }
 
+// primed returns member mi's answer to question qid from the primed cache
+// (Config.Prime), if it holds one.
+func (e *engine) primed(qid uint32, mi int) (float64, bool) {
+	if e.cfg.Prime == nil {
+		return 0, false
+	}
+	e.keyBuf = e.qs.all[qid].fs.AppendKey(e.keyBuf[:0])
+	return e.cfg.Prime.lookupKey(e.keyBuf, e.ids[mi])
+}
+
 // pruneHit reports whether the member has marked a term generalizing (or
 // equal to) one of fs's terms as irrelevant.
 func (e *engine) pruneHit(member string, fs fact.Set) bool {
@@ -494,14 +508,13 @@ func (e *engine) pruneHit(member string, fs fact.Set) bool {
 	return false
 }
 
-// recordAnswer stores member mi's first answer to a question in the
-// CrowdCache, then updates the node classification from the verdict.
-func (e *engine) recordAnswer(node uint32, qKey string, mi int,
+// recordAnswer stores member mi's first answer to node's question qid in
+// the CrowdCache, then updates the node classification from the verdict.
+func (e *engine) recordAnswer(node, qid uint32, mi int,
 	sup float64, kind QuestionKind, counted bool) {
-	member := e.ids[mi]
-	q, isNew := e.cache.record(qKey, member, sup)
-	if isNew {
-		e.sinkAnswer(qKey, member, sup, kind, counted)
+	q := &e.qs.all[qid]
+	if q.record(mi, sup, e.agg.K) {
+		e.sinkAnswer(q, mi, sup, kind, counted)
 		e.tally(q)
 		if counted {
 			q.asked = true
@@ -518,8 +531,8 @@ func (e *engine) recordAnswer(node uint32, qKey string, mi int,
 // tally runs the spam filter's grading for a question that just received
 // a new answer: a FixedSample question is undecided until its K-th
 // answer, so that answer is the one that decides it and has it graded.
-func (e *engine) tally(q *entry) {
-	if e.grades != nil && q.answers() == e.agg.K {
+func (e *engine) tally(q *question) {
+	if e.grades != nil && len(q.answers) == e.agg.K {
 		e.grade(q)
 	}
 }
@@ -529,13 +542,11 @@ func (e *engine) tally(q *entry) {
 // aggregator decide it: every member's answer is graded against the
 // median of all the answers to it. A question with a single answer has no
 // consensus and grades nobody.
-func (e *engine) grade(q *entry) {
+func (e *engine) grade(q *question) {
 	var buf [16]float64
 	ans := buf[:0]
-	for _, id := range e.ids {
-		if s, ok := q.support(id); ok {
-			ans = append(ans, s)
-		}
+	for _, a := range q.answers {
+		ans = append(ans, a.sup)
 	}
 	n := len(ans)
 	if n < 2 {
@@ -543,14 +554,10 @@ func (e *engine) grade(q *entry) {
 	}
 	sort.Float64s(ans)
 	consensus := (ans[(n-1)/2] + ans[n/2]) / 2
-	for mi, id := range e.ids {
-		s, ok := q.support(id)
-		if !ok {
-			continue
-		}
-		g := &e.grades[mi]
+	for _, a := range q.answers {
+		g := &e.grades[a.mi]
 		g.trials++
-		if d := math.Abs(s - consensus); d <= gradeTolerance+aggregate.Eps {
+		if d := math.Abs(a.sup - consensus); d <= gradeTolerance+aggregate.Eps {
 			g.hits++
 		}
 		rate := float64(g.hits+1) / float64(g.trials+2)
@@ -593,8 +600,8 @@ func (e *engine) confirmedMSPs() int {
 
 // applyVerdict classifies node from the aggregator's verdict on its
 // question q.
-func (e *engine) applyVerdict(node uint32, q *entry) {
-	e.classifyAs(node, e.agg.Verdict(q.answers(), q.sum, e.cfg.Theta))
+func (e *engine) applyVerdict(node uint32, q *question) {
+	e.classifyAs(node, e.agg.Verdict(len(q.answers), q.sum, e.cfg.Theta))
 }
 
 // classifyAs classifies node by verdict v; Undecided leaves it as it is.
@@ -636,34 +643,47 @@ func (e *engine) onClassified(id uint32, significant bool) {
 	}
 }
 
-func termsOf(fs fact.Set) []vocab.Term {
-	seen := map[vocab.Term]struct{}{}
-	var out []vocab.Term
-	for _, f := range fs {
-		for _, t := range []vocab.Term{f.S, f.R, f.O} {
-			if t == vocab.Any {
-				continue
-			}
-			if _, ok := seen[t]; !ok {
-				seen[t] = struct{}{}
-				out = append(out, t)
+// noTerms is the memo sentinel distinguishing "no terms to offer" from "not
+// yet computed".
+var noTerms = []vocab.Term{}
+
+// pruneTerms returns the distinct terms of question qid's facts, in fact
+// order, that a pruning offer puts before the member: computed on the
+// question's first offer into a capacity-capped window of termBuf, and
+// read from there after.
+func (e *engine) pruneTerms(qid uint32) []vocab.Term {
+	for uint32(len(e.terms)) <= qid {
+		e.terms = append(e.terms, nil)
+	}
+	if ts := e.terms[qid]; ts != nil {
+		return ts
+	}
+	start := len(e.termBuf)
+	for _, f := range e.qs.all[qid].fs {
+		for _, t := range [3]vocab.Term{f.S, f.R, f.O} {
+			if t != vocab.Any && !slices.Contains(e.termBuf[start:], t) {
+				e.termBuf = append(e.termBuf, t)
 			}
 		}
 	}
-	return out
+	ts := e.termBuf[start:len(e.termBuf):len(e.termBuf)]
+	if len(ts) == 0 {
+		ts = noTerms
+	}
+	e.terms[qid] = ts
+	return ts
 }
 
-// unclassifiedSuccessors lists node's immediate successors that are still
-// unclassified, generating them into the pool.
-func (e *engine) unclassifiedSuccessors(node uint32) []uint32 {
-	var out []uint32
+// appendUnclassifiedSuccessors appends node's immediate successors that
+// are still unclassified to dst, generating them into the pool.
+func (e *engine) appendUnclassifiedSuccessors(dst []uint32, node uint32) []uint32 {
 	for _, s := range e.succsOf(node) {
 		if e.cls.status(s) == Unclassified {
 			e.addNode(s)
-			out = append(out, s)
+			dst = append(dst, s)
 		}
 	}
-	return out
+	return dst
 }
 
 // recordChainMax records node as the maximum of a member's descent chain
@@ -689,10 +709,10 @@ func (e *engine) specializeCoin() bool {
 // forceClassify decides a node from the current mean of its answers:
 // the paper's fallback when the crowd cannot give it K answers.
 func (e *engine) forceClassify(node uint32) {
-	_, qKey := e.instantiate(node)
+	_, q := e.questionOf(node)
 	e.stats.ForcedClassifications++
 	v := aggregate.Insignificant
-	if q := e.cache.question(qKey); q.answers() > 0 && q.mean() >= e.cfg.Theta-aggregate.Eps {
+	if len(q.answers) > 0 && q.mean() >= e.cfg.Theta-aggregate.Eps {
 		v = aggregate.Significant
 	}
 	e.classifyAs(node, v)
@@ -704,9 +724,8 @@ func (e *engine) forceClassify(node uint32) {
 // 0 (s/K ≥ θ), Insignificant when it stays below θ even if they are all
 // 1 ((s+K−k)/K < θ), and Undecided otherwise or with no answers.
 func (e *engine) settledVerdict(node uint32) aggregate.Verdict {
-	_, qKey := e.instantiate(node)
-	q := e.cache.question(qKey)
-	k := q.answers()
+	_, q := e.questionOf(node)
+	k := len(q.answers)
 	if k == 0 {
 		return aggregate.Undecided
 	}
@@ -742,8 +761,8 @@ func (e *engine) settleFrontier() {
 // result finalizes the run.
 func (e *engine) result() *Result {
 	e.stats.UniqueQuestions = 0
-	for _, q := range e.cache.entries {
-		if q.asked {
+	for i := range e.qs.all {
+		if e.qs.all[i].asked {
 			e.stats.UniqueQuestions++
 		}
 	}
@@ -798,7 +817,7 @@ func (e *engine) result() *Result {
 		MSPs:            msps,
 		ValidMSPs:       valid,
 		Stats:           e.stats,
-		Cache:           e.cache,
+		Cache:           e.qs.view(e.ids),
 		MSPQuestion:     mspQ,
 		InsigMinimal:    len(e.cls.insig),
 		AnswersByMember: answersBy,

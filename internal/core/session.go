@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"oassis/internal/fact"
@@ -91,31 +89,54 @@ func AnswerNoClick() Answer { return Answer{} }
 
 // askKey identifies a question independently of when it is asked, so an
 // answer collected early (speculatively) can be merged in when the engine
-// reaches the same question.
+// reaches the same question: the member's index, the kind, and the
+// engine's question id — of a concrete question or of the question a
+// pruning offer's terms come from — or, for a specialization, the
+// session's id for its candidate list (specIDs).
 type askKey struct {
-	member string
-	kind   QuestionKind
-	key    string
+	mi   int32
+	q    uint32
+	kind QuestionKind
 }
 
+// specList is a specialization question's candidate list as question ids
+// plus one, zero-padded: a comparable map key.
+type specList [maxSpecializationCandidates]uint32
+
 // askKey returns the parked question's ask key.
-func (w *want) askKey() askKey {
-	k := askKey{member: w.q.Member, kind: w.q.Kind, key: w.qKey}
-	switch w.q.Kind {
-	case KindSpecialization:
-		k.key = specKey(w.q.Choices)
-	case KindPruning:
-		k.key = pruneKey(w.q.Terms)
+func (s *Session) askKey(w *want) askKey {
+	k := askKey{mi: int32(w.mi), q: w.qid, kind: w.q.Kind}
+	if w.q.Kind == KindSpecialization {
+		var l specList
+		for i, n := range s.eng.at.succs {
+			l[i] = s.eng.instantiate(n) + 1
+		}
+		id, ok := s.specIDs[l]
+		if !ok {
+			if s.specIDs == nil {
+				s.specIDs = make(map[specList]uint32)
+			}
+			id = uint32(len(s.specIDs))
+			s.specIDs[l] = id
+		}
+		k.q = id
 	}
 	return k
 }
 
-// instance is one issued Question awaiting its answer.
-type instance struct {
-	q    Question // carries the ID and the speculative flag
+// openMeta is the session's bookkeeping for one issued question, kept
+// beside it in the open slab.
+type openMeta struct {
 	key  askKey
 	gen  int  // round at issue time (speculative retirement)
 	live bool // not yet answered or retired
+}
+
+// retiredQ is a question retired unanswered that still takes one late
+// answer.
+type retiredQ struct {
+	id  QuestionID
+	key askKey
 }
 
 // Session runs the mining engine with inverted, step-driven control: Next
@@ -152,15 +173,20 @@ type instance struct {
 type Session struct {
 	eng *engine
 
-	open     []*instance          // issued, in ID order; dead ones wait for Next
-	byKey    map[askKey]*instance // the live instances
+	// The issued questions in ID order, as one value slab beside their
+	// bookkeeping; dead ones wait for Next to compact them away.
+	open     []Question
+	meta     []openMeta
+	byKey    map[askKey]QuestionID // the live questions
 	buffered map[askKey]Answer
-	retired  map[QuestionID]askKey // late answers are still buffered once
-	blocked  *instance
-	nextID   QuestionID // IDs start at 1, so 0 never names a question
+	retired  []retiredQ          // in ID order; late answers are still buffered once
+	specIDs  map[specList]uint32 // specialization candidate lists seen, by ask-key id
+	blocked  int                 // index in open of the engine's question, -1 when none
+	dead     int                 // answered or retired questions still in open
+	nextID   QuestionID          // IDs start at 1, so 0 never names a question
 
 	view      []Question // Next's result, reused from call to call
-	specRound int        // the round whose node question was last offered
+	specRound int        // the round of the last Next
 
 	// Observability (nil/empty when neither metrics nor tracer is
 	// attached). issuedAt and spanEnd are keyed by question ID; recording
@@ -179,9 +205,9 @@ type Session struct {
 // its first question. cfg.Members is ignored: the caller answers.
 func NewSession(cfg Config, memberIDs []string) *Session {
 	s := &Session{
-		byKey:    make(map[askKey]*instance),
+		byKey:    make(map[askKey]QuestionID),
 		buffered: make(map[askKey]Answer),
-		retired:  make(map[QuestionID]askKey),
+		blocked:  -1,
 		nextID:   1,
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
@@ -207,7 +233,7 @@ func (s *Session) advance() {
 			s.finish()
 			return
 		}
-		k := w.askKey()
+		k := s.askKey(w)
 		if a, ok := s.buffered[k]; ok {
 			// An answer collected earlier merges in at the engine's own
 			// position in the question order.
@@ -215,12 +241,12 @@ func (s *Session) advance() {
 			s.eng.answer(a)
 			continue
 		}
-		if inst, ok := s.byKey[k]; ok {
+		if id, ok := s.byKey[k]; ok {
 			// A speculative question already issued for exactly this ask:
 			// adopt it, keeping its ID. It is the engine's own question
 			// now, so it no longer reads as speculative.
-			inst.q.Speculative = false
-			s.blocked = inst
+			s.blocked = s.find(id)
+			s.open[s.blocked].Speculative = false
 			return
 		}
 		s.blocked = s.issue(k, w.q, false)
@@ -233,70 +259,89 @@ func (s *Session) advance() {
 // is still accepted (and dropped); after Close it is ErrSessionDone.
 func (s *Session) finish() {
 	s.res = s.eng.result()
-	s.blocked = nil
+	s.blocked = -1
 	s.view = nil
-	for _, inst := range s.open {
-		if inst.live {
-			s.retire(inst)
+	for i := range s.meta {
+		if s.meta[i].live {
+			s.retire(i)
 		}
 	}
-	s.open = nil
+	s.open, s.meta, s.dead = nil, nil, 0
 }
 
-// retire closes a live instance unanswered. Until Close its ID still takes
-// one late answer (never re-ask a human); Next no longer surfaces it.
-func (s *Session) retire(inst *instance) {
+// retire closes the live open question i unanswered. Until Close its ID
+// still takes one late answer (never re-ask a human); Next no longer
+// surfaces it. Retirement mostly follows issue order, so the ID-ordered
+// insert is nearly always an append.
+func (s *Session) retire(i int) {
 	if !s.closed {
-		s.retired[inst.q.ID] = inst.key
+		r := retiredQ{id: s.open[i].ID, key: s.meta[i].key}
+		if n := len(s.retired); n == 0 || s.retired[n-1].id < r.id {
+			s.retired = append(s.retired, r)
+		} else {
+			j, _ := s.retiredAt(r.id)
+			s.retired = slices.Insert(s.retired, j, r)
+		}
 	}
-	s.drop(inst, false)
+	s.drop(i, false)
 }
 
-// issue opens a question instance under a fresh ID.
-func (s *Session) issue(k askKey, q Question, speculative bool) *instance {
+// retiredAt returns where id is, or would be, in the retired list, and
+// whether it is there.
+func (s *Session) retiredAt(id QuestionID) (int, bool) {
+	return slices.BinarySearchFunc(s.retired, id, func(r retiredQ, id QuestionID) int {
+		return cmp.Compare(r.id, id)
+	})
+}
+
+// issue opens a question under a fresh ID and returns its index in open.
+func (s *Session) issue(k askKey, q Question, speculative bool) int {
 	q.ID = s.nextID
 	q.Speculative = speculative
 	s.nextID++
-	inst := &instance{q: q, key: k, gen: s.eng.at.round, live: true}
-	s.open = append(s.open, inst)
-	s.byKey[k] = inst
-	s.noteIssued(inst)
-	return inst
+	s.open = append(s.open, q)
+	s.meta = append(s.meta, openMeta{key: k, gen: s.eng.at.round, live: true})
+	s.byKey[k] = q.ID
+	s.noteIssued(&q)
+	return len(s.open) - 1
 }
 
-// noteIssued books a freshly issued question instance with the attached
-// metrics and tracer. With neither attached it does nothing at all (not
-// even a clock read).
-func (s *Session) noteIssued(inst *instance) {
+// noteIssued books a freshly issued question with the attached metrics and
+// tracer. With neither attached it does nothing at all (not even a clock
+// read).
+func (s *Session) noteIssued(q *Question) {
 	if s.metrics == nil && s.tracer == nil {
 		return
 	}
-	s.metrics.questionIssued(inst.key.kind, inst.q.Speculative)
+	s.metrics.questionIssued(q.Kind, q.Speculative)
 	if s.metrics != nil {
-		s.issuedAt[inst.q.ID] = time.Now()
+		s.issuedAt[q.ID] = time.Now()
 	}
 	if s.tracer != nil {
 		phase := "blocked"
-		if inst.q.Speculative {
+		if q.Speculative {
 			phase = "speculative"
 		}
-		s.spanEnd[inst.q.ID] = s.tracer.Begin("question",
-			obs.A("id", strID(inst.q.ID)), obs.A("member", inst.key.member),
-			obs.A("kind", inst.key.kind.String()), obs.A("phase", phase))
+		s.spanEnd[q.ID] = s.tracer.Begin("question",
+			obs.A("id", strID(q.ID)), obs.A("member", q.Member),
+			obs.A("kind", q.Kind.String()), obs.A("phase", phase))
 	}
 }
 
-// drop marks a live instance dead and frees its ask key; the attached
-// metrics and tracer book it answered (with its latency) or retired.
-func (s *Session) drop(inst *instance, answered bool) {
-	inst.live = false
-	delete(s.byKey, inst.key)
+// drop marks the live open question i dead and frees its ask key; the
+// attached metrics and tracer book it answered (with its latency) or
+// retired.
+func (s *Session) drop(i int, answered bool) {
+	m := &s.meta[i]
+	m.live = false
+	s.dead++
+	delete(s.byKey, m.key)
 	if s.metrics == nil && s.tracer == nil {
 		return
 	}
-	id := inst.q.ID
+	id := s.open[i].ID
 	if answered {
-		s.metrics.questionAnswered(inst.key.kind, s.issuedAt[id])
+		s.metrics.questionAnswered(m.key.kind, s.issuedAt[id])
 	} else {
 		s.metrics.questionRetired()
 	}
@@ -307,44 +352,64 @@ func (s *Session) drop(inst *instance, answered bool) {
 	}
 }
 
-// compact drops dead instances from the open list in place, retiring on
-// the way, in ID order, the speculative questions from rounds the engine
-// has moved past.
-func (s *Session) compact() {
-	kept := s.open[:0]
-	for _, inst := range s.open {
-		if inst.live && inst.q.Speculative && inst != s.blocked && inst.gen != s.eng.at.round {
-			s.retire(inst)
-		}
-		if inst.live {
-			kept = append(kept, inst)
+// compact drops dead questions from the open slab. On the round's first
+// Next (newRound) it first retires, in ID order, the speculative questions
+// from rounds the engine has moved past; later Nexts of the round would
+// find none, since every question issued since carries the round. Then
+// each run of live questions moves down with one copy.
+func (s *Session) compact(newRound bool) {
+	b := s.blocked
+	if newRound {
+		round := s.eng.at.round
+		for i := range s.meta {
+			if m := &s.meta[i]; m.live && i != b && m.gen != round && s.open[i].Speculative {
+				s.retire(i)
+			}
 		}
 	}
-	clear(s.open[len(kept):])
-	s.open = kept
+	if s.dead == 0 {
+		return
+	}
+	n := 0
+	for i := 0; i < len(s.meta); {
+		j := i // the live run open[i:j], then the dead question at j
+		for j < len(s.meta) && s.meta[j].live {
+			j++
+		}
+		if i <= b && b < j {
+			s.blocked = n + b - i
+		}
+		copy(s.open[n:], s.open[i:j])
+		copy(s.meta[n:], s.meta[i:j])
+		n += j - i
+		i = j + 1
+	}
+	clear(s.open[n:])
+	s.open, s.meta, s.dead = s.open[:n], s.meta[:n], 0
 }
 
-// speculateOn opens a speculative concrete question (key, fs) for member
-// idx if the engine could still ask it of them: active, with budget, and
-// without a cached, primed, or pruning-implied answer — and the question
-// is not already open or buffered for them.
-func (s *Session) speculateOn(idx int, key string, fs fact.Set) {
+// speculateOn opens a speculative concrete question qid for member idx if
+// the engine could still ask it of them: active, with budget, and without
+// a cached, primed, or pruning-implied answer — and the question is not
+// already open or buffered for them.
+func (s *Session) speculateOn(idx int, qid uint32) {
 	e := s.eng
-	id := e.ids[idx]
-	_, cached := e.cache.Lookup(key, id)
-	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(id, fs) {
+	q := &e.qs.all[qid]
+	_, cached := q.support(idx)
+	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(e.ids[idx], q.fs) {
 		return
 	}
-	if e.cfg.Prime != nil {
-		if _, ok := e.cfg.Prime.Lookup(key, id); ok {
-			return
-		}
-	}
-	k := askKey{member: id, kind: KindConcrete, key: key}
-	if _, buf := s.buffered[k]; buf || s.byKey[k] != nil {
+	if _, ok := e.primed(qid, idx); ok {
 		return
 	}
-	s.issue(k, Question{Member: id, Kind: KindConcrete, Facts: fs}, true)
+	k := askKey{mi: int32(idx), q: qid, kind: KindConcrete}
+	if _, buf := s.buffered[k]; buf {
+		return
+	}
+	if _, open := s.byKey[k]; open {
+		return
+	}
+	s.issue(k, Question{Member: e.ids[idx], Kind: KindConcrete, Facts: q.fs}, true)
 }
 
 // speculate issues questions the engine has not asked yet but is likely
@@ -361,31 +426,25 @@ func (s *Session) speculateOn(idx int, key string, fs fact.Set) {
 // the engine never consumes are discarded without entering the statistics
 // — so speculation affects wall clock and waste, never the result.
 //
-// The node question is offered on the round's first call only. Every
-// reason speculateOn skips a member is monotone within a round — cached
-// or buffered (a buffered answer is consumed into the cache), left or
-// banned, budget spent or pruning-implied, primed, or already open — and
-// a later call's members are a subset of the first call's, since the turn
-// only moves forward; compact retires only earlier rounds' questions. So
-// a repeat offer could never issue anything. The mirror follows the
+// The node question is offered on the round's first call only
+// (offerNode). Every reason speculateOn skips a member is monotone within
+// a round — cached or buffered (a buffered answer is consumed into the
+// cache), left or banned, budget spent or pruning-implied, primed, or
+// already open — and a later call's members are a subset of the first
+// call's, since the turn only moves forward; compact retires only earlier
+// rounds' questions. So a repeat offer could never issue anything. The mirror follows the
 // blocked question and is offered on every call.
-func (s *Session) speculate() {
+func (s *Session) speculate(offerNode bool) {
 	c := &s.eng.at
-	fs, qKey := s.eng.instantiate(c.node)
-	offerNode := s.specRound != c.round
-	s.specRound = c.round
-	mirror := ""
-	var mirrorFS fact.Set
-	if s.blocked.key.kind == KindConcrete && s.blocked.key.key != qKey {
-		mirror = s.blocked.key.key
-		mirrorFS = s.blocked.q.Facts
-	}
+	qid := s.eng.instantiate(c.node)
+	b := s.meta[s.blocked].key
+	mirror := b.kind == KindConcrete && b.q != qid
 	for i := c.turn + 1; i < len(s.eng.ids); i++ {
 		if offerNode {
-			s.speculateOn(i, qKey, fs)
+			s.speculateOn(i, qid)
 		}
-		if mirror != "" {
-			s.speculateOn(i, mirror, mirrorFS)
+		if mirror {
+			s.speculateOn(i, b.q)
 		}
 	}
 	s.speculateSuccessors()
@@ -414,9 +473,9 @@ func (s *Session) speculateSuccessors() {
 		from = 0
 	}
 	for _, succ := range succs {
-		fs, qKey := e.instantiate(succ)
+		qid := e.instantiate(succ)
 		for i := from; i < len(e.ids); i++ {
-			s.speculateOn(i, qKey, fs)
+			s.speculateOn(i, qid)
 		}
 	}
 }
@@ -448,16 +507,16 @@ func (s *Session) AppendNext(dst []Question) []Question {
 	if s.res != nil || s.closed {
 		return dst
 	}
-	s.compact()
-	s.speculate()
-	dst = slices.Grow(dst, len(s.open)) // all live, the blocked one included
-	dst = append(dst, s.blocked.q)
-	for _, inst := range s.open {
-		if inst != s.blocked {
-			dst = append(dst, inst.q)
-		}
-	}
-	return dst
+	round := s.eng.at.round
+	newRound := s.specRound != round
+	s.specRound = round
+	s.compact(newRound)
+	s.speculate(newRound)
+	b := s.blocked // every open question is live: copy the runs around it
+	dst = slices.Grow(dst, len(s.open))
+	dst = append(dst, s.open[b])
+	dst = append(dst, s.open[:b]...)
+	return append(dst, s.open[b+1:]...)
 }
 
 // AppendOpen appends the member's open questions to dst and returns the
@@ -469,12 +528,12 @@ func (s *Session) AppendOpen(dst []Question, member string) []Question {
 	if s.res != nil || s.closed {
 		return dst
 	}
-	if b := s.blocked; b != nil && b.q.Member == member {
-		dst = append(dst, b.q)
+	if b := s.blocked; b >= 0 && s.open[b].Member == member {
+		dst = append(dst, s.open[b])
 	}
-	for _, inst := range s.open {
-		if inst.live && inst != s.blocked && inst.q.Member == member {
-			dst = append(dst, inst.q)
+	for i := range s.open {
+		if s.meta[i].live && i != s.blocked && s.open[i].Member == member {
+			dst = append(dst, s.open[i])
 		}
 	}
 	return dst
@@ -484,22 +543,23 @@ func (s *Session) AppendOpen(dst []Question, member string) []Question {
 // one in full, or a retired one still awaiting its one late answer, of
 // which only ID, Member and Kind survive.
 func (s *Session) Lookup(id QuestionID) (Question, bool) {
-	if k, ok := s.retired[id]; ok {
-		return Question{ID: id, Member: k.member, Kind: k.kind}, true
+	if i, ok := s.retiredAt(id); ok {
+		k := s.retired[i].key
+		return Question{ID: id, Member: s.eng.ids[k.mi], Kind: k.kind}, true
 	}
 	if s.res != nil || s.closed {
 		return Question{}, false
 	}
 	if i := s.find(id); i >= 0 {
-		return s.open[i].q, true
+		return s.open[i], true
 	}
 	return Question{}, false
 }
 
 // find returns the index of the live open question id, or -1.
 func (s *Session) find(id QuestionID) int {
-	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].q.ID >= id })
-	if i == len(s.open) || s.open[i].q.ID != id || !s.open[i].live {
+	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].ID >= id })
+	if i == len(s.open) || s.open[i].ID != id || !s.meta[i].live {
 		return -1
 	}
 	return i
@@ -512,8 +572,9 @@ func (s *Session) find(id QuestionID) int {
 // a collected human answer is never thrown away while the question could
 // still be asked — and are discarded only if the run never needs them.
 func (s *Session) Submit(id QuestionID, a Answer) error {
-	if key, ok := s.retired[id]; ok {
-		delete(s.retired, id)
+	if j, ok := s.retiredAt(id); ok {
+		key := s.retired[j].key
+		s.retired = slices.Delete(s.retired, j, j+1)
 		if s.res == nil {
 			s.buffered[key] = a
 		}
@@ -526,18 +587,19 @@ func (s *Session) Submit(id QuestionID, a Answer) error {
 	if i < 0 {
 		return fmt.Errorf("%w: id %d", ErrUnknownQuestion, id)
 	}
-	inst := s.open[i]
-	s.drop(inst, true)
+	s.drop(i, true)
+	key := s.meta[i].key
+	blocked := i == s.blocked
 	if i == len(s.open)-1 { // the newest, always under Run, which never calls Next
-		s.open = s.open[:i]
+		s.open, s.meta, s.dead = s.open[:i], s.meta[:i], s.dead-1
 	}
-	if inst == s.blocked {
-		s.blocked = nil
+	if blocked {
+		s.blocked = -1
 		s.eng.answer(a)
 		s.advance()
 		return nil
 	}
-	s.buffered[inst.key] = a
+	s.buffered[key] = a
 	return nil
 }
 
@@ -577,8 +639,16 @@ func bySubmissionID(a, b Submission) int { return cmp.Compare(a.ID, b.ID) }
 // are. It is how prior sources derive best guesses from the crowd state
 // without reaching into the engine.
 func (s *Session) AggregateHint(fs fact.Set) (mean float64, answers int) {
-	q := s.eng.cache.question(fs.Key())
-	return q.mean(), q.answers()
+	if !fs.IsCanon() {
+		fs = fs.Canon()
+	}
+	qs := &s.eng.qs
+	id, _, ok := qs.lookup(fs)
+	if !ok {
+		return 0, 0
+	}
+	q := &qs.all[id]
+	return q.mean(), len(q.answers)
 }
 
 // Leave ends a member's participation: the engine stops asking them, their
@@ -593,13 +663,13 @@ func (s *Session) Leave(memberID string) {
 			continue
 		}
 		e.left[i] = true
-		for _, inst := range s.open {
-			if inst.live && inst.key.member == memberID {
-				s.retire(inst)
+		for j := range s.meta {
+			if s.meta[j].live && s.meta[j].key.mi == int32(i) {
+				s.retire(j)
 			}
 		}
-		if b := s.blocked; b != nil && !b.live {
-			s.blocked = nil
+		if b := s.blocked; b >= 0 && !s.meta[b].live {
+			s.blocked = -1
 			s.advance()
 		}
 		return
@@ -632,27 +702,4 @@ func (s *Session) Close() *Result {
 		s.finish()
 	}
 	return s.res
-}
-
-// specKey builds the ask key of a specialization question from its
-// candidate list.
-func specKey(candidates []fact.Set) string {
-	keys := make([]string, len(candidates))
-	for i, c := range candidates {
-		keys[i] = c.Key()
-	}
-	return strings.Join(keys, "||")
-}
-
-// pruneKey builds the ask key of a pruning question from its term list.
-func pruneKey(terms []vocab.Term) string {
-	var buf [64]byte
-	b := buf[:0]
-	for i, t := range terms {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(t), 10)
-	}
-	return string(b)
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"oassis/internal/aggregate"
@@ -219,8 +221,8 @@ func TestSessionNextOrder(t *testing.T) {
 	calls, retired := 0, 0
 	for qs := sess.Next(); qs != nil; qs = sess.Next() {
 		calls++
-		if qs[0].ID != sess.blocked.q.ID {
-			t.Fatalf("call %d: qs[0] is %d, the engine is blocked on %d", calls, qs[0].ID, sess.blocked.q.ID)
+		if qs[0].ID != sess.open[sess.blocked].ID {
+			t.Fatalf("call %d: qs[0] is %d, the engine is blocked on %d", calls, qs[0].ID, sess.open[sess.blocked].ID)
 		}
 		open := make(map[QuestionID]bool, len(qs))
 		for i, q := range qs {
@@ -583,6 +585,75 @@ func TestSessionCloseDropsRetired(t *testing.T) {
 	}
 	if err := sess.Submit(retired, AnswerSupport(1)); !errors.Is(err, ErrSessionDone) {
 		t.Errorf("Submit(%d) after Close = %v, want ErrSessionDone", retired, err)
+	}
+}
+
+// TestSessionLateAnswersOutOfOrder: retired questions are kept in ID
+// order, and each takes exactly one late answer whatever the order the
+// late answers arrive in. On the travel loop a member leaves mid-round,
+// which retires their open questions ahead of the older ones the round
+// change retires next. At the round after, the late answers go in,
+// shuffled: each is accepted once and refused after, a retired ID not yet
+// answered stays findable until its own late answer, and the run, driven
+// on to the end, mines what a run without late answers mines.
+func TestSessionLateAnswersOutOfOrder(t *testing.T) {
+	ct := newCrowdTravel(t)
+	run := func(late bool) string {
+		sess, byID := ct.session()
+		seen := make(map[QuestionID]Question)
+		var retired []Question
+		leftRound := 0 // the round the quitter left in
+		for qs := sess.Next(); qs != nil; qs = sess.Next() {
+			for _, q := range qs {
+				seen[q.ID] = q
+			}
+			if quitter := sess.eng.ids[8]; leftRound == 0 && sess.nextID > 300 &&
+				slices.ContainsFunc(qs, func(q Question) bool { return q.Member == quitter && q.ID < qs[len(qs)-1].ID }) {
+				sess.Leave(quitter)
+				leftRound = sess.eng.at.round
+				continue
+			}
+			if len(retired) == 0 && leftRound > 0 && sess.eng.at.round > leftRound {
+				if !slices.IsSortedFunc(sess.retired, func(a, b retiredQ) int { return cmp.Compare(a.id, b.id) }) {
+					t.Fatal("retired questions out of ID order")
+				}
+				for _, r := range sess.retired {
+					retired = append(retired, seen[r.id])
+				}
+				rand.New(rand.NewSource(5)).Shuffle(len(retired), func(i, j int) {
+					retired[i], retired[j] = retired[j], retired[i]
+				})
+				for i, q := range retired {
+					if !late {
+						break
+					}
+					if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+						t.Fatalf("late answer to retired %d: %v", q.ID, err)
+					}
+					if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); !errors.Is(err, ErrUnknownQuestion) {
+						t.Fatalf("second late answer to retired %d: got %v, want ErrUnknownQuestion", q.ID, err)
+					}
+					for _, r := range retired[i+1:] {
+						if got, ok := sess.Lookup(r.ID); !ok || got.Member != r.Member || got.Kind != r.Kind {
+							t.Fatalf("retired %d lost (%+v, %v) after the late answer to %d", r.ID, got, ok, q.ID)
+						}
+					}
+				}
+				continue
+			}
+			q := qs[0]
+			if err := sess.Submit(q.ID, AnswerFrom(byID[q.Member], q)); err != nil {
+				t.Fatalf("submit %d: %v", q.ID, err)
+			}
+		}
+		if len(retired) < 40 {
+			t.Fatalf("%d questions retired by the round after the quitter left, want at least 40", len(retired))
+		}
+		res := sess.Close()
+		return summarize(sess.eng.sp, res)
+	}
+	if with, without := run(true), run(false); with != without {
+		t.Errorf("late answers changed the result:\nwith    %s\nwithout %s", with, without)
 	}
 }
 

@@ -17,12 +17,13 @@ type Sink interface {
 	AppendClassification(node string, significant bool) error
 }
 
-// sinkAnswer forwards an answer to the configured store, if any.
-func (e *engine) sinkAnswer(qKey, member string, sup float64, kind QuestionKind, counted bool) {
+// sinkAnswer forwards member mi's answer to question q to the configured
+// store, if any, building the question's key for it.
+func (e *engine) sinkAnswer(q *question, mi int, sup float64, kind QuestionKind, counted bool) {
 	if e.cfg.Store == nil {
 		return
 	}
-	if err := e.cfg.Store.AppendAnswer(qKey, member, sup, kind, counted); err != nil {
+	if err := e.cfg.Store.AppendAnswer(q.fs.Key(), e.ids[mi], sup, kind, counted); err != nil {
 		e.stats.StoreErrors++
 		e.cfg.Metrics.storeError()
 	}

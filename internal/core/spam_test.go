@@ -7,7 +7,9 @@ import (
 
 	"oassis/internal/aggregate"
 	"oassis/internal/crowd"
+	"oassis/internal/fact"
 	"oassis/internal/synth"
+	"oassis/internal/vocab"
 )
 
 // gradeOracle restates the spam filter's rule from scratch, as the oracle
@@ -124,8 +126,8 @@ func TestSpamBanMatchesOracle(t *testing.T) {
 				Space: d.Sp, Theta: 0.2, Members: ms, Agg: aggregate.NewFixedSample(5),
 				MaxQuestions: 2000, SpamFilter: true, Store: sink,
 			}, memberIDs(ms))
-			for s.blocked != nil {
-				q := s.blocked.q
+			for s.blocked >= 0 {
+				q := s.open[s.blocked]
 				s.Submit(q.ID, AnswerFrom(ms[s.eng.want.mi], q))
 			}
 			sink.check()
@@ -188,17 +190,19 @@ func gradeEngine(t *testing.T) *engine {
 	}, []string{"h1", "h2", "spam"})
 }
 
-// answerAs records member mi's answer the way recordAnswer does: in the
+// answerAs records member mi's answer to question i (a stand-in fact-set
+// interned into the engine's table) the way recordAnswer does: in the
 // cache, grading the question if the new answer decides it.
-func answerAs(e *engine, qKey string, mi int, sup float64) {
-	if q, isNew := e.cache.record(qKey, e.ids[mi], sup); isNew {
+func answerAs(e *engine, i int, mi int, sup float64) {
+	q := &e.qs.all[e.qs.intern(fact.Set{{S: vocab.Term(i), R: 1, O: 1}})]
+	if q.record(mi, sup, e.agg.K) {
 		e.tally(q)
 	}
 }
 
 // feedConsensus has the spammer answer question q at sup first, then h1
 // and h2 at honest.
-func feedConsensus(e *engine, q string, honest, sup float64) {
+func feedConsensus(e *engine, q int, honest, sup float64) {
 	answerAs(e, q, 2, sup)
 	answerAs(e, q, 0, honest)
 	answerAs(e, q, 1, honest)
@@ -212,7 +216,7 @@ func feedConsensus(e *engine, q string, honest, sup float64) {
 func TestSpamBanFlagsDisagreement(t *testing.T) {
 	e := gradeEngine(t)
 	for i := 0; i < banMinGraded; i++ {
-		feedConsensus(e, fmt.Sprintf("q%d", i), 0.75, 0) // always 0.75 off
+		feedConsensus(e, i, 0.75, 0) // always 0.75 off
 	}
 	if g := e.grades[2]; !g.banned || g.trials != banMinGraded {
 		t.Errorf("disagreeing member: %+v, want banned after %d graded answers", g, banMinGraded)
@@ -228,7 +232,7 @@ func TestSpamBanFlagsDisagreement(t *testing.T) {
 	if e.memberActive(2) || !e.memberActive(1) {
 		t.Error("memberActive does not follow the ban")
 	}
-	if n := e.cache.question("q0").answers(); n != 3 {
+	if n := len(e.qs.all[0].answers); n != 3 {
 		t.Errorf("q0 holds %d answers after the ban, want 3 (the banned member's kept)", n)
 	}
 }
@@ -241,7 +245,7 @@ func TestSpamGradeOrderFree(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		e := gradeEngine(t)
 		for _, mi := range order {
-			answerAs(e, "q", mi, answers[mi])
+			answerAs(e, 0, mi, answers[mi])
 		}
 		for mi, g := range e.grades {
 			if want := mi < 2; g.trials != 1 || (g.hits == 1) != want {
@@ -256,12 +260,12 @@ func TestSpamGradeOrderFree(t *testing.T) {
 func TestSpamBanNeedsMinGraded(t *testing.T) {
 	e := gradeEngine(t)
 	for i := 0; i < banMinGraded-1; i++ {
-		feedConsensus(e, fmt.Sprintf("q%d", i), 1, 0)
+		feedConsensus(e, i, 1, 0)
 	}
 	if e.grades[2].banned {
 		t.Errorf("banned after %d graded answers", banMinGraded-1)
 	}
-	feedConsensus(e, "last", 1, 0)
+	feedConsensus(e, banMinGraded, 1, 0)
 	if !e.grades[2].banned {
 		t.Errorf("not banned after %d graded answers", banMinGraded)
 	}
@@ -274,9 +278,8 @@ func TestSpamBanNeedsMinGraded(t *testing.T) {
 func TestSpamBanSkipsUngraded(t *testing.T) {
 	e := gradeEngine(t)
 	for i := 0; i < 4*banMinGraded; i++ {
-		q := fmt.Sprintf("q%d", i)
-		answerAs(e, q, 2, float64(i%2))
-		answerAs(e, q, 0, 0.5)
+		answerAs(e, i, 2, float64(i%2))
+		answerAs(e, i, 0, 0.5)
 	}
 	for mi, g := range e.grades {
 		if g.trials != 0 || g.banned {
@@ -288,7 +291,7 @@ func TestSpamBanSkipsUngraded(t *testing.T) {
 		Space: sp, Theta: q.Support, Agg: aggregate.NewFixedSample(3), SpamFilter: true,
 	}, []string{"h1", "h2", "spam", "late"})
 	for mi := range late.ids {
-		answerAs(late, "q", mi, 0.5)
+		answerAs(late, 0, mi, 0.5)
 	}
 	for mi, g := range late.grades {
 		want := 1 // the three answers that decided the question

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"oassis/internal/fact"
 	"oassis/internal/vocab"
 )
 
@@ -87,22 +89,32 @@ func TestSpeculationSkipMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPruneKey pins the ask keys of pruning questions: the terms in
-// order, comma-separated, in decimal.
-func TestPruneKey(t *testing.T) {
+// TestPruneTerms pins the terms a pruning offer puts before the member:
+// each distinct non-wildcard term of the question's facts once, in fact
+// order, computed once per question — a second offer reads the same memo —
+// into windows that later offers never overwrite.
+func TestPruneTerms(t *testing.T) {
+	_, _, sp := buildSpace(t, figure3Restricted)
+	e := newEngine(Config{Space: sp, Theta: 0.4, EnablePruning: true}, []string{"u"})
 	for _, c := range []struct {
-		terms []vocab.Term
-		want  string
+		fs   fact.Set
+		want []vocab.Term
 	}{
-		{nil, ""},
-		{[]vocab.Term{}, ""},
-		{[]vocab.Term{0}, "0"},
-		{[]vocab.Term{7, 12, 3}, "7,12,3"},
-		{[]vocab.Term{-1, 5, -42}, "-1,5,-42"},
-		{[]vocab.Term{2147483647, -2147483648}, "2147483647,-2147483648"},
+		{fact.Set{{S: vocab.Any, R: 3, O: 4}}, []vocab.Term{3, 4}},
+		{fact.Set{{S: 7, R: 12, O: 3}, {S: 7, R: 12, O: 5}}, []vocab.Term{7, 12, 3, 5}},
+		{fact.Set{{S: vocab.Any, R: vocab.Any, O: vocab.Any}}, nil},
+		{fact.Set{{S: 2, R: 2, O: 2}}, []vocab.Term{2}},
 	} {
-		if got := pruneKey(c.terms); got != c.want {
-			t.Errorf("pruneKey(%v) = %q, want %q", c.terms, got, c.want)
+		q := e.qs.intern(c.fs)
+		got := e.pruneTerms(q)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("pruneTerms(%v) = %v, want %v", c.fs, got, c.want)
 		}
+		if again := e.pruneTerms(q); len(got) > 0 && &again[0] != &got[0] {
+			t.Errorf("pruneTerms(%v) recomputed on the second offer", c.fs)
+		}
+	}
+	if got := e.pruneTerms(0); !slices.Equal(got, []vocab.Term{3, 4}) {
+		t.Errorf("first question's terms overwritten: %v", got)
 	}
 }

@@ -52,7 +52,7 @@ type cursor struct {
 type want struct {
 	mi   int      // index of the asked member
 	node uint32   // id of the questioned node (concrete and pruning questions)
-	qKey string   // the node's question key
+	qid  uint32   // the node's question id (concrete and pruning questions)
 	q    Question // the question itself; IDs are the Session's business
 }
 
@@ -99,18 +99,18 @@ func (e *engine) answer(a Answer) {
 		}
 		m := w.q.Member
 		e.pruned[m] = append(e.pruned[m], w.q.Terms[a.Choice])
-		e.recordAnswer(w.node, w.qKey, w.mi, 0, KindPruning, true)
+		e.recordAnswer(w.node, w.qid, w.mi, 0, KindPruning, true)
 		e.rep = reply{ok: true}
 	default:
-		e.recordAnswer(w.node, w.qKey, w.mi, a.Support, KindConcrete, true)
+		e.recordAnswer(w.node, w.qid, w.mi, a.Support, KindConcrete, true)
 		e.rep = reply{ok: true, sup: a.Support}
 	}
 }
 
 // park suspends the machine on a question to member mi.
-func (e *engine) park(mi int, node uint32, qKey string, q Question) {
+func (e *engine) park(mi int, node, qid uint32, q Question) {
 	q.Member = e.ids[mi]
-	e.want = want{mi: mi, node: node, qKey: qKey, q: q}
+	e.want = want{mi: mi, node: node, qid: qid, q: q}
 	e.parked = true
 }
 
@@ -152,7 +152,7 @@ func (e *engine) step() {
 			c.at = phChainEnd
 			return
 		}
-		c.succs = e.unclassifiedSuccessors(c.cur)
+		c.succs = e.appendUnclassifiedSuccessors(c.succs[:0], c.cur)
 		switch {
 		case len(c.succs) == 0:
 			c.at = phChainEnd
@@ -181,7 +181,7 @@ func (e *engine) step() {
 		if r := e.take(); r.ok {
 			e.specialized(r.ans)
 		} else {
-			e.park(c.turn, 0, "", Question{Kind: KindSpecialization, Choices: c.sets})
+			e.park(c.turn, 0, 0, Question{Kind: KindSpecialization, Choices: c.sets})
 		}
 	case phDeclineQ:
 		n := c.succs[0]
@@ -246,37 +246,33 @@ func (e *engine) support(mi int, node uint32) (float64, bool) {
 	if r.ok {
 		return r.sup, true
 	}
-	m := e.ids[mi]
-	fs, qKey := e.instantiate(node)
-	q := e.cache.question(qKey)
-	if s, ok := q.support(m); ok {
+	qid, q := e.questionOf(node)
+	if s, ok := q.support(mi); ok {
 		e.stats.FreeAnswers++
 		e.cfg.Metrics.freeAnswer()
 		e.applyVerdict(node, q)
 		return s, true
 	}
-	if e.pruneHit(m, fs) {
-		e.recordAnswer(node, qKey, mi, 0, KindConcrete, false)
+	if e.pruneHit(e.ids[mi], q.fs) {
+		e.recordAnswer(node, qid, mi, 0, KindConcrete, false)
 		return 0, true
 	}
-	if e.cfg.Prime != nil {
-		if s, ok := e.cfg.Prime.Lookup(qKey, m); ok {
-			e.stats.PrimedAnswers++
-			e.cfg.Metrics.primedAnswer()
-			e.recordAnswer(node, qKey, mi, s, KindConcrete, true)
-			return s, true
-		}
+	if s, ok := e.primed(qid, mi); ok {
+		e.stats.PrimedAnswers++
+		e.cfg.Metrics.primedAnswer()
+		e.recordAnswer(node, qid, mi, s, KindConcrete, true)
+		return s, true
 	}
 	if e.canceled() {
 		return 0, true
 	}
 	if e.cfg.EnablePruning && !r.noClick {
-		if terms := termsOf(fs); len(terms) > 0 {
-			e.park(mi, node, qKey, Question{Kind: KindPruning, Terms: terms})
+		if terms := e.pruneTerms(qid); len(terms) > 0 {
+			e.park(mi, node, qid, Question{Kind: KindPruning, Terms: terms})
 			return 0, false
 		}
 	}
-	e.park(mi, node, qKey, Question{Kind: KindConcrete, Facts: fs})
+	e.park(mi, node, qid, Question{Kind: KindConcrete, Facts: q.fs})
 	return 0, false
 }
 
@@ -310,7 +306,8 @@ func (e *engine) offerSpecialization() {
 	}
 	c.sets = make([]fact.Set, len(c.succs))
 	for i, s := range c.succs {
-		c.sets[i], _ = e.instantiate(s)
+		_, q := e.questionOf(s)
+		c.sets[i] = q.fs
 	}
 	c.at = phSpecQ
 }
@@ -334,18 +331,17 @@ func (e *engine) specialized(a Answer) {
 		e.answersBy[c.turn]++
 		e.decBudget(c.turn)
 		for _, s := range c.succs {
-			_, qk := e.instantiate(s)
-			e.recordAnswer(s, qk, c.turn, 0, KindNoneOfThese, false)
+			e.recordAnswer(s, e.instantiate(s), c.turn, 0, KindNoneOfThese, false)
 		}
 		c.at = phChainEnd
 	default:
 		chosen := c.succs[a.Choice]
-		_, qKey := e.instantiate(chosen)
+		qid := e.instantiate(chosen)
 		e.countAnswer(KindSpecialization)
 		e.answersBy[c.turn]++
 		e.decBudget(c.turn)
-		e.recordAnswer(chosen, qKey, c.turn, a.Support, KindSpecialization, false)
-		e.cache.question(qKey).asked = true
+		e.recordAnswer(chosen, qid, c.turn, a.Support, KindSpecialization, false)
+		e.qs.all[qid].asked = true
 		if a.Support >= e.cfg.Theta-aggregate.Eps && e.cls.status(chosen) != Insignificant {
 			c.cur, c.at = chosen, phDescend
 		} else {

@@ -34,6 +34,17 @@ func (f Fact) Less(g Fact) bool {
 	return f.O < g.O
 }
 
+// Compare orders facts as Less does, in the form slices.SortFunc takes.
+func Compare(f, g Fact) int {
+	switch {
+	case f.Less(g):
+		return -1
+	case g.Less(f):
+		return 1
+	}
+	return 0
+}
+
 // Format renders the fact in the paper's RDF-like notation using v's names.
 // The wildcard vocab.Any prints as [].
 func (f Fact) Format(v *vocab.Vocabulary) string {
@@ -67,15 +78,7 @@ func (s Set) Clone() Set {
 // duplicates removed. The receiver is not modified.
 func (s Set) Canon() Set {
 	out := s.Clone()
-	slices.SortFunc(out, func(f, g Fact) int {
-		if f.Less(g) {
-			return -1
-		}
-		if g.Less(f) {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, Compare)
 	return slices.Compact(out)
 }
 
@@ -154,19 +157,54 @@ func Reduce(v *vocab.Vocabulary, s Set) Set {
 	return out
 }
 
-// Key returns a compact byte-string key identifying the canonical form of s,
-// suitable for use as a map key.
-func (s Set) Key() string {
-	c := s.Canon()
-	buf := make([]byte, 0, len(c)*12)
-	var tmp [4]byte
-	for _, f := range c {
-		for _, t := range [3]vocab.Term{f.S, f.R, f.O} {
-			binary.LittleEndian.PutUint32(tmp[:], uint32(t))
-			buf = append(buf, tmp[:]...)
+// IsCanon reports whether s is already in canonical form: sorted by
+// (S, R, O) without duplicates.
+func (s Set) IsCanon() bool {
+	for i := 1; i < len(s); i++ {
+		if !s[i-1].Less(s[i]) {
+			return false
 		}
 	}
-	return string(buf)
+	return true
+}
+
+// canonical returns s when it is already canonical, else its Canon.
+func (s Set) canonical() Set {
+	if s.IsCanon() {
+		return s
+	}
+	return s.Canon()
+}
+
+// Key returns a compact byte-string key identifying the canonical form of s,
+// suitable for use as a map key.
+func (s Set) Key() string { return string(s.AppendKey(nil)) }
+
+// AppendKey appends the bytes of s's Key to dst and returns the extended
+// slice. A map lookup through string(dst) does not allocate.
+func (s Set) AppendKey(dst []byte) []byte {
+	dst = slices.Grow(dst, len(s)*12)
+	for _, f := range s.canonical() {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.S))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.R))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.O))
+	}
+	return dst
+}
+
+// Hash returns a 64-bit FNV-1a-style hash (one term per step) of s's
+// canonical form. Equal sets hash equal, so a table interning sets by
+// content hashes first and confirms with an equality test of the
+// canonical forms.
+func (s Set) Hash() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, f := range s.canonical() {
+		for _, t := range [3]vocab.Term{f.S, f.R, f.O} {
+			h = (h ^ uint64(uint32(t))) * prime
+		}
+	}
+	return h
 }
 
 // Format renders s in the paper's notation, facts joined by ". ".

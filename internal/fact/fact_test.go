@@ -174,6 +174,44 @@ func TestKey(t *testing.T) {
 	}
 }
 
+// TestKeyCanonFastPath: Key, AppendKey and Hash read an already canonical
+// set in place and canonicalize any other; on random sets, canonical or
+// not, the key is the little-endian (S, R, O) encoding of Canon, as it was
+// when Key always canonicalized, and equal sets hash equal.
+func TestKeyCanonFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		s := make(Set, rng.Intn(6))
+		for i := range s {
+			s[i] = Fact{vocab.Term(rng.Intn(4)), vocab.Term(rng.Intn(2)), vocab.Term(rng.Intn(4))}
+		}
+		c := s.Canon()
+		var want []byte
+		for _, f := range c {
+			for _, t := range []vocab.Term{f.S, f.R, f.O} {
+				want = append(want, byte(t), byte(t>>8), byte(t>>16), byte(t>>24))
+			}
+		}
+		if !c.IsCanon() {
+			t.Fatalf("Canon(%v) = %v is not canonical", s, c)
+		}
+		for _, in := range []Set{s, c} {
+			if got := in.Key(); got != string(want) {
+				t.Fatalf("Key(%v) = %x, want %x", in, got, want)
+			}
+			if got := in.AppendKey([]byte("x")); string(got) != "x"+string(want) {
+				t.Fatalf("AppendKey(%v) = %x, want x+%x", in, got, want)
+			}
+			if in.Hash() != c.Hash() {
+				t.Fatalf("Hash(%v) differs from Hash of its canonical form", in)
+			}
+		}
+	}
+	if (Set{{1, 1, 1}, {1, 1, 1}}).IsCanon() || (Set{{2, 1, 1}, {1, 1, 1}}).IsCanon() {
+		t.Error("IsCanon accepts a duplicate or an unsorted pair")
+	}
+}
+
 func TestFormatAndParseRoundTrip(t *testing.T) {
 	v, m := testVocab(t)
 	s := Set{
