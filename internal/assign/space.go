@@ -37,10 +37,12 @@ type Meta struct {
 // Space is the per-session view of the mining lattice: the mining
 // variables, the SATISFYING meta-fact-set, the valid base assignments
 // computed from the WHERE clause, and the candidate pool for MORE facts.
-// The frozen lattice tables (exploration domains, cover lists) live in a
-// read-only Tables value that concurrent sessions share; everything
-// mutable on the Space — the node table, the successor arenas and scratch
-// buffers — is private to the single goroutine driving the session.
+// Everything plan-invariant — the variables, meta-facts and ValidBase
+// rows, and the frozen Tables (exploration domains, cover lists, the
+// valid-row key set, the Minimal seeds) — is shared read-only by every
+// Space of the same plan; everything mutable on the Space — the node
+// table, the successor arenas and scratch buffers — is private to the
+// single goroutine driving the session.
 //
 // The node table gives every lattice node one identity: its canonical key
 // maps to a dense id, handed out in first-sight order, and id-indexed
@@ -56,11 +58,11 @@ type Space struct {
 	MoreCandidates fact.Set
 
 	// ValidBase holds the multiplicity-1 valid assignments (one value per
-	// variable), deduplicated, from WHERE evaluation.
+	// variable), deduplicated, from WHERE evaluation. It is shared with
+	// the plan and read-only.
 	ValidBase [][]vocab.Term
 
-	tab       *Tables             // frozen lattice tables, shared read-only
-	validKeys map[string]struct{} // keys of ValidBase rows
+	tab *Tables // frozen lattice tables, shared read-only
 
 	ids   map[string]uint32 // the node table: canonical key -> dense id
 	nodes []Assignment      // by id: the node, sealed with the interned key
@@ -110,15 +112,18 @@ const (
 	coverNo
 )
 
+// appendBaseKey appends the key of a multiplicity-1 tuple to buf: each
+// term's four bytes, little-endian.
+func appendBaseKey(buf []byte, vals []vocab.Term) []byte {
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	return buf
+}
+
 // baseKey builds the key of a multiplicity-1 tuple.
 func baseKey(vals []vocab.Term) string {
-	var sb strings.Builder
-	var tmp [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(tmp[:], uint32(v))
-		sb.Write(tmp[:])
-	}
-	return sb.String()
+	return string(appendBaseKey(make([]byte, 0, 4*len(vals)), vals))
 }
 
 // NewSpace builds a Space for query q over vocabulary v. bindings are the
@@ -233,31 +238,28 @@ func NewSpace(v *vocab.Vocabulary, q *oassisql.Query, bindings []map[string]voca
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	sp.validKeys = make(map[string]struct{}, len(keys))
 	for _, k := range keys {
 		sp.ValidBase = append(sp.ValidBase, rows[k])
-		sp.validKeys[k] = struct{}{}
 	}
 	sp.tab = NewTables(v, sp.Vars, sp.ValidBase)
 	sp.initSession()
 	return sp, nil
 }
 
-// FromShared rebuilds a Space from previously compiled parts together with
-// the precomputed read-only lattice tables (nil recomputes them). The
-// immutable parts and tables are shared; the mutable memo structures,
-// scratch buffers and arenas are built fresh, so the returned Space is
-// private to its session, and the fill mirrors NewSpace exactly so planned
-// execution is bit-identical to direct construction.
+// FromShared builds a session's Space from previously compiled parts
+// together with their precomputed read-only lattice tables (nil computes
+// them here). Nothing plan-invariant is copied: vars, sat, the validBase
+// rows and the tables — with the valid-row key set and the Minimal seeds
+// they own — are shared with every sibling Space, and ValidBase is a
+// capacity-capped window on validBase, so an append copies the rows
+// instead of writing into the caller's. Only the node table, scratch
+// buffers and arenas are built fresh and private to the session. tab must
+// have been built for these same parts.
 func FromShared(v *vocab.Vocabulary, vars []VarSpec, sat []Meta, more bool,
 	validBase [][]vocab.Term, tab *Tables) *Space {
 
-	sp := &Space{Voc: v, Vars: vars, Sat: sat, More: more}
-	sp.validKeys = make(map[string]struct{}, len(validBase))
-	for _, tuple := range validBase {
-		sp.ValidBase = append(sp.ValidBase, tuple)
-		sp.validKeys[baseKey(tuple)] = struct{}{}
-	}
+	sp := &Space{Voc: v, Vars: vars, Sat: sat, More: more,
+		ValidBase: validBase[:len(validBase):len(validBase)]}
 	if tab == nil {
 		tab = NewTables(v, sp.Vars, sp.ValidBase)
 	}
@@ -297,16 +299,12 @@ func expandUnbound(v *vocab.Vocabulary, tuple []vocab.Term, unbound []int, kinds
 }
 
 // IsValidBase reports whether the multiplicity-1 tuple is a valid base
-// assignment. The probe builds the tuple key in a scratch buffer; the
-// compiler's map-access-by-converted-bytes fast path keeps it
-// allocation-free.
+// assignment: a probe of the Tables' shared valid-row key set. The probe
+// builds the tuple key in a scratch buffer; the compiler's
+// map-access-by-converted-bytes fast path keeps it allocation-free.
 func (sp *Space) IsValidBase(vals []vocab.Term) bool {
-	buf := sp.baseBuf[:0]
-	for _, v := range vals {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	sp.baseBuf = buf
-	_, ok := sp.validKeys[string(buf)]
+	sp.baseBuf = appendBaseKey(sp.baseBuf[:0], vals)
+	_, ok := sp.tab.valid[string(sp.baseBuf)]
 	return ok
 }
 

@@ -31,7 +31,19 @@ func (sp *Space) DomainSize(i int) int { return len(sp.tab.domains[i]) }
 // the empty set for optional variables (multiplicity * or ?); and no MORE
 // facts. For the Figure 2 query this is the single node
 // (w,x ↦ Attraction, y ↦ Activity, z ↦ Restaurant) at the top of Figure 3.
+//
+// The seeds are plan-invariant: the first Space of a Tables computes them
+// once and every sibling Space gets the same slice, which is shared and
+// read-only. Computing them interns nothing; a caller interns the seeds it
+// keeps with ID.
 func (sp *Space) Minimal() []Assignment {
+	sp.tab.seedsOnce.Do(func() { sp.tab.seeds = sp.minimal() })
+	return sp.tab.seeds
+}
+
+// minimal computes Minimal's seeds, testing 𝒜-membership without the node
+// table.
+func (sp *Space) minimal() []Assignment {
 	choices := make([][][]vocab.Term, len(sp.Vars))
 	for i, vs := range sp.Vars {
 		if vs.Mult.Min == 0 {
@@ -57,7 +69,7 @@ func (sp *Space) Minimal() []Assignment {
 	rec = func(i int) {
 		if i == len(sp.Vars) {
 			a := sp.NewAssignment(cur, nil)
-			if sp.InA(a) {
+			if sp.structuralInA(a) && sp.coveredByValidBox(a) {
 				out = append(out, a)
 			}
 			return

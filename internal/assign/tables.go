@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math/bits"
+	"sync"
 
 	"oassis/internal/vocab"
 )
@@ -12,11 +13,15 @@ import (
 // plus a sorted slice, the domain's most general elements (the lattice
 // floor), the sorted distinct valid values, and — for every domain term —
 // the precomputed list of valid values it generalizes (the cover lists the
-// 𝒜-membership test searches). Everything is immutable after NewTables
-// returns, so one Tables instance is shared by every Space built from the
-// same plan and probed lock-free by concurrent sessions; the lazy per-Space
-// domain memoization it replaces forced each session to rediscover the
-// closure privately.
+// 𝒜-membership test searches); and, for the whole query, the key set of
+// the valid base rows (IsValidBase) and the lattice's Minimal seeds.
+//
+// Tables hold everything plan-invariant a Space reads, so a session's
+// Space holds only its own mutable state. One Tables instance is shared by
+// every Space built from the same plan and probed lock-free by concurrent
+// sessions: everything is immutable after NewTables returns, except the
+// seeds, which the first Space to ask computes once (under a sync.Once)
+// and every later one only reads.
 type Tables struct {
 	terms int // vocabulary size the bitsets are dimensioned for
 	words int // bitset row width in uint64 words
@@ -29,11 +34,17 @@ type Tables struct {
 	// covers[i][t] lists the valid values of variable i that specialize
 	// term t (v with t ≤ v), nil outside the domain. Indexed by term id.
 	covers [][][]vocab.Term
+
+	valid map[string]struct{} // baseKey of every valid base row
+
+	seedsOnce sync.Once
+	seeds     []Assignment // Space.Minimal's result, read-only once computed
 }
 
 // NewTables precomputes the lattice tables for the given variable specs and
 // valid base rows over a frozen vocabulary. It is called once per compiled
-// plan (or once per ad-hoc Space) and its result may be shared freely.
+// plan (or once per ad-hoc Space) and its result may be shared freely by
+// every Space over the same variables and valid base rows.
 func NewTables(voc *vocab.Vocabulary, vars []VarSpec, validBase [][]vocab.Term) *Tables {
 	n := voc.Len()
 	t := &Tables{
@@ -45,6 +56,10 @@ func NewTables(voc *vocab.Vocabulary, vars []VarSpec, validBase [][]vocab.Term) 
 		minVals:    make([][]vocab.Term, len(vars)),
 		validAt:    make([][]vocab.Term, len(vars)),
 		covers:     make([][][]vocab.Term, len(vars)),
+		valid:      make(map[string]struct{}, len(validBase)),
+	}
+	for _, row := range validBase {
+		t.valid[baseKey(row)] = struct{}{}
 	}
 	for i := range vars {
 		t.build(voc, vars, i, validBase)

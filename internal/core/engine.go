@@ -196,7 +196,7 @@ type engine struct {
 	inPool  []bool   // by id: node belongs to the generated pool
 	poolIDs []uint32 // pool nodes in generation order
 
-	pruned     map[string][]vocab.Term // member -> pruned terms
+	pruned     [][]vocab.Term // by member index: pruned terms (nil until the first prune)
 	stats      Stats
 	qs         questionTable  // the CrowdCache: the member answer memo and the aggregator's input
 	mspLog     map[uint32]int // chain maxima by id -> question count at discovery
@@ -330,7 +330,6 @@ func newEngine(cfg Config, ids []string) *engine {
 		sp:        cfg.Space,
 		agg:       agg,
 		cls:       newClassifier(cfg.Space),
-		pruned:    make(map[string][]vocab.Term),
 		mspLog:    make(map[uint32]int),
 		answersBy: make([]int, len(ids)),
 		ids:       ids,
@@ -495,10 +494,26 @@ func (e *engine) primed(qid uint32, mi int) (float64, bool) {
 	return e.cfg.Prime.lookupKey(e.keyBuf, e.ids[mi])
 }
 
-// pruneHit reports whether the member has marked a term generalizing (or
+// prune records that member mi marked term t irrelevant. Pruned terms
+// belong to the member's ID, so every member index sharing it gets t.
+func (e *engine) prune(mi int, t vocab.Term) {
+	if e.pruned == nil {
+		e.pruned = make([][]vocab.Term, len(e.ids))
+	}
+	for i, id := range e.ids {
+		if id == e.ids[mi] {
+			e.pruned[i] = append(e.pruned[i], t)
+		}
+	}
+}
+
+// pruneHit reports whether member mi has marked a term generalizing (or
 // equal to) one of fs's terms as irrelevant.
-func (e *engine) pruneHit(member string, fs fact.Set) bool {
-	for _, t := range e.pruned[member] {
+func (e *engine) pruneHit(mi int, fs fact.Set) bool {
+	if e.pruned == nil {
+		return false
+	}
+	for _, t := range e.pruned[mi] {
 		for _, f := range fs {
 			if e.sp.Voc.Leq(t, f.S) || e.sp.Voc.Leq(t, f.R) || e.sp.Voc.Leq(t, f.O) {
 				return true

@@ -110,15 +110,13 @@ func (m *Metrics) questionIssued(k QuestionKind, speculative bool) {
 	m.inFlight.Inc()
 }
 
-func (m *Metrics) questionAnswered(k QuestionKind, issuedAt time.Time) {
+func (m *Metrics) questionAnswered(k QuestionKind, latency time.Duration) {
 	if m == nil {
 		return
 	}
 	m.answered[kindIdx(k)].Inc()
 	m.inFlight.Dec()
-	if !issuedAt.IsZero() {
-		m.latency.Observe(time.Since(issuedAt).Seconds())
-	}
+	m.latency.Observe(latency.Seconds())
 }
 
 func (m *Metrics) questionRetired() {

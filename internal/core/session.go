@@ -127,9 +127,10 @@ func (s *Session) askKey(w *want) askKey {
 // openMeta is the session's bookkeeping for one issued question, kept
 // beside it in the open slab.
 type openMeta struct {
-	key  askKey
-	gen  int  // round at issue time (speculative retirement)
-	live bool // not yet answered or retired
+	key    askKey
+	gen    int32         // round at issue time (speculative retirement)
+	live   bool          // not yet answered or retired
+	issued time.Duration // issue time, on the session's clock (metrics only)
 }
 
 // retiredQ is a question retired unanswered that still takes one late
@@ -188,14 +189,16 @@ type Session struct {
 	view      []Question // Next's result, reused from call to call
 	specRound int        // the round of the last Next
 
-	// Observability (nil/empty when neither metrics nor tracer is
-	// attached). issuedAt and spanEnd are keyed by question ID; recording
-	// is write-only w.r.t. the engine, so instrumented runs stay
+	// Observability (nil/zero when neither metrics nor tracer is
+	// attached). With metrics, each question's issue time is an offset
+	// from born on the monotonic clock, kept in its openMeta; spanEnd,
+	// keyed by question ID, exists only with a tracer. Recording is
+	// write-only w.r.t. the engine, so instrumented runs stay
 	// bit-identical to uninstrumented ones.
-	metrics  *Metrics
-	tracer   obs.Tracer
-	issuedAt map[QuestionID]time.Time
-	spanEnd  map[QuestionID]func()
+	metrics *Metrics
+	tracer  obs.Tracer
+	born    time.Time
+	spanEnd map[QuestionID]func()
 
 	res    *Result // set when the run finishes
 	closed bool
@@ -212,8 +215,10 @@ func NewSession(cfg Config, memberIDs []string) *Session {
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 	}
-	if s.metrics != nil || s.tracer != nil {
-		s.issuedAt = make(map[QuestionID]time.Time)
+	if s.metrics != nil {
+		s.born = time.Now()
+	}
+	if s.tracer != nil {
 		s.spanEnd = make(map[QuestionID]func())
 	}
 	cfg.Members = nil
@@ -300,22 +305,19 @@ func (s *Session) issue(k askKey, q Question, speculative bool) int {
 	q.Speculative = speculative
 	s.nextID++
 	s.open = append(s.open, q)
-	s.meta = append(s.meta, openMeta{key: k, gen: s.eng.at.round, live: true})
+	s.meta = append(s.meta, openMeta{key: k, gen: int32(s.eng.at.round), live: true})
 	s.byKey[k] = q.ID
-	s.noteIssued(&q)
+	s.noteIssued(&q, &s.meta[len(s.meta)-1])
 	return len(s.open) - 1
 }
 
 // noteIssued books a freshly issued question with the attached metrics and
 // tracer. With neither attached it does nothing at all (not even a clock
 // read).
-func (s *Session) noteIssued(q *Question) {
-	if s.metrics == nil && s.tracer == nil {
-		return
-	}
-	s.metrics.questionIssued(q.Kind, q.Speculative)
+func (s *Session) noteIssued(q *Question, m *openMeta) {
 	if s.metrics != nil {
-		s.issuedAt[q.ID] = time.Now()
+		s.metrics.questionIssued(q.Kind, q.Speculative)
+		m.issued = time.Since(s.born)
 	}
 	if s.tracer != nil {
 		phase := "blocked"
@@ -336,19 +338,19 @@ func (s *Session) drop(i int, answered bool) {
 	m.live = false
 	s.dead++
 	delete(s.byKey, m.key)
-	if s.metrics == nil && s.tracer == nil {
-		return
+	if s.metrics != nil {
+		if answered {
+			s.metrics.questionAnswered(m.key.kind, time.Since(s.born)-m.issued)
+		} else {
+			s.metrics.questionRetired()
+		}
 	}
-	id := s.open[i].ID
-	if answered {
-		s.metrics.questionAnswered(m.key.kind, s.issuedAt[id])
-	} else {
-		s.metrics.questionRetired()
-	}
-	delete(s.issuedAt, id)
-	if end, ok := s.spanEnd[id]; ok {
-		end()
-		delete(s.spanEnd, id)
+	if s.tracer != nil {
+		id := s.open[i].ID
+		if end, ok := s.spanEnd[id]; ok {
+			end()
+			delete(s.spanEnd, id)
+		}
 	}
 }
 
@@ -362,7 +364,7 @@ func (s *Session) compact(newRound bool) {
 	if newRound {
 		round := s.eng.at.round
 		for i := range s.meta {
-			if m := &s.meta[i]; m.live && i != b && m.gen != round && s.open[i].Speculative {
+			if m := &s.meta[i]; m.live && i != b && m.gen != int32(round) && s.open[i].Speculative {
 				s.retire(i)
 			}
 		}
@@ -396,7 +398,7 @@ func (s *Session) speculateOn(idx int, qid uint32) {
 	e := s.eng
 	q := &e.qs.all[qid]
 	_, cached := q.support(idx)
-	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(e.ids[idx], q.fs) {
+	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(idx, q.fs) {
 		return
 	}
 	if _, ok := e.primed(qid, idx); ok {

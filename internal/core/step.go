@@ -97,8 +97,7 @@ func (e *engine) answer(a Answer) {
 			e.rep = reply{noClick: true}
 			return
 		}
-		m := w.q.Member
-		e.pruned[m] = append(e.pruned[m], w.q.Terms[a.Choice])
+		e.prune(w.mi, w.q.Terms[a.Choice])
 		e.recordAnswer(w.node, w.qid, w.mi, 0, KindPruning, true)
 		e.rep = reply{ok: true}
 	default:
@@ -253,7 +252,7 @@ func (e *engine) support(mi int, node uint32) (float64, bool) {
 		e.applyVerdict(node, q)
 		return s, true
 	}
-	if e.pruneHit(e.ids[mi], q.fs) {
+	if e.pruneHit(mi, q.fs) {
 		e.recordAnswer(node, qid, mi, 0, KindConcrete, false)
 		return 0, true
 	}

@@ -1,7 +1,7 @@
 package oassisql
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -45,24 +45,37 @@ func Var(name string) Atom { return Atom{Kind: AtomVar, Name: name} }
 func TermAtom(name string) Atom { return Atom{Kind: AtomTerm, Name: name} }
 
 func (a Atom) String() string {
+	var sb strings.Builder
+	a.writeTo(&sb)
+	return sb.String()
+}
+
+// writeTo renders the atom into sb.
+func (a Atom) writeTo(sb *strings.Builder) {
 	switch a.Kind {
 	case AtomVar:
-		return "$" + a.Name
+		sb.WriteByte('$')
+		sb.WriteString(a.Name)
 	case AtomLiteral:
-		return quote(a.Name)
+		writeQuoted(sb, a.Name)
 	case AtomAny:
-		return "[]"
+		sb.WriteString("[]")
 	default:
 		if !bareName(a.Name) {
-			return quote(a.Name)
+			writeQuoted(sb, a.Name)
+			return
 		}
-		return a.Name
+		sb.WriteString(a.Name)
 	}
 }
 
+// maxKeywordLen is the length of the longest keyword, SATISFYING.
+const maxKeywordLen = 10
+
 // bareName reports whether a term name lexes back as one identifier: not
 // empty, identifier bytes only, no leading digit (that lexes as a number)
-// and not a keyword.
+// and not a keyword. The keyword test upper-cases into a stack buffer, so
+// it allocates nothing.
 func bareName(name string) bool {
 	if name == "" || isDigit(name[0]) {
 		return false
@@ -72,14 +85,24 @@ func bareName(name string) bool {
 			return false
 		}
 	}
-	_, kw := keywords[strings.ToUpper(name)]
+	if len(name) > maxKeywordLen {
+		return true
+	}
+	var up [maxKeywordLen]byte
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	_, kw := keywords[string(up[:len(name)])]
 	return !kw
 }
 
-// quote renders s as a string token, escaping exactly what the lexer
+// writeQuoted writes s as a string token, escaping exactly what the lexer
 // unescapes (Go's %q emits escapes the lexer rejects).
-func quote(s string) string {
-	var sb strings.Builder
+func writeQuoted(sb *strings.Builder, s string) {
 	sb.WriteByte('"')
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
@@ -93,7 +116,6 @@ func quote(s string) string {
 		}
 	}
 	sb.WriteByte('"')
-	return sb.String()
 }
 
 // Mult is a variable multiplicity range; Max < 0 means unbounded.
@@ -121,10 +143,11 @@ func (m Mult) Marker() string {
 	case MultOptional:
 		return "?"
 	}
-	if m.Max < 0 {
-		return fmt.Sprintf("{%d,}", m.Min)
+	s := "{" + strconv.Itoa(m.Min) + ","
+	if m.Max >= 0 {
+		s += strconv.Itoa(m.Max)
 	}
-	return fmt.Sprintf("{%d,%d}", m.Min, m.Max)
+	return s + "}"
 }
 
 // Allows reports whether a set of n values satisfies the multiplicity.
@@ -147,21 +170,26 @@ type Pattern struct {
 
 func (p Pattern) String() string {
 	var sb strings.Builder
-	sb.WriteString(p.S.String())
+	p.writeTo(&sb)
+	return sb.String()
+}
+
+// writeTo renders the pattern into sb.
+func (p Pattern) writeTo(sb *strings.Builder) {
+	p.S.writeTo(sb)
 	if p.S.Kind == AtomVar {
 		sb.WriteString(p.SMult.Marker())
 	}
 	sb.WriteByte(' ')
-	sb.WriteString(p.R.String())
+	p.R.writeTo(sb)
 	if p.Path {
 		sb.WriteByte('*')
 	}
 	sb.WriteByte(' ')
-	sb.WriteString(p.O.String())
+	p.O.writeTo(sb)
 	if p.O.Kind == AtomVar {
 		sb.WriteString(p.OMult.Marker())
 	}
-	return sb.String()
 }
 
 // Query is a parsed OASSIS-QL query.
@@ -200,9 +228,13 @@ func Vars(patterns []Pattern) []string {
 }
 
 // String renders the query in canonical OASSIS-QL concrete syntax; the
-// result parses back to an equivalent query.
+// result parses back to an equivalent query. The text keys the plan cache
+// and is what fingerprints, goldens and store bindings record, so it is
+// built without fmt but must never change: the support prints exactly as
+// fmt's %g prints it, the shortest form that parses back to the same value.
 func (q *Query) String() string {
 	var sb strings.Builder
+	sb.Grow(64 + 40*(len(q.Where)+len(q.Satisfying)))
 	sb.WriteString("SELECT ")
 	sb.WriteString(q.Select.String())
 	if q.All {
@@ -210,15 +242,24 @@ func (q *Query) String() string {
 	}
 	sb.WriteString("\nWHERE\n")
 	for _, p := range q.Where {
-		fmt.Fprintf(&sb, "  %s .\n", p)
+		writePattern(&sb, p)
 	}
 	sb.WriteString("SATISFYING\n")
 	for _, p := range q.Satisfying {
-		fmt.Fprintf(&sb, "  %s .\n", p)
+		writePattern(&sb, p)
 	}
 	if q.More {
 		sb.WriteString("  MORE\n")
 	}
-	fmt.Fprintf(&sb, "WITH SUPPORT = %g", q.Support)
+	sb.WriteString("WITH SUPPORT = ")
+	var num [32]byte
+	sb.Write(strconv.AppendFloat(num[:0], q.Support, 'g', -1, 64))
 	return sb.String()
+}
+
+// writePattern writes one pattern line of a clause.
+func writePattern(sb *strings.Builder, p Pattern) {
+	sb.WriteString("  ")
+	p.writeTo(sb)
+	sb.WriteString(" .\n")
 }

@@ -2,15 +2,11 @@ package oassisql
 
 import "testing"
 
-// FuzzParse exercises the parser with arbitrary inputs; it must never panic,
-// and any query that parses must print to a form that reparses.
-// Run `go test -fuzz=FuzzParse ./internal/oassisql` for continuous fuzzing;
-// plain `go test` runs the seed corpus.
-func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"SELECT FACT-SETS WHERE SATISFYING $x+ [] [] WITH SUPPORT = 0.1",
-		`SELECT FACT-SETS
+// fuzzSeeds is FuzzParse's seed corpus.
+var fuzzSeeds = []string{
+	"",
+	"SELECT FACT-SETS WHERE SATISFYING $x+ [] [] WITH SUPPORT = 0.1",
+	`SELECT FACT-SETS
 WHERE
   $w subClassOf* Attraction .
   $x instanceOf $w .
@@ -20,13 +16,19 @@ SATISFYING
   [] eatAt $z .
   MORE
 WITH SUPPORT = 0.4`,
-		`SELECT VARIABLES ALL WHERE $a subClassOf* B SATISFYING $a{1,3} r "Multi Word" WITH SUPPORT = 0.9`,
-		"select fact-sets where satisfying $x? [] [] with support = 1",
-		"SELECT FACT-SETS WHERE $x $p* y SATISFYING $x [] [] WITH SUPPORT = 0.5",
-		"# comment only",
-		"$ $$ {,} [ ] \"unterminated",
-	}
-	for _, s := range seeds {
+	`SELECT VARIABLES ALL WHERE $a subClassOf* B SATISFYING $a{1,3} r "Multi Word" WITH SUPPORT = 0.9`,
+	"select fact-sets where satisfying $x? [] [] with support = 1",
+	"SELECT FACT-SETS WHERE $x $p* y SATISFYING $x [] [] WITH SUPPORT = 0.5",
+	"# comment only",
+	"$ $$ {,} [ ] \"unterminated",
+}
+
+// FuzzParse exercises the parser with arbitrary inputs; it must never panic,
+// and any query that parses must print to a form that reparses.
+// Run `go test -fuzz=FuzzParse ./internal/oassisql` for continuous fuzzing;
+// plain `go test` runs the seed corpus.
+func FuzzParse(f *testing.F) {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

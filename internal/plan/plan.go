@@ -100,11 +100,13 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 }
 
 // NewSpace builds a fresh per-session assign.Space from the compiled
-// parts. The immutable slices and the precomputed lattice tables are shared
-// with the plan (and probed lock-free by concurrent sessions); the mutable
-// memo structures are rebuilt, so the Space is private to its session. The
-// rebuild preserves the canonical ValidBase order, which makes planned
-// execution bit-identical to compiling the query from scratch.
+// parts. Nothing plan-invariant is copied: the immutable slices and the
+// precomputed lattice tables — with the valid-row key set and the Minimal
+// seeds — are shared with the plan (and probed lock-free by concurrent
+// sessions); only the mutable node table, arenas and scratch are new, so
+// the Space is private to its session and its cost does not grow with the
+// plan's valid rows. The canonical ValidBase order is the plan's, which makes
+// planned execution bit-identical to compiling the query from scratch.
 func (p *Plan) NewSpace() *assign.Space {
 	return assign.FromShared(p.voc, p.Vars, p.Sat, p.More, p.ValidBase, p.tab)
 }

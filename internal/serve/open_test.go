@@ -257,3 +257,32 @@ func BenchmarkTenantPollAnswer(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTenantOpen opens sessions of one query on a tenant whose plan
+// is already cached: the plan-cache key, the session's Space and its
+// engine run to the first question. Sessions are retired in batches off
+// the clock, so the live count stays bounded.
+func BenchmarkTenantOpen(b *testing.B) {
+	tn, _ := newOpenTenant(b, TenantConfig{Name: "bench", Members: 8}, 1)
+	q := oassisql.MustParse(testQuery)
+	const batch = 256
+	ids := make([]string, 0, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := tn.Open(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ids = append(ids, sess.ID()); len(ids) == batch {
+			b.StopTimer()
+			for _, id := range ids {
+				if err := tn.Retire(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ids = ids[:0]
+			b.StartTimer()
+		}
+	}
+}

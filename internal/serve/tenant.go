@@ -255,7 +255,11 @@ func (t *Tenant) recover() error {
 				_ = st.Close()
 				return fmt.Errorf("serve: tenant %q session %s: journaled query: %w", t.name, id, err)
 			}
-			if _, err := t.attach(id, q, st, rec); err != nil {
+			pl, err := t.compile(q)
+			if err == nil {
+				_, err = t.attach(id, q, pl, st, rec)
+			}
+			if err != nil {
 				_ = st.Close()
 				return fmt.Errorf("serve: tenant %q session %s: %w", t.name, id, err)
 			}
@@ -353,15 +357,15 @@ func (t *Tenant) Open(q *oassisql.Query) (*Session, error) {
 	id := fmt.Sprintf("s%04d", t.sessSeq)
 	t.mu.Unlock()
 
+	pl, err := t.compile(q)
+	if err != nil {
+		return nil, err
+	}
 	var st *store.Store
 	var rec *store.Recovered
 	if t.storeDir != "" {
 		// The directory lands under the routing shard purely for
 		// operator legibility; recovery re-routes by fingerprint.
-		pl, err := t.compile(q)
-		if err != nil {
-			return nil, err
-		}
 		shardIdx := plan.ShardIndex(pl.Fingerprint(), len(t.shards))
 		dir := filepath.Join(t.storeDir, fmt.Sprintf("shard-%d", shardIdx), id)
 		st, rec, err = store.Open(dir, store.Options{Metrics: t.reg.storeMet})
@@ -369,7 +373,7 @@ func (t *Tenant) Open(q *oassisql.Query) (*Session, error) {
 			return nil, err
 		}
 	}
-	sess, err := t.attach(id, q, st, rec)
+	sess, err := t.attach(id, q, pl, st, rec)
 	if err != nil && st != nil {
 		_ = st.Close()
 	}
@@ -403,13 +407,10 @@ func (t *Tenant) EnsureSession(q *oassisql.Query) (*Session, bool, error) {
 	return s, false, err
 }
 
-// attach builds the hosted session around a compiled plan and registers
-// it with its routing shard. st/rec may be nil (in-memory tenant).
-func (t *Tenant) attach(id string, q *oassisql.Query, st *store.Store, rec *store.Recovered) (*Session, error) {
-	pl, err := t.compile(q)
-	if err != nil {
-		return nil, err
-	}
+// attach builds the hosted session around q's compiled plan pl and
+// registers it with its routing shard. st/rec may be nil (in-memory
+// tenant).
+func (t *Tenant) attach(id string, q *oassisql.Query, pl *plan.Plan, st *store.Store, rec *store.Recovered) (*Session, error) {
 	sp := pl.NewSpace()
 	sh := t.shards[plan.ShardIndex(pl.Fingerprint(), len(t.shards))]
 	sess := &Session{
@@ -431,10 +432,11 @@ func (t *Tenant) attach(id string, q *oassisql.Query, st *store.Store, rec *stor
 		// Same binding discipline as a single-session server: a store
 		// holds one query's answers, and the answers only replay into
 		// the plan they were recorded under.
-		if rec.Session != "" && rec.Session != q.String() {
+		// The plan's query text is q's canonical text, rendered once.
+		if rec.Session != "" && rec.Session != pl.QueryText {
 			return nil, fmt.Errorf("store is bound to a different query; use a fresh store directory")
 		}
-		if err := st.BindSession(q.String()); err != nil {
+		if err := st.BindSession(pl.QueryText); err != nil {
 			return nil, err
 		}
 		if rec.Plan != "" && rec.Plan != pl.Fingerprint() {
