@@ -90,17 +90,17 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) run ./cmd/oassis-bench -exp summary,bounds,serving,panels,stopping,spam -parallel 1 -out BENCH_$(BENCH_STAMP).json
+	$(GO) run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam -parallel 1 -out BENCH_$(BENCH_STAMP).json
 	@echo "wrote BENCH_$(BENCH_STAMP).json"
 
 # One-iteration pass over every benchmark: catches bench-only compile rot
 # and hot-path panics on each PR without paying for stable timings. The
-# serving scenario rides along at 1% scale (500 sessions) as a smoke of
-# the multi-tenant serving tier under real concurrency, and the panels
-# scenario as a smoke of panel batching (it hard-fails on result drift).
+# panels scenario rides along as a smoke of panel batching (it hard-fails
+# on result drift). The serving smoke is bench-module's serve-many test:
+# the multi-tenant serving tier under real concurrency.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server .
-	$(GO) run ./cmd/oassis-bench -exp serving,panels -scale 0.01 -parallel 1
+	$(GO) run ./cmd/oassis-bench -exp panels -scale 0.01 -parallel 1
 
 # The perf-trajectory gate: rerun the experiments recorded in the committed
 # baseline artifact and fail on >15% wall-clock regression or any result
@@ -115,7 +115,9 @@ bench-compare:
 # through a replace directive, so ./... above never reaches it. Vet it and
 # run its tests, whose TestSmokeEveryWorkload drives every workload
 # briefly: a change to an API the benchmark uses fails here, not only when
-# the benchmark is next run.
+# the benchmark is next run. Its serve-many case is the serving smoke:
+# 200 sessions over the multi-tenant tier from concurrent drivers, in
+# open- and closed-loop phases.
 bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

@@ -65,11 +65,6 @@ const (
 	compareSlackAbs = 0.25
 )
 
-// volatileRows lists experiments whose report rows contain measured
-// wall-clock values and therefore legitimately differ between runs; their
-// timings are still gated, but their rows are not diffed.
-var volatileRows = map[string]bool{"latency": true, "serving": true}
-
 // reportToJob maps the Report.ID recorded in a baseline artifact back to
 // the -exp flag id, where the two differ.
 var reportToJob = map[string]string{
@@ -83,14 +78,15 @@ var reportToJob = map[string]string{
 }
 
 // runCompare reruns every experiment recorded in the baseline file and
-// diffs timing and rows. It returns the process exit code: 0 when all
+// diffs timing and rows, printing one status line per experiment to stdout
+// and errors to stderr. It returns the process exit code: 0 when all
 // experiments are within the gate, 1 on regression or drift, 2 on misuse.
 // Run it with the same -scale/-full/-parallel flags the baseline was
 // recorded with, or the timing comparison is meaningless.
-func runCompare(path string, jobs []job) int {
+func runCompare(path string, jobs []job, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "oassis-bench: -compare: %v\n", err)
+		fmt.Fprintf(stderr, "oassis-bench: -compare: %v\n", err)
 		return 2
 	}
 	defer f.Close()
@@ -105,7 +101,7 @@ func runCompare(path string, jobs []job) int {
 		if err := dec.Decode(&base); err == io.EOF {
 			break
 		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "oassis-bench: -compare: %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "oassis-bench: -compare: %s: %v\n", path, err)
 			return 2
 		}
 		jobID := base.ID
@@ -114,14 +110,14 @@ func runCompare(path string, jobs []job) int {
 		}
 		j, ok := byID[jobID]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "oassis-bench: -compare: unknown experiment %q in %s\n", base.ID, path)
+			fmt.Fprintf(stderr, "oassis-bench: -compare: unknown experiment %q in %s\n", base.ID, path)
 			return 2
 		}
 		start := time.Now()
 		r, err := j.run()
 		elapsed := time.Since(start).Seconds()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "oassis-bench: -compare: %s: %v\n", base.ID, err)
+			fmt.Fprintf(stderr, "oassis-bench: -compare: %s: %v\n", base.ID, err)
 			return 2
 		}
 		limit := base.Seconds*(1+compareSlackRel) + compareSlackAbs
@@ -130,22 +126,22 @@ func runCompare(path string, jobs []job) int {
 		case elapsed > limit:
 			status = fmt.Sprintf("REGRESSED (limit %.3fs)", limit)
 			fails++
-		case !volatileRows[base.ID] && !sameRows(base, r):
+		case !sameRows(base, r):
 			status = "RESULT DRIFT"
 			fails++
 		}
-		fmt.Printf("%-16s base %8.3fs  fresh %8.3fs  %s\n", base.ID, base.Seconds, elapsed, status)
+		fmt.Fprintf(stdout, "%-16s base %8.3fs  fresh %8.3fs  %s\n", base.ID, base.Seconds, elapsed, status)
 		n++
 	}
 	if n == 0 {
-		fmt.Fprintf(os.Stderr, "oassis-bench: -compare: %s holds no experiment records\n", path)
+		fmt.Fprintf(stderr, "oassis-bench: -compare: %s holds no experiment records\n", path)
 		return 2
 	}
 	if fails > 0 {
-		fmt.Fprintf(os.Stderr, "oassis-bench: -compare: %d of %d experiments failed the gate\n", fails, n)
+		fmt.Fprintf(stderr, "oassis-bench: -compare: %d of %d experiments failed the gate\n", fails, n)
 		return 1
 	}
-	fmt.Printf("all %d experiments within %.0f%% of %s\n", n, compareSlackRel*100, path)
+	fmt.Fprintf(stdout, "all %d experiments within %.0f%% of %s\n", n, compareSlackRel*100, path)
 	return 0
 }
 
@@ -173,9 +169,76 @@ func sameRows(base jsonReport, r *experiments.Report) bool {
 	return true
 }
 
+// benchJobs lists every runnable experiment in -exp order: the domain
+// experiments run at sc, the synthetic ones at scale, and every grid fans
+// out over parallel workers.
+func benchJobs(sc experiments.DomainScale, scale float64, parallel int) []job {
+	fig5Cfg := experiments.DefaultFig5(scale)
+	fig5Cfg.Parallelism = parallel
+	fig4fCfg := experiments.DefaultFig4f(scale)
+	fig4fCfg.Parallelism = parallel
+
+	return []job{
+		{"fig4a", func() (*experiments.Report, error) {
+			return experiments.Fig4Domain("fig4a", synth.Travel, sc)
+		}},
+		{"fig4b", func() (*experiments.Report, error) {
+			return experiments.Fig4Domain("fig4b", synth.Culinary, sc)
+		}},
+		{"fig4c", func() (*experiments.Report, error) {
+			return experiments.Fig4Domain("fig4c", synth.SelfTreatment, sc)
+		}},
+		{"fig4d", func() (*experiments.Report, error) {
+			return experiments.Fig4Pace("fig4d", synth.Travel, sc)
+		}},
+		{"fig4e", func() (*experiments.Report, error) {
+			return experiments.Fig4Pace("fig4e", synth.SelfTreatment, sc)
+		}},
+		{"fig4f", func() (*experiments.Report, error) {
+			return experiments.Fig4f(fig4fCfg)
+		}},
+		{"fig5", func() (*experiments.Report, error) {
+			return experiments.Fig5(fig5Cfg)
+		}},
+		{"sweeps", func() (*experiments.Report, error) {
+			return experiments.SweepDAGShape(scale, 3, parallel)
+		}},
+		{"sweep-dist", func() (*experiments.Report, error) {
+			return experiments.SweepMSPDistribution(scale, 3, parallel)
+		}},
+		{"sweep-mult", func() (*experiments.Report, error) {
+			return experiments.SweepMultiplicities(scale, 3, parallel)
+		}},
+		{"summary", func() (*experiments.Report, error) {
+			return experiments.CrowdSummary(sc)
+		}},
+		{"bounds", func() (*experiments.Report, error) {
+			return experiments.ComplexityBounds(scale, parallel)
+		}},
+		{"panels", func() (*experiments.Report, error) {
+			return experiments.Panels([]int{1, 4, 16})
+		}},
+		{"capture", func() (*experiments.Report, error) {
+			return experiments.ItemsetCapture(12, 60, 0.15, 7)
+		}},
+		{"stopping", func() (*experiments.Report, error) {
+			return experiments.Stopping(parallel)
+		}},
+		{"spam", func() (*experiments.Report, error) {
+			return experiments.Spam(8, parallel)
+		}},
+		{"assoc", func() (*experiments.Report, error) {
+			return experiments.AssocMiner(30, 500, 11)
+		}},
+	}
+}
+
+// expUsage is the -exp flag help; it names exactly the benchJobs ids.
+const expUsage = "comma-separated experiment ids (all, fig4a..fig4f, fig5, sweeps, sweep-dist, sweep-mult, summary, bounds, panels, capture, stopping, spam, assoc)"
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids (all, fig4a..fig4f, fig5, sweeps, summary, bounds, serving, panels, capture, stopping, spam, assoc)")
+		exp      = flag.String("exp", "all", expUsage)
 		scale    = flag.Float64("scale", 0.2, "synthetic-DAG scale factor (1 = paper's width 500)")
 		full     = flag.Bool("full", false, "use the full 248-member crowd for the domain experiments")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text tables")
@@ -204,74 +267,10 @@ func main() {
 	}
 	runAll := want["all"]
 
-	fig5Cfg := experiments.DefaultFig5(*scale)
-	fig5Cfg.Parallelism = *parallel
-	fig4fCfg := experiments.DefaultFig4f(*scale)
-	fig4fCfg.Parallelism = *parallel
-
-	jobs := []job{
-		{"fig4a", func() (*experiments.Report, error) {
-			return experiments.Fig4Domain("fig4a", synth.Travel, sc)
-		}},
-		{"fig4b", func() (*experiments.Report, error) {
-			return experiments.Fig4Domain("fig4b", synth.Culinary, sc)
-		}},
-		{"fig4c", func() (*experiments.Report, error) {
-			return experiments.Fig4Domain("fig4c", synth.SelfTreatment, sc)
-		}},
-		{"fig4d", func() (*experiments.Report, error) {
-			return experiments.Fig4Pace("fig4d", synth.Travel, sc)
-		}},
-		{"fig4e", func() (*experiments.Report, error) {
-			return experiments.Fig4Pace("fig4e", synth.SelfTreatment, sc)
-		}},
-		{"fig4f", func() (*experiments.Report, error) {
-			return experiments.Fig4f(fig4fCfg)
-		}},
-		{"fig5", func() (*experiments.Report, error) {
-			return experiments.Fig5(fig5Cfg)
-		}},
-		{"sweeps", func() (*experiments.Report, error) {
-			return experiments.SweepDAGShape(*scale, 3, *parallel)
-		}},
-		{"sweep-dist", func() (*experiments.Report, error) {
-			return experiments.SweepMSPDistribution(*scale, 3, *parallel)
-		}},
-		{"sweep-mult", func() (*experiments.Report, error) {
-			return experiments.SweepMultiplicities(*scale, 3, *parallel)
-		}},
-		{"summary", func() (*experiments.Report, error) {
-			return experiments.CrowdSummary(sc)
-		}},
-		{"bounds", func() (*experiments.Report, error) {
-			return experiments.ComplexityBounds(*scale, *parallel)
-		}},
-		{"latency", func() (*experiments.Report, error) {
-			return experiments.DispatchLatency(100*time.Millisecond, []int{1, 2, 4, 8})
-		}},
-		{"panels", func() (*experiments.Report, error) {
-			return experiments.Panels([]int{1, 4, 16})
-		}},
-		{"serving", func() (*experiments.Report, error) {
-			// -scale 0.2 (the default) is 10k concurrent sessions.
-			return experiments.Serving(int(*scale*50000), 4)
-		}},
-		{"capture", func() (*experiments.Report, error) {
-			return experiments.ItemsetCapture(12, 60, 0.15, 7)
-		}},
-		{"stopping", func() (*experiments.Report, error) {
-			return experiments.Stopping(*parallel)
-		}},
-		{"spam", func() (*experiments.Report, error) {
-			return experiments.Spam(8, *parallel)
-		}},
-		{"assoc", func() (*experiments.Report, error) {
-			return experiments.AssocMiner(30, 500, 11)
-		}},
-	}
+	jobs := benchJobs(sc, *scale, *parallel)
 
 	if *compare != "" {
-		os.Exit(runCompare(*compare, jobs))
+		os.Exit(runCompare(*compare, jobs, os.Stdout, os.Stderr))
 	}
 
 	var jsonDst io.Writer = os.Stdout

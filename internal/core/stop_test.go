@@ -70,11 +70,6 @@ func TestAccuracyStopFlagsSpammers(t *testing.T) {
 			spam := tc.mk(honest[len(honest)-1])
 			members := []crowd.Member{honest[0], honest[1], spam}
 			members = append(members, honest[2:]...)
-			// Latency-wrapped crowd, zero delay: the wrapper's code path
-			// without wall-clock cost.
-			for i, m := range members {
-				members[i] = &crowd.Latent{M: m}
-			}
 			sess := runSession(Config{
 				Space:      d.Sp,
 				Theta:      0.2,

@@ -224,26 +224,3 @@ func TestCrowdSummaryTiny(t *testing.T) {
 		}
 	}
 }
-
-func TestServingTiny(t *testing.T) {
-	const sessions, tenants = 24, 2
-	r, err := Serving(sessions, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != tenants+1 {
-		t.Fatalf("rows = %d, want %d tenants + total\n%s", len(r.Rows), tenants, r.Table())
-	}
-	for _, row := range r.Rows[:tenants] {
-		if row[2] != row[3] {
-			t.Errorf("tenant %s: %s sessions but %s done", row[0], row[2], row[3])
-		}
-		if atoiRow(t, row[4]) == 0 {
-			t.Errorf("tenant %s answered nothing", row[0])
-		}
-	}
-	total := r.Rows[tenants]
-	if got := atoiRow(t, total[3]); got != sessions {
-		t.Fatalf("total done = %d, want %d", got, sessions)
-	}
-}

@@ -2,10 +2,58 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
+	"oassis/internal/aggregate"
 	"oassis/internal/core"
+	"oassis/internal/crowd"
 	"oassis/internal/panel"
+	"oassis/internal/synth"
 )
+
+// The panels workload's crowd: panelMembers pure oracles, with
+// panelAnswers answers aggregated per question.
+const (
+	panelMembers = 12
+	panelAnswers = 8
+)
+
+// panelsConfig builds the panels workload: a small synthetic space with
+// three planted MSPs, mined by a crowd of pure oracles.
+func panelsConfig() (core.Config, error) {
+	sp, err := synth.GenerateSpace(synth.DAGConfig{
+		Width: 4, Depth: 2, XWidth: 2, XDepth: 1, Seed: 5,
+	})
+	if err != nil {
+		return core.Config{}, err
+	}
+	planted, err := sp.PlantMSPs(synth.MSPConfig{Count: 3, Seed: 5})
+	if err != nil {
+		return core.Config{}, err
+	}
+	members := make([]crowd.Member, panelMembers)
+	for i := range members {
+		members[i] = synth.NewOracle(fmt.Sprintf("m%02d", i), sp, planted)
+	}
+	return core.Config{
+		Space:   sp.Sp,
+		Theta:   0.5,
+		Members: members,
+		Agg:     aggregate.NewFixedSample(panelAnswers),
+		Metrics: sharedMetrics(),
+	}, nil
+}
+
+// panelsSummary renders a run result for equality checks across panel
+// sizes.
+func panelsSummary(res *core.Result) string {
+	keys := make([]string, 0, len(res.MSPs))
+	for _, m := range res.MSPs {
+		keys = append(keys, m.Key())
+	}
+	sort.Strings(keys)
+	return fmt.Sprintf("msps=%v stats=%v", keys, res.Stats.String())
+}
 
 // panelPoint is one panel-batching measurement: the member round trips a
 // full mining run cost at one panel size, against the same domain and
@@ -25,18 +73,17 @@ type panelPoint struct {
 	Wasted int
 }
 
-// runPanels measures a full mining run per panel size over the latency
-// scenario's domain (12 members, 8 answers per question) and verifies the
-// mined result never moves. Size 1 is the one-question baseline: every
-// answer is its own member round trip. Larger sizes enable successor
-// speculation to fill the panels, so one round trip carries several
-// prior-primed questions. Everything runs at dispatch parallelism 1, so
+// runPanels measures a full mining run per panel size over the panels
+// workload and verifies the mined result never moves. Size 1 is the
+// one-question baseline: every answer is its own member round trip.
+// Larger sizes enable successor speculation to fill the panels, so one
+// round trip carries several prior-primed questions. Everything runs at dispatch parallelism 1, so
 // the counts are deterministic and the bench gate can diff them.
 func runPanels(sizes []int) ([]panelPoint, error) {
 	var points []panelPoint
 	var want string
 	for i, size := range sizes {
-		cfg, err := latencyConfig(0, 12, 8)
+		cfg, err := panelsConfig()
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +107,7 @@ func runPanels(sizes []int) ([]panelPoint, error) {
 				Wasted:      st.Wasted,
 			}
 		}
-		got := latencySummary(res)
+		got := panelsSummary(res)
 		if i == 0 {
 			want = got
 		} else if got != want {
@@ -82,7 +129,6 @@ func Panels(sizes []int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	const members = 12
 	r := &Report{
 		ID:    "panels",
 		Title: "panel batching: member round trips vs one-question dispatch",
@@ -92,7 +138,7 @@ func Panels(sizes []int) (*Report, error) {
 	base := points[0].RoundTrips
 	for _, pt := range points {
 		r.Add(pt.Size, pt.RoundTrips,
-			fmt.Sprintf("%.1f", float64(pt.RoundTrips)/members),
+			fmt.Sprintf("%.1f", float64(pt.RoundTrips)/panelMembers),
 			pt.Items, fmt.Sprintf("%.1f", float64(pt.Items)/float64(pt.RoundTrips)),
 			pt.Confirmable, fmt.Sprintf("%.2f", pt.ConfirmRate), pt.Wasted)
 	}
@@ -100,7 +146,8 @@ func Panels(sizes []int) (*Report, error) {
 		r.Note("round-trip reduction at size %d: %.1fx over one-question dispatch",
 			last.Size, float64(base)/float64(last.RoundTrips))
 	}
-	r.Note("latency scenario's domain, 12 members, 8 answers per question;")
+	r.Note("synthetic domain with 3 planted MSPs, %d oracle members, %d answers per question;",
+		panelMembers, panelAnswers)
 	r.Note("results are bit-identical at every panel size")
 	return r, nil
 }

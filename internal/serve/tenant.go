@@ -301,9 +301,6 @@ func (t *Tenant) Domain() *core.Domain { return t.domain }
 // Voc returns the tenant's frozen vocabulary (for rendering questions).
 func (t *Tenant) Voc() *vocab.Vocabulary { return t.voc }
 
-// Shards returns the tenant's shard count.
-func (t *Tenant) Shards() int { return len(t.shards) }
-
 // Roster returns the tenant's member slots in roster order.
 func (t *Tenant) Roster() []string { return append([]string(nil), t.slots...) }
 
