@@ -90,7 +90,7 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/vocab ./internal/assign ./internal/core ./internal/aggregate ./internal/plan ./internal/serve ./internal/panel ./internal/fact ./internal/itemset ./cmd/oassis-server
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam -parallel 1 -out BENCH_$(BENCH_STAMP).json
+	$(GO) run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam,capture,assoc -parallel 1 -out BENCH_$(BENCH_STAMP).json
 	@echo "wrote BENCH_$(BENCH_STAMP).json"
 
 # One-iteration pass over every benchmark: catches bench-only compile rot
@@ -107,7 +107,7 @@ bench-smoke:
 # drift (the panels scenario's round-trip counts are deterministic, so the
 # gate pins the batching efficiency too). Refresh the baseline (same
 # flags!) only with a reviewed perf change:
-#   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam -parallel 1 -out BENCH_baseline.json
+#   go run ./cmd/oassis-bench -exp summary,bounds,panels,stopping,spam,capture,assoc -parallel 1 -out BENCH_baseline.json
 bench-compare:
 	$(GO) run ./cmd/oassis-bench -parallel 1 -compare BENCH_baseline.json
 

@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -78,9 +79,10 @@ var reportToJob = map[string]string{
 }
 
 // runCompare reruns every experiment recorded in the baseline file and
-// diffs timing and rows, printing one status line per experiment to stdout
-// and errors to stderr. It returns the process exit code: 0 when all
-// experiments are within the gate, 1 on regression or drift, 2 on misuse.
+// diffs timing and whole reports (title, header, rows and notes), printing
+// one status line per experiment to stdout and errors to stderr. It
+// returns the process exit code: 0 when all experiments are within the
+// gate, 1 on regression or drift, 2 on misuse.
 // Run it with the same -scale/-full/-parallel flags the baseline was
 // recorded with, or the timing comparison is meaningless.
 func runCompare(path string, jobs []job, stdout, stderr io.Writer) int {
@@ -126,7 +128,7 @@ func runCompare(path string, jobs []job, stdout, stderr io.Writer) int {
 		case elapsed > limit:
 			status = fmt.Sprintf("REGRESSED (limit %.3fs)", limit)
 			fails++
-		case !sameRows(base, r):
+		case !sameReport(base, r):
 			status = "RESULT DRIFT"
 			fails++
 		}
@@ -145,28 +147,13 @@ func runCompare(path string, jobs []job, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sameRows reports whether a fresh report reproduces the baseline's header
-// and rows exactly (the zero-result-drift gate).
-func sameRows(base jsonReport, r *experiments.Report) bool {
-	if len(base.Header) != len(r.Header) || len(base.Rows) != len(r.Rows) {
-		return false
-	}
-	for i := range base.Header {
-		if base.Header[i] != r.Header[i] {
-			return false
-		}
-	}
-	for i := range base.Rows {
-		if len(base.Rows[i]) != len(r.Rows[i]) {
-			return false
-		}
-		for k := range base.Rows[i] {
-			if base.Rows[i][k] != r.Rows[i][k] {
-				return false
-			}
-		}
-	}
-	return true
+// sameReport reports whether a fresh report reproduces the baseline's
+// title, header, rows and notes exactly (the zero-result-drift gate).
+func sameReport(base jsonReport, r *experiments.Report) bool {
+	return base.Title == r.Title &&
+		slices.Equal(base.Header, r.Header) &&
+		slices.EqualFunc(base.Rows, r.Rows, slices.Equal[[]string]) &&
+		slices.Equal(base.Notes, r.Notes)
 }
 
 // benchJobs lists every runnable experiment in -exp order: the domain

@@ -15,9 +15,10 @@ import (
 // fakeReport is the report every fake job returns unless a case overrides
 // it.
 func fakeReport(id string) *experiments.Report {
-	r := &experiments.Report{ID: id, Header: []string{"k", "v"}}
+	r := &experiments.Report{ID: id, Title: "fake " + id, Header: []string{"k", "v"}}
 	r.Add("a", 1)
 	r.Add("b", 2)
+	r.Note("total %d", 3)
 	return r
 }
 
@@ -25,7 +26,7 @@ func fakeReport(id string) *experiments.Report {
 func baselineLine(t *testing.T, r *experiments.Report, seconds float64) string {
 	t.Helper()
 	b, err := json.Marshal(jsonReport{ID: r.ID, Title: r.Title, Header: r.Header,
-		Rows: r.Rows, Seconds: seconds, Parallel: 1})
+		Rows: r.Rows, Notes: r.Notes, Seconds: seconds, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +46,9 @@ func compare(t *testing.T, baseline string, jobs ...job) (int, string) {
 	return code, out.String()
 }
 
-// TestCompareGate drives the -compare gate over fake jobs: exact rows
-// pass, a changed cell or a run over the timing limit fails, and a
-// baseline the gate cannot read is misuse.
+// TestCompareGate drives the -compare gate over fake jobs: an exact
+// report passes, a changed cell, note or title or a run over the timing
+// limit fails, and a baseline the gate cannot read is misuse.
 func TestCompareGate(t *testing.T) {
 	exact := job{"exact", func() (*experiments.Report, error) { return fakeReport("exact"), nil }}
 	drifted := job{"drifted", func() (*experiments.Report, error) {
@@ -55,12 +56,22 @@ func TestCompareGate(t *testing.T) {
 		r.Rows[1][1] = "3"
 		return r, nil
 	}}
+	renoted := job{"renoted", func() (*experiments.Report, error) {
+		r := fakeReport("renoted")
+		r.Notes[0] = "sum 3"
+		return r, nil
+	}}
+	retitled := job{"retitled", func() (*experiments.Report, error) {
+		r := fakeReport("retitled")
+		r.Title += "!"
+		return r, nil
+	}}
 	// The baseline records 0 s, so the limit is compareSlackAbs.
 	slow := job{"slow", func() (*experiments.Report, error) {
 		time.Sleep(time.Duration((compareSlackAbs + 0.05) * float64(time.Second)))
 		return fakeReport("slow"), nil
 	}}
-	jobs := []job{exact, drifted, slow}
+	jobs := []job{exact, drifted, renoted, retitled, slow}
 
 	cases := []struct {
 		name     string
@@ -71,6 +82,8 @@ func TestCompareGate(t *testing.T) {
 		{"exact", baselineLine(t, fakeReport("exact"), 10), 0, "all 1 experiments within"},
 		{"changed cell", baselineLine(t, fakeReport("exact"), 10) +
 			baselineLine(t, fakeReport("drifted"), 10), 1, "RESULT DRIFT"},
+		{"changed note", baselineLine(t, fakeReport("renoted"), 10), 1, "RESULT DRIFT"},
+		{"changed title", baselineLine(t, fakeReport("retitled"), 10), 1, "RESULT DRIFT"},
 		{"over the limit", baselineLine(t, fakeReport("slow"), 0), 1, "REGRESSED"},
 		{"unknown id", baselineLine(t, fakeReport("nope"), 10), 2, `unknown experiment "nope"`},
 		{"empty file", "", 2, "holds no experiment records"},

@@ -407,6 +407,42 @@ func GroundTruth(users []*SimUser, thetaS, thetaC, seedSupport float64) []MinedR
 	return out
 }
 
+// crowdSize is the number of simulated users MaximalItemsets asks about
+// each candidate.
+const crowdSize = 3
+
+// MaximalItemsets mines the maximal itemsets of db with support ≥ theta
+// through the crowd black box: Apriori's levelwise loop
+// (itemset.AprioriFunc) with each candidate's support estimated by asking
+// simulated users the closed question ∅→X ("how often do you do all of
+// X?"), which a SimUser answers with the plain support of X. The users
+// hold all of db and answer noiselessly, so the estimate is exact and the
+// result equals itemset.Maximal(itemset.Apriori(db, theta)), sorted by
+// (size, lexicographic).
+func MaximalItemsets(db []itemset.Itemset, theta float64) []itemset.Support {
+	users := make([]User, crowdSize)
+	for i := range users {
+		users[i] = &SimUser{Name: fmt.Sprintf("itemset-u%02d", i), DB: db}
+	}
+	// A unanimous crowd's consensus is the answer itself, so the exactness
+	// of the users carries through without a lossy mean division; only a
+	// split crowd falls back to the sample mean.
+	support := func(c itemset.Itemset) float64 {
+		first := users[0].Closed(nil, c).Support
+		sum, unanimous := first, true
+		for _, u := range users[1:] {
+			a := u.Closed(nil, c).Support
+			unanimous = unanimous && a == first
+			sum += a
+		}
+		if unanimous {
+			return first
+		}
+		return sum / crowdSize
+	}
+	return itemset.Maximal(itemset.AprioriFunc(db, theta, support))
+}
+
 // PrecisionRecall compares mined rules against ground truth.
 func PrecisionRecall(mined, truth []MinedRule) (precision, recall float64) {
 	truthKeys := map[string]bool{}

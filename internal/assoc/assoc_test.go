@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"oassis/internal/itemset"
@@ -191,5 +192,26 @@ func TestNoisyAnswersStillConverge(t *testing.T) {
 	p, r := PrecisionRecall(res.Rules, truth)
 	if p < 0.4 || r < 0.3 {
 		t.Errorf("noisy run degraded too far: precision %v recall %v", p, r)
+	}
+}
+
+// TestMaximalItemsetsParity: mining through the noiseless crowd oracle
+// must return bit-identical maximal frequent itemsets to classic Apriori,
+// on arbitrary databases and thresholds.
+func TestMaximalItemsetsParity(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := make([]itemset.Itemset, 40)
+		for i := range db {
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				db[i] = append(db[i], rng.Intn(8))
+			}
+		}
+		for _, theta := range []float64{0.1, 0.2, 1.0 / 3.0, 0.5} {
+			want := itemset.Maximal(itemset.Apriori(db, theta))
+			if got := MaximalItemsets(db, theta); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d theta %g: crowd %v != Apriori %v", seed, theta, got, want)
+			}
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"oassis/internal/aggregate"
-	"oassis/internal/assign"
-)
+import "oassis/internal/assign"
 
 // RunHorizontal executes the Horizontal baseline of §6.4, inspired by the
 // classic Apriori algorithm: it proceeds level by level from the most
@@ -120,11 +117,4 @@ func (e *engine) classify(node uint32) {
 // valid assignment, without any traversal order or inference.
 func BaselineQuestions(sp *assign.Space, k int) int {
 	return len(sp.ValidBase) * k
-}
-
-// RunSingleUser is a convenience wrapper running Algorithm 1 with a single
-// crowd member and a one-answer aggregator (the §4.1 setting).
-func RunSingleUser(cfg Config) *Result {
-	cfg.Agg = aggregate.NewFixedSample(1)
-	return Run(cfg)
 }

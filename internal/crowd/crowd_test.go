@@ -215,20 +215,6 @@ func TestQuestionRendering(t *testing.T) {
 	}
 }
 
-func TestScaleLabel(t *testing.T) {
-	cases := []struct {
-		s    float64
-		want string
-	}{
-		{0, "never"}, {0.2, "rarely"}, {0.5, "sometimes"}, {0.8, "often"}, {1, "very often"},
-	}
-	for _, c := range cases {
-		if got := ScaleLabel(c.s); got != c.want {
-			t.Errorf("ScaleLabel(%v) = %q, want %q", c.s, got, c.want)
-		}
-	}
-}
-
 func TestSampleDBShapes(t *testing.T) {
 	s := ontology.NewSample()
 	u1, u2 := SampleDBs(s)

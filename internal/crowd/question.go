@@ -83,18 +83,3 @@ var AnswerScale = []struct {
 	{"often", 0.75},
 	{"very often", 1},
 }
-
-// ScaleLabel returns the scale label closest to support s.
-func ScaleLabel(s float64) string {
-	best, dist := 0, 2.0
-	for i, a := range AnswerScale {
-		d := s - a.Support
-		if d < 0 {
-			d = -d
-		}
-		if d < dist {
-			best, dist = i, d
-		}
-	}
-	return AnswerScale[best].Label
-}

@@ -10,7 +10,6 @@ import (
 	"oassis/internal/fact"
 	"oassis/internal/itemset"
 	"oassis/internal/oassisql"
-	"oassis/internal/plan"
 	"oassis/internal/vocab"
 
 	"oassis/internal/assign"
@@ -57,13 +56,8 @@ func ItemsetCapture(items, transactions int, minSupport float64, seed int64) (*R
 		pdb.Add(fs.Canon())
 	}
 
-	// Ground truth through the planner's pluggable mining substrate (the
-	// classic Apriori + maximal-filter black box).
-	itemsetSub, err := plan.SubstrateByName(plan.SubstrateItemset)
-	if err != nil {
-		return nil, err
-	}
-	truthKeys := substrateKeys(itemsetSub, db, minSupport)
+	// Ground truth: classic Apriori followed by the maximal filter.
+	truthKeys := itemsetKeys(itemset.Maximal(itemset.Apriori(db, minSupport)))
 
 	// OASSIS: the capture query over the same transactions.
 	q := &oassisql.Query{
@@ -97,13 +91,9 @@ func ItemsetCapture(items, transactions int, minSupport float64, seed int64) (*R
 	}
 	agree := sameKeys(mined, truthKeys)
 
-	// The alternative substrate — the SIGMOD'13 association-rule framework
-	// behind the same plan.Substrate interface — must agree bitwise too.
-	assocSub, err := plan.SubstrateByName(plan.SubstrateAssoc)
-	if err != nil {
-		return nil, err
-	}
-	assocKeys := substrateKeys(assocSub, db, minSupport)
+	// The SIGMOD'13 association-rule framework, mining through its crowd
+	// oracle, must agree bitwise too.
+	assocKeys := itemsetKeys(assoc.MaximalItemsets(db, minSupport))
 	r.Add("Apriori+maximal", len(truthKeys), "")
 	r.Add("OASSIS $x+ [] []", len(mined), agree)
 	r.Add("assoc substrate", len(assocKeys), sameKeys(assocKeys, truthKeys))
@@ -115,11 +105,10 @@ func ItemsetCapture(items, transactions int, minSupport float64, seed int64) (*R
 	return r, nil
 }
 
-// substrateKeys mines the maximal frequent itemsets through a pluggable
-// substrate and renders them as canonical comparison keys.
-func substrateKeys(sub plan.Substrate, db []itemset.Itemset, theta float64) map[string]bool {
+// itemsetKeys renders mined itemsets as canonical comparison keys.
+func itemsetKeys(sets []itemset.Support) map[string]bool {
 	keys := map[string]bool{}
-	for _, s := range sub.MineMaximal(db, theta) {
+	for _, s := range sets {
 		key := ""
 		for _, it := range s.Items {
 			key += fmt.Sprintf("%02d,", it)

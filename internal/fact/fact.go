@@ -92,11 +92,6 @@ func (s Set) Contains(f Fact) bool {
 	return false
 }
 
-// Union returns the canonical union of s and t.
-func (s Set) Union(t Set) Set {
-	return append(s.Clone(), t...).Canon()
-}
-
 // Equal reports whether s and t contain the same facts.
 func (s Set) Equal(t Set) bool {
 	a, b := s.Canon(), t.Canon()

@@ -83,8 +83,8 @@ func Apriori(db []Itemset, minSupport float64) []Support {
 // count replaced by an oracle: over the items occurring in db, every
 // candidate whose subsets are all frequent is passed to support exactly
 // once, and kept when the returned support is ≥ minSupport. Apriori plugs
-// in transaction counting; a crowd substrate plugs in its consensus
-// estimate. The result is sorted by (size, lexicographic).
+// in transaction counting; assoc.MaximalItemsets plugs in its crowd's
+// consensus estimate. The result is sorted by (size, lexicographic).
 func AprioriFunc(db []Itemset, minSupport float64, support func(Itemset) float64) []Support {
 	if len(db) == 0 || minSupport <= 0 {
 		return nil

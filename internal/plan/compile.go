@@ -66,7 +66,7 @@ func ShardIndex(fingerprint string, n int) int {
 
 // Compile analyzes query q over the frozen domain (voc, onto): it
 // evaluates the WHERE clause, resolves the SATISFYING meta-fact-set and
-// the valid base assignments, and picks the mining substrate. domainFP
+// the valid base assignments, and labels the mining substrate. domainFP
 // is the precomputed DomainFingerprint of (voc, onto); the caller usually
 // holds it in a core.Domain so it is hashed once per domain, not once per
 // compile.
@@ -102,11 +102,18 @@ func Compile(voc *vocab.Vocabulary, onto *ontology.Ontology, q *oassisql.Query,
 	}, voc, sp.Tables())
 }
 
-// chooseSubstrate picks the mining black box for the query. The pure
-// itemset-capture form of §4.1 — an empty WHERE clause, so the query is
-// frequent-pattern mining over the whole vocabulary — runs on the classic
-// itemset substrate; everything else is crowd mining in the SIGMOD'13
-// association-rule sense and runs on the assoc substrate.
+// Substrate labels a plan records as its SubstrateName.
+const (
+	SubstrateItemset = "itemset"
+	SubstrateAssoc   = "assoc"
+)
+
+// chooseSubstrate labels the mining black box the query corresponds to.
+// The pure itemset-capture form of §4.1 — an empty WHERE clause, so the
+// query is frequent-pattern mining over the whole vocabulary — is classic
+// itemset mining; everything else is crowd mining in the SIGMOD'13
+// association-rule sense. The label is part of the IR and its fingerprint;
+// nothing dispatches on it.
 func chooseSubstrate(q *oassisql.Query) string {
 	if len(q.Where) == 0 {
 		return SubstrateItemset

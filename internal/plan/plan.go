@@ -4,8 +4,9 @@
 // experiment grids execute precompiled plans instead of re-analyzing the
 // query. A Plan carries the resolved mining variables, the resolved
 // SATISFYING meta-fact-set (the pattern join tree after WHERE evaluation),
-// the valid base assignments, the names of the stop policy and mining
-// Substrate, plus the fingerprint of the domain it was compiled against.
+// the valid base assignments, the name of the stop policy, a label for
+// the mining substrate, plus the fingerprint of the domain it was compiled
+// against.
 // Plans are content-addressed: Fingerprint is a SHA-256 over the
 // canonical JSON serialization, and Cache keys plans on (query text,
 // domain fingerprint, stop policy).
@@ -44,8 +45,9 @@ type Plan struct {
 	// ValidBase holds the valid multiplicity-1 assignments from WHERE
 	// evaluation, in canonical (sorted key) order.
 	ValidBase [][]vocab.Term
-	// SubstrateName names the mining Substrate chosen by the planner
-	// (see SubstrateByName).
+	// SubstrateName labels the mining black box the query corresponds
+	// to (SubstrateItemset or SubstrateAssoc). It is recorded in the IR
+	// and the fingerprint only; execution does not depend on it.
 	SubstrateName string
 	// StopName names the stop rule the plan runs with
 	// (aggregate.StopThreshold or aggregate.StopSpecies). It is part of

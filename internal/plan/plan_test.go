@@ -3,7 +3,6 @@ package plan_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"oassis/internal/core"
 	"oassis/internal/crowd"
 	"oassis/internal/fact"
-	"oassis/internal/itemset"
 	"oassis/internal/oassisql"
 	"oassis/internal/obs"
 	"oassis/internal/ontology"
@@ -99,56 +97,6 @@ func (neverMember) ChooseSpecialization([]fact.Set) crowd.SpecializeResponse {
 
 func (neverMember) Irrelevant([]vocab.Term) (vocab.Term, bool) { return 0, false }
 
-// randomDB builds a deterministic random transaction database.
-func randomDB(seed int64, transactions, items int) []itemset.Itemset {
-	rng := rand.New(rand.NewSource(seed))
-	db := make([]itemset.Itemset, transactions)
-	for t := range db {
-		n := 1 + rng.Intn(4)
-		var tx itemset.Itemset
-		for j := 0; j < n; j++ {
-			tx = append(tx, rng.Intn(items))
-		}
-		db[t] = tx
-	}
-	return db
-}
-
-// TestSubstratePairity: the assoc substrate (the SIGMOD'13 black box run
-// noiselessly) must return bit-identical maximal frequent itemsets to the
-// classic Apriori substrate, on arbitrary databases and thresholds.
-func TestSubstrateParity(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		db := randomDB(seed, 40, 8)
-		for _, theta := range []float64{0.1, 0.2, 1.0 / 3.0, 0.5} {
-			want := plan.ItemsetSubstrate{}.MineMaximal(db, theta)
-			for _, users := range []int{0, 1, 5} {
-				got := plan.AssocSubstrate{Users: users}.MineMaximal(db, theta)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d theta %g users %d: assoc %v != itemset %v",
-						seed, theta, users, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestSubstrateByName(t *testing.T) {
-	for name, want := range map[string]string{
-		plan.SubstrateItemset: plan.SubstrateItemset,
-		plan.SubstrateAssoc:   plan.SubstrateAssoc,
-		"":                    plan.SubstrateAssoc,
-	} {
-		s, err := plan.SubstrateByName(name)
-		if err != nil || s.Name() != want {
-			t.Errorf("SubstrateByName(%q) = %v, %v; want %s", name, s, err, want)
-		}
-	}
-	if _, err := plan.SubstrateByName("nope"); err == nil {
-		t.Error("SubstrateByName accepted an unknown substrate")
-	}
-}
-
 func TestDomainFingerprint(t *testing.T) {
 	build := func(extra bool) (*vocab.Vocabulary, *ontology.Ontology) {
 		v := vocab.New()
@@ -193,6 +141,18 @@ func TestCompile(t *testing.T) {
 	// Empty WHERE is the §4.1 itemset-capture form: classic substrate.
 	if pl.SubstrateName != plan.SubstrateItemset {
 		t.Errorf("substrate = %q, want %q", pl.SubstrateName, plan.SubstrateItemset)
+	}
+	// A space wrapped without a WHERE analysis is labelled assoc.
+	sp, err := assign.NewSpace(v, q, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := plan.FromSpace(q.String(), q.Support, false, fp, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrapped.SubstrateName != plan.SubstrateAssoc {
+		t.Errorf("FromSpace substrate = %q, want %q", wrapped.SubstrateName, plan.SubstrateAssoc)
 	}
 	if pl.DomainFP != fp {
 		t.Errorf("domain fp = %q, want %q", pl.DomainFP, fp)

@@ -334,13 +334,6 @@ func (t *Tenant) MemberKnown(id string) bool {
 	return ok
 }
 
-// MemberName returns the joined member's display name.
-func (t *Tenant) MemberName(id string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.names[id]
-}
-
 // Open compiles the query through the tenant's per-domain plan cache and
 // attaches a new session for it on the shard its fingerprint routes to.
 // With a store directory, the session is durable from its first question.

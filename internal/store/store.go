@@ -466,9 +466,6 @@ func Scan(root string) ([]string, error) {
 	return out, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Answers returns how many unique answers are durable.
 func (s *Store) Answers() int {
 	s.mu.Lock()

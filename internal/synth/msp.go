@@ -174,13 +174,6 @@ func NewOracle(name string, s *Space, msps []assign.Assignment) *Oracle {
 	return o
 }
 
-// NewOracleForSpace builds an oracle for an arbitrary assignment space.
-func NewOracleForSpace(name string, v *vocab.Vocabulary, sp *assign.Space, msps []assign.Assignment) *Oracle {
-	o := &Oracle{Name: name, Space: sp, Voc: v, MSPs: msps}
-	o.buildInsts()
-	return o
-}
-
 func (o *Oracle) buildInsts() {
 	o.insts = make([]fact.Set, len(o.MSPs))
 	for i, m := range o.MSPs {
