@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"oassis/internal/aggregate"
 	"oassis/internal/core"
 	"oassis/internal/oassisql"
-	"oassis/internal/serve"
 )
 
 // ErrNotFrozen is returned by Exec and NewSession when the DB has not been
@@ -26,19 +24,6 @@ var (
 	// ErrUnknownQuestion is returned by Session.Submit for a question ID
 	// the session never issued or has already consumed an answer for.
 	ErrUnknownQuestion = core.ErrUnknownQuestion
-)
-
-// Serving-tier errors, re-exported from the sharded multi-tenant tier
-// behind oassis-server so embedding applications can errors.Is against
-// the conditions the server maps to HTTP statuses (429 and 404).
-var (
-	// ErrOverloaded is returned by the serving tier when admission control
-	// sheds a long-poll — the global in-flight budget or a shard's waiter
-	// queue is exhausted. oassis-server maps it to 429 with a Retry-After.
-	ErrOverloaded = serve.ErrOverloaded
-	// ErrUnknownTenant is returned for a tenant name the serving registry
-	// does not host. oassis-server maps it to 404.
-	ErrUnknownTenant = serve.ErrUnknownTenant
 )
 
 // ErrUnknownTerm reports a triple naming a term absent from the DB's
@@ -75,10 +60,6 @@ func (o *options) validate() error {
 	}
 	if o.topK < 0 {
 		return invalidOption("top-k %d (want >= 0)", o.topK)
-	}
-	if s := o.stopPolicy; s != "" && s != aggregate.StopThreshold && s != aggregate.StopSpecies {
-		return invalidOption("stop policy %q (want one of %s, %s)",
-			s, aggregate.StopSpecies, aggregate.StopThreshold)
 	}
 	if o.parallelism < 0 {
 		return invalidOption("parallelism %d (want >= 0)", o.parallelism)

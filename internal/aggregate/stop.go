@@ -10,15 +10,6 @@ package aggregate
 
 import "sync"
 
-// Names of the plan IR's stop rules. The name is part of the plan IR (and
-// hence the plan fingerprint): runs with different stop rules are
-// different plans. StopThreshold is the paper's ask-until-settled
-// behavior, which attaches no rule at all.
-const (
-	StopThreshold = "threshold"
-	StopSpecies   = "species"
-)
-
 // The stop rule's two constants, chosen on a 6 × 7 grid over the
 // `stopping` experiment's seeds 1–40 and checked on held-out seeds 41–80
 // (EXPERIMENTS.md, E20).

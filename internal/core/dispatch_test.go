@@ -36,7 +36,7 @@ func TestStopPolicyConcurrentDispatch(t *testing.T) {
 		Agg:        aggregate.NewFixedSample(5),
 		Stop:       stop,
 		SpamFilter: true,
-	}, panel.Config{Size: 1}, 16)
+	}, 1, 16)
 	if len(res.MSPs) == 0 {
 		t.Error("concurrent run mined no MSPs")
 	}

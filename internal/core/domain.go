@@ -45,24 +45,13 @@ func (d *Domain) Fingerprint() string { return d.fp }
 // Plans returns the domain's shared plan cache.
 func (d *Domain) Plans() *plan.Cache { return d.plans }
 
-// CompileVariant returns the stop variant of the compiled plan for q
-// over this domain, consulting the plan cache: the base plan compiles (or
-// hits) as usual, then one derivation through the same cache resolves
-// the variant. The empty stop name is the planner's default, so
-// CompileVariant(q, "", "", m) is the as-compiled plan. The third
-// argument is unused: it named the question ordering before the engine
-// had only one, and stays so the benchmark harness in bench/ builds
-// unchanged. The boolean reports a cache hit; metrics m may be nil.
-func (d *Domain) CompileVariant(q *oassisql.Query, stop, _ string, m *plan.CacheMetrics) (*plan.Plan, bool, error) {
-	pl, hit, err := d.plans.GetOrCompile(q.String(), d.fp, m, func() (*plan.Plan, error) {
+// CompileVariant returns the compiled plan for q over this domain,
+// consulting the plan cache. Both string arguments are unused: they named
+// the stop rule and the question ordering when those were plan variants,
+// and stay so the benchmark harness in bench/ builds unchanged. The
+// boolean reports a cache hit; metrics m may be nil.
+func (d *Domain) CompileVariant(q *oassisql.Query, _, _ string, m *plan.CacheMetrics) (*plan.Plan, bool, error) {
+	return d.plans.GetOrCompile(q.String(), d.fp, m, func() (*plan.Plan, error) {
 		return plan.Compile(d.Voc, d.Onto, q, d.fp)
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	v, vhit, err := d.plans.GetOrDerive(pl, stop, m)
-	if v == pl {
-		vhit = hit // the defaults: the base lookup decides the hit
-	}
-	return v, vhit, err
 }

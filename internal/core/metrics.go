@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"oassis/internal/aggregate"
 	"oassis/internal/obs"
 )
 
@@ -78,7 +77,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		"questions sent to members by the dispatcher, including speculation")
 	m.dispatchWasted = r.Counter("oassis_dispatch_wasted_total",
 		"dispatcher answers collected but never consumed by the engine")
-	species := obs.L("policy", aggregate.StopSpecies)
+	species := obs.L("policy", "species")
 	m.stopEstimateBP = r.Gauge("oassis_engine_stop_estimate_bp",
 		"stop rule estimate (answer-set coverage) in basis points of 1", species)
 	m.stopSavedQs = r.Counter("oassis_engine_stop_saved_questions_total",

@@ -70,7 +70,7 @@ func TestSessionSubmitBatch(t *testing.T) {
 	}
 }
 
-// TestSessionAggregateHint: the running aggregate a prior source reads
+// TestSessionAggregateHint: the running aggregate panel.Prior reads
 // is empty before any answer and reflects the collected mean after.
 func TestSessionAggregateHint(t *testing.T) {
 	s, q, sp := buildSpace(t, figure3Restricted)

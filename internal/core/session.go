@@ -638,7 +638,7 @@ func bySubmissionID(a, b Submission) int { return cmp.Compare(a.ID, b.ID) }
 
 // AggregateHint exposes the running aggregate for a concrete question's
 // fact-set: the mean of the answers collected so far and how many there
-// are. It is how prior sources derive best guesses from the crowd state
+// are. It is how panel.Prior derives best guesses from the crowd state
 // without reaching into the engine.
 func (s *Session) AggregateHint(fs fact.Set) (mean float64, answers int) {
 	if !fs.IsCanon() {

@@ -22,9 +22,6 @@ type SpecializeResponse struct {
 	Chosen bool
 	// Declined reports that the member wants a concrete question instead.
 	Declined bool
-	// More is reserved for volunteered MORE-facts accompanying the answer
-	// (the §8 extension); the engine ignores it today.
-	More fact.Set
 }
 
 // Choose is a SpecializeResponse picking candidate idx with the given

@@ -98,7 +98,7 @@ func runPanels(sizes []int) ([]panelPoint, error) {
 		} else {
 			cfg.PanelSpeculation = size
 			var st panel.Stats
-			res, st = panel.Run(cfg, panel.Config{Size: size}, 1)
+			res, st = panel.Run(cfg, size, 1)
 			pt = panelPoint{Size: size,
 				RoundTrips:  st.RoundTrips,
 				Items:       st.Items,

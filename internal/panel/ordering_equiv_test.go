@@ -71,7 +71,7 @@ func TestOrderingEquivalenceMatrix(t *testing.T) {
 		for _, size := range []int{1, 4} {
 			for _, par := range []int{1, 8} {
 				name := fmt.Sprintf("%s/panels/size%d/p%d", wl.name, size, par)
-				res, _ := panel.Run(wl.cfg(t), panel.Config{Size: size}, par)
+				res, _ := panel.Run(wl.cfg(t), size, par)
 				if got := renderRun(res); got != want {
 					t.Errorf("%s drifted from sequential:\n--- sequential\n%s--- panels\n%s",
 						name, want, got)

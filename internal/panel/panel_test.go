@@ -117,7 +117,7 @@ func TestPanelEquivalenceMatrix(t *testing.T) {
 					name := fmt.Sprintf("%s/size%d/spec%d/p%d", wl.name, size, spec, par)
 					cfg := wl.cfg(t)
 					cfg.PanelSpeculation = spec
-					res, st := panel.Run(cfg, panel.Config{Size: size}, par)
+					res, st := panel.Run(cfg, size, par)
 					if got := renderRun(res); got != want {
 						t.Errorf("%s: panel-batched run differs from sequential:\n--- sequential\n%s--- panels\n%s",
 							name, want, got)
@@ -156,7 +156,7 @@ func TestNextPanelsAreOpenPrefixes(t *testing.T) {
 
 	cut := false
 	for step := 0; ; step++ {
-		panels := panel.Next(s, panel.Config{Size: size})
+		panels := panel.Next(s, size)
 		qs := twin.Next()
 		if panels == nil {
 			if len(qs) != 0 {
@@ -217,7 +217,7 @@ func TestNextPanelsAreOpenPrefixes(t *testing.T) {
 	}
 }
 
-// TestSessionPriorsGrading checks the default prior source's grading: no
+// TestSessionPriorsGrading checks panel.Prior's grading: no
 // answers yields a Low-confidence structural guess, one answer upgrades
 // to Medium, three or more to High (a one-tap confirmation) with the
 // aggregate mean as the guess.
@@ -226,7 +226,6 @@ func TestSessionPriorsGrading(t *testing.T) {
 	ids := []string{"p00", "p01"}
 	s := core.NewSession(cfg, ids)
 	defer s.Close()
-	src := panel.SessionPriors(s)
 	qs := s.Next()
 	if len(qs) == 0 {
 		t.Fatal("no questions")
@@ -235,7 +234,7 @@ func TestSessionPriorsGrading(t *testing.T) {
 	if q.Kind != core.KindConcrete {
 		t.Skipf("first question is %v, not concrete", q.Kind)
 	}
-	p := src.Prior(q)
+	p := panel.Prior(s, q)
 	if p.Confidence != crowd.ConfidenceLow || p.Source != "ontology" {
 		t.Fatalf("prior before any answer = %+v, want Low/ontology", p)
 	}
@@ -263,6 +262,6 @@ func BenchmarkRun(b *testing.B) {
 			PanelSpeculation: 8,
 		}
 		b.StartTimer()
-		panel.Run(cfg, panel.Config{Size: 8}, 1)
+		panel.Run(cfg, 8, 1)
 	}
 }

@@ -79,7 +79,7 @@ func answerPanel(m crowd.Member, p Panel) []core.Submission {
 // through the member on a worker goroutine (crowd.Panelist members answer
 // the whole panel in one round trip), and merges every panel back with
 // one SubmitBatch from the dispatching goroutine. It is the one
-// concurrent dispatcher: pcfg.Size 1 is one-question dispatch, where
+// concurrent dispatcher: size 1 is one-question dispatch, where
 // parallelism bounds the questions in flight. The result is bit-identical
 // to core.Run(cfg) for members whose answers depend only on (member,
 // question), proven by the equivalence tests in this package; at size 1
@@ -87,10 +87,10 @@ func answerPanel(m crowd.Member, p Panel) []core.Submission {
 // so the question sequence is exactly sequential even for randomized
 // members.
 //
-// Set cfg.PanelSpeculation (typically to pcfg.Size) to fill panels with
+// Set cfg.PanelSpeculation (typically to size) to fill panels with
 // the round node's successor questions; without it panels carry at most
 // the round question and the blocked question's mirror.
-func Run(cfg core.Config, pcfg Config, parallelism int) (*core.Result, Stats) {
+func Run(cfg core.Config, size, parallelism int) (*core.Result, Stats) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -101,7 +101,6 @@ func Run(cfg core.Config, pcfg Config, parallelism int) (*core.Result, Stats) {
 		byID[m.ID()] = m
 	}
 	s := core.NewSession(cfg, ids)
-	size, src := pcfg.resolve(s)
 
 	var st Stats
 	results := make(chan outcome, len(ids))
@@ -140,7 +139,7 @@ func Run(cfg core.Config, pcfg Config, parallelism int) (*core.Result, Stats) {
 				continue
 			}
 			open = s.AppendOpen(open[:0], q.Member)
-			launch(Cut(q.Member, open, size, src))
+			launch(Cut(s, q.Member, open, size))
 		}
 		o := <-results
 		busy[o.member] = false

@@ -76,7 +76,7 @@ func TestRunParallelSpeedup(t *testing.T) {
 	run := func(parallelism int) (*core.Result, panel.Stats, time.Duration) {
 		cfg := slowConfig(t, delay)
 		start := time.Now()
-		res, st := panel.Run(cfg, panel.Config{Size: 1}, parallelism)
+		res, st := panel.Run(cfg, 1, parallelism)
 		return res, st, time.Since(start)
 	}
 	seqRes, _, seq := run(1)

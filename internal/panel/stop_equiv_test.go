@@ -44,7 +44,7 @@ func TestStopSettlementEquivalenceMatrix(t *testing.T) {
 		want := renderRun(seq)
 		for _, size := range []int{1, 4} {
 			for _, par := range []int{1, 8} {
-				res, _ := panel.Run(cfg(), panel.Config{Size: size}, par)
+				res, _ := panel.Run(cfg(), size, par)
 				if got := renderRun(res); got != want {
 					t.Errorf("%s/panels/size%d/p%d drifted from the sequential run:\n--- sequential\n%s--- panels\n%s",
 						name, size, par, want, got)

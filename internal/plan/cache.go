@@ -9,9 +9,8 @@ import (
 )
 
 // Cache is a content-addressed plan cache: plans are keyed on the query
-// text, the domain fingerprint and the plan's stop variant, so
-// the same query over the same domain compiles exactly once, each variant
-// derives exactly once, and every later execution reuses the same *Plan
+// text and the domain fingerprint, so the same query over the same domain
+// compiles exactly once and every later execution reuses the same *Plan
 // pointer — the cache-hit path allocates nothing. A Cache is safe for
 // concurrent use; the server shares one per domain across all sessions.
 type Cache struct {
@@ -19,12 +18,8 @@ type Cache struct {
 	m  map[cacheKey]*Plan
 }
 
-// cacheKey is the one key every entry is filed under. stop is always
-// the plan's own name, never the empty default, so a plan reached by
-// compiling, by deriving, or by deriving back to the base has exactly
-// one entry.
 type cacheKey struct {
-	query, domain, stop string
+	query, domain string
 }
 
 // NewCache returns an empty plan cache.
@@ -32,50 +27,15 @@ func NewCache() *Cache {
 	return &Cache{m: make(map[cacheKey]*Plan)}
 }
 
-// compiledKey is the key of the as-compiled plan for (queryText,
-// domainFP): the planner's default stop policy.
-func compiledKey(queryText, domainFP string) cacheKey {
-	return cacheKey{queryText, domainFP, StopDefault}
-}
-
-// Get returns the cached as-compiled plan for (queryText, domainFP), if
-// any.
-func (c *Cache) Get(queryText, domainFP string) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.m[compiledKey(queryText, domainFP)]
-	return p, ok
-}
-
-// GetOrCompile returns the cached as-compiled plan for (queryText,
-// domainFP), or runs compile and caches its result. The boolean reports
-// a cache hit. Compilation happens under the cache lock, so concurrent
-// sessions racing on a cold key compile once, not once each. Metrics
-// (hit/miss counters and compile latency) are recorded on m; a nil m
-// records nothing.
+// GetOrCompile returns the cached plan for (queryText, domainFP), or runs
+// compile and caches its result. The boolean reports a cache hit.
+// Compilation happens under the cache lock, so concurrent sessions racing
+// on a cold key compile once, not once each. Metrics (hit/miss counters
+// and compile latency) are recorded on m; a nil m records nothing.
 func (c *Cache) GetOrCompile(queryText, domainFP string, m *CacheMetrics,
 	compile func() (*Plan, error)) (*Plan, bool, error) {
 
-	return c.getOr(compiledKey(queryText, domainFP), m, compile)
-}
-
-// GetOrDerive returns the cached stop variant of base, deriving and
-// caching it on first use (Plan.Variant shares the base plan's
-// precompiled tables, so a derivation is a re-serialization, not a
-// recompilation). An empty name keeps base's own, and asking for base's
-// own name returns base as a hit. Unknown names never reach the cache:
-// they miss, and the derivation rejects them. Like GetOrCompile,
-// concurrent sessions racing on a cold variant derive once.
-func (c *Cache) GetOrDerive(base *Plan, stop string, m *CacheMetrics) (*Plan, bool, error) {
-	if stop == "" || stop == base.StopName {
-		return base, true, nil
-	}
-	k := cacheKey{base.QueryText, base.DomainFP, stop}
-	return c.getOr(k, m, func() (*Plan, error) { return base.Variant(stop) })
-}
-
-// getOr returns the plan under k, or builds, caches and returns it.
-func (c *Cache) getOr(k cacheKey, m *CacheMetrics, build func() (*Plan, error)) (*Plan, bool, error) {
+	k := cacheKey{queryText, domainFP}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.m[k]; ok {
@@ -83,7 +43,7 @@ func (c *Cache) getOr(k cacheKey, m *CacheMetrics, build func() (*Plan, error)) 
 		return p, true, nil
 	}
 	start := time.Now()
-	p, err := build()
+	p, err := compile()
 	if err != nil {
 		return nil, false, err
 	}
@@ -111,10 +71,7 @@ func (c *Cache) Plans() []*Plan {
 		if keys[i].query != keys[j].query {
 			return keys[i].query < keys[j].query
 		}
-		if keys[i].domain != keys[j].domain {
-			return keys[i].domain < keys[j].domain
-		}
-		return keys[i].stop < keys[j].stop
+		return keys[i].domain < keys[j].domain
 	})
 	out := make([]*Plan, len(keys))
 	for i, k := range keys {

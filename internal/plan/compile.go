@@ -97,7 +97,6 @@ func Compile(voc *vocab.Vocabulary, onto *ontology.Ontology, q *oassisql.Query,
 		Sat:           sp.Sat,
 		ValidBase:     sp.ValidBase,
 		SubstrateName: chooseSubstrate(q),
-		StopName:      StopDefault,
 		DomainFP:      domainFP,
 	}, voc, sp.Tables())
 }
@@ -138,7 +137,6 @@ func FromSpace(queryText string, support float64, all bool, domainFP string,
 		Sat:           sp.Sat,
 		ValidBase:     sp.ValidBase,
 		SubstrateName: SubstrateAssoc,
-		StopName:      StopDefault,
 		DomainFP:      domainFP,
 	}, sp.Voc, sp.Tables())
 }

@@ -34,7 +34,7 @@ func runMatrix(sp *assign.Space, members []crowd.Member, parallelism int) *core.
 		Agg:     aggregate.NewFixedSample(3),
 	}
 	if parallelism > 1 {
-		res, _ := panel.Run(cfg, panel.Config{Size: 1}, parallelism)
+		res, _ := panel.Run(cfg, 1, parallelism)
 		return res
 	}
 	return core.Run(cfg)

@@ -4,12 +4,12 @@
 // experiment grids execute precompiled plans instead of re-analyzing the
 // query. A Plan carries the resolved mining variables, the resolved
 // SATISFYING meta-fact-set (the pattern join tree after WHERE evaluation),
-// the valid base assignments, the name of the stop policy, a label for
-// the mining substrate, plus the fingerprint of the domain it was compiled
-// against.
+// the valid base assignments and a label for the mining substrate, plus
+// the fingerprint of the domain it was compiled against.
 // Plans are content-addressed: Fingerprint is a SHA-256 over the
 // canonical JSON serialization, and Cache keys plans on (query text,
-// domain fingerprint, stop policy).
+// domain fingerprint). How a run stops (the top-k bound, the early-stop
+// rule) is a run option, not part of the plan.
 package plan
 
 import (
@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"oassis/internal/aggregate"
 	"oassis/internal/assign"
 	"oassis/internal/vocab"
 )
@@ -49,12 +48,6 @@ type Plan struct {
 	// to (SubstrateItemset or SubstrateAssoc). It is recorded in the IR
 	// and the fingerprint only; execution does not depend on it.
 	SubstrateName string
-	// StopName names the stop rule the plan runs with
-	// (aggregate.StopThreshold or aggregate.StopSpecies). It is part of
-	// the serialized IR and hence the fingerprint: a stop-policy variant
-	// is a distinct plan, so plan caches and the WAL's drift detection
-	// keep runs with different stopping rules apart.
-	StopName string
 	// DomainFP is the fingerprint of the domain (vocabulary + ontology)
 	// the plan was compiled against, the second half of the cache key.
 	DomainFP string
@@ -66,14 +59,10 @@ type Plan struct {
 }
 
 // newPlan finalizes a Plan: it serializes the IR once, derives the content
-// address from the serialization, and precomputes the read-only lattice
-// tables every session of this plan shares (tab may be passed in when the
-// caller already computed them; nil builds them here).
+// address from the serialization, and keeps the read-only lattice tables
+// every session of this plan shares.
 func newPlan(p *Plan, voc *vocab.Vocabulary, tab *assign.Tables) (*Plan, error) {
 	p.voc = voc
-	if tab == nil {
-		tab = assign.NewTables(voc, p.Vars, p.ValidBase)
-	}
 	p.tab = tab
 	js, err := marshal(p)
 	if err != nil {
@@ -113,42 +102,13 @@ func (p *Plan) NewSpace() *assign.Space {
 	return assign.FromShared(p.voc, p.Vars, p.Sat, p.More, p.ValidBase, p.tab)
 }
 
-// NewStop returns a fresh instance of the plan's stop rule: nil for the
-// paper's threshold behavior, a SpeciesStop for StopSpecies. Rules carry
-// per-run streaming state, so every session gets its own.
-func (p *Plan) NewStop() *aggregate.SpeciesStop {
-	if p.StopName == aggregate.StopSpecies {
-		return aggregate.NewSpeciesStop()
-	}
-	return nil
-}
-
-// Variant derives the stop variant of p: the same query over the same
-// domain with the same precompiled tables, differing only in StopName —
-// and therefore in serialization and fingerprint. An empty name keeps
-// p's own; deriving p's own name returns p itself. Names other than
-// aggregate.StopThreshold and aggregate.StopSpecies fail.
-func (p *Plan) Variant(stop string) (*Plan, error) {
-	if stop == "" || stop == p.StopName {
-		return p, nil
-	}
-	if stop != aggregate.StopThreshold && stop != aggregate.StopSpecies {
-		return nil, fmt.Errorf("plan: unknown stop policy %q", stop)
-	}
-	q := *p
-	q.StopName = stop
-	return newPlan(&q, p.voc, p.tab)
-}
-
-// StopDefault is the planner's default stop policy: the paper's
-// ask-until-settled threshold behavior.
-const StopDefault = aggregate.StopThreshold
-
 // planJSON is the serialized shape of the IR. Field order is fixed and
 // encoding/json is deterministic over it, so the serialization doubles as
 // the input of the content address. Policy is always "paper-order", the
-// engine's one question order: it stays in the IR only so fingerprints,
-// and with them the plan bindings of existing stores, do not move.
+// engine's one question order, and Stop is always "threshold", the
+// paper's ask-until-settled rule (an early stop is a run option): both
+// stay in the IR only so fingerprints, and with them the plan bindings
+// of existing stores, do not move.
 type planJSON struct {
 	Query     string     `json:"query"`
 	Support   float64    `json:"support"`
@@ -196,7 +156,7 @@ func marshal(p *Plan) ([]byte, error) {
 		Domain:    p.DomainFP,
 		Policy:    "paper-order",
 		Substrate: p.SubstrateName,
-		Stop:      p.StopName,
+		Stop:      "threshold",
 		Vars:      []varJSON{},
 		Sat:       []satJSON{},
 		ValidBase: [][]string{},

@@ -38,8 +38,6 @@ type Session struct {
 	inner *core.Session
 	st    *store.Store // nil for an in-memory tenant
 
-	priors panel.PriorSource
-
 	// Guarded by sh.mu.
 	seen     core.QuestionID // highest question ID published to the ready lists
 	finished bool
@@ -203,7 +201,7 @@ func (s *Session) wireQuestion(q core.Question) Question {
 // priors recomputed); answering them is what consumes them. Caller holds
 // sh.mu.
 func (s *Session) wirePanel(member string, open []core.Question, max int) Panel {
-	cut := panel.Cut(member, open, max, s.priors)
+	cut := panel.Cut(s.inner, member, open, max)
 	p := Panel{Tenant: s.t.name, Session: s.id, Member: member, Items: make([]PanelItem, len(cut.Items))}
 	for i, it := range cut.Items {
 		p.Items[i] = PanelItem{Question: s.wireQuestion(it.Question), Prior: it.Prior, Confirm: it.Confirm()}

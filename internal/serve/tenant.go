@@ -450,7 +450,6 @@ func (t *Tenant) attach(id string, q *oassisql.Query, pl *plan.Plan, st *store.S
 		}
 	}
 	sess.inner = core.NewSession(cfg, t.slots)
-	sess.priors = panel.SessionPriors(sess.inner)
 
 	t.mu.Lock()
 	if t.closed {

@@ -281,9 +281,9 @@ type Member interface {
 
 // Prior is a best-guess answer attached to a panel question before the
 // member sees it: the guessed frequency, how much to trust it, and where
-// it came from ("aggregate", "ontology", or a WithPriorSource name). A
-// high-confidence prior renders as a one-tap confirmation; lower
-// confidences fall back to an open question with the guess pre-selected.
+// it came from ("aggregate" or "ontology"). A high-confidence prior
+// renders as a one-tap confirmation; lower confidences fall back to an
+// open question with the guess pre-selected.
 type Prior = crowd.Prior
 
 // Confidence grades how much a Prior's guess should be trusted.
@@ -333,13 +333,6 @@ func (a *adaptedMember) AnswerPanel(qs []PanelQuestion) []float64 {
 		out[i] = a.HowOften(q.Facts)
 	}
 	return out
-}
-
-// PriorSource supplies the prior guess attached to each panel question
-// (see WithPriorSource). Implementations must be deterministic for a
-// given question; they are consulted while the engine is parked.
-type PriorSource interface {
-	Prior(q SessionQuestion) Prior
 }
 
 // memberAdapter bridges the facade Member to the internal crowd.Member.
@@ -549,13 +542,13 @@ type Stats struct {
 	// banned member is asked nothing more; the answers they gave before
 	// the ban still count.
 	BannedMembers int
-	// StoppedEarly reports that the stop policy ended the run before
-	// every generated pattern was classified (StopSpecies saw the crowd
+	// StoppedEarly reports that the WithEarlyStop rule ended the run
+	// before every generated pattern was classified (it saw the crowd
 	// stop volunteering new patterns).
 	StoppedEarly bool
-	// StopEstimate is the stop policy's final estimate in [0, 1]: the
-	// Good–Turing coverage of the crowd's discoveries for StopSpecies, 0
-	// under the default threshold policy.
+	// StopEstimate is the WithEarlyStop rule's final estimate in [0, 1]:
+	// the Good–Turing coverage of the crowd's discoveries, 0 without the
+	// option.
 	StopEstimate float64
 	// StopSettled counts patterns an early stop classified from answers
 	// already in hand (the frontier settlement pass) instead of asking
@@ -593,10 +586,9 @@ type options struct {
 	moreCandidates      []Triple
 	topK                int
 	spamFilter          bool
-	stopPolicy          string
+	earlyStop           bool
 	parallelism         int
 	panelSize           int
-	priorSource         PriorSource
 	noPlanCache         bool
 	store               *Store
 	metrics             *Metrics
@@ -650,27 +642,14 @@ func WithSpamFilter() Option {
 	return func(o *options) { o.spamFilter = true }
 }
 
-// Stop-policy names for WithStopPolicy.
-const (
-	// StopThreshold is the default: ask until the significance
-	// thresholds settle on every generated pattern (the paper's
-	// behavior, bit-identical to not setting a policy at all).
-	StopThreshold = aggregate.StopThreshold
-	// StopSpecies stops open-world enumeration early: once the crowd
-	// has made 30 distinct discoveries and fewer than 27.5% of them are
-	// patterns only one member reported (Good–Turing coverage above
-	// 0.725), the run ends.
-	StopSpecies = aggregate.StopSpecies
-)
-
-// WithStopPolicy selects the streaming stop-condition policy of the run:
-// StopThreshold (default) or StopSpecies. The policy is
-// part of the compiled plan — plans with different stop policies have
-// different fingerprints, so the plan cache and a WithStore WAL keep
-// them apart. An unknown name is reported as ErrInvalidOption.
-func WithStopPolicy(name string) Option {
-	return func(o *options) { o.stopPolicy = name }
-}
+// WithEarlyStop ends open-world enumeration early: once the crowd has
+// made 30 distinct discoveries and fewer than 27.5% of them are patterns
+// only one member reported (Good–Turing coverage above 0.725), the run
+// stops asking. Without it the run asks until the significance thresholds
+// settle on every generated pattern (the paper's behavior). Like WithTopK
+// it is a run option: the compiled plan, and its fingerprint, are the
+// same with or without it.
+func WithEarlyStop() Option { return func(o *options) { o.earlyStop = true } }
 
 // WithoutPlanCache bypasses the DB's shared plan cache: the query is
 // recompiled from scratch and the result is not cached. Mined results
@@ -695,23 +674,6 @@ func WithParallelism(p int) Option { return func(o *options) { o.parallelism = p
 // Default 0 (one question per round trip).
 func WithPanelSize(n int) Option { return func(o *options) { o.panelSize = n } }
 
-// WithPriorSource replaces the default prior source (the running
-// aggregate, then the ontology's shape) used to prime panel questions.
-// Priors only change how questions render — confirmation versus open —
-// never the mined result. Meaningful with WithPanelSize or NewSession.
-func WithPriorSource(src PriorSource) Option { return func(o *options) { o.priorSource = src } }
-
-// priorSourceAdapter lifts a facade PriorSource to the internal batching
-// layer's interface.
-type priorSourceAdapter struct {
-	db  *DB
-	src PriorSource
-}
-
-func (a priorSourceAdapter) Prior(q core.Question) crowd.Prior {
-	return a.src.Prior(convertQuestion(a.db, q))
-}
-
 // compilePlan resolves the query into a plan, through the DB's shared
 // plan cache unless WithoutPlanCache was given.
 func compilePlan(db *DB, q *Query, o *options) (*plan.Plan, error) {
@@ -724,13 +686,9 @@ func compilePlan(db *DB, q *Query, o *options) (*plan.Plan, error) {
 		m = o.metrics.plan
 	}
 	if o.noPlanCache {
-		pl, err := plan.Compile(dom.Voc, dom.Onto, q.ast, dom.Fingerprint())
-		if err != nil {
-			return nil, err
-		}
-		return pl.Variant(o.stopPolicy)
+		return plan.Compile(dom.Voc, dom.Onto, q.ast, dom.Fingerprint())
 	}
-	pl, _, err := dom.CompileVariant(q.ast, o.stopPolicy, "", m)
+	pl, _, err := dom.CompileVariant(q.ast, "", "", m)
 	return pl, err
 }
 
@@ -759,8 +717,10 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		MaxMSPs:               o.topK,
 		SpamFilter:            o.spamFilter,
 		PanelSpeculation:      o.panelSize,
-		Stop:                  pl.NewStop(),
 		Rng:                   rand.New(rand.NewSource(o.seed)),
+	}
+	if o.earlyStop {
+		cfg.Stop = aggregate.NewSpeciesStop()
 	}
 	if o.store != nil {
 		cfg.Store = o.store.inner
@@ -875,10 +835,6 @@ func (p *Plan) DomainFingerprint() string { return p.inner.DomainFP }
 // Query returns the canonical text of the compiled query.
 func (p *Plan) Query() string { return p.inner.QueryText }
 
-// StopPolicy returns the name of the stop policy compiled into the plan
-// (StopThreshold unless WithStopPolicy chose otherwise).
-func (p *Plan) StopPolicy() string { return p.inner.StopName }
-
 // MarshalJSON returns the plan IR with terms resolved to names.
 func (p *Plan) MarshalJSON() ([]byte, error) { return p.inner.MarshalJSON() }
 
@@ -930,17 +886,7 @@ func ExecPlanContext(ctx context.Context, db *DB, p *Plan, members []Member, opt
 		return nil, fmt.Errorf("oassis: plan was compiled against a different domain (plan %s, db %s)",
 			fp, dom.Fingerprint())
 	}
-	var m *plan.CacheMetrics
-	if o.metrics != nil {
-		m = o.metrics.plan
-	}
-	// WithStopPolicy on an already-compiled plan derives the variant
-	// through the domain's cache (same tables, new fingerprint).
-	pl, _, err := dom.Plans().GetOrDerive(p.inner, o.stopPolicy, m)
-	if err != nil {
-		return nil, err
-	}
-	return execCompiled(ctx, db, pl, members, &o)
+	return execCompiled(ctx, db, p.inner, members, &o)
 }
 
 // execCompiled is the shared execution tail of ExecContext and
@@ -961,11 +907,7 @@ func execCompiled(ctx context.Context, db *DB, pl *plan.Plan, members []Member, 
 		// Dispatched: batch the answerable questions into prior-primed
 		// per-member panels (one question each without WithPanelSize);
 		// parallelism bounds panels in flight.
-		pcfg := panel.Config{Size: max(o.panelSize, 1)}
-		if o.priorSource != nil {
-			pcfg.Source = priorSourceAdapter{db: db, src: o.priorSource}
-		}
-		res, _ = panel.Run(cfg, pcfg, o.parallelism)
+		res, _ = panel.Run(cfg, max(o.panelSize, 1), o.parallelism)
 	} else {
 		res = core.Run(cfg)
 	}

@@ -127,20 +127,29 @@ func TestAdaptMember(t *testing.T) {
 	}
 }
 
-// fixedPriors is a facade PriorSource guessing the same frequency for
-// every concrete question at high confidence.
-type fixedPriors struct{ f float64 }
-
-func (p fixedPriors) Prior(q SessionQuestion) Prior {
-	if q.Kind != Concrete {
-		return Prior{}
+// respond answers a session question the way member m would.
+func respond(m Member, sq SessionQuestion) Response {
+	switch sq.Kind {
+	case Specialization:
+		r := m.Specialize(sq.Choices)
+		return Response{Frequency: r.Frequency, Choice: r.Choice, Chosen: r.Chosen, Declined: r.Declined}
+	case Pruning:
+		if name, ok := m.Irrelevant(sq.Terms); ok {
+			for i, term := range sq.Terms {
+				if term == name {
+					return RespondIrrelevant(i)
+				}
+			}
+		}
+		return RespondNoClick()
+	default:
+		return RespondFrequency(m.HowOften(sq.Facts))
 	}
-	return Prior{Support: p.f, Confidence: ConfidenceHigh, Source: "fixed"}
 }
 
 // TestSessionPanels drives a step-driven session entirely through
-// NextPanels/SubmitPanel — with a custom prior source — and checks the
-// result matches Exec on the same domain, query, and crowd.
+// NextPanels/SubmitPanel and checks the result matches Exec on the same
+// domain, query, and crowd, with concrete items primed by priors.
 func TestSessionPanels(t *testing.T) {
 	db := SampleDB()
 	q, err := ParseQuery(figure2)
@@ -160,27 +169,9 @@ func TestSessionPanels(t *testing.T) {
 	}
 	s, err := NewSession(context.Background(), db, q, []string{"u1", "u2"},
 		WithAnswersPerQuestion(2), boathouse,
-		WithPanelSize(4), WithPriorSource(fixedPriors{f: 0.5}))
+		WithPanelSize(4))
 	if err != nil {
 		t.Fatal(err)
-	}
-	answer := func(m Member, sq SessionQuestion) Response {
-		switch sq.Kind {
-		case Specialization:
-			r := m.Specialize(sq.Choices)
-			return Response{Frequency: r.Frequency, Choice: r.Choice, Chosen: r.Chosen, Declined: r.Declined}
-		case Pruning:
-			if name, ok := m.Irrelevant(sq.Terms); ok {
-				for i, term := range sq.Terms {
-					if term == name {
-						return RespondIrrelevant(i)
-					}
-				}
-			}
-			return RespondNoClick()
-		default:
-			return RespondFrequency(m.HowOften(sq.Facts))
-		}
 	}
 	maxPanel := 0
 	sawPrior := false
@@ -191,12 +182,12 @@ func TestSessionPanels(t *testing.T) {
 			}
 			answers := make([]PanelAnswer, 0, len(p.Items))
 			for _, it := range p.Items {
-				if it.Prior.Source == "fixed" && it.Confirm() {
+				if it.Question.Kind == Concrete && it.Prior.Source != "" {
 					sawPrior = true
 				}
 				answers = append(answers, PanelAnswer{
 					ID:       it.Question.ID,
-					Response: answer(members[it.Question.Member], it.Question),
+					Response: respond(members[it.Question.Member], it.Question),
 				})
 			}
 			if err := s.SubmitPanel(answers); err != nil {
@@ -211,7 +202,7 @@ func TestSessionPanels(t *testing.T) {
 		t.Errorf("largest panel carried %d item(s); batching never happened", maxPanel)
 	}
 	if !sawPrior {
-		t.Error("the WithPriorSource priors never reached a panel item")
+		t.Error("no concrete panel item carried a prior")
 	}
 }
 

@@ -94,12 +94,12 @@ func RespondNoClick() Response { return Response{} }
 // ctx is canceled, Next returns no more questions and Close returns the
 // partial result.
 type Session struct {
-	ctx    context.Context
-	db     *DB
-	all    bool // SELECT ... ALL of the compiled plan
-	sp     *assign.Space
-	inner  *core.Session
-	panels panel.Config
+	ctx       context.Context
+	db        *DB
+	all       bool // SELECT ... ALL of the compiled plan
+	sp        *assign.Space
+	inner     *core.Session
+	panelSize int // WithPanelSize; 0 means panel.DefaultSize
 }
 
 // NewSession compiles the query and starts a step-driven run over the
@@ -122,17 +122,13 @@ func NewSession(ctx context.Context, db *DB, q *Query, memberIDs []string, opts 
 	}
 	cfg.Canceled = func() bool { return ctx.Err() != nil }
 	inner := core.NewSession(cfg, memberIDs)
-	pcfg := panel.Config{Size: o.panelSize}
-	if o.priorSource != nil {
-		pcfg.Source = priorSourceAdapter{db: db, src: o.priorSource}
-	}
 	return &Session{
-		ctx:    ctx,
-		db:     db,
-		all:    pl.All,
-		sp:     sp,
-		inner:  inner,
-		panels: pcfg,
+		ctx:       ctx,
+		db:        db,
+		all:       pl.All,
+		sp:        sp,
+		inner:     inner,
+		panelSize: o.panelSize,
 	}, nil
 }
 
@@ -209,7 +205,7 @@ type PanelAnswer struct {
 // NextPanels is the batched form of Next: each member's currently
 // answerable questions in issue order, cut to the WithPanelSize bound
 // (default 8), each item primed with a Prior from the session aggregate,
-// the ontology, or the WithPriorSource option. The first panel holds the
+// or the ontology's shape. The first panel holds the
 // question the run cannot proceed without, as its first item. NextPanels
 // returns nil exactly when Next would return no questions. Panels and
 // single questions can be mixed freely; results are identical either
@@ -219,7 +215,7 @@ func (s *Session) NextPanels() []Panel {
 		s.inner.Close()
 		return nil
 	}
-	ps := panel.Next(s.inner, s.panels)
+	ps := panel.Next(s.inner, s.panelSize)
 	out := make([]Panel, 0, len(ps))
 	for _, p := range ps {
 		items := make([]PanelItem, len(p.Items))
