@@ -2,8 +2,9 @@
 # vet, build, the public-API drift guard, the full test suite under the
 # race detector (the experiment grids in internal/experiments fan cells
 # across goroutines, so -race exercises the concurrency model for real),
-# short passes of the six fuzzers listed under the fuzz target, and vet
-# plus tests of the separate bench module.
+# the per-session heap gate (footprint), short passes of the six fuzzers
+# listed under the fuzz target, and vet plus tests of the separate bench
+# module.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -16,9 +17,9 @@ BENCH_STAMP := $(shell date +%Y%m%d_%H%M%S)
 # timing-dependent recovery paths.
 COVER_MIN ?= 80.0
 
-.PHONY: check fmt vet build api api-update test race fuzz cover bench bench-smoke bench-compare bench-module plan-golden plan-golden-update
+.PHONY: check fmt vet build api api-update test race footprint fuzz cover bench bench-smoke bench-compare bench-module plan-golden plan-golden-update
 
-check: fmt vet build api plan-golden race fuzz cover bench-smoke bench-compare bench-module
+check: fmt vet build api plan-golden race footprint fuzz cover bench-smoke bench-compare bench-module
 
 # Fail when the root package's exported surface no longer matches the
 # committed api.txt golden; `make api-update` regenerates it after a
@@ -56,6 +57,13 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The per-session heap gate: TestSessionFootprint opens 2,000 serving
+# sessions and fails when each holds more than 4.0 KB of live heap. The
+# race detector inflates every allocation, so the race target skips it;
+# this target runs it without -race.
+footprint:
+	$(GO) test -count=1 -run '^TestSessionFootprint$$' -v ./internal/serve
 
 # Short fuzz passes over the durable-store record decoder (framing, CRC,
 # canonical re-encode), the Prometheus label escaping (round-trip,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"oassis/internal/crowd"
 	"oassis/internal/synth"
@@ -29,9 +30,10 @@ func TestAllocsPick(t *testing.T) {
 
 // TestAllocsSessionNext gates a warm Next at zero allocations however many
 // questions are open: over the 16-member travel session, a Next that
-// issues nothing new copies the ordered open list into the session's
-// reused view and does nothing else on the heap. AppendNext into a buffer
-// already sized for the open list allocates nothing either.
+// issues nothing new renders the ordered open list from the slab's
+// compact entries into the session's reused view and does nothing else on
+// the heap. AppendNext into a buffer already sized for the open list
+// allocates nothing either.
 func TestAllocsSessionNext(t *testing.T) {
 	sess, byID := newCrowdTravel(t).session()
 	for i := 0; i < 400; i++ {
@@ -92,7 +94,9 @@ func TestAllocsOnClassified(t *testing.T) {
 			{e.poolIDs[0], false}, // a minimal node: settles every row above it
 		} {
 			allocs := testing.AllocsPerRun(100, func() {
-				clear(e.classifiedRows) // re-test every row on each call
+				if timeline {
+					clear(e.rare.classifiedRows) // re-test every row on each call
+				}
 				e.onClassified(c.node, c.significant)
 			})
 			if allocs != 0 {
@@ -100,7 +104,7 @@ func TestAllocsOnClassified(t *testing.T) {
 					timeline, c.significant, allocs, len(rows))
 			}
 		}
-		if timeline && e.classifiedN == 0 {
+		if timeline && e.rare.classifiedN == 0 {
 			t.Error("timed engine counted no classified rows")
 		}
 	}
@@ -142,5 +146,25 @@ func TestAllocsSessionLoopCrowd(t *testing.T) {
 	t.Logf("%.0f allocations over %d answers: %.3f per answer", allocs, answers, perAnswer)
 	if perAnswer > allocsPerAnswerCrowd {
 		t.Errorf("the travel loop allocates %.3f times per answer, want at most %v", perAnswer, allocsPerAnswerCrowd)
+	}
+}
+
+// TestSizeSessionStructs pins, on 64-bit platforms, the two structs every
+// session pays for whatever its options: the engine (848 bytes, inside
+// the 896-byte allocation class) and an open-slab entry (40 bytes, one
+// per open question). A field added to either, such as a whole Question
+// in want or a slice only an optional feature uses, fails here before it
+// shows up as per-session heap in the serving tier; move such state into
+// rareState instead, or update the pin with the footprint gate in
+// internal/serve.
+func TestSizeSessionStructs(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(engine{}); got != 848 {
+		t.Errorf("engine is %d bytes, pinned at 848", got)
+	}
+	if got := unsafe.Sizeof(openQ{}); got != 40 {
+		t.Errorf("an open-slab entry is %d bytes, pinned at 40", got)
 	}
 }

@@ -31,7 +31,7 @@ func RunHorizontal(cfg Config) *Result {
 					continue
 				}
 				allSig := true
-				preds = e.sp.AppendPredecessorIDs(preds[:0], s)
+				preds = e.cfg.Space.AppendPredecessorIDs(preds[:0], s)
 				for _, p := range preds {
 					if e.cls.status(p) != Significant {
 						allSig = false

@@ -178,36 +178,26 @@ type Result struct {
 // the Space only to order, instantiate or report it.
 type engine struct {
 	cfg Config
-	sp  *assign.Space
-	agg *aggregate.FixedSample
 	cls *classifier
 
 	// The step machine (step.go): the crowd by index, the position in the
 	// algorithm, and the question the engine is parked on, if any.
-	ids      []string // member IDs in turn order
+	ids      []string // member IDs in turn order (the caller's; read-only)
 	left     []bool   // by member index: left the run (Session.Leave)
 	at       cursor
 	want     want
-	parked   bool
 	rep      reply
 	endRound func() // ends the current round's trace span
-	aborted  bool   // Session.Close: the run is canceled
+	parked   bool
+	aborted  bool // Session.Close: the run is canceled
 
 	inPool  []bool   // by id: node belongs to the generated pool
 	poolIDs []uint32 // pool nodes in generation order
 
-	pruned     [][]vocab.Term // by member index: pruned terms (nil until the first prune)
 	stats      Stats
 	qs         questionTable  // the CrowdCache: the member answer memo and the aggregator's input
-	mspLog     map[uint32]int // chain maxima by id -> question count at discovery
+	mspLog     map[uint32]int // chain maxima by id -> question count at discovery (nil until the first)
 	newAnswers int            // answers recorded in the current round
-
-	// Timeline bookkeeping, allocated only under Config.TrackTimeline:
-	// rowNodes holds the ValidBase singletons, built once, and
-	// classifiedRows marks the rows already counted in classifiedN.
-	rowNodes       []assign.Assignment
-	classifiedRows []bool
-	classifiedN    int
 
 	expanded []bool   // by id: successors were generated
 	toExpand []uint32 // significant nodes awaiting expansion
@@ -217,19 +207,42 @@ type engine struct {
 
 	nodeQ []uint32 // by id: the node's question id + 1 (0 until instantiated)
 
-	// Pruning offers (Config.EnablePruning only): by question id, the
-	// terms offered (nil until first offered), cut from termBuf.
+	answersBy []int // by member index: counted answers (§6.2 stats page)
+	budgets   []int // by member index: remaining answers (nil when unlimited)
+
+	rare *rareState // nil until an option that needs it is used
+}
+
+// rareState is the engine state that only timelines, the spam filter,
+// user-guided pruning and primed runs use, behind one pointer allocated on
+// first need, so a run that sets none of those options never pays for it.
+type rareState struct {
+	// Timeline bookkeeping (Config.TrackTimeline): rowNodes holds the
+	// ValidBase singletons, built once, and classifiedRows marks the rows
+	// already counted in classifiedN.
+	rowNodes       []assign.Assignment
+	classifiedRows []bool
+	classifiedN    int
+
+	grades []memberGrade // by member index: the spam filter's (nil when off)
+
+	// Pruning (Config.EnablePruning): by member index, the bitset over the
+	// vocabulary's terms of the pruned terms and every term below one (nil
+	// until the member's first prune); by question id, the terms offered
+	// (nil until first offered), cut from termBuf.
+	pruned  [][]uint64
 	terms   [][]vocab.Term
 	termBuf []vocab.Term
 
 	keyBuf []byte // scratch for a question key in bytes (Prime lookups)
+}
 
-	answersBy []int // by member index: counted answers (§6.2 stats page)
-	budgets   []int // by member index: remaining answers (-1 = unlimited)
-
-	grades []memberGrade // by member index: the spam filter's (nil when off)
-
-	stop *aggregate.SpeciesStop // optional stop rule
+// needRare returns the engine's rare state, allocating it on first need.
+func (e *engine) needRare() *rareState {
+	if e.rare == nil {
+		e.rare = &rareState{}
+	}
+	return e.rare
 }
 
 // memberGrade is the spam filter's record of one member: answers graded
@@ -256,7 +269,7 @@ func (e *engine) instantiate(id uint32) uint32 {
 	if q := e.nodeQ[id]; q != 0 {
 		return q - 1
 	}
-	q := e.qs.intern(e.sp.Instantiate(e.sp.Node(id)))
+	q := e.qs.intern(e.cfg.Space.Instantiate(e.cfg.Space.Node(id)))
 	e.nodeQ[id] = q + 1
 	return q
 }
@@ -283,7 +296,7 @@ func (e *engine) succsOf(id uint32) []uint32 {
 		return s
 	}
 	start := len(e.succBuf)
-	e.succBuf = e.sp.AppendSuccessorIDs(e.succBuf, id)
+	e.succBuf = e.cfg.Space.AppendSuccessorIDs(e.succBuf, id)
 	s := e.succBuf[start:len(e.succBuf):len(e.succBuf)]
 	if len(s) == 0 {
 		s = noSuccs
@@ -303,8 +316,7 @@ func Run(cfg Config) *Result { return runSession(cfg).res }
 func runSession(cfg Config) *Session {
 	s := NewSession(cfg, memberIDs(cfg.Members))
 	for s.blocked >= 0 {
-		q := s.open[s.blocked]
-		s.Submit(q.ID, AnswerFrom(cfg.Members[s.eng.want.mi], q))
+		s.Submit(s.open[s.blocked].id, AnswerFrom(cfg.Members[s.eng.want.mi], s.eng.wanted()))
 	}
 	return s
 }
@@ -318,35 +330,37 @@ func memberIDs(ms []crowd.Member) []string {
 	return ids
 }
 
+// singleAnswer is the aggregator of a run whose Config names none: one
+// answer decides a question. FixedSample is a stateless rule, so every run
+// shares it.
+var singleAnswer = aggregate.NewFixedSample(1)
+
 // newEngine returns an engine over the crowd with the given member IDs,
-// positioned before its first round.
+// positioned before its first round. It keeps ids, which the caller must
+// not change while the engine runs.
 func newEngine(cfg Config, ids []string) *engine {
-	agg := aggregate.NewFixedSample(1)
-	if cfg.Agg != nil {
-		agg = aggregate.NewFixedSample(cfg.Agg.K)
+	if cfg.Agg == nil || cfg.Agg.K < 1 {
+		cfg.Agg = singleAnswer
 	}
 	e := &engine{
 		cfg:       cfg,
-		sp:        cfg.Space,
-		agg:       agg,
 		cls:       newClassifier(cfg.Space),
-		mspLog:    make(map[uint32]int),
 		answersBy: make([]int, len(ids)),
 		ids:       ids,
 		left:      make([]bool, len(ids)),
-		budgets:   make([]int, len(ids)),
 		endRound:  func() {},
 	}
 	if cfg.TrackTimeline {
-		e.rowNodes = make([]assign.Assignment, len(cfg.Space.ValidBase))
+		r := e.needRare()
+		r.rowNodes = make([]assign.Assignment, len(cfg.Space.ValidBase))
 		for i, row := range cfg.Space.ValidBase {
-			e.rowNodes[i] = cfg.Space.Singleton(row...)
+			r.rowNodes[i] = cfg.Space.Singleton(row...)
 		}
-		e.classifiedRows = make([]bool, len(e.rowNodes))
+		r.classifiedRows = make([]bool, len(r.rowNodes))
 	}
-	for i := range e.budgets {
-		e.budgets[i] = -1
-		if cfg.MaxQuestionsPerMember > 0 {
+	if cfg.MaxQuestionsPerMember > 0 {
+		e.budgets = make([]int, len(ids))
+		for i := range e.budgets {
 			e.budgets[i] = cfg.MaxQuestionsPerMember
 		}
 	}
@@ -357,9 +371,8 @@ func newEngine(cfg Config, ids []string) *engine {
 		e.toExpand = append(e.toExpand, id)
 	}
 	if cfg.SpamFilter {
-		e.grades = make([]memberGrade, len(ids))
+		e.needRare().grades = make([]memberGrade, len(ids))
 	}
-	e.stop = cfg.Stop
 	return e
 }
 
@@ -377,8 +390,8 @@ func (e *engine) drainExpansions() {
 }
 
 func (e *engine) seed() {
-	for _, m := range e.sp.Minimal() {
-		e.addNode(e.sp.ID(m))
+	for _, m := range e.cfg.Space.Minimal() {
+		e.addNode(e.cfg.Space.ID(m))
 	}
 }
 
@@ -428,7 +441,7 @@ func (e *engine) pickUnclassified(settledOnly bool) (uint32, bool) {
 		if settledOnly && e.settledVerdict(id) == aggregate.Undecided {
 			continue
 		}
-		n := e.sp.Node(id)
+		n := e.cfg.Space.Node(id)
 		size := n.Size()
 		key := n.Key()
 		if bestSize < 0 || size < bestSize || (size == bestSize && key < bestKey) {
@@ -442,7 +455,7 @@ func (e *engine) budgetLeft() bool {
 	if e.canceled() {
 		return false
 	}
-	if e.stop != nil && e.stop.ShouldStop() {
+	if e.cfg.Stop != nil && e.cfg.Stop.ShouldStop() {
 		e.stats.StoppedEarly = true
 		return false
 	}
@@ -457,7 +470,17 @@ func (e *engine) canceled() bool {
 // memberActive reports whether member mi may still be asked questions:
 // they have not left, and the spam filter has not banned them.
 func (e *engine) memberActive(mi int) bool {
-	return !e.left[mi] && (e.grades == nil || !e.grades[mi].banned)
+	g := e.grades()
+	return !e.left[mi] && (g == nil || !g[mi].banned)
+}
+
+// grades returns the spam filter's records by member index, nil when the
+// filter is off.
+func (e *engine) grades() []memberGrade {
+	if e.rare == nil {
+		return nil
+	}
+	return e.rare.grades
 }
 
 // countAnswer books one counted crowd answer.
@@ -478,7 +501,7 @@ func (e *engine) countAnswer(kind QuestionKind) {
 	if e.cfg.TrackTimeline {
 		e.stats.Timeline = append(e.stats.Timeline, Point{
 			Questions:       e.stats.TotalQuestions,
-			ClassifiedValid: e.classifiedN,
+			ClassifiedValid: e.rare.classifiedN,
 			MSPsFound:       len(e.mspLog),
 		})
 	}
@@ -490,37 +513,61 @@ func (e *engine) primed(qid uint32, mi int) (float64, bool) {
 	if e.cfg.Prime == nil {
 		return 0, false
 	}
-	e.keyBuf = e.qs.all[qid].fs.AppendKey(e.keyBuf[:0])
-	return e.cfg.Prime.lookupKey(e.keyBuf, e.ids[mi])
+	r := e.needRare()
+	r.keyBuf = e.qs.all[qid].fs.AppendKey(r.keyBuf[:0])
+	return e.cfg.Prime.lookupKey(r.keyBuf, e.ids[mi])
 }
 
-// prune records that member mi marked term t irrelevant. Pruned terms
-// belong to the member's ID, so every member index sharing it gets t.
+// prune records that member mi marked term t irrelevant: t and every term
+// below it join the member's pruned bitset. Pruned terms belong to the
+// member's ID, so every member index sharing it gets them.
 func (e *engine) prune(mi int, t vocab.Term) {
-	if e.pruned == nil {
-		e.pruned = make([][]vocab.Term, len(e.ids))
+	r := e.needRare()
+	if r.pruned == nil {
+		r.pruned = make([][]uint64, len(e.ids))
 	}
+	voc := e.cfg.Space.Voc
+	words := (voc.Len() + 63) / 64
 	for i, id := range e.ids {
-		if id == e.ids[mi] {
-			e.pruned[i] = append(e.pruned[i], t)
+		if id != e.ids[mi] {
+			continue
+		}
+		row := r.pruned[i]
+		if row == nil {
+			row = make([]uint64, words)
+			r.pruned[i] = row
+		}
+		for x := vocab.Term(0); int(x) < voc.Len(); x++ {
+			if voc.Leq(t, x) {
+				row[x>>6] |= 1 << (uint(x) & 63)
+			}
 		}
 	}
 }
 
 // pruneHit reports whether member mi has marked a term generalizing (or
-// equal to) one of fs's terms as irrelevant.
+// equal to) one of fs's terms as irrelevant: three probes of their pruned
+// bitset per fact.
 func (e *engine) pruneHit(mi int, fs fact.Set) bool {
-	if e.pruned == nil {
+	if e.rare == nil || e.rare.pruned == nil {
 		return false
 	}
-	for _, t := range e.pruned[mi] {
-		for _, f := range fs {
-			if e.sp.Voc.Leq(t, f.S) || e.sp.Voc.Leq(t, f.R) || e.sp.Voc.Leq(t, f.O) {
-				return true
-			}
+	row := e.rare.pruned[mi]
+	if row == nil {
+		return false
+	}
+	for _, f := range fs {
+		if bitSet(row, f.S) || bitSet(row, f.R) || bitSet(row, f.O) {
+			return true
 		}
 	}
 	return false
+}
+
+// bitSet reports whether term t's bit is set in row; terms outside the
+// vocabulary (Any, None) have none.
+func bitSet(row []uint64, t vocab.Term) bool {
+	return t >= 0 && int(t>>6) < len(row) && row[t>>6]&(1<<(uint(t)&63)) != 0
 }
 
 // recordAnswer stores member mi's first answer to node's question qid in
@@ -528,7 +575,7 @@ func (e *engine) pruneHit(mi int, fs fact.Set) bool {
 func (e *engine) recordAnswer(node, qid uint32, mi int,
 	sup float64, kind QuestionKind, counted bool) {
 	q := &e.qs.all[qid]
-	if q.record(mi, sup, e.agg.K) {
+	if q.record(mi, sup, e.cfg.Agg.K) {
 		e.sinkAnswer(q, mi, sup, kind, counted)
 		e.tally(q)
 		if counted {
@@ -547,7 +594,7 @@ func (e *engine) recordAnswer(node, qid uint32, mi int,
 // a new answer: a FixedSample question is undecided until its K-th
 // answer, so that answer is the one that decides it and has it graded.
 func (e *engine) tally(q *question) {
-	if e.grades != nil && len(q.answers) == e.agg.K {
+	if e.grades() != nil && len(q.answers) == e.cfg.Agg.K {
 		e.grade(q)
 	}
 }
@@ -570,7 +617,7 @@ func (e *engine) grade(q *question) {
 	sort.Float64s(ans)
 	consensus := (ans[(n-1)/2] + ans[n/2]) / 2
 	for _, a := range q.answers {
-		g := &e.grades[a.mi]
+		g := &e.rare.grades[a.mi]
 		g.trials++
 		if d := math.Abs(a.sup - consensus); d <= gradeTolerance+aggregate.Eps {
 			g.hits++
@@ -587,11 +634,11 @@ func (e *engine) grade(q *question) {
 // observeStopDiscovery feeds the end of a member's descent chain — their
 // maximal affirmed pattern — to the stop policy's species stream.
 func (e *engine) observeStopDiscovery(node uint32, member string) {
-	if e.stop == nil {
+	if e.cfg.Stop == nil {
 		return
 	}
-	e.stop.ObserveDiscovery(e.sp.Node(node).Key(), member)
-	e.cfg.Metrics.stopEstimate(e.stop.Estimate())
+	e.cfg.Stop.ObserveDiscovery(e.cfg.Space.Node(node).Key(), member)
+	e.cfg.Metrics.stopEstimate(e.cfg.Stop.Estimate())
 }
 
 // confirmedMSPs counts the significant anchors whose successors are all
@@ -616,7 +663,7 @@ func (e *engine) confirmedMSPs() int {
 // applyVerdict classifies node from the aggregator's verdict on its
 // question q.
 func (e *engine) applyVerdict(node uint32, q *question) {
-	e.classifyAs(node, e.agg.Verdict(len(q.answers), q.sum, e.cfg.Theta))
+	e.classifyAs(node, e.cfg.Agg.Verdict(len(q.answers), q.sum, e.cfg.Theta))
 }
 
 // classifyAs classifies node by verdict v; Undecided leaves it as it is.
@@ -643,17 +690,18 @@ func (e *engine) classifyAs(node uint32, v aggregate.Verdict) {
 // one order test per not-yet-counted ValidBase row. Untimed runs keep no
 // row state and return at once.
 func (e *engine) onClassified(id uint32, significant bool) {
-	if e.classifiedRows == nil {
+	x := e.rare
+	if x == nil || x.classifiedRows == nil {
 		return
 	}
-	a := e.sp.Node(id)
-	for i, r := range e.rowNodes {
-		if e.classifiedRows[i] {
+	a := e.cfg.Space.Node(id)
+	for i, r := range x.rowNodes {
+		if x.classifiedRows[i] {
 			continue
 		}
-		if significant && e.sp.Leq(r, a) || !significant && e.sp.Leq(a, r) {
-			e.classifiedRows[i] = true
-			e.classifiedN++
+		if significant && e.cfg.Space.Leq(r, a) || !significant && e.cfg.Space.Leq(a, r) {
+			x.classifiedRows[i] = true
+			x.classifiedN++
 		}
 	}
 }
@@ -667,25 +715,26 @@ var noTerms = []vocab.Term{}
 // question's first offer into a capacity-capped window of termBuf, and
 // read from there after.
 func (e *engine) pruneTerms(qid uint32) []vocab.Term {
-	for uint32(len(e.terms)) <= qid {
-		e.terms = append(e.terms, nil)
+	r := e.needRare()
+	for uint32(len(r.terms)) <= qid {
+		r.terms = append(r.terms, nil)
 	}
-	if ts := e.terms[qid]; ts != nil {
+	if ts := r.terms[qid]; ts != nil {
 		return ts
 	}
-	start := len(e.termBuf)
+	start := len(r.termBuf)
 	for _, f := range e.qs.all[qid].fs {
 		for _, t := range [3]vocab.Term{f.S, f.R, f.O} {
-			if t != vocab.Any && !slices.Contains(e.termBuf[start:], t) {
-				e.termBuf = append(e.termBuf, t)
+			if t != vocab.Any && !slices.Contains(r.termBuf[start:], t) {
+				r.termBuf = append(r.termBuf, t)
 			}
 		}
 	}
-	ts := e.termBuf[start:len(e.termBuf):len(e.termBuf)]
+	ts := r.termBuf[start:len(r.termBuf):len(r.termBuf)]
 	if len(ts) == 0 {
 		ts = noTerms
 	}
-	e.terms[qid] = ts
+	r.terms[qid] = ts
 	return ts
 }
 
@@ -705,6 +754,9 @@ func (e *engine) appendUnclassifiedSuccessors(dst []uint32, node uint32) []uint3
 // (line 8 of Algorithm 1).
 func (e *engine) recordChainMax(node uint32) {
 	if _, ok := e.mspLog[node]; !ok {
+		if e.mspLog == nil {
+			e.mspLog = make(map[uint32]int)
+		}
 		e.mspLog[node] = e.stats.TotalQuestions
 	}
 }
@@ -744,11 +796,11 @@ func (e *engine) settledVerdict(node uint32) aggregate.Verdict {
 	if k == 0 {
 		return aggregate.Undecided
 	}
-	n := max(k, e.agg.K)
-	if e.agg.Verdict(n, q.sum, e.cfg.Theta) == aggregate.Significant {
+	n := max(k, e.cfg.Agg.K)
+	if e.cfg.Agg.Verdict(n, q.sum, e.cfg.Theta) == aggregate.Significant {
 		return aggregate.Significant
 	}
-	if e.agg.Verdict(n, q.sum+float64(n-k), e.cfg.Theta) == aggregate.Insignificant {
+	if e.cfg.Agg.Verdict(n, q.sum+float64(n-k), e.cfg.Theta) == aggregate.Insignificant {
 		return aggregate.Insignificant
 	}
 	return aggregate.Undecided
@@ -781,8 +833,8 @@ func (e *engine) result() *Result {
 			e.stats.UniqueQuestions++
 		}
 	}
-	if e.stop != nil {
-		e.stats.StopEstimate = e.stop.Estimate()
+	if e.cfg.Stop != nil {
+		e.stats.StopEstimate = e.cfg.Stop.Estimate()
 		if e.stats.StoppedEarly {
 			e.settleFrontier()
 			// Each pool node still unclassified after settling needs at
@@ -803,7 +855,7 @@ func (e *engine) result() *Result {
 	msps := make([]assign.Assignment, len(ids))
 	mspQ := make([]int, len(ids))
 	for k, id := range ids {
-		msps[k] = e.sp.Node(id)
+		msps[k] = e.cfg.Space.Node(id)
 		q, ok := e.mspLog[id]
 		if !ok {
 			q = e.stats.TotalQuestions
@@ -812,7 +864,7 @@ func (e *engine) result() *Result {
 	}
 	var valid []assign.Assignment
 	for _, m := range msps {
-		if e.sp.IsValid(m) {
+		if e.cfg.Space.IsValid(m) {
 			valid = append(valid, m)
 		}
 	}
@@ -823,7 +875,7 @@ func (e *engine) result() *Result {
 		}
 	}
 	var banned []string
-	for mi, g := range e.grades {
+	for mi, g := range e.grades() {
 		if g.banned {
 			banned = append(banned, e.ids[mi])
 		}
@@ -855,7 +907,7 @@ func (r *Result) DiscoveredAt(m assign.Assignment) (int, bool) {
 // sortByKey sorts node ids by their nodes' keys.
 func (e *engine) sortByKey(ids []uint32) {
 	slices.SortFunc(ids, func(x, y uint32) int {
-		return strings.Compare(e.sp.Node(x).Key(), e.sp.Node(y).Key())
+		return strings.Compare(e.cfg.Space.Node(x).Key(), e.cfg.Space.Node(y).Key())
 	})
 }
 

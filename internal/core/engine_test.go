@@ -491,9 +491,9 @@ func TestTimelineMonotone(t *testing.T) {
 			want++
 		}
 	}
-	if e.classifiedN != want {
+	if e.rare.classifiedN != want {
 		t.Errorf("classifiedN = %d, brute force over the anchors counts %d of %d rows",
-			e.classifiedN, want, len(sp.ValidBase))
+			e.rare.classifiedN, want, len(sp.ValidBase))
 	}
 }
 

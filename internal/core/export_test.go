@@ -15,7 +15,7 @@ func (s *Session) speculateEveryCall() int {
 	before := s.nextID
 	c := &s.eng.at
 	qid := s.eng.instantiate(c.node)
-	b := s.meta[s.blocked].key
+	b := s.open[s.blocked].key
 	for i := c.turn + 1; i < len(s.eng.ids); i++ {
 		s.speculateOn(i, qid)
 		if b.kind == KindConcrete && b.q != qid {

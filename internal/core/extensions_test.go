@@ -78,7 +78,7 @@ func TestSpamFilterBansInconsistentMember(t *testing.T) {
 		SpamFilter: true,
 	})
 	res := sess.res
-	for mi, g := range sess.eng.grades {
+	for mi, g := range sess.eng.grades() {
 		if g.banned != (mi == 0) {
 			t.Errorf("%s: banned=%v (%d of %d graded answers hit); only the spammer should be",
 				members[mi].ID(), g.banned, g.hits, g.trials)

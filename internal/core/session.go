@@ -105,8 +105,8 @@ type specList [maxSpecializationCandidates]uint32
 
 // askKey returns the parked question's ask key.
 func (s *Session) askKey(w *want) askKey {
-	k := askKey{mi: int32(w.mi), q: w.qid, kind: w.q.Kind}
-	if w.q.Kind == KindSpecialization {
+	k := askKey{mi: int32(w.mi), q: w.qid, kind: w.kind}
+	if w.kind == KindSpecialization {
 		var l specList
 		for i, n := range s.eng.at.succs {
 			l[i] = s.eng.instantiate(n) + 1
@@ -124,12 +124,18 @@ func (s *Session) askKey(w *want) askKey {
 	return k
 }
 
-// openMeta is the session's bookkeeping for one issued question, kept
-// beside it in the open slab.
-type openMeta struct {
+// openQ is one issued question in the open slab: the session's
+// bookkeeping for it, from which read renders the Question. The member,
+// facts, terms and choices live in the engine (render): only the question
+// the engine is blocked on can be a specialization or pruning offer, since
+// speculation issues concrete questions only and a blocked question is
+// dropped or retired as soon as it stops being blocked.
+type openQ struct {
+	id     QuestionID
 	key    askKey
 	gen    int32         // round at issue time (speculative retirement)
 	live   bool          // not yet answered or retired
+	spec   bool          // Question.Speculative
 	issued time.Duration // issue time, on the session's clock (metrics only)
 }
 
@@ -174,24 +180,23 @@ type retiredQ struct {
 type Session struct {
 	eng *engine
 
-	// The issued questions in ID order, as one value slab beside their
-	// bookkeeping; dead ones wait for Next to compact them away.
-	open     []Question
-	meta     []openMeta
+	// The issued questions in ID order, as one value slab; dead ones wait
+	// for Next to compact them away.
+	open     []openQ
 	byKey    map[askKey]QuestionID // the live questions
-	buffered map[askKey]Answer
-	retired  []retiredQ          // in ID order; late answers are still buffered once
-	specIDs  map[specList]uint32 // specialization candidate lists seen, by ask-key id
-	blocked  int                 // index in open of the engine's question, -1 when none
-	dead     int                 // answered or retired questions still in open
-	nextID   QuestionID          // IDs start at 1, so 0 never names a question
+	buffered map[askKey]Answer     // nil until the first answer is buffered
+	retired  []retiredQ            // in ID order; late answers are still buffered once
+	specIDs  map[specList]uint32   // specialization candidate lists seen, by ask-key id
+	blocked  int                   // index in open of the engine's question, -1 when none
+	dead     int                   // answered or retired questions still in open
+	nextID   QuestionID            // IDs start at 1, so 0 never names a question
 
 	view      []Question // Next's result, reused from call to call
 	specRound int        // the round of the last Next
 
 	// Observability (nil/zero when neither metrics nor tracer is
 	// attached). With metrics, each question's issue time is an offset
-	// from born on the monotonic clock, kept in its openMeta; spanEnd,
+	// from born on the monotonic clock, kept in its open entry; spanEnd,
 	// keyed by question ID, exists only with a tracer. Recording is
 	// write-only w.r.t. the engine, so instrumented runs stay
 	// bit-identical to uninstrumented ones.
@@ -205,15 +210,16 @@ type Session struct {
 }
 
 // NewSession starts the engine over the given member IDs and runs it to
-// its first question. cfg.Members is ignored: the caller answers.
+// its first question. cfg.Members is ignored: the caller answers. The
+// session keeps memberIDs without copying it, so the slice is read-only
+// from here on: the caller must not change it while the session lives.
 func NewSession(cfg Config, memberIDs []string) *Session {
 	s := &Session{
-		byKey:    make(map[askKey]QuestionID),
-		buffered: make(map[askKey]Answer),
-		blocked:  -1,
-		nextID:   1,
-		metrics:  cfg.Metrics,
-		tracer:   cfg.Tracer,
+		byKey:   make(map[askKey]QuestionID),
+		blocked: -1,
+		nextID:  1,
+		metrics: cfg.Metrics,
+		tracer:  cfg.Tracer,
 	}
 	if s.metrics != nil {
 		s.born = time.Now()
@@ -222,7 +228,7 @@ func NewSession(cfg Config, memberIDs []string) *Session {
 		s.spanEnd = make(map[QuestionID]func())
 	}
 	cfg.Members = nil
-	s.eng = newEngine(cfg, append([]string(nil), memberIDs...))
+	s.eng = newEngine(cfg, memberIDs)
 	s.eng.seed()
 	s.advance()
 	return s
@@ -251,10 +257,10 @@ func (s *Session) advance() {
 			// adopt it, keeping its ID. It is the engine's own question
 			// now, so it no longer reads as speculative.
 			s.blocked = s.find(id)
-			s.open[s.blocked].Speculative = false
+			s.open[s.blocked].spec = false
 			return
 		}
-		s.blocked = s.issue(k, w.q, false)
+		s.blocked = s.issue(k, false)
 		return
 	}
 }
@@ -266,12 +272,12 @@ func (s *Session) finish() {
 	s.res = s.eng.result()
 	s.blocked = -1
 	s.view = nil
-	for i := range s.meta {
-		if s.meta[i].live {
+	for i := range s.open {
+		if s.open[i].live {
 			s.retire(i)
 		}
 	}
-	s.open, s.meta, s.dead = nil, nil, 0
+	s.open, s.dead = nil, 0
 }
 
 // retire closes the live open question i unanswered. Until Close its ID
@@ -280,7 +286,7 @@ func (s *Session) finish() {
 // insert is nearly always an append.
 func (s *Session) retire(i int) {
 	if !s.closed {
-		r := retiredQ{id: s.open[i].ID, key: s.meta[i].key}
+		r := retiredQ{id: s.open[i].id, key: s.open[i].key}
 		if n := len(s.retired); n == 0 || s.retired[n-1].id < r.id {
 			s.retired = append(s.retired, r)
 		} else {
@@ -299,34 +305,51 @@ func (s *Session) retiredAt(id QuestionID) (int, bool) {
 	})
 }
 
-// issue opens a question under a fresh ID and returns its index in open.
-func (s *Session) issue(k askKey, q Question, speculative bool) int {
-	q.ID = s.nextID
-	q.Speculative = speculative
+// issue opens the question k under a fresh ID and returns its index in
+// open. The slab's first issue sizes it for the crowd: a round's node
+// question for every member, and the blocked one.
+func (s *Session) issue(k askKey, speculative bool) int {
+	if s.open == nil {
+		s.open = make([]openQ, 0, len(s.eng.ids)+1)
+	}
+	s.open = append(s.open, openQ{id: s.nextID, key: k, gen: int32(s.eng.at.round), live: true, spec: speculative})
+	s.byKey[k] = s.nextID
 	s.nextID++
-	s.open = append(s.open, q)
-	s.meta = append(s.meta, openMeta{key: k, gen: int32(s.eng.at.round), live: true})
-	s.byKey[k] = q.ID
-	s.noteIssued(&q, &s.meta[len(s.meta)-1])
+	s.noteIssued(&s.open[len(s.open)-1])
 	return len(s.open) - 1
 }
 
 // noteIssued books a freshly issued question with the attached metrics and
 // tracer. With neither attached it does nothing at all (not even a clock
 // read).
-func (s *Session) noteIssued(q *Question, m *openMeta) {
+func (s *Session) noteIssued(o *openQ) {
 	if s.metrics != nil {
-		s.metrics.questionIssued(q.Kind, q.Speculative)
-		m.issued = time.Since(s.born)
+		s.metrics.questionIssued(o.key.kind, o.spec)
+		o.issued = time.Since(s.born)
 	}
 	if s.tracer != nil {
 		phase := "blocked"
-		if q.Speculative {
+		if o.spec {
 			phase = "speculative"
 		}
-		s.spanEnd[q.ID] = s.tracer.Begin("question",
-			obs.A("id", strID(q.ID)), obs.A("member", q.Member),
-			obs.A("kind", q.Kind.String()), obs.A("phase", phase))
+		s.spanEnd[o.id] = s.tracer.Begin("question",
+			obs.A("id", strID(o.id)), obs.A("member", s.eng.ids[o.key.mi]),
+			obs.A("kind", o.key.kind.String()), obs.A("phase", phase))
+	}
+}
+
+// read renders open question o into q.
+func (s *Session) read(q *Question, o *openQ) {
+	q.ID, q.Speculative = o.id, o.spec
+	s.eng.render(q, int(o.key.mi), o.key.q, o.key.kind)
+}
+
+// readConcrete renders the open concrete question o into q, its member
+// from ids and its facts from the question table all.
+func readConcrete(q *Question, o *openQ, ids []string, all []question) {
+	q.ID, q.Member, q.Kind, q.Facts, q.Speculative = o.id, ids[o.key.mi], KindConcrete, all[o.key.q].fs, o.spec
+	if q.Choices != nil || q.Terms != nil {
+		q.Choices, q.Terms = nil, nil
 	}
 }
 
@@ -334,7 +357,7 @@ func (s *Session) noteIssued(q *Question, m *openMeta) {
 // attached metrics and tracer book it answered (with its latency) or
 // retired.
 func (s *Session) drop(i int, answered bool) {
-	m := &s.meta[i]
+	m := &s.open[i]
 	m.live = false
 	s.dead++
 	delete(s.byKey, m.key)
@@ -346,10 +369,9 @@ func (s *Session) drop(i int, answered bool) {
 		}
 	}
 	if s.tracer != nil {
-		id := s.open[i].ID
-		if end, ok := s.spanEnd[id]; ok {
+		if end, ok := s.spanEnd[m.id]; ok {
 			end()
-			delete(s.spanEnd, id)
+			delete(s.spanEnd, m.id)
 		}
 	}
 }
@@ -363,8 +385,8 @@ func (s *Session) compact(newRound bool) {
 	b := s.blocked
 	if newRound {
 		round := s.eng.at.round
-		for i := range s.meta {
-			if m := &s.meta[i]; m.live && i != b && m.gen != int32(round) && s.open[i].Speculative {
+		for i := range s.open {
+			if o := &s.open[i]; o.live && i != b && o.gen != int32(round) && o.spec {
 				s.retire(i)
 			}
 		}
@@ -373,21 +395,19 @@ func (s *Session) compact(newRound bool) {
 		return
 	}
 	n := 0
-	for i := 0; i < len(s.meta); {
+	for i := 0; i < len(s.open); {
 		j := i // the live run open[i:j], then the dead question at j
-		for j < len(s.meta) && s.meta[j].live {
+		for j < len(s.open) && s.open[j].live {
 			j++
 		}
 		if i <= b && b < j {
 			s.blocked = n + b - i
 		}
 		copy(s.open[n:], s.open[i:j])
-		copy(s.meta[n:], s.meta[i:j])
 		n += j - i
 		i = j + 1
 	}
-	clear(s.open[n:])
-	s.open, s.meta, s.dead = s.open[:n], s.meta[:n], 0
+	s.open, s.dead = s.open[:n], 0
 }
 
 // speculateOn opens a speculative concrete question qid for member idx if
@@ -398,7 +418,7 @@ func (s *Session) speculateOn(idx int, qid uint32) {
 	e := s.eng
 	q := &e.qs.all[qid]
 	_, cached := q.support(idx)
-	if !e.memberActive(idx) || e.budgets[idx] == 0 || cached || e.pruneHit(idx, q.fs) {
+	if !e.memberActive(idx) || e.spent(idx) || cached || e.pruneHit(idx, q.fs) {
 		return
 	}
 	if _, ok := e.primed(qid, idx); ok {
@@ -411,7 +431,7 @@ func (s *Session) speculateOn(idx int, qid uint32) {
 	if _, open := s.byKey[k]; open {
 		return
 	}
-	s.issue(k, Question{Member: e.ids[idx], Kind: KindConcrete, Facts: q.fs}, true)
+	s.issue(k, true)
 }
 
 // speculate issues questions the engine has not asked yet but is likely
@@ -439,7 +459,7 @@ func (s *Session) speculateOn(idx int, qid uint32) {
 func (s *Session) speculate(offerNode bool) {
 	c := &s.eng.at
 	qid := s.eng.instantiate(c.node)
-	b := s.meta[s.blocked].key
+	b := s.open[s.blocked].key
 	mirror := b.kind == KindConcrete && b.q != qid
 	for i := c.turn + 1; i < len(s.eng.ids); i++ {
 		if offerNode {
@@ -514,11 +534,23 @@ func (s *Session) AppendNext(dst []Question) []Question {
 	s.specRound = round
 	s.compact(newRound)
 	s.speculate(newRound)
-	b := s.blocked // every open question is live: copy the runs around it
-	dst = slices.Grow(dst, len(s.open))
-	dst = append(dst, s.open[b])
-	dst = append(dst, s.open[:b]...)
-	return append(dst, s.open[b+1:]...)
+	// Every open question is live: render the blocked one first, then the
+	// rest in place. Those are all concrete (see openQ), so their loop reads
+	// only the member and the question table.
+	b, n := s.blocked, len(dst)
+	dst = slices.Grow(dst, len(s.open))[:n+len(s.open)]
+	s.read(&dst[n], &s.open[b])
+	ids, all := s.eng.ids, s.eng.qs.all
+	head, tail := s.open[:b], s.open[b+1:]
+	out := dst[n+1:]
+	for i := range head {
+		readConcrete(&out[i], &head[i], ids, all)
+	}
+	out = out[len(head):]
+	for i := range tail {
+		readConcrete(&out[i], &tail[i], ids, all)
+	}
+	return dst
 }
 
 // AppendOpen appends the member's open questions to dst and returns the
@@ -530,12 +562,15 @@ func (s *Session) AppendOpen(dst []Question, member string) []Question {
 	if s.res != nil || s.closed {
 		return dst
 	}
-	if b := s.blocked; b >= 0 && s.open[b].Member == member {
-		dst = append(dst, s.open[b])
+	ids := s.eng.ids
+	if b := s.blocked; b >= 0 && ids[s.open[b].key.mi] == member {
+		dst = append(dst, Question{})
+		s.read(&dst[len(dst)-1], &s.open[b])
 	}
 	for i := range s.open {
-		if s.meta[i].live && i != s.blocked && s.open[i].Member == member {
-			dst = append(dst, s.open[i])
+		if o := &s.open[i]; o.live && i != s.blocked && ids[o.key.mi] == member {
+			dst = append(dst, Question{})
+			s.read(&dst[len(dst)-1], o)
 		}
 	}
 	return dst
@@ -553,15 +588,17 @@ func (s *Session) Lookup(id QuestionID) (Question, bool) {
 		return Question{}, false
 	}
 	if i := s.find(id); i >= 0 {
-		return s.open[i], true
+		var q Question
+		s.read(&q, &s.open[i])
+		return q, true
 	}
 	return Question{}, false
 }
 
 // find returns the index of the live open question id, or -1.
 func (s *Session) find(id QuestionID) int {
-	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].ID >= id })
-	if i == len(s.open) || s.open[i].ID != id || !s.meta[i].live {
+	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].id >= id })
+	if i == len(s.open) || s.open[i].id != id || !s.open[i].live {
 		return -1
 	}
 	return i
@@ -578,7 +615,7 @@ func (s *Session) Submit(id QuestionID, a Answer) error {
 		key := s.retired[j].key
 		s.retired = slices.Delete(s.retired, j, j+1)
 		if s.res == nil {
-			s.buffered[key] = a
+			s.buffer(key, a)
 		}
 		return nil
 	}
@@ -590,10 +627,10 @@ func (s *Session) Submit(id QuestionID, a Answer) error {
 		return fmt.Errorf("%w: id %d", ErrUnknownQuestion, id)
 	}
 	s.drop(i, true)
-	key := s.meta[i].key
+	key := s.open[i].key
 	blocked := i == s.blocked
 	if i == len(s.open)-1 { // the newest, always under Run, which never calls Next
-		s.open, s.meta, s.dead = s.open[:i], s.meta[:i], s.dead-1
+		s.open, s.dead = s.open[:i], s.dead-1
 	}
 	if blocked {
 		s.blocked = -1
@@ -601,8 +638,16 @@ func (s *Session) Submit(id QuestionID, a Answer) error {
 		s.advance()
 		return nil
 	}
-	s.buffered[key] = a
+	s.buffer(key, a)
 	return nil
+}
+
+// buffer holds an answer collected ahead of the engine until it asks k.
+func (s *Session) buffer(k askKey, a Answer) {
+	if s.buffered == nil {
+		s.buffered = make(map[askKey]Answer)
+	}
+	s.buffered[k] = a
 }
 
 // Submission pairs a question ID with its answer for SubmitBatch.
@@ -665,12 +710,12 @@ func (s *Session) Leave(memberID string) {
 			continue
 		}
 		e.left[i] = true
-		for j := range s.meta {
-			if s.meta[j].live && s.meta[j].key.mi == int32(i) {
+		for j := range s.open {
+			if s.open[j].live && s.open[j].key.mi == int32(i) {
 				s.retire(j)
 			}
 		}
-		if b := s.blocked; b >= 0 && !s.meta[b].live {
+		if b := s.blocked; b >= 0 && !s.open[b].live {
 			s.blocked = -1
 			s.advance()
 		}

@@ -197,7 +197,7 @@ func TestSessionNextOrder(t *testing.T) {
 	want := summarize(cfg.Space, Run(cfg))
 
 	sess, byID := ct.session()
-	sp := sess.eng.sp
+	sp := sess.eng.cfg.Space
 	gone := map[QuestionID]bool{}         // answered or retired
 	surfaced := map[QuestionID]Question{} // surfaced by the last Next, still open
 	// retireLate gives each question the last Next surfaced and this one
@@ -221,8 +221,8 @@ func TestSessionNextOrder(t *testing.T) {
 	calls, retired := 0, 0
 	for qs := sess.Next(); qs != nil; qs = sess.Next() {
 		calls++
-		if qs[0].ID != sess.open[sess.blocked].ID {
-			t.Fatalf("call %d: qs[0] is %d, the engine is blocked on %d", calls, qs[0].ID, sess.open[sess.blocked].ID)
+		if qs[0].ID != sess.open[sess.blocked].id {
+			t.Fatalf("call %d: qs[0] is %d, the engine is blocked on %d", calls, qs[0].ID, sess.open[sess.blocked].id)
 		}
 		open := make(map[QuestionID]bool, len(qs))
 		for i, q := range qs {
@@ -650,7 +650,7 @@ func TestSessionLateAnswersOutOfOrder(t *testing.T) {
 			t.Fatalf("%d questions retired by the round after the quitter left, want at least 40", len(retired))
 		}
 		res := sess.Close()
-		return summarize(sess.eng.sp, res)
+		return summarize(sess.eng.cfg.Space, res)
 	}
 	if with, without := run(true), run(false); with != without {
 		t.Errorf("late answers changed the result:\nwith    %s\nwithout %s", with, without)

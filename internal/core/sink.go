@@ -34,7 +34,7 @@ func (e *engine) sinkClassified(node uint32, significant bool) {
 	if e.cfg.Store == nil {
 		return
 	}
-	if err := e.cfg.Store.AppendClassification(e.sp.Node(node).Key(), significant); err != nil {
+	if err := e.cfg.Store.AppendClassification(e.cfg.Space.Node(node).Key(), significant); err != nil {
 		e.stats.StoreErrors++
 		e.cfg.Metrics.storeError()
 	}

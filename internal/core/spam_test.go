@@ -115,9 +115,9 @@ func TestSpamBanMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: answer recorded before the session started", name)
 				}
 				for mi, id := range s.eng.ids {
-					if s.eng.grades[mi].banned != sink.oracle.flags[id] {
+					if s.eng.grades()[mi].banned != sink.oracle.flags[id] {
 						t.Fatalf("%s: after answer %d, %s banned=%v, oracle flagged=%v",
-							name, answers, id, s.eng.grades[mi].banned, sink.oracle.flags[id])
+							name, answers, id, s.eng.grades()[mi].banned, sink.oracle.flags[id])
 					}
 				}
 				answers++
@@ -127,8 +127,7 @@ func TestSpamBanMatchesOracle(t *testing.T) {
 				MaxQuestions: 2000, SpamFilter: true, Store: sink,
 			}, memberIDs(ms))
 			for s.blocked >= 0 {
-				q := s.open[s.blocked]
-				s.Submit(q.ID, AnswerFrom(ms[s.eng.want.mi], q))
+				s.Submit(s.open[s.blocked].id, AnswerFrom(ms[s.eng.want.mi], s.eng.wanted()))
 			}
 			sink.check()
 			bans += s.res.Stats.BannedMembers
@@ -195,7 +194,7 @@ func gradeEngine(t *testing.T) *engine {
 // cache, grading the question if the new answer decides it.
 func answerAs(e *engine, i int, mi int, sup float64) {
 	q := &e.qs.all[e.qs.intern(fact.Set{{S: vocab.Term(i), R: 1, O: 1}})]
-	if q.record(mi, sup, e.agg.K) {
+	if q.record(mi, sup, e.cfg.Agg.K) {
 		e.tally(q)
 	}
 }
@@ -218,11 +217,11 @@ func TestSpamBanFlagsDisagreement(t *testing.T) {
 	for i := 0; i < banMinGraded; i++ {
 		feedConsensus(e, i, 0.75, 0) // always 0.75 off
 	}
-	if g := e.grades[2]; !g.banned || g.trials != banMinGraded {
+	if g := e.grades()[2]; !g.banned || g.trials != banMinGraded {
 		t.Errorf("disagreeing member: %+v, want banned after %d graded answers", g, banMinGraded)
 	}
 	for mi := 0; mi < 2; mi++ {
-		if g := e.grades[mi]; g.banned || g.hits != banMinGraded || g.trials != banMinGraded {
+		if g := e.grades()[mi]; g.banned || g.hits != banMinGraded || g.trials != banMinGraded {
 			t.Errorf("honest %s: %+v", e.ids[mi], g)
 		}
 	}
@@ -247,7 +246,7 @@ func TestSpamGradeOrderFree(t *testing.T) {
 		for _, mi := range order {
 			answerAs(e, 0, mi, answers[mi])
 		}
-		for mi, g := range e.grades {
+		for mi, g := range e.grades() {
 			if want := mi < 2; g.trials != 1 || (g.hits == 1) != want {
 				t.Errorf("order %v: %s graded %+v, want hit=%v", order, e.ids[mi], g, want)
 			}
@@ -262,11 +261,11 @@ func TestSpamBanNeedsMinGraded(t *testing.T) {
 	for i := 0; i < banMinGraded-1; i++ {
 		feedConsensus(e, i, 1, 0)
 	}
-	if e.grades[2].banned {
+	if e.grades()[2].banned {
 		t.Errorf("banned after %d graded answers", banMinGraded-1)
 	}
 	feedConsensus(e, banMinGraded, 1, 0)
-	if !e.grades[2].banned {
+	if !e.grades()[2].banned {
 		t.Errorf("not banned after %d graded answers", banMinGraded)
 	}
 }
@@ -281,7 +280,7 @@ func TestSpamBanSkipsUngraded(t *testing.T) {
 		answerAs(e, i, 2, float64(i%2))
 		answerAs(e, i, 0, 0.5)
 	}
-	for mi, g := range e.grades {
+	for mi, g := range e.grades() {
 		if g.trials != 0 || g.banned {
 			t.Errorf("%s graded on undecided questions: %+v", e.ids[mi], g)
 		}
@@ -293,7 +292,7 @@ func TestSpamBanSkipsUngraded(t *testing.T) {
 	for mi := range late.ids {
 		answerAs(late, 0, mi, 0.5)
 	}
-	for mi, g := range late.grades {
+	for mi, g := range late.grades() {
 		want := 1 // the three answers that decided the question
 		if mi == 3 {
 			want = 0 // the answer after the verdict
@@ -303,7 +302,7 @@ func TestSpamBanSkipsUngraded(t *testing.T) {
 		}
 	}
 	off := newEngine(Config{Space: sp, Theta: q.Support}, []string{"h1"})
-	if off.grades != nil {
+	if off.grades() != nil {
 		t.Error("grades allocated with the filter off")
 	}
 }

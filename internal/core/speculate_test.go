@@ -118,3 +118,54 @@ func TestPruneTerms(t *testing.T) {
 		t.Errorf("first question's terms overwritten: %v", got)
 	}
 }
+
+// TestPruneHitMatchesLeq checks the pruned-term bitsets against the rule
+// they implement: a fact-set is pruning-implied for a member exactly when
+// some term the member's ID pruned generalizes (or equals) one of its
+// facts' subject, relation or object, by Vocabulary.Leq. Member indexes 0
+// and 2 share one ID, so a prune by either covers both.
+func TestPruneHitMatchesLeq(t *testing.T) {
+	_, _, sp := buildSpace(t, figure3Restricted)
+	voc := sp.Voc
+	ids := []string{"u", "v", "u"}
+	e := newEngine(Config{Space: sp, Theta: 0.4, EnablePruning: true}, ids)
+	root := voc.Roots(vocab.Element)[0]
+	prunes := []struct {
+		mi int
+		t  vocab.Term
+	}{{0, root}, {1, vocab.Term(voc.Len() / 2)}, {2, vocab.Term(voc.Len() - 1)}}
+	byID := map[string][]vocab.Term{}
+	for _, p := range prunes {
+		e.prune(p.mi, p.t)
+		byID[ids[p.mi]] = append(byID[ids[p.mi]], p.t)
+	}
+	hits := 0
+	for x := vocab.Any; int(x) < voc.Len(); x++ {
+		if x == vocab.None {
+			continue
+		}
+		for _, fs := range []fact.Set{
+			{{S: x, R: vocab.Any, O: vocab.Any}},
+			{{S: vocab.Any, R: x, O: vocab.Any}},
+			{{S: vocab.Any, R: vocab.Any, O: x}},
+		} {
+			for mi, id := range ids {
+				want := false
+				for _, p := range byID[id] {
+					f := fs[0]
+					want = want || voc.Leq(p, f.S) || voc.Leq(p, f.R) || voc.Leq(p, f.O)
+				}
+				if got := e.pruneHit(mi, fs); got != want {
+					t.Errorf("member %d (%s), facts %v: pruneHit %v, Leq over the pruned terms %v", mi, id, fs, got, want)
+				}
+				if want {
+					hits++
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no fact-set is pruning-implied: the comparison proved nothing")
+	}
+	t.Logf("%d pruning-implied (member, fact-set) pairs", hits)
+}

@@ -48,12 +48,13 @@ type cursor struct {
 	sets  []fact.Set // the specialization question's candidates
 }
 
-// want is the crowd question the engine is parked on.
+// want is the crowd question the engine is parked on: render builds the
+// Question from these ids.
 type want struct {
-	mi   int      // index of the asked member
-	node uint32   // id of the questioned node (concrete and pruning questions)
-	qid  uint32   // the node's question id (concrete and pruning questions)
-	q    Question // the question itself; IDs are the Session's business
+	mi   int          // index of the asked member
+	node uint32       // id of the questioned node (concrete and pruning questions)
+	qid  uint32       // the node's question id (concrete and pruning questions)
+	kind QuestionKind // concrete, specialization or pruning
 }
 
 // reply hands a delivered answer to the phase that parked for it.
@@ -88,16 +89,17 @@ func (e *engine) answer(a Answer) {
 	w := &e.want
 	e.parked = false
 	switch {
-	case w.q.Kind == KindSpecialization:
+	case w.kind == KindSpecialization:
 		e.rep = reply{ok: true, ans: a}
 	case e.canceled():
 		e.rep = reply{ok: true}
-	case w.q.Kind == KindPruning:
-		if !a.Chosen || a.Choice < 0 || a.Choice >= len(w.q.Terms) {
+	case w.kind == KindPruning:
+		terms := e.pruneTerms(w.qid)
+		if !a.Chosen || a.Choice < 0 || a.Choice >= len(terms) {
 			e.rep = reply{noClick: true}
 			return
 		}
-		e.prune(w.mi, w.q.Terms[a.Choice])
+		e.prune(w.mi, terms[a.Choice])
 		e.recordAnswer(w.node, w.qid, w.mi, 0, KindPruning, true)
 		e.rep = reply{ok: true}
 	default:
@@ -107,10 +109,34 @@ func (e *engine) answer(a Answer) {
 }
 
 // park suspends the machine on a question to member mi.
-func (e *engine) park(mi int, node, qid uint32, q Question) {
-	q.Member = e.ids[mi]
-	e.want = want{mi: mi, node: node, qid: qid, q: q}
+func (e *engine) park(mi int, node, qid uint32, kind QuestionKind) {
+	e.want = want{mi: mi, node: node, qid: qid, kind: kind}
 	e.parked = true
+}
+
+// render writes member mi's question of the given kind into q, every
+// field but ID and Speculative: a concrete question's facts are question
+// qid's, a pruning offer's terms those of question qid, and a
+// specialization's candidates the cursor's — so a specialization renders
+// only while the engine is parked on it.
+func (e *engine) render(q *Question, mi int, qid uint32, kind QuestionKind) {
+	q.Member, q.Kind = e.ids[mi], kind
+	q.Facts, q.Choices, q.Terms = nil, nil, nil
+	switch kind {
+	case KindConcrete:
+		q.Facts = e.qs.all[qid].fs
+	case KindSpecialization:
+		q.Choices = e.at.sets
+	case KindPruning:
+		q.Terms = e.pruneTerms(qid)
+	}
+}
+
+// wanted renders the question the engine is parked on.
+func (e *engine) wanted() Question {
+	var q Question
+	e.render(&q, e.want.mi, e.want.qid, e.want.kind)
+	return q
 }
 
 // take consumes the reply delivered to the current question point.
@@ -131,7 +157,7 @@ func (e *engine) step() {
 		switch {
 		case c.turn == len(e.ids):
 			c.at = phRoundEnd
-		case e.budgets[c.turn] == 0 || !e.budgetLeft() || !e.memberActive(c.turn):
+		case e.spent(c.turn) || !e.budgetLeft() || !e.memberActive(c.turn):
 			// no turn for this member
 		case e.cls.status(c.node) != Unclassified:
 			c.at = phRoundEnd
@@ -147,7 +173,7 @@ func (e *engine) step() {
 			}
 		}
 	case phDescend:
-		if !e.budgetLeft() || e.budgets[c.turn] == 0 {
+		if !e.budgetLeft() || e.spent(c.turn) {
 			c.at = phChainEnd
 			return
 		}
@@ -161,7 +187,7 @@ func (e *engine) step() {
 			c.next, c.at = 0, phAskSucc
 		}
 	case phAskSucc:
-		if c.next == len(c.succs) || e.budgets[c.turn] == 0 || !e.budgetLeft() {
+		if c.next == len(c.succs) || e.spent(c.turn) || !e.budgetLeft() {
 			c.at = phChainEnd // no successor affirmed
 		} else {
 			c.at = phAskSuccQ
@@ -180,7 +206,7 @@ func (e *engine) step() {
 		if r := e.take(); r.ok {
 			e.specialized(r.ans)
 		} else {
-			e.park(c.turn, 0, 0, Question{Kind: KindSpecialization, Choices: c.sets})
+			e.park(c.turn, 0, 0, KindSpecialization)
 		}
 	case phDeclineQ:
 		n := c.succs[0]
@@ -222,7 +248,7 @@ func (e *engine) startRound() {
 	}
 	e.cfg.Metrics.roundStarted()
 	e.endRound()
-	e.endRound = obs.Begin(e.cfg.Tracer, "round", obs.A("node", e.sp.Node(node).Key()))
+	e.endRound = obs.Begin(e.cfg.Tracer, "round", obs.A("node", e.cfg.Space.Node(node).Key()))
 	e.newAnswers = 0
 	c := &e.at
 	c.round++
@@ -267,11 +293,11 @@ func (e *engine) support(mi int, node uint32) (float64, bool) {
 	}
 	if e.cfg.EnablePruning && !r.noClick {
 		if terms := e.pruneTerms(qid); len(terms) > 0 {
-			e.park(mi, node, qid, Question{Kind: KindPruning, Terms: terms})
+			e.park(mi, node, qid, KindPruning)
 			return 0, false
 		}
 	}
-	e.park(mi, node, qid, Question{Kind: KindConcrete, Facts: q.fs})
+	e.park(mi, node, qid, KindConcrete)
 	return 0, false
 }
 
@@ -282,7 +308,7 @@ func (e *engine) pull(mi int, node uint32) float64 {
 		if s, ok := e.support(mi, node); ok {
 			return s
 		}
-		e.answer(AnswerFrom(e.cfg.Members[mi], e.want.q))
+		e.answer(AnswerFrom(e.cfg.Members[mi], e.wanted()))
 	}
 }
 
@@ -351,9 +377,14 @@ func (e *engine) specialized(a Answer) {
 
 // decBudget decrements member mi's per-question budget if bounded.
 func (e *engine) decBudget(mi int) {
-	if e.budgets[mi] > 0 {
+	if e.budgets != nil && e.budgets[mi] > 0 {
 		e.budgets[mi]--
 	}
+}
+
+// spent reports whether member mi has used up a bounded per-member budget.
+func (e *engine) spent(mi int) bool {
+	return e.budgets != nil && e.budgets[mi] == 0
 }
 
 // AnswerFrom obtains a crowd member's answer to a question: the one

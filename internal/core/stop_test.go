@@ -78,7 +78,7 @@ func TestAccuracyStopFlagsSpammers(t *testing.T) {
 				SpamFilter: true,
 			})
 			res := sess.res
-			if g := sess.eng.grades[2]; !g.banned {
+			if g := sess.eng.grades()[2]; !g.banned {
 				t.Errorf("%s spammer not banned (%d of %d graded answers hit)",
 					tc.kind, g.hits, g.trials)
 			}

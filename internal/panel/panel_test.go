@@ -220,11 +220,14 @@ func TestNextPanelsAreOpenPrefixes(t *testing.T) {
 // TestSessionPriorsGrading checks panel.Prior's grading: no
 // answers yields a Low-confidence structural guess, one answer upgrades
 // to Medium, three or more to High (a one-tap confirmation) with the
-// aggregate mean as the guess.
+// aggregate mean as the guess. Three members answer the first node
+// question in turn, each below the threshold so nobody descends and the
+// engine asks the next member the same question; a sample of three keeps
+// it open until the last answer.
 func TestSessionPriorsGrading(t *testing.T) {
 	cfg := figure1Config(t)
-	ids := []string{"p00", "p01"}
-	s := core.NewSession(cfg, ids)
+	cfg.Agg = aggregate.NewFixedSample(3)
+	s := core.NewSession(cfg, []string{"p00", "p01", "p02"})
 	defer s.Close()
 	qs := s.Next()
 	if len(qs) == 0 {
@@ -232,7 +235,7 @@ func TestSessionPriorsGrading(t *testing.T) {
 	}
 	q := qs[0]
 	if q.Kind != core.KindConcrete {
-		t.Skipf("first question is %v, not concrete", q.Kind)
+		t.Fatalf("first question is %v, not concrete", q.Kind)
 	}
 	p := panel.Prior(s, q)
 	if p.Confidence != crowd.ConfidenceLow || p.Source != "ontology" {
@@ -240,6 +243,26 @@ func TestSessionPriorsGrading(t *testing.T) {
 	}
 	if p.Support <= 0 || p.Support > 1 {
 		t.Fatalf("structural guess %v out of range", p.Support)
+	}
+	supports := []float64{0.25, 0, 0.125} // all below the query's 0.4
+	for i, sup := range supports {
+		b := s.Next()[0] // the blocked question: member i's turn at q's node
+		if want := fmt.Sprintf("p%02d", i); b.Member != want || !slices.Equal(b.Facts, q.Facts) {
+			t.Fatalf("answer %d: blocked on %s %v, want %s asked the first question %v", i+1, b.Member, b.Facts, want, q.Facts)
+		}
+		if err := s.Submit(b.ID, core.AnswerSupport(sup)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			p = panel.Prior(s, q)
+			if p.Confidence != crowd.ConfidenceMedium || p.Source != "aggregate" || p.Support != sup {
+				t.Fatalf("prior after one answer of %v = %+v, want Medium/aggregate with support %v", sup, p, sup)
+			}
+		}
+	}
+	mean := (supports[0] + supports[1] + supports[2]) / 3
+	if p = panel.Prior(s, q); p.Confidence != crowd.ConfidenceHigh || p.Source != "aggregate" || p.Support != mean {
+		t.Fatalf("prior after three answers = %+v, want High/aggregate with their mean %v", p, mean)
 	}
 }
 

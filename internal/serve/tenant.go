@@ -70,7 +70,7 @@ type Tenant struct {
 	panelSpec int
 	storeDir  string
 	shards    []*shard
-	slots     []string       // roster member IDs, fixed at construction
+	slots     []string       // roster member IDs, fixed at construction (sessions share it)
 	memberIdx map[string]int // member ID -> roster index
 	obs       *tenantObs
 

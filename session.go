@@ -2,6 +2,7 @@ package oassis
 
 import (
 	"context"
+	"slices"
 
 	"oassis/internal/assign"
 	"oassis/internal/core"
@@ -121,7 +122,8 @@ func NewSession(ctx context.Context, db *DB, q *Query, memberIDs []string, opts 
 		return nil, err
 	}
 	cfg.Canceled = func() bool { return ctx.Err() != nil }
-	inner := core.NewSession(cfg, memberIDs)
+	// The run keeps its member IDs; a copy leaves the caller's slice theirs.
+	inner := core.NewSession(cfg, slices.Clone(memberIDs))
 	return &Session{
 		ctx:       ctx,
 		db:        db,
