@@ -150,3 +150,77 @@ func reduceAntichainOracle(v *vocab.Vocabulary, ts []vocab.Term) []vocab.Term {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// TablesView is the per-variable content of a Tables the oracle test
+// compares: cover lists indexed by term, domains, most general domain
+// values and distinct valid values.
+type TablesView struct {
+	Covers                    [][][]vocab.Term
+	Domains, MinVals, ValidAt [][]vocab.Term
+}
+
+// View exposes the space's lattice tables to the external tests.
+func (sp *Space) View() TablesView {
+	t := sp.tab
+	return TablesView{Covers: t.covers, Domains: t.domains, MinVals: t.minVals, ValidAt: t.validAt}
+}
+
+// LeqSweepView computes the space's tables from Leq tests alone, kept as
+// the oracle of NewTables. The cover lists are the O(D·V) sweep over
+// (domain term, valid value) pairs that NewTables ran before it read them
+// off the closure rows. The domain is every anchor-respecting term at or
+// above some valid value, and a domain value is most general when no
+// other domain value generalizes it.
+func (sp *Space) LeqSweepView() TablesView {
+	voc, n := sp.Voc, sp.Voc.Len()
+	out := TablesView{
+		Covers:  make([][][]vocab.Term, len(sp.Vars)),
+		Domains: make([][]vocab.Term, len(sp.Vars)),
+		MinVals: make([][]vocab.Term, len(sp.Vars)),
+		ValidAt: make([][]vocab.Term, len(sp.Vars)),
+	}
+	for i, vs := range sp.Vars {
+		seen := map[vocab.Term]bool{}
+		for _, row := range sp.ValidBase {
+			if v := row[i]; v >= 0 && !seen[v] {
+				seen[v] = true
+				out.ValidAt[i] = append(out.ValidAt[i], v)
+			}
+		}
+		sort.Slice(out.ValidAt[i], func(a, b int) bool { return out.ValidAt[i][a] < out.ValidAt[i][b] })
+		for v := vocab.Term(0); int(v) < n; v++ {
+			if !respectsAnchors(voc, vs, v) {
+				continue
+			}
+			for _, u := range out.ValidAt[i] {
+				if voc.Leq(v, u) {
+					out.Domains[i] = append(out.Domains[i], v)
+					break
+				}
+			}
+		}
+		for _, v := range out.Domains[i] {
+			minimal := true
+			for _, w := range out.Domains[i] {
+				if voc.Lt(w, v) {
+					minimal = false
+					break
+				}
+			}
+			if minimal {
+				out.MinVals[i] = append(out.MinVals[i], v)
+			}
+		}
+		out.Covers[i] = make([][]vocab.Term, n)
+		for _, v := range out.Domains[i] {
+			var cs []vocab.Term
+			for _, u := range out.ValidAt[i] {
+				if voc.Leq(v, u) {
+					cs = append(cs, u)
+				}
+			}
+			out.Covers[i][v] = cs
+		}
+	}
+	return out
+}

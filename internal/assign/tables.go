@@ -128,18 +128,42 @@ func (t *Tables) build(voc *vocab.Vocabulary, vars []VarSpec, i int, validBase [
 		}
 	}
 
-	// Cover lists: every domain value is, by construction, a (possibly
-	// trivial) generalization of at least one valid value.
-	t.covers[i] = make([][]vocab.Term, t.terms)
-	for _, v := range t.domains[i] {
-		var cs []vocab.Term
-		for _, u := range t.validAt[i] {
-			if voc.Leq(v, u) {
-				cs = append(cs, u)
+	// Cover lists, read off the closure: valid value u belongs to covers[v]
+	// iff v is a domain term at or above u, so u's closure row names every
+	// list u joins, and the cost follows the entries emitted rather than
+	// |domain|·|valid|. Every domain value is, by construction, a (possibly
+	// trivial) generalization of at least one valid value. Walking u in
+	// ascending order leaves every list sorted; one count pass sizes a
+	// single backing array the fill pass cuts the lists from.
+	counts := make([]int32, t.terms)
+	total := 0
+	var anc []vocab.Term
+	for _, u := range t.validAt[i] {
+		anc = voc.AppendAncestorsOrSelf(anc[:0], u)
+		for _, v := range anc {
+			if t.inDomain(i, v) {
+				counts[v]++
+				total++
 			}
 		}
-		t.covers[i][v] = cs
 	}
+	backing := make([]vocab.Term, total)
+	covers := make([][]vocab.Term, t.terms)
+	for _, v := range t.domains[i] {
+		if n := int(counts[v]); n > 0 {
+			covers[v] = backing[:0:n]
+			backing = backing[n:]
+		}
+	}
+	for _, u := range t.validAt[i] {
+		anc = voc.AppendAncestorsOrSelf(anc[:0], u)
+		for _, v := range anc {
+			if t.inDomain(i, v) {
+				covers[v] = append(covers[v], u)
+			}
+		}
+	}
+	t.covers[i] = covers
 }
 
 // inDomain reports whether term v belongs to variable i's exploration

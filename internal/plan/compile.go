@@ -2,7 +2,9 @@ package plan
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"oassis/internal/assign"
 	"oassis/internal/oassisql"
@@ -23,13 +25,21 @@ var ErrNotFrozen = fmt.Errorf("plan: vocabulary must be frozen before compiling"
 // the same fingerprint resolve every plan identically.
 func DomainFingerprint(voc *vocab.Vocabulary, onto *ontology.Ontology) string {
 	h := sha256.New()
+	var buf []byte
 	for t := 0; t < voc.Len(); t++ {
 		term := vocab.Term(t)
-		fmt.Fprintf(h, "%d\x00%s\x00%s\x00", t, voc.Name(term), voc.KindOf(term))
+		buf = strconv.AppendInt(buf[:0], int64(t), 10)
+		buf = append(buf, 0)
+		buf = append(buf, voc.Name(term)...)
+		buf = append(buf, 0)
+		buf = append(buf, voc.KindOf(term).String()...)
+		buf = append(buf, 0)
 		for _, c := range voc.Children(term) {
-			fmt.Fprintf(h, "%d,", c)
+			buf = strconv.AppendInt(buf, int64(c), 10)
+			buf = append(buf, ',')
 		}
-		fmt.Fprint(h, "\x00")
+		buf = append(buf, 0)
+		h.Write(buf)
 	}
 	if onto != nil {
 		if err := rdfio.Write(h, onto); err != nil {
@@ -39,7 +49,7 @@ func DomainFingerprint(voc *vocab.Vocabulary, onto *ontology.Ontology) string {
 			fmt.Fprintf(h, "write-error:%v", err)
 		}
 	}
-	return fmt.Sprintf("sha256:%x", h.Sum(nil))
+	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // ShardIndex maps a plan fingerprint onto one of n shards (FNV-1a over

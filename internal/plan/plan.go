@@ -14,8 +14,8 @@ package plan
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 
 	"oassis/internal/assign"
 	"oassis/internal/vocab"
@@ -54,13 +54,13 @@ type Plan struct {
 
 	voc *vocab.Vocabulary
 	tab *assign.Tables // frozen lattice tables, shared by every session
-	js  []byte         // canonical JSON serialization
-	fp  string         // sha256 over js
+	fp  string         // sha256 over the canonical JSON serialization
 }
 
-// newPlan finalizes a Plan: it serializes the IR once, derives the content
-// address from the serialization, and keeps the read-only lattice tables
-// every session of this plan shares.
+// newPlan finalizes a Plan: it serializes the IR once to derive the
+// content address, and keeps the read-only lattice tables every session
+// of this plan shares. The serialization itself is not kept: MarshalJSON
+// renders it again on demand.
 func newPlan(p *Plan, voc *vocab.Vocabulary, tab *assign.Tables) (*Plan, error) {
 	p.voc = voc
 	p.tab = tab
@@ -68,8 +68,8 @@ func newPlan(p *Plan, voc *vocab.Vocabulary, tab *assign.Tables) (*Plan, error) 
 	if err != nil {
 		return nil, err
 	}
-	p.js = js
-	p.fp = fmt.Sprintf("sha256:%x", sha256.Sum256(js))
+	sum := sha256.Sum256(js)
+	p.fp = "sha256:" + hex.EncodeToString(sum[:])
 	return p, nil
 }
 
@@ -84,11 +84,8 @@ func (p *Plan) Fingerprint() string { return p.fp }
 // MarshalJSON returns the canonical serialization of the IR, with all
 // terms resolved to their vocabulary names so the output is reviewable
 // (golden files, the server's /plans route) without the interning table.
-func (p *Plan) MarshalJSON() ([]byte, error) {
-	out := make([]byte, len(p.js))
-	copy(out, p.js)
-	return out, nil
-}
+// Each call renders the IR afresh; its SHA-256 is the Fingerprint.
+func (p *Plan) MarshalJSON() ([]byte, error) { return marshal(p) }
 
 // NewSpace builds a fresh per-session assign.Space from the compiled
 // parts. Nothing plan-invariant is copied: the immutable slices and the
