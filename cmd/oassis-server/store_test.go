@@ -129,26 +129,19 @@ func TestServerKillAndRestartResumes(t *testing.T) {
 		}
 	}
 	// Long-poll once more: when the next question arrives, the engine has
-	// durably recorded every answer above, and the delivered question is
-	// journaled as issued. Then kill without ceremony — with that question
-	// in flight.
+	// durably recorded every answer above. Then kill without ceremony —
+	// with that question in flight.
 	var killed questionJSON
 	getJSON(t, ts1.URL+"/api/question?member=p00", &killed)
 	if killed.Type != "concrete" {
 		t.Fatalf("question at the crash point is %q, want concrete", killed.Type)
-	}
-	killedFS, err := parseQuestionText(s, killed.Text)
-	if err != nil {
-		t.Fatal(err)
 	}
 	ts1.Close()
 	if err := reg1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Inspect the raw session store: the prefix answers are durable and
-	// the question handed out at the kill is recovered as in flight — and
-	// no in-flight record duplicates a recovered answer.
+	// Inspect the raw session store: the prefix answers are durable.
 	sessDirs, err := filepath.Glob(filepath.Join(dir, "shard-*", "s*"))
 	if err != nil || len(sessDirs) != 1 {
 		t.Fatalf("session store dirs = %v (err %v), want exactly 1", sessDirs, err)
@@ -159,20 +152,6 @@ func TestServerKillAndRestartResumes(t *testing.T) {
 	}
 	if len(rec.Answers) != stop {
 		t.Fatalf("recovered %d answers, want %d", len(rec.Answers), stop)
-	}
-	foundInFlight := false
-	for _, r := range rec.InFlight {
-		if r.Member == "p00" && r.Question == killedFS.Key() {
-			foundInFlight = true
-		}
-		for _, a := range rec.Answers {
-			if a.Question == r.Question && a.Member == r.Member {
-				t.Fatalf("in-flight question %q/%s also recovered as answered", r.Question, r.Member)
-			}
-		}
-	}
-	if !foundInFlight {
-		t.Fatalf("question in flight at the kill not recovered (in-flight: %v)", rec.InFlight)
 	}
 	if err := stRaw.Close(); err != nil {
 		t.Fatal(err)
@@ -259,7 +238,7 @@ func TestServerStoreBadJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindSession("THIS IS NOT OASSIS-QL"); err != nil {
+	if err := st.Bind("THIS IS NOT OASSIS-QL", "sha256:unparseable"); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -289,10 +268,7 @@ func TestServerStorePlanDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindSession(q.String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.BindPlan("sha256:recorded-under-another-domain"); err != nil {
+	if err := st.Bind(q.String(), "sha256:recorded-under-another-domain"); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

@@ -152,3 +152,19 @@ func TestTTYMemberSpecialize(t *testing.T) {
 		t.Error("tty member should not prune")
 	}
 }
+
+// TestRunStoreBindsQuery: a -store directory resumes the query it was
+// recorded for and refuses any other.
+func TestRunStoreBindsQuery(t *testing.T) {
+	q := writeFile(t, "q.oql", testQuery)
+	other := writeFile(t, "other.oql", strings.Replace(testQuery, "0.4", "0.5", 1))
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if err := run(q, "", "", dir, 1, false, false, 1); err != nil {
+			t.Fatalf("run %d over its own store: %v", i, err)
+		}
+	}
+	if err := run(other, "", "", dir, 1, false, false, 1); err == nil || !strings.Contains(err.Error(), "different query") {
+		t.Errorf("another query over the store: %v", err)
+	}
+}

@@ -59,8 +59,8 @@ type Config struct {
 	// through to the live member.
 	Prime *Cache
 
-	// Store, when non-nil, durably records every answer and explicit
-	// classification event as the run produces them (see internal/store).
+	// Store, when non-nil, durably records every answer as the run
+	// produces it (see internal/store).
 	// Together with Prime it makes runs crash-recoverable: a restarted
 	// engine primed from the store's recovered answers replays them
 	// instead of re-asking the crowd, and the store's idempotent appends
@@ -672,7 +672,6 @@ func (e *engine) classifyAs(node uint32, v aggregate.Verdict) {
 	case aggregate.Significant:
 		if e.cls.status(node) != Significant {
 			e.cls.markSignificant(node)
-			e.sinkClassified(node, true)
 			e.recordChainMax(node) // discovery time for the pace curves
 			e.onClassified(node, true)
 			e.expand(node)
@@ -680,7 +679,6 @@ func (e *engine) classifyAs(node uint32, v aggregate.Verdict) {
 	case aggregate.Insignificant:
 		if e.cls.status(node) != Insignificant {
 			e.cls.markInsignificant(node)
-			e.sinkClassified(node, false)
 			e.onClassified(node, false)
 		}
 	}

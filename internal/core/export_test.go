@@ -60,8 +60,6 @@ func (c *shadowCache) AppendAnswer(qKey, member string, support float64, kind Qu
 	return nil
 }
 
-func (c *shadowCache) AppendClassification(string, bool) error { return nil }
-
 // diff reports the first difference between the view and the shadow:
 // their keys, each entry's members and answers, sums and asked flags, and
 // the answer counts.

@@ -84,8 +84,6 @@ func (o *oracleSink) AppendAnswer(key, member string, support float64, _ Questio
 	return nil
 }
 
-func (o *oracleSink) AppendClassification(string, bool) error { return nil }
-
 // spamSweepDomain is the spam experiment's domain (seed, patterns) with n
 // spammers of kind.
 func spamSweepDomain(t testing.TB, seed int64, patterns, n int, kind synth.SpamKind) *synth.Domain {

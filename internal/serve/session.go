@@ -126,11 +126,11 @@ func (s *Session) SubmitPanel(member string, answers []PanelAnswer) (int, error)
 }
 
 // refillLocked lets the engine speculate and retire, then publishes the
-// questions it issued since the last refill: each is journaled, and it
-// queues the session on its member's ready list unless an older open
-// question of theirs already did. Pollers wake on any new question. The
-// open list is read into the shard's scratch buffer, shared with take, so
-// a hosted session keeps no question view of its own. Caller holds sh.mu.
+// questions it issued since the last refill: each queues the session on
+// its member's ready list unless an older open question of theirs
+// already did. Pollers wake on any new question. The open list is read
+// into the shard's scratch buffer, shared with take, so a hosted session
+// keeps no question view of its own. Caller holds sh.mu.
 func (s *Session) refillLocked() {
 	if s.finished {
 		return
@@ -153,14 +153,6 @@ func (s *Session) refillLocked() {
 		s.seen = max(s.seen, q.ID)
 		if !olderOpen(qs, q) {
 			s.sh.ready[q.Member] = append(s.sh.ready[q.Member], s)
-		}
-		if s.st != nil && q.Kind == core.KindConcrete {
-			// Journal the hand-out before a client sees it: an issued
-			// record without a matching answer marks a question in
-			// flight at a crash, re-issued on recovery.
-			if err := s.st.AppendIssued(q.Facts.Key(), q.Member); err != nil {
-				logf("serve: %s/%s store issued: %v", s.t.name, s.id, err)
-			}
 		}
 	}
 	if s.seen > seen {

@@ -419,21 +419,10 @@ func (t *Tenant) attach(id string, q *oassisql.Query, pl *plan.Plan, st *store.S
 		PanelSpeculation: t.panelSpec,
 	}
 	if st != nil {
-		// Same binding discipline as a single-session server: a store
-		// holds one query's answers, and the answers only replay into
-		// the plan they were recorded under.
-		// The plan's query text is q's canonical text, rendered once.
-		if rec.Session != "" && rec.Session != pl.QueryText {
-			return nil, fmt.Errorf("store is bound to a different query; use a fresh store directory")
-		}
-		if err := st.BindSession(pl.QueryText); err != nil {
-			return nil, err
-		}
-		if rec.Plan != "" && rec.Plan != pl.Fingerprint() {
-			return nil, fmt.Errorf("store was recorded under plan %s but the query now compiles to %s (domain drift); use a fresh store directory",
-				rec.Plan, pl.Fingerprint())
-		}
-		if err := st.BindPlan(pl.Fingerprint()); err != nil {
+		// A store holds one query's answers, and they only replay into
+		// the plan they were recorded under. The plan's query text is
+		// q's canonical text, rendered once.
+		if err := st.Bind(pl.QueryText, pl.Fingerprint()); err != nil {
 			return nil, err
 		}
 		t.mu.Lock()

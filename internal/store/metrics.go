@@ -7,21 +7,24 @@ import "oassis/internal/obs"
 // Like the engine's instruments, these are write-only: recording never
 // changes what the store persists or recovers.
 type Metrics struct {
-	appended          [6]*obs.Counter // by RecordType (index 0 unused)
-	fsyncs            *obs.Counter
-	walBytes          *obs.Counter
-	compactions       *obs.Counter
-	recoveredAnswers  *obs.Gauge
-	recoveredInFlight *obs.Gauge
-	truncatedBytes    *obs.Gauge
+	appended         [RecPlan + 1]*obs.Counter // by RecordType; nil for types never written
+	fsyncs           *obs.Counter
+	walBytes         *obs.Counter
+	compactions      *obs.Counter
+	recoveredAnswers *obs.Gauge
+	truncatedBytes   *obs.Gauge
 }
+
+// writtenTypes lists the record types the store appends; the retired
+// RecClassified and RecIssued are only ever read from older logs.
+var writtenTypes = [...]RecordType{RecAnswer, RecSession, RecJoin, RecPlan}
 
 // NewMetrics registers the store instruments on r and returns the handle
 // to attach as Options.Metrics. Registering twice on the same registry
 // returns handles on the same underlying series.
 func NewMetrics(r *obs.Registry) *Metrics {
 	m := &Metrics{}
-	for t := RecAnswer; t <= RecIssued; t++ {
+	for _, t := range writtenTypes {
 		m.appended[t] = r.Counter("oassis_store_records_appended_total",
 			"records appended to the WAL", obs.L("type", t.String()))
 	}
@@ -33,8 +36,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		"snapshot compactions performed")
 	m.recoveredAnswers = r.Gauge("oassis_store_recovered_answers",
 		"unique answers replayed from disk at the last Open")
-	m.recoveredInFlight = r.Gauge("oassis_store_recovered_inflight",
-		"issued-but-unanswered questions surfaced at the last Open")
 	m.truncatedBytes = r.Gauge("oassis_store_recovery_truncated_bytes",
 		"torn WAL tail bytes dropped at the last Open")
 	return m
@@ -44,11 +45,7 @@ func (m *Metrics) recordAppended(t RecordType, bytes int) {
 	if m == nil {
 		return
 	}
-	i := int(t)
-	if i < 1 || i >= len(m.appended) {
-		return
-	}
-	m.appended[i].Inc()
+	m.appended[t].Inc()
 	m.walBytes.Add(bytes)
 }
 
@@ -71,6 +68,5 @@ func (m *Metrics) recovered(rec *Recovered) {
 		return
 	}
 	m.recoveredAnswers.Set(int64(len(rec.Answers)))
-	m.recoveredInFlight.Set(int64(len(rec.InFlight)))
 	m.truncatedBytes.Set(rec.TruncatedBytes)
 }

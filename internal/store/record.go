@@ -35,15 +35,17 @@ import (
 // RecordType discriminates WAL record payloads.
 type RecordType byte
 
-// Record types.
+// Record types. The store writes RecAnswer, RecSession, RecJoin and
+// RecPlan. RecClassified and RecIssued are retired: no store writes them
+// any more, but logs written earlier may still hold them, so the codec
+// keeps them and recovery skips them.
 const (
 	// RecAnswer is one crowd answer: (question, member, support, kind,
 	// counted), exactly what core.Cache holds plus the counted flag.
 	RecAnswer RecordType = 1
-	// RecClassified is a classification event: a lattice node was
-	// explicitly marked significant or insignificant. Audit-only —
-	// recovery re-derives classifications by replaying answers — and
-	// therefore dropped at snapshot compaction.
+	// RecClassified (retired) was a classification event: a lattice node
+	// explicitly marked significant or insignificant. Replaying the
+	// answers re-derives it.
 	RecClassified RecordType = 2
 	// RecSession binds the store to a query (the canonical query text);
 	// reopening against a different query is refused.
@@ -51,19 +53,16 @@ const (
 	// RecJoin records a crowd member claiming a slot (member ID and
 	// display name), so a restarted server restores its roster.
 	RecJoin RecordType = 4
-	// RecIssued records a question handed out to a member before its
-	// answer arrived. An issued record without a matching RecAnswer marks
-	// a question that was in flight at a crash; recovery surfaces those as
-	// Recovered.InFlight so a restarted server re-issues rather than loses
-	// them. Issued records whose answers are durable are dropped at
-	// snapshot compaction.
+	// RecIssued (retired) recorded a question handed out to a member
+	// before its answer arrived. A restarted engine replaying the
+	// answers reaches an unanswered question again by itself.
 	RecIssued RecordType = 5
 	// RecPlan binds the store to a plan fingerprint (the content address
-	// of the compiled plan the session executes). Recovery surfaces it as
-	// Recovered.Plan, so a restarted server detects domain drift — the
-	// same query recompiling to a different plan because the ontology
-	// changed — instead of silently replaying answers into a different
-	// assignment space.
+	// of the compiled plan the session executes). Store.Bind compares it
+	// to the fingerprint of a new run, so domain drift — the same query
+	// recompiling to a different plan because the ontology changed — is
+	// refused instead of replaying answers into a different assignment
+	// space.
 	RecPlan RecordType = 6
 )
 

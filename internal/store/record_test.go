@@ -8,7 +8,8 @@ import (
 	"oassis/internal/core"
 )
 
-// sampleRecords covers every record type and field shape.
+// sampleRecords covers every record type the decoder accepts, the
+// retired RecClassified and RecIssued included, and every field shape.
 func sampleRecords() []Record {
 	return []Record{
 		{Type: RecSession, Note: "SELECT FACT-SETS ..."},
@@ -20,6 +21,8 @@ func sampleRecords() []Record {
 			Support: 1, Kind: core.KindSpecialization, Counted: true},
 		{Type: RecClassified, Node: "node-key-17", Significant: true},
 		{Type: RecClassified, Node: "", Significant: false},
+		{Type: RecIssued, Question: "Biking doAt Central Park", Member: "p01"},
+		{Type: RecPlan, Note: "sha256:0123abcd"},
 	}
 }
 

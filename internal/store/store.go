@@ -56,29 +56,19 @@ type Store struct {
 	joins   []Record
 	seen    map[string]map[string]bool // question -> member -> answered
 	answers []Record                   // unique answers, first-write order
-	issued  map[string]map[string]bool // question -> member -> handed out
-	issues  []Record                   // unique issued records, first-write order
 }
 
 // Recovered is the state replayed from a store directory at Open.
 type Recovered struct {
 	// Answers are the unique crowd answers, in first-write order.
 	Answers []Record
-	// Events are the classification events still present in the WAL
-	// (audit trail; dropped by compaction).
-	Events []Record
 	// Joins are the member slot claims, in join order.
 	Joins []Record
 	// Session is the query text the store is bound to ("" if unbound).
 	Session string
-	// Plan is the plan fingerprint the store is bound to ("" if unbound).
-	// A restarted server compares it to the freshly compiled plan's
-	// fingerprint to detect domain drift before replaying answers.
+	// Plan is the plan fingerprint the store is bound to ("" if unbound);
+	// Bind refuses a run whose plan differs (domain drift).
 	Plan string
-	// InFlight are the questions that were issued to members but whose
-	// answers never arrived — what a crashed server must re-issue rather
-	// than lose.
-	InFlight []Record
 	// TruncatedBytes counts WAL tail bytes dropped because the final
 	// record was torn or corrupt.
 	TruncatedBytes int64
@@ -120,7 +110,6 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		walRecords: len(walRecs),
 		joined:     make(map[string]bool),
 		seen:       make(map[string]map[string]bool),
-		issued:     make(map[string]map[string]bool),
 	}
 	rec := &Recovered{TruncatedBytes: dropped}
 	for _, lists := range [][]Record{snapRecs, walRecs} {
@@ -130,19 +119,14 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 	}
 	rec.Session = s.session
 	rec.Plan = s.plan
-	// An issued question whose answer never landed was in flight at the
-	// crash; surface it so the caller re-issues it.
-	for _, r := range s.issues {
-		if !s.seen[r.Question][r.Member] {
-			rec.InFlight = append(rec.InFlight, r)
-		}
-	}
 	opts.Metrics.recovered(rec)
 	return s, rec, nil
 }
 
 // absorb folds one replayed record into the in-memory state and the
-// Recovered view, deduplicating answers and joins.
+// Recovered view, deduplicating answers and joins. The retired
+// RecClassified and RecIssued records, which older logs may hold, carry
+// nothing recovery needs and are skipped.
 func (s *Store) absorb(r Record, out *Recovered) {
 	switch r.Type {
 	case RecAnswer:
@@ -150,8 +134,6 @@ func (s *Store) absorb(r Record, out *Recovered) {
 			s.answers = append(s.answers, r)
 			out.Answers = append(out.Answers, r)
 		}
-	case RecClassified:
-		out.Events = append(out.Events, r)
 	case RecSession:
 		s.session = r.Note
 	case RecPlan:
@@ -162,10 +144,6 @@ func (s *Store) absorb(r Record, out *Recovered) {
 			s.joins = append(s.joins, r)
 			out.Joins = append(out.Joins, r)
 		}
-	case RecIssued:
-		if s.markIssued(r.Question, r.Member) {
-			s.issues = append(s.issues, r)
-		}
 	}
 }
 
@@ -175,21 +153,6 @@ func (s *Store) markSeen(question, member string) bool {
 	if byMember == nil {
 		byMember = make(map[string]bool)
 		s.seen[question] = byMember
-	}
-	if byMember[member] {
-		return false
-	}
-	byMember[member] = true
-	return true
-}
-
-// markIssued records that (question, member) was handed out and reports
-// whether it was new.
-func (s *Store) markIssued(question, member string) bool {
-	byMember := s.issued[question]
-	if byMember == nil {
-		byMember = make(map[string]bool)
-		s.issued[question] = byMember
 	}
 	if byMember[member] {
 		return false
@@ -242,34 +205,6 @@ func (s *Store) AppendAnswer(question, member string, support float64, kind core
 	return s.append(r)
 }
 
-// AppendIssued durably records that a question was handed to a member,
-// before the (possibly never arriving) answer. Re-appending a pair already
-// issued or already answered is a no-op.
-func (s *Store) AppendIssued(question, member string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.seen[question][member] {
-		return nil // the answer is already durable; nothing is in flight
-	}
-	if !s.markIssued(question, member) {
-		return nil
-	}
-	r := Record{Type: RecIssued, Question: question, Member: member}
-	s.issues = append(s.issues, r)
-	return s.append(r)
-}
-
-// AppendClassification records a node classification event (audit trail).
-// It implements core.Sink.
-func (s *Store) AppendClassification(node string, significant bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.append(Record{Type: RecClassified, Node: node, Significant: significant})
-}
-
 // AppendJoin records a member claiming a slot; duplicate member IDs are
 // no-ops.
 func (s *Store) AppendJoin(member, name string) error {
@@ -287,40 +222,33 @@ func (s *Store) AppendJoin(member, name string) error {
 	return s.append(r)
 }
 
-// BindSession binds the store to a query's canonical text. Rebinding to
-// the same text is a no-op; a different text is refused — a store
-// directory holds answers for exactly one query, and replaying them into
-// another would corrupt its results.
-func (s *Store) BindSession(note string) error {
+// Bind binds the store to one query's canonical text and the fingerprint
+// of the plan it compiles to, journaling whichever is still unbound. A
+// store directory holds exactly one query's answers, keyed by term ids,
+// so binding to another query, or to the same query compiled over a
+// drifted domain (a different plan fingerprint), is refused: replaying
+// those answers would corrupt the new run's results.
+func (s *Store) Bind(query, plan string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch s.session {
-	case note:
-		return nil
-	case "":
-		s.session = note
-		return s.append(Record{Type: RecSession, Note: note})
-	default:
-		return fmt.Errorf("store: directory already bound to a different query")
+	if s.session != "" && s.session != query {
+		return errors.New("store is bound to a different query; use a fresh store directory")
 	}
-}
-
-// BindPlan binds the store to a plan fingerprint. Rebinding to the same
-// fingerprint is a no-op; a different fingerprint is refused — it means
-// the same query now compiles differently (the domain drifted), and the
-// recorded answers belong to the old plan's assignment space.
-func (s *Store) BindPlan(fingerprint string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.plan {
-	case fingerprint:
-		return nil
-	case "":
-		s.plan = fingerprint
-		return s.append(Record{Type: RecPlan, Note: fingerprint})
-	default:
-		return fmt.Errorf("store: directory already bound to a different plan (domain drift?)")
+	if s.plan != "" && s.plan != plan {
+		return fmt.Errorf("store was recorded under plan %s but the query now compiles to %s (domain drift); use a fresh store directory",
+			s.plan, plan)
 	}
+	if s.session == "" {
+		s.session = query
+		if err := s.append(Record{Type: RecSession, Note: query}); err != nil {
+			return err
+		}
+	}
+	if s.plan == "" {
+		s.plan = plan
+		return s.append(Record{Type: RecPlan, Note: plan})
+	}
+	return nil
 }
 
 // maybeCompact compacts when the WAL has outgrown the policy. Caller
@@ -356,7 +284,7 @@ func (s *Store) compactLocked() error {
 	}
 	s.opts.Metrics.fsynced()
 	s.sinceSync = 0
-	recs := make([]Record, 0, 2+len(s.joins)+len(s.answers)+len(s.issues))
+	recs := make([]Record, 0, 2+len(s.joins)+len(s.answers))
 	if s.session != "" {
 		recs = append(recs, Record{Type: RecSession, Note: s.session})
 	}
@@ -365,13 +293,6 @@ func (s *Store) compactLocked() error {
 	}
 	recs = append(recs, s.joins...)
 	recs = append(recs, s.answers...)
-	// Issued questions still awaiting answers stay in the snapshot (they
-	// are exactly the crash-recovery state); answered ones are dropped.
-	for _, r := range s.issues {
-		if !s.seen[r.Question][r.Member] {
-			recs = append(recs, r)
-		}
-	}
 	if err := writeSnapshot(s.dir, recs); err != nil {
 		return err
 	}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oassis/internal/core"
+	"oassis/internal/obs"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
@@ -41,16 +43,13 @@ func TestStoreRoundtrip(t *testing.T) {
 	if len(rec.Answers) != 0 || rec.Session != "" {
 		t.Fatalf("fresh store not empty: %+v", rec)
 	}
-	if err := st.BindSession("query-A"); err != nil {
+	if err := st.Bind("query-A", "sha256:aaaa"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendJoin("p00", "ann"); err != nil {
 		t.Fatal(err)
 	}
 	qs := appendAnswers(t, st, 7)
-	if err := st.AppendClassification("some-node", true); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +60,8 @@ func TestStoreRoundtrip(t *testing.T) {
 
 	st2, rec2 := mustOpen(t, dir, Options{})
 	defer st2.Close()
-	if rec2.Session != "query-A" {
-		t.Errorf("session = %q", rec2.Session)
+	if rec2.Session != "query-A" || rec2.Plan != "sha256:aaaa" {
+		t.Errorf("session, plan = %q, %q", rec2.Session, rec2.Plan)
 	}
 	if len(rec2.Joins) != 1 || rec2.Joins[0].Member != "p00" || rec2.Joins[0].Note != "ann" {
 		t.Errorf("joins = %+v", rec2.Joins)
@@ -74,9 +73,6 @@ func TestStoreRoundtrip(t *testing.T) {
 		if a.Question != qs[i] {
 			t.Errorf("answer %d = %q, want %q", i, a.Question, qs[i])
 		}
-	}
-	if len(rec2.Events) != 1 || rec2.Events[0].Node != "some-node" || !rec2.Events[0].Significant {
-		t.Errorf("events = %+v", rec2.Events)
 	}
 	if rec2.TruncatedBytes != 0 {
 		t.Errorf("clean log reported %d truncated bytes", rec2.TruncatedBytes)
@@ -120,22 +116,30 @@ func TestStoreDedup(t *testing.T) {
 	}
 }
 
+// TestBindSessionMismatch: a store bound to one query refuses another,
+// before and after reopen, whatever plan it names.
 func TestBindSessionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := mustOpen(t, dir, Options{})
-	if err := st.BindSession("query-A"); err != nil {
+	if err := st.Bind("query-A", "sha256:aaaa"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindSession("query-A"); err != nil {
+	if err := st.Bind("query-A", "sha256:aaaa"); err != nil {
 		t.Errorf("rebind same: %v", err)
 	}
-	if err := st.BindSession("query-B"); err == nil {
-		t.Error("rebind to a different query accepted")
+	for _, pl := range []string{"sha256:aaaa", "sha256:bbbb"} {
+		if err := st.Bind("query-B", pl); err == nil || !strings.Contains(err.Error(), "different query") {
+			t.Errorf("rebind to a different query (plan %s): %v", pl, err)
+		}
 	}
 	st.Close()
-	_, rec := mustOpen(t, dir, Options{})
+	st2, rec := mustOpen(t, dir, Options{})
+	defer st2.Close()
 	if rec.Session != "query-A" {
 		t.Errorf("session = %q", rec.Session)
+	}
+	if err := st2.Bind("query-B", "sha256:aaaa"); err == nil {
+		t.Error("reopened store accepted a different query")
 	}
 }
 
@@ -234,24 +238,21 @@ func TestRecoveryBitFlipFinalRecord(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := mustOpen(t, dir, Options{CompactEvery: 10})
-	st.BindSession("query-A")
+	st.Bind("query-A", "sha256:aaaa")
 	st.AppendJoin("p00", "ann")
 	qs := appendAnswers(t, st, 25)
-	for i := 0; i < 25; i++ { // audit events are dropped by compaction
-		st.AppendClassification(fmt.Sprintf("n%d", i), i%2 == 0)
-	}
 	st.Close()
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
-		t.Fatalf("no snapshot after %d appends: %v", 50, err)
+		t.Fatalf("no snapshot after %d appends: %v", 28, err)
 	}
 	wal, _ := os.ReadFile(filepath.Join(dir, walName))
-	if len(wal) >= 50*20 {
+	if len(wal) >= 28*20 {
 		t.Errorf("WAL not reset by compaction: %d bytes", len(wal))
 	}
 	st2, rec := mustOpen(t, dir, Options{})
 	defer st2.Close()
-	if rec.Session != "query-A" || len(rec.Joins) != 1 {
-		t.Errorf("compacted state lost session/joins: %q, %d", rec.Session, len(rec.Joins))
+	if rec.Session != "query-A" || rec.Plan != "sha256:aaaa" || len(rec.Joins) != 1 {
+		t.Errorf("compacted state lost session/plan/joins: %q, %q, %d", rec.Session, rec.Plan, len(rec.Joins))
 	}
 	if len(rec.Answers) != len(qs) {
 		t.Fatalf("recovered %d answers after compaction, want %d", len(rec.Answers), len(qs))
@@ -301,22 +302,28 @@ func TestCorruptSnapshotIsAnError(t *testing.T) {
 }
 
 // TestBindPlan: the plan fingerprint is journaled once, survives reopen
-// (and compaction) as Recovered.Plan, and rebinding to a different
-// fingerprint — domain drift — is refused.
+// (and compaction) as Recovered.Plan, and rebinding the same query to a
+// different fingerprint — domain drift — is refused. A store recorded
+// before plans were bound (a session record only) takes its plan on the
+// first Bind.
 func TestBindPlan(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := mustOpen(t, dir, Options{})
-	if err := st.BindSession("query-A"); err != nil {
+	legacy := append(append([]byte(nil), walMagic...), EncodeRecord(Record{Type: RecSession, Note: "query-A"})...)
+	if err := os.WriteFile(filepath.Join(dir, walName), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindPlan("sha256:aaaa"); err != nil {
+	st, rec0 := mustOpen(t, dir, Options{})
+	if rec0.Session != "query-A" || rec0.Plan != "" {
+		t.Fatalf("legacy store recovered session %q, plan %q", rec0.Session, rec0.Plan)
+	}
+	if err := st.Bind("query-A", "sha256:aaaa"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindPlan("sha256:aaaa"); err != nil {
+	if err := st.Bind("query-A", "sha256:aaaa"); err != nil {
 		t.Errorf("rebind same plan: %v", err)
 	}
-	if err := st.BindPlan("sha256:bbbb"); err == nil {
-		t.Error("rebind to a different plan fingerprint accepted")
+	if err := st.Bind("query-A", "sha256:bbbb"); err == nil || !strings.Contains(err.Error(), "domain drift") {
+		t.Errorf("rebind to a different plan fingerprint: %v", err)
 	}
 	if err := st.AppendAnswer("q", "m", 0.5, core.KindConcrete, true); err != nil {
 		t.Fatal(err)
@@ -338,5 +345,111 @@ func TestBindPlan(t *testing.T) {
 	}
 	if rec2.Session != "query-A" {
 		t.Errorf("session lost at compaction: %q", rec2.Session)
+	}
+}
+
+// TestRecoverRetiredRecords replays a log written before the store
+// stopped journaling classifications and hand-outs: the RecClassified and
+// RecIssued records between its answers are skipped, every answer is
+// recovered in order, and compaction leaves none of them behind.
+func TestRecoverRetiredRecords(t *testing.T) {
+	dir := t.TempDir()
+	log := append([]byte(nil), walMagic...)
+	for _, r := range []Record{{Type: RecSession, Note: "query-A"}, {Type: RecPlan, Note: "sha256:aaaa"}} {
+		log = append(log, EncodeRecord(r)...)
+	}
+	var qs []string
+	for i := 0; i < 6; i++ {
+		q := fmt.Sprintf("question-%02d", i)
+		qs = append(qs, q)
+		log = append(log, EncodeRecord(Record{Type: RecIssued, Question: q, Member: "m"})...)
+		log = append(log, EncodeRecord(Record{Type: RecAnswer, Question: q, Member: "m",
+			Support: 0.5, Kind: core.KindConcrete, Counted: true})...)
+		log = append(log, EncodeRecord(Record{Type: RecClassified, Node: q, Significant: i%2 == 0})...)
+	}
+	// A question handed out but never answered: nothing to recover.
+	log = append(log, EncodeRecord(Record{Type: RecIssued, Question: "in-flight", Member: "m"})...)
+	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(when string, rec *Recovered) {
+		t.Helper()
+		if rec.Session != "query-A" || rec.Plan != "sha256:aaaa" {
+			t.Errorf("%s: session, plan = %q, %q", when, rec.Session, rec.Plan)
+		}
+		if len(rec.Answers) != len(qs) {
+			t.Fatalf("%s: recovered %d answers, want %d", when, len(rec.Answers), len(qs))
+		}
+		for i, a := range rec.Answers {
+			if a.Type != RecAnswer || a.Question != qs[i] {
+				t.Errorf("%s: answer %d = %+v, want %q", when, i, a, qs[i])
+			}
+		}
+	}
+	st, rec := mustOpen(t, dir, Options{})
+	if rec.TruncatedBytes != 0 {
+		t.Errorf("retired records truncated as corrupt: %d bytes", rec.TruncatedBytes)
+	}
+	check("replay", rec)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	snap, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := replayFile(snap, snapMagic, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2+len(qs) {
+		t.Errorf("snapshot holds %d records, want %d", len(recs), 2+len(qs))
+	}
+	for _, r := range recs {
+		if r.Type == RecClassified || r.Type == RecIssued {
+			t.Errorf("compaction kept a retired record: %+v", r)
+		}
+	}
+	_, rec2 := mustOpen(t, dir, Options{})
+	check("after compaction", rec2)
+}
+
+// TestMetricsCountEveryWrittenType: every record the store writes, plan
+// bindings included, is counted by type, and the byte counter matches
+// the WAL file past its magic.
+func TestMetricsCountEveryWrittenType(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	st, _ := mustOpen(t, dir, Options{Metrics: NewMetrics(reg), CompactEvery: -1})
+	if err := st.Bind("query-A", "sha256:aaaa"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendJoin("p00", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	appendAnswers(t, st, 4)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got, want := snap["oassis_store_wal_bytes_total"], float64(len(wal)-len(walMagic)); got != want {
+		t.Errorf("wal_bytes_total = %v, want %v", got, want)
+	}
+	for typ, want := range map[string]float64{"answer": 4, "session": 1, "join": 1, "plan": 1} {
+		if got := snap[`oassis_store_records_appended_total{type="`+typ+`"}`]; got != want {
+			t.Errorf("records_appended_total{type=%q} = %v, want %v", typ, got, want)
+		}
+	}
+	for k := range snap {
+		if strings.Contains(k, "classified") || strings.Contains(k, "issued") || strings.Contains(k, "inflight") {
+			t.Errorf("series for a record type the store no longer writes: %s", k)
+		}
 	}
 }

@@ -589,7 +589,6 @@ type options struct {
 	earlyStop           bool
 	parallelism         int
 	panelSize           int
-	noPlanCache         bool
 	store               *Store
 	metrics             *Metrics
 	tracer              Tracer
@@ -651,12 +650,6 @@ func WithSpamFilter() Option {
 // same with or without it.
 func WithEarlyStop() Option { return func(o *options) { o.earlyStop = true } }
 
-// WithoutPlanCache bypasses the DB's shared plan cache: the query is
-// recompiled from scratch and the result is not cached. Mined results
-// are bit-identical either way; the option exists for benchmarks and for
-// callers that compile many one-off queries they will never rerun.
-func WithoutPlanCache() Option { return func(o *options) { o.noPlanCache = true } }
-
 // WithParallelism keeps up to p questions in flight at once, dispatching
 // them to members on worker goroutines (at most one question — or, with
 // WithPanelSize, one panel — per member at a time). Mined results are
@@ -674,8 +667,8 @@ func WithParallelism(p int) Option { return func(o *options) { o.parallelism = p
 // Default 0 (one question per round trip).
 func WithPanelSize(n int) Option { return func(o *options) { o.panelSize = n } }
 
-// compilePlan resolves the query into a plan, through the DB's shared
-// plan cache unless WithoutPlanCache was given.
+// compilePlan resolves the query into a plan through the DB's shared
+// plan cache.
 func compilePlan(db *DB, q *Query, o *options) (*plan.Plan, error) {
 	dom, err := db.domain()
 	if err != nil {
@@ -684,9 +677,6 @@ func compilePlan(db *DB, q *Query, o *options) (*plan.Plan, error) {
 	var m *plan.CacheMetrics
 	if o.metrics != nil {
 		m = o.metrics.plan
-	}
-	if o.noPlanCache {
-		return plan.Compile(dom.Voc, dom.Onto, q.ast, dom.Fingerprint())
 	}
 	pl, _, err := dom.CompileVariant(q.ast, "", "", m)
 	return pl, err
@@ -723,6 +713,9 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 		cfg.Stop = aggregate.NewSpeciesStop()
 	}
 	if o.store != nil {
+		if err := o.store.inner.Bind(pl.QueryText, pl.Fingerprint()); err != nil {
+			return nil, cfg, err
+		}
 		cfg.Store = o.store.inner
 		if o.store.prime.Len() > 0 {
 			cfg.Prime = o.store.prime
@@ -840,9 +833,8 @@ func (p *Plan) MarshalJSON() ([]byte, error) { return p.inner.MarshalJSON() }
 
 // Compile compiles q over db into an immutable Plan, consulting the DB's
 // shared plan cache (compiling the same query text over the same frozen
-// domain twice returns the cached plan). Options that matter here:
-// WithMetrics records cache hits/misses and compile latency;
-// WithoutPlanCache forces a fresh compilation.
+// domain twice returns the cached plan). The option that matters here is
+// WithMetrics, which records cache hits/misses and compile latency.
 func Compile(db *DB, q *Query, opts ...Option) (*Plan, error) {
 	o := options{answersPerQuestion: 1, seed: 1, parallelism: 1}
 	for _, opt := range opts {

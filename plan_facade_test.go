@@ -113,18 +113,6 @@ func TestPlanCacheEffectiveness(t *testing.T) {
 	if got := snap["oassis_plan_compile_seconds_count"]; got != 1 {
 		t.Errorf("compile histogram count = %v, want 1 (snapshot %v)", got, snap)
 	}
-
-	// WithoutPlanCache forces a fresh compilation of an equal plan.
-	p3, err := Compile(db, q, WithoutPlanCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.inner == p1.inner {
-		t.Error("WithoutPlanCache returned the cached plan")
-	}
-	if p3.Fingerprint() != p1.Fingerprint() {
-		t.Errorf("uncached recompile changed the fingerprint: %q vs %q", p3.Fingerprint(), p1.Fingerprint())
-	}
 }
 
 // TestExecPlanDomainDrift: executing a plan against a DB whose domain has

@@ -38,5 +38,8 @@ func (s *Store) Close() error { return s.inner.Close() }
 // WithStore attaches a durable answer store to the run: answers recovered
 // from the store are replayed instead of re-asked (they still count in
 // the statistics, as in the paper's §6.3 replay methodology), and every
-// new answer is persisted before the run proceeds.
+// new answer is persisted before the run proceeds. A store holds one
+// query's answers: the first run binds it to the query and the plan it
+// compiles to, and a run of another query, or of the same query over a
+// drifted domain, is refused with an error.
 func WithStore(st *Store) Option { return func(o *options) { o.store = st } }

@@ -1,6 +1,9 @@
 package oassis
 
 import (
+	"bytes"
+	"context"
+	"strings"
 	"testing"
 )
 
@@ -72,5 +75,65 @@ func TestExecWithStoreResumes(t *testing.T) {
 		if res.MSPs[i].Text != ref.MSPs[i].Text {
 			t.Errorf("resumed MSP %d = %q, want %q", i, res.MSPs[i].Text, ref.MSPs[i].Text)
 		}
+	}
+}
+
+// TestWithStoreRefusesDrift: a store holds one query's answers, keyed by
+// term ids, so it replays only into the plan it was recorded under. Rerun
+// over the same ontology with two restaurants' names swapped, or with a
+// different query, it is refused with an error instead of priming the run
+// with answers about other terms.
+func TestWithStoreRefusesDrift(t *testing.T) {
+	db := SampleDB()
+	q, err := ParseQuery(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exec(db, q, table3Members(t, db), WithAnswersPerQuestion(2), WithStore(st)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var ttl bytes.Buffer
+	if err := db.WriteOntology(&ttl); err != nil {
+		t.Fatal(err)
+	}
+	swapped := strings.NewReplacer("e:Maoz%20Veg", "e:Pine", "e:Pine", "e:Maoz%20Veg").Replace(ttl.String())
+	drifted, err := LoadOntology(strings.NewReader(swapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exec(drifted, q, table3Members(t, drifted), WithAnswersPerQuestion(2)); err != nil {
+		t.Fatalf("fresh run over the drifted domain: %v", err)
+	}
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := Exec(drifted, q, table3Members(t, drifted), WithAnswersPerQuestion(2), WithStore(st2)); err == nil || !strings.Contains(err.Error(), "domain drift") {
+		t.Errorf("store replayed into a drifted domain: %v", err)
+	}
+	if _, err := NewSession(context.Background(), drifted, q, []string{"u1", "u2"}, WithStore(st2)); err == nil || !strings.Contains(err.Error(), "domain drift") {
+		t.Errorf("session over a drifted domain accepted the store: %v", err)
+	}
+	other, err := ParseQuery(strings.Replace(figure2, "0.4", "0.5", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exec(db, other, table3Members(t, db), WithStore(st2)); err == nil || !strings.Contains(err.Error(), "different query") {
+		t.Errorf("store replayed into a different query: %v", err)
+	}
+	// The recorded domain and query still bind.
+	if _, err := Exec(db, q, table3Members(t, db), WithAnswersPerQuestion(2), WithStore(st2)); err != nil {
+		t.Errorf("rerun of the recorded query: %v", err)
 	}
 }
