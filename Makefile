@@ -2,7 +2,7 @@
 # vet, build, the public-API drift guard, the full test suite under the
 # race detector (the experiment grids in internal/experiments fan cells
 # across goroutines, so -race exercises the concurrency model for real),
-# the per-session heap gate (footprint), short passes of the six fuzzers
+# the per-session heap gate (footprint), short passes of the seven fuzzers
 # listed under the fuzz target, and vet plus tests of the separate bench
 # module.
 
@@ -69,9 +69,10 @@ footprint:
 # canonical re-encode), the Prometheus label escaping (round-trip,
 # scrape-safety), the contract of the species stop rule (no panics,
 # latched ShouldStop, an estimate in [0, 1] equal to a brute-force
-# 1 − f1/n over the stream) and the classifier's term index (equal to
-# the scan oracle after every operation; see the fuzz_test.go in each
-# package).
+# 1 − f1/n over the stream), the classifier's term index (equal to
+# the scan oracle after every operation) and the plan IR encoder (the
+# same bytes as the json.MarshalIndent oracle); see the fuzz tests in
+# each package.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzLabelEscaping$$' -fuzztime $(FUZZTIME)
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/oassisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rdfio -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassifierIndex$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzPlanEncoding$$' -fuzztime $(FUZZTIME)
 
 # Combined assign+core+plan+store+aggregate statement coverage, gated at
 # COVER_MIN so lattice (the node table and successor moves included),

@@ -224,3 +224,67 @@ func (sp *Space) LeqSweepView() TablesView {
 	}
 	return out
 }
+
+// ValidBaseKeySort is NewSpace's projection of bindings onto the mining
+// variables as it was before the rows were sorted without strings, kept as
+// the oracle of the canonical ValidBase order: every row rendered to its
+// baseKey in a map, the keys sorted with sort.Strings. where reports a
+// non-empty WHERE clause.
+func ValidBaseKeySort(v *vocab.Vocabulary, vars []VarSpec, bindings []map[string]vocab.Term,
+	where bool) [][]vocab.Term {
+
+	var unbound []int
+	boundIn := map[string]bool{}
+	for _, b := range bindings {
+		for name := range b {
+			boundIn[name] = true
+		}
+	}
+	for i, vs := range vars {
+		if !boundIn[vs.Name] {
+			unbound = append(unbound, i)
+		}
+	}
+	rows := map[string][]vocab.Term{}
+	if len(bindings) == 0 && !where && len(vars) > 0 {
+		bindings = []map[string]vocab.Term{{}}
+	}
+	var expand func(tuple []vocab.Term, k int)
+	expand = func(tuple []vocab.Term, k int) {
+		if k == len(unbound) {
+			cp := append([]vocab.Term(nil), tuple...)
+			rows[baseKey(cp)] = cp
+			return
+		}
+		i := unbound[k]
+		for t := 0; t < v.Len(); t++ {
+			if v.KindOf(vocab.Term(t)) != vars[i].Kind {
+				continue
+			}
+			tuple[i] = vocab.Term(t)
+			expand(tuple, k+1)
+		}
+		tuple[i] = vocab.None
+	}
+	for _, b := range bindings {
+		tuple := make([]vocab.Term, len(vars))
+		for i, vs := range vars {
+			if t, ok := b[vs.Name]; ok {
+				tuple[i] = t
+			} else {
+				tuple[i] = vocab.None
+			}
+		}
+		expand(tuple, 0)
+	}
+	keys := make([]string, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out [][]vocab.Term
+	for _, k := range keys {
+		out = append(out, rows[k])
+	}
+	return out
+}

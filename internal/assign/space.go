@@ -1,10 +1,11 @@
 package assign
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"oassis/internal/fact"
@@ -131,6 +132,9 @@ func baseKey(vals []vocab.Term) string {
 // generalization caps per variable (see sparql.Anchors). Variables that
 // occur in SATISFYING but not in any binding (the pure-mining form with an
 // empty WHERE clause) range over the whole vocabulary of their kind.
+// ValidBase holds the projected rows deduplicated and in canonical order,
+// ascending by their little-endian baseKeys compared bytewise; the plan
+// IR, and with it every plan fingerprint, lists the rows in that order.
 func NewSpace(v *vocab.Vocabulary, q *oassisql.Query, bindings []map[string]vocab.Term,
 	anchors map[string][]vocab.Term) (*Space, error) {
 
@@ -198,49 +202,23 @@ func NewSpace(v *vocab.Vocabulary, q *oassisql.Query, bindings []map[string]voca
 	}
 
 	// Build the valid base assignments: project bindings onto the mining
-	// variables. Unbound variables range over their whole kind.
+	// variables. Variables no binding mentions range over their whole kind.
 	var unbound []int
-	boundIn := map[string]bool{}
-	for _, b := range bindings {
-		for name := range b {
-			boundIn[name] = true
-		}
-	}
 	for i, vs := range sp.Vars {
-		if !boundIn[vs.Name] {
+		if !slices.ContainsFunc(bindings, func(b map[string]vocab.Term) bool {
+			_, ok := b[vs.Name]
+			return ok
+		}) {
 			unbound = append(unbound, i)
 		}
 	}
-	rows := map[string][]vocab.Term{}
 	// The pure-mining form (empty WHERE clause) has a single empty binding;
 	// an unsatisfiable non-empty WHERE clause yields no bindings and hence
 	// an empty valid set.
 	if len(bindings) == 0 && len(q.Where) == 0 && len(sp.Vars) > 0 {
 		bindings = []map[string]vocab.Term{{}}
 	}
-	kinds := make([]vocab.Kind, len(sp.Vars))
-	for i, vs := range sp.Vars {
-		kinds[i] = vs.Kind
-	}
-	for _, b := range bindings {
-		tuple := make([]vocab.Term, len(sp.Vars))
-		for i, vs := range sp.Vars {
-			if t, ok := b[vs.Name]; ok {
-				tuple[i] = t
-			} else {
-				tuple[i] = vocab.None // filled below for unbound vars
-			}
-		}
-		expandUnbound(v, tuple, unbound, kinds, 0, rows)
-	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sp.ValidBase = append(sp.ValidBase, rows[k])
-	}
+	sp.ValidBase = projectRows(v, sp.Vars, unbound, bindings)
 	sp.tab = NewTables(v, sp.Vars, sp.ValidBase)
 	sp.initSession()
 	return sp, nil
@@ -279,23 +257,76 @@ func (sp *Space) initSession() {
 	sp.hdrBuf = make([][]vocab.Term, 0, len(sp.Vars))
 }
 
-// expandUnbound fills kind-wide domains for unbound variables.
-func expandUnbound(v *vocab.Vocabulary, tuple []vocab.Term, unbound []int, kinds []vocab.Kind,
-	k int, rows map[string][]vocab.Term) {
-	if k == len(unbound) {
-		cp := append([]vocab.Term(nil), tuple...)
-		rows[baseKey(cp)] = cp
-		return
+// projectRows projects every binding onto the mining variables, each
+// unbound variable ranging over every term of its kind, and returns the
+// distinct rows in canonical order: ascending by baseKey, compared
+// bytewise. The rows are cut from one backing array; with no variables,
+// any binding projects to the one empty row.
+func projectRows(v *vocab.Vocabulary, vars []VarSpec, unbound []int,
+	bindings []map[string]vocab.Term) [][]vocab.Term {
+
+	n := len(vars)
+	if n == 0 {
+		if len(bindings) == 0 {
+			return nil
+		}
+		return [][]vocab.Term{nil}
 	}
-	i := unbound[k]
+	var flat []vocab.Term
+	if len(unbound) == 0 {
+		flat = make([]vocab.Term, 0, n*len(bindings))
+	}
+	tuple := make([]vocab.Term, n)
+	for _, b := range bindings {
+		for i, vs := range vars {
+			t, ok := b[vs.Name]
+			if !ok {
+				t = vocab.None // filled by expandUnbound
+			}
+			tuple[i] = t
+		}
+		flat = expandUnbound(v, vars, flat, tuple, unbound)
+	}
+	if len(flat) == 0 {
+		return nil
+	}
+	rows := make([][]vocab.Term, len(flat)/n)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	slices.SortFunc(rows, compareBaseKeys)
+	return slices.CompactFunc(rows, slices.Equal[[]vocab.Term])
+}
+
+// compareBaseKeys orders multiplicity-1 rows as their baseKeys compare
+// bytewise. appendBaseKey writes each term little-endian, so the rows
+// compare term by term on the byte-reversed ids: by id alone, 256 would
+// sort after 1, but its key (00 01 00 00) sorts before 1's (01 00 00 00).
+func compareBaseKeys(a, b []vocab.Term) int {
+	for i, t := range a {
+		if t != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(uint32(t)), bits.ReverseBytes32(uint32(b[i])))
+		}
+	}
+	return 0
+}
+
+// expandUnbound appends to rows every completion of tuple that gives each
+// variable in unbound a term of its kind, in term order.
+func expandUnbound(v *vocab.Vocabulary, vars []VarSpec, rows, tuple []vocab.Term, unbound []int) []vocab.Term {
+	if len(unbound) == 0 {
+		return append(rows, tuple...)
+	}
+	i := unbound[0]
 	for t := 0; t < v.Len(); t++ {
-		if v.KindOf(vocab.Term(t)) != kinds[i] {
+		if v.KindOf(vocab.Term(t)) != vars[i].Kind {
 			continue
 		}
 		tuple[i] = vocab.Term(t)
-		expandUnbound(v, tuple, unbound, kinds, k+1, rows)
+		rows = expandUnbound(v, vars, rows, tuple, unbound[1:])
 	}
 	tuple[i] = vocab.None
+	return rows
 }
 
 // IsValidBase reports whether the multiplicity-1 tuple is a valid base

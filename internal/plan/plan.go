@@ -7,15 +7,16 @@
 // the valid base assignments and a label for the mining substrate, plus
 // the fingerprint of the domain it was compiled against.
 // Plans are content-addressed: Fingerprint is a SHA-256 over the
-// canonical JSON serialization, and Cache keys plans on (query text,
-// domain fingerprint). How a run stops (the top-k bound, the early-stop
-// rule) is a run option, not part of the plan.
+// canonical JSON serialization, streamed into the hash without being
+// built, and Cache keys plans on (query text, domain fingerprint). How a
+// run stops (the top-k bound, the early-stop rule) is a run option, not
+// part of the plan.
 package plan
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 
 	"oassis/internal/assign"
 	"oassis/internal/vocab"
@@ -42,7 +43,8 @@ type Plan struct {
 	// Sat is the resolved SATISFYING meta-fact-set.
 	Sat []assign.Meta
 	// ValidBase holds the valid multiplicity-1 assignments from WHERE
-	// evaluation, in canonical (sorted key) order.
+	// evaluation, deduplicated, in assign.NewSpace's canonical order
+	// (ascending by little-endian key bytes).
 	ValidBase [][]vocab.Term
 	// SubstrateName labels the mining black box the query corresponds
 	// to (SubstrateItemset or SubstrateAssoc). It is recorded in the IR
@@ -57,19 +59,18 @@ type Plan struct {
 	fp  string         // sha256 over the canonical JSON serialization
 }
 
-// newPlan finalizes a Plan: it serializes the IR once to derive the
-// content address, and keeps the read-only lattice tables every session
-// of this plan shares. The serialization itself is not kept: MarshalJSON
-// renders it again on demand.
+// newPlan finalizes a Plan: it streams the IR once into SHA-256 to derive
+// the content address, and keeps the read-only lattice tables every
+// session of this plan shares. The serialization itself is never built:
+// MarshalJSON renders it on demand.
 func newPlan(p *Plan, voc *vocab.Vocabulary, tab *assign.Tables) (*Plan, error) {
 	p.voc = voc
 	p.tab = tab
-	js, err := marshal(p)
-	if err != nil {
+	h := sha256.New()
+	if err := writeIR(h, p); err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(js)
-	p.fp = "sha256:" + hex.EncodeToString(sum[:])
+	p.fp = "sha256:" + hex.EncodeToString(h.Sum(nil))
 	return p, nil
 }
 
@@ -84,8 +85,16 @@ func (p *Plan) Fingerprint() string { return p.fp }
 // MarshalJSON returns the canonical serialization of the IR, with all
 // terms resolved to their vocabulary names so the output is reviewable
 // (golden files, the server's /plans route) without the interning table.
-// Each call renders the IR afresh; its SHA-256 is the Fingerprint.
-func (p *Plan) MarshalJSON() ([]byte, error) { return marshal(p) }
+// The bytes are those json.MarshalIndent(ir, "", "  ") writes for the IR's
+// JSON shape; the streaming encoder that writes them here also feeds them
+// to SHA-256 when the plan is built, so their digest is the Fingerprint.
+func (p *Plan) MarshalJSON() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := writeIR(&buf, p); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // NewSpace builds a fresh per-session assign.Space from the compiled
 // parts. Nothing plan-invariant is copied: the immutable slices and the
@@ -97,88 +106,4 @@ func (p *Plan) MarshalJSON() ([]byte, error) { return marshal(p) }
 // planned execution bit-identical to compiling the query from scratch.
 func (p *Plan) NewSpace() *assign.Space {
 	return assign.FromShared(p.voc, p.Vars, p.Sat, p.More, p.ValidBase, p.tab)
-}
-
-// planJSON is the serialized shape of the IR. Field order is fixed and
-// encoding/json is deterministic over it, so the serialization doubles as
-// the input of the content address. Policy is always "paper-order", the
-// engine's one question order, and Stop is always "threshold", the
-// paper's ask-until-settled rule (an early stop is a run option): both
-// stay in the IR only so fingerprints, and with them the plan bindings
-// of existing stores, do not move.
-type planJSON struct {
-	Query     string     `json:"query"`
-	Support   float64    `json:"support"`
-	All       bool       `json:"select_all"`
-	More      bool       `json:"more"`
-	Domain    string     `json:"domain"`
-	Policy    string     `json:"policy"`
-	Substrate string     `json:"substrate"`
-	Stop      string     `json:"stop"`
-	Vars      []varJSON  `json:"vars"`
-	Sat       []satJSON  `json:"sat"`
-	ValidBase [][]string `json:"valid_base"`
-}
-
-type varJSON struct {
-	Name    string   `json:"name"`
-	Mult    string   `json:"mult"`
-	Kind    string   `json:"kind"`
-	Anchors []string `json:"anchors,omitempty"`
-}
-
-type satJSON struct {
-	S string `json:"s"`
-	R string `json:"r"`
-	O string `json:"o"`
-}
-
-// compName renders one meta-fact component with terms resolved to names.
-func compName(p *Plan, c assign.Comp) string {
-	if c.Var >= 0 {
-		return "$" + p.Vars[c.Var].Name
-	}
-	if c.Term == vocab.Any {
-		return "[]"
-	}
-	return p.voc.Name(c.Term)
-}
-
-func marshal(p *Plan) ([]byte, error) {
-	j := planJSON{
-		Query:     p.QueryText,
-		Support:   p.Support,
-		All:       p.All,
-		More:      p.More,
-		Domain:    p.DomainFP,
-		Policy:    "paper-order",
-		Substrate: p.SubstrateName,
-		Stop:      "threshold",
-		Vars:      []varJSON{},
-		Sat:       []satJSON{},
-		ValidBase: [][]string{},
-	}
-	for _, v := range p.Vars {
-		mult := v.Mult.Marker()
-		if mult == "" {
-			mult = "1"
-		}
-		j.Vars = append(j.Vars, varJSON{
-			Name:    v.Name,
-			Mult:    mult,
-			Kind:    v.Kind.String(),
-			Anchors: p.voc.Names(v.Anchors),
-		})
-	}
-	for _, m := range p.Sat {
-		j.Sat = append(j.Sat, satJSON{
-			S: compName(p, m.S),
-			R: compName(p, m.R),
-			O: compName(p, m.O),
-		})
-	}
-	for _, row := range p.ValidBase {
-		j.ValidBase = append(j.ValidBase, p.voc.Names(row))
-	}
-	return json.MarshalIndent(j, "", "  ")
 }

@@ -327,17 +327,20 @@ func unhex(c byte) (byte, bool) {
 	return 0, false
 }
 
-func percentEncode(s string) string {
-	var sb strings.Builder
+// appendPercentEncoded appends s to dst with every byte a prefixed name
+// may not hold written as %XX (upper-case hex), the form percentDecode
+// reverses.
+func appendPercentEncoded(dst []byte, s string) []byte {
+	const hexUpper = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c <= ' ' || strings.IndexByte(`<>"{}|\^%#/`, c) >= 0 || c >= 0x7f {
-			fmt.Fprintf(&sb, "%%%02X", c)
+			dst = append(dst, '%', hexUpper[c>>4], hexUpper[c&0xf])
 			continue
 		}
-		sb.WriteByte(c)
+		dst = append(dst, c)
 	}
-	return sb.String()
+	return dst
 }
 
 // classifies a predicate IRI into the loader's special roles.

@@ -1,28 +1,47 @@
 package rdfio
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"sort"
+	"strconv"
 
 	"oassis/internal/ontology"
 	"oassis/internal/vocab"
 )
 
+// writeChunk is how many bytes Write gathers before it hands them to its
+// writer.
+const writeChunk = 4 << 10
+
 // Write serializes an ontology (facts, subsumptions, relation order and
 // labels) in the Turtle subset understood by Load, so that
-// Load(Write(o)) reproduces o.
+// Load(Write(o)) reproduces o. Every line is appended into one buffer,
+// which is handed to w in chunks.
 func Write(w io.Writer, o *ontology.Ontology) error {
-	bw := bufio.NewWriter(w)
 	v := o.Vocabulary()
+	buf := make([]byte, 0, 2*writeChunk)
+	var err error
+	// endLine ends a statement and passes a full buffer on.
+	endLine := func() {
+		buf = append(buf, " .\n"...)
+		if len(buf) >= writeChunk {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
+		}
+	}
+	elem := func(t vocab.Term) {
+		buf = append(buf, "e:"...)
+		buf = appendPercentEncoded(buf, v.Name(t))
+	}
+	rel := func(t vocab.Term) {
+		buf = append(buf, "r:"...)
+		buf = appendPercentEncoded(buf, v.Name(t))
+	}
 
-	fmt.Fprintf(bw, "@prefix e: <%s> .\n", defaultElemNS)
-	fmt.Fprintf(bw, "@prefix r: <%s> .\n", defaultRelNS)
-	fmt.Fprintf(bw, "@prefix kind: <%s> .\n\n", kindNS)
-
-	elem := func(t vocab.Term) string { return "e:" + percentEncode(v.Name(t)) }
-	rel := func(t vocab.Term) string { return "r:" + percentEncode(v.Name(t)) }
+	buf = append(buf, "@prefix e: <"+defaultElemNS+"> .\n"+
+		"@prefix r: <"+defaultRelNS+"> .\n"+
+		"@prefix kind: <"+kindNS+"> .\n\n"...)
 
 	// Vocabulary-only terms (no facts, labels or order edges) would be lost
 	// without explicit declarations.
@@ -47,10 +66,13 @@ func Write(w io.Writer, o *ontology.Ontology) error {
 		}
 		term := vocab.Term(t)
 		if v.KindOf(term) == vocab.Element {
-			fmt.Fprintf(bw, "%s a kind:Element .\n", elem(term))
+			elem(term)
+			buf = append(buf, " a kind:Element"...)
 		} else {
-			fmt.Fprintf(bw, "%s a kind:Relation .\n", rel(term))
+			rel(term)
+			buf = append(buf, " a kind:Relation"...)
 		}
+		endLine()
 	}
 
 	// Relation order edges (≤R) as subPropertyOf: specific subPropertyOf general.
@@ -60,26 +82,35 @@ func Write(w io.Writer, o *ontology.Ontology) error {
 			continue
 		}
 		for _, child := range v.Children(term) {
-			fmt.Fprintf(bw, "%s r:subPropertyOf %s .\n", rel(child), rel(term))
+			rel(child)
+			buf = append(buf, " r:subPropertyOf "...)
+			rel(term)
+			endLine()
 		}
 	}
 
 	// Facts (subsumption facts are stored like any other facts, so this
 	// also reproduces the element order when loaded back).
 	for _, f := range o.Facts() {
-		fmt.Fprintf(bw, "%s %s %s .\n", elem(f.S), rel(f.R), elem(f.O))
+		elem(f.S)
+		buf = append(buf, ' ')
+		rel(f.R)
+		buf = append(buf, ' ')
+		elem(f.O)
+		endLine()
 	}
 
-	// Labels.
-	var labeled []vocab.Term
+	// Labels, by term id, each quoted as Go quotes a string.
 	for t := 0; t < v.Len(); t++ {
-		labeled = append(labeled, vocab.Term(t))
-	}
-	sort.Slice(labeled, func(i, j int) bool { return labeled[i] < labeled[j] })
-	for _, t := range labeled {
-		for _, l := range o.LabelsOf(t) {
-			fmt.Fprintf(bw, "%s r:hasLabel %q .\n", elem(t), l)
+		for _, l := range o.LabelsOf(vocab.Term(t)) {
+			elem(vocab.Term(t))
+			buf = append(buf, " r:hasLabel "...)
+			buf = strconv.AppendQuote(buf, l)
+			endLine()
 		}
 	}
-	return bw.Flush()
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return err
 }

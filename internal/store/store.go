@@ -77,9 +77,21 @@ type Recovered struct {
 // PrimeCache loads the recovered answers into a core.Cache suitable for
 // core.Config.Prime: a restarted engine replays them instead of re-asking
 // the crowd.
-func (r *Recovered) PrimeCache() *core.Cache {
+func (r *Recovered) PrimeCache() *core.Cache { return primeCache(r.Answers) }
+
+// PrimeCache loads every answer the store holds now, recovered or appended
+// since Open, into a fresh core.Cache for core.Config.Prime: a run that
+// starts on an open store replays them instead of re-asking the crowd. The
+// cache is the caller's own; later appends do not reach it.
+func (s *Store) PrimeCache() *core.Cache {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return primeCache(s.answers)
+}
+
+func primeCache(answers []Record) *core.Cache {
 	c := core.NewCache()
-	for _, a := range r.Answers {
+	for _, a := range answers {
 		c.Record(a.Question, a.Member, a.Support)
 	}
 	return c

@@ -717,8 +717,8 @@ func planConfig(db *DB, pl *plan.Plan, o *options) (*assign.Space, core.Config, 
 			return nil, cfg, err
 		}
 		cfg.Store = o.store.inner
-		if o.store.prime.Len() > 0 {
-			cfg.Prime = o.store.prime
+		if prime := o.store.inner.PrimeCache(); prime.Len() > 0 {
+			cfg.Prime = prime
 		}
 	}
 	if o.metrics != nil {

@@ -1,9 +1,6 @@
 package oassis
 
-import (
-	"oassis/internal/core"
-	"oassis/internal/store"
-)
+import "oassis/internal/store"
 
 // Store is a durable answer store rooted at a directory: every crowd
 // answer a run collects is appended to a checksummed write-ahead log (and
@@ -13,8 +10,8 @@ import (
 // replays the recovered answers instead of re-asking the crowd, so no
 // member ever sees a question they already answered.
 type Store struct {
-	inner *store.Store
-	prime *core.Cache
+	inner     *store.Store
+	recovered int // answers recovered at OpenStore
 }
 
 // OpenStore opens (creating if needed) a store directory and recovers its
@@ -25,20 +22,21 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{inner: st, prime: rec.PrimeCache()}, nil
+	return &Store{inner: st, recovered: len(rec.Answers)}, nil
 }
 
 // RecoveredAnswers reports how many crowd answers were recovered when the
 // store was opened; a resumed run reuses them without re-asking.
-func (s *Store) RecoveredAnswers() int { return s.prime.Len() }
+func (s *Store) RecoveredAnswers() int { return s.recovered }
 
 // Close flushes and closes the store.
 func (s *Store) Close() error { return s.inner.Close() }
 
-// WithStore attaches a durable answer store to the run: answers recovered
-// from the store are replayed instead of re-asked (they still count in
-// the statistics, as in the paper's §6.3 replay methodology), and every
-// new answer is persisted before the run proceeds. A store holds one
+// WithStore attaches a durable answer store to the run: every answer the
+// store holds when the run starts, recovered at OpenStore or stored by an
+// earlier run, is replayed instead of re-asked (they still count in the
+// statistics, as in the paper's §6.3 replay methodology), and every new
+// answer is persisted before the run proceeds. A store holds one
 // query's answers: the first run binds it to the query and the plan it
 // compiles to, and a run of another query, or of the same query over a
 // drifted domain, is refused with an error.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -135,5 +136,94 @@ func TestWithStoreRefusesDrift(t *testing.T) {
 	// The recorded domain and query still bind.
 	if _, err := Exec(db, q, table3Members(t, db), WithAnswersPerQuestion(2), WithStore(st2)); err != nil {
 		t.Errorf("rerun of the recorded query: %v", err)
+	}
+}
+
+// TestStorePrimesEachRunFromWhatItHolds: a run on an open store replays
+// every answer the store holds when it starts, not only those recovered
+// at OpenStore, so a second run of figure 2 on the same open store asks
+// no question live and finds the same MSPs.
+func TestStorePrimesEachRunFromWhatItHolds(t *testing.T) {
+	db := SampleDB()
+	q, err := ParseQuery(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	first, err := Exec(db, q, table3Members(t, db), WithAnswersPerQuestion(2), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.PrimedAnswers != 0 || first.Stats.TotalQuestions == 0 {
+		t.Fatalf("first run: %d questions, %d primed", first.Stats.TotalQuestions, first.Stats.PrimedAnswers)
+	}
+	second, err := Exec(db, q, table3Members(t, db), WithAnswersPerQuestion(2), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := second.Stats.TotalQuestions - second.Stats.PrimedAnswers; live != 0 {
+		t.Errorf("second run asked %d of %d questions live, want 0",
+			live, second.Stats.TotalQuestions)
+	}
+	if st.RecoveredAnswers() != 0 {
+		t.Errorf("RecoveredAnswers = %d on a store opened empty", st.RecoveredAnswers())
+	}
+	if len(second.MSPs) != len(first.MSPs) {
+		t.Fatalf("second run MSPs = %d, want %d", len(second.MSPs), len(first.MSPs))
+	}
+	for i := range second.MSPs {
+		if second.MSPs[i].Text != first.MSPs[i].Text {
+			t.Errorf("second run MSP %d = %q, want %q", i, second.MSPs[i].Text, first.MSPs[i].Text)
+		}
+	}
+}
+
+// TestStoreConcurrentRuns: two runs of figure 2 started at once on one
+// fresh open store each prime from a snapshot taken under the store's
+// lock while the other appends, and both find the MSPs of a run without a
+// store.
+func TestStoreConcurrentRuns(t *testing.T) {
+	db := SampleDB()
+	q, err := ParseQuery(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Exec(db, q, table3Members(t, db), WithAnswersPerQuestion(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var wg sync.WaitGroup
+	res := make([]*Result, 2)
+	errs := make([]error, 2)
+	for i := range res {
+		members := table3Members(t, db)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = Exec(db, q, members, WithAnswersPerQuestion(2), WithStore(st))
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range res {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(r.MSPs) != len(ref.MSPs) {
+			t.Fatalf("run %d: MSPs = %d, want %d", i, len(r.MSPs), len(ref.MSPs))
+		}
+		for j := range r.MSPs {
+			if r.MSPs[j].Text != ref.MSPs[j].Text {
+				t.Errorf("run %d: MSP %d = %q, want %q", i, j, r.MSPs[j].Text, ref.MSPs[j].Text)
+			}
+		}
 	}
 }
