@@ -30,10 +30,9 @@ func TestAllocsPick(t *testing.T) {
 
 // TestAllocsSessionNext gates a warm Next at zero allocations however many
 // questions are open: over the 16-member travel session, a Next that
-// issues nothing new renders the ordered open list from the slab's
-// compact entries into the session's reused view and does nothing else on
-// the heap. AppendNext into a buffer already sized for the open list
-// allocates nothing either.
+// issues nothing new brings the session's kept view up to date from the
+// slab's compact entries and does nothing else on the heap. AppendNext
+// into a buffer already sized for the open list allocates nothing either.
 func TestAllocsSessionNext(t *testing.T) {
 	sess, byID := newCrowdTravel(t).session()
 	for i := 0; i < 400; i++ {
@@ -149,17 +148,22 @@ func TestAllocsSessionLoopCrowd(t *testing.T) {
 	}
 }
 
-// TestSizeSessionStructs pins, on 64-bit platforms, the two structs every
-// session pays for whatever its options: the engine (848 bytes, inside
-// the 896-byte allocation class) and an open-slab entry (40 bytes, one
-// per open question). A field added to either, such as a whole Question
-// in want or a slice only an optional feature uses, fails here before it
-// shows up as per-session heap in the serving tier; move such state into
-// rareState instead, or update the pin with the footprint gate in
-// internal/serve.
+// TestSizeSessionStructs pins, on 64-bit platforms, the structs every
+// session pays for whatever its options: the Session itself (192 bytes,
+// an allocation class of its own), the engine (848 bytes, inside the
+// 896-byte allocation class) and an open-slab entry (40 bytes, one per
+// open question). A field added to any of them, such as a whole Question
+// in want, a slice only an optional feature uses, or Next's view state
+// back in Session (serving hosts never call Next), fails here before it
+// shows up as per-session heap in the serving tier; move such state
+// behind a pointer (rareState, nextView) instead, or update the pin with
+// the footprint gate in internal/serve.
 func TestSizeSessionStructs(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Session{}); got > 192 {
+		t.Errorf("Session is %d bytes, pinned at 192", got)
 	}
 	if got := unsafe.Sizeof(engine{}); got != 848 {
 		t.Errorf("engine is %d bytes, pinned at 848", got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"oassis/internal/aggregate"
 	"oassis/internal/crowd"
@@ -87,22 +88,34 @@ func BenchmarkSessionLoop(b *testing.B) {
 // BenchmarkSessionLoopCrowd measures the session loop over the 16-member
 // travel crowd — Next, then Submit the first question's answer — where
 // every Next speculates over the crowd and returns hundreds of open
-// questions. It reports the cost per answer and the questions each Next
+// questions. It reports the cost per answer, split into the time spent in
+// Next and in Submit (each call timed on its own, as the repo
+// benchmark's traced loop times them), and the questions each Next
 // returns.
 func BenchmarkSessionLoopCrowd(b *testing.B) {
 	ct := newCrowdTravel(b)
 	answers, questions, calls := 0, 0, 0
+	var inNext, inSubmit time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sess, byID := ct.session()
 		b.StartTimer()
-		for qs := sess.Next(); qs != nil; qs = sess.Next() {
+		for {
+			t0 := time.Now()
+			qs := sess.Next()
+			inNext += time.Since(t0)
+			if qs == nil {
+				break
+			}
 			calls++
 			questions += len(qs)
 			q := qs[0]
-			sess.Submit(q.ID, AnswerFrom(byID[q.Member], q))
+			a := AnswerFrom(byID[q.Member], q)
+			t1 := time.Now()
+			sess.Submit(q.ID, a)
+			inSubmit += time.Since(t1)
 			answers++
 		}
 		if len(sess.Close().MSPs) == 0 {
@@ -110,6 +123,8 @@ func BenchmarkSessionLoopCrowd(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
+	b.ReportMetric(float64(inNext.Nanoseconds())/float64(answers), "next-ns/answer")
+	b.ReportMetric(float64(inSubmit.Nanoseconds())/float64(answers), "submit-ns/answer")
 	b.ReportMetric(float64(questions)/float64(calls), "questions/Next")
 }
 

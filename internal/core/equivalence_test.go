@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,6 +136,8 @@ func TestEquivalenceMatrix(t *testing.T) {
 					case "sequential":
 						qs = qs[:1]
 					case "shuffled":
+						// Next's view is the session's own: shuffle a copy.
+						qs = slices.Clone(qs)
 						rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
 					}
 					for i := len(qs) - 1; i >= 0 && !sess.Done(); i-- {

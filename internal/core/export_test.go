@@ -26,6 +26,23 @@ func (s *Session) speculateEveryCall() int {
 	return int(s.nextID - before)
 }
 
+// fullView is Next's view as it was rendered before Next kept it from
+// call to call, kept as the oracle for TestNextViewMatchesOracle: the
+// blocked question, then every other slab entry in ID order, each read
+// afresh. Run right after a Next, it reads the slab that Next compacted.
+func (s *Session) fullView() []Question {
+	out := make([]Question, len(s.open))
+	s.read(&out[0], &s.open[s.blocked])
+	n := 1
+	for i := range s.open {
+		if i != s.blocked {
+			s.read(&out[n], &s.open[i])
+			n++
+		}
+	}
+	return out
+}
+
 // shadowCache is the CrowdCache as it was while it was the run's answer
 // state: one entry per question key string, holding the member → support
 // map, the sum in recording order and the asked flag. Attached as a run's

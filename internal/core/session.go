@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"oassis/internal/fact"
@@ -188,11 +188,12 @@ type Session struct {
 	retired  []retiredQ            // in ID order; late answers are still buffered once
 	specIDs  map[specList]uint32   // specialization candidate lists seen, by ask-key id
 	blocked  int                   // index in open of the engine's question, -1 when none
-	dead     int                   // answered or retired questions still in open
+	dead     int32                 // answered or retired questions still in open
+	lowDead  int32                 // the lowest index in open of a dead question, while dead > 0
 	nextID   QuestionID            // IDs start at 1, so 0 never names a question
 
-	view      []Question // Next's result, reused from call to call
-	specRound int        // the round of the last Next
+	view      *nextView // nil until the first Next: serving hosts call AppendNext only
+	specRound int       // the round of the last Next
 
 	// Observability (nil/zero when neither metrics nor tracer is
 	// attached). With metrics, each question's issue time is an offset
@@ -207,6 +208,16 @@ type Session struct {
 
 	res    *Result // set when the run finishes
 	closed bool
+}
+
+// nextView is Next's result, kept from call to call, and the lowest
+// question ID whose place in its tail (every question after the blocked
+// one) may have changed since it was rendered: one issued, dropped, or
+// adopted as the blocked question. The tail below that ID still matches
+// the slab, so Next renders only the part from it on.
+type nextView struct {
+	qs   []Question
+	mark QuestionID // math.MaxInt64 when nothing changed
 }
 
 // NewSession starts the engine over the given member IDs and runs it to
@@ -258,6 +269,7 @@ func (s *Session) advance() {
 			// now, so it no longer reads as speculative.
 			s.blocked = s.find(id)
 			s.open[s.blocked].spec = false
+			s.moved(id)
 			return
 		}
 		s.blocked = s.issue(k, false)
@@ -314,6 +326,7 @@ func (s *Session) issue(k askKey, speculative bool) int {
 	}
 	s.open = append(s.open, openQ{id: s.nextID, key: k, gen: int32(s.eng.at.round), live: true, spec: speculative})
 	s.byKey[k] = s.nextID
+	s.moved(s.nextID)
 	s.nextID++
 	s.noteIssued(&s.open[len(s.open)-1])
 	return len(s.open) - 1
@@ -338,6 +351,13 @@ func (s *Session) noteIssued(o *openQ) {
 	}
 }
 
+// moved records that question id joined or left the tail of Next's view.
+func (s *Session) moved(id QuestionID) {
+	if v := s.view; v != nil && id < v.mark {
+		v.mark = id
+	}
+}
+
 // read renders open question o into q.
 func (s *Session) read(q *Question, o *openQ) {
 	q.ID, q.Speculative = o.id, o.spec
@@ -355,11 +375,18 @@ func readConcrete(q *Question, o *openQ, ids []string, all []question) {
 
 // drop marks the live open question i dead and frees its ask key; the
 // attached metrics and tracer book it answered (with its latency) or
-// retired.
+// retired. The blocked question is never in the tail of Next's view, so
+// its drop leaves the view's mark alone.
 func (s *Session) drop(i int, answered bool) {
 	m := &s.open[i]
 	m.live = false
+	if s.dead == 0 || int32(i) < s.lowDead {
+		s.lowDead = int32(i)
+	}
 	s.dead++
+	if i != s.blocked {
+		s.moved(m.id)
+	}
 	delete(s.byKey, m.key)
 	if s.metrics != nil {
 		if answered {
@@ -379,8 +406,9 @@ func (s *Session) drop(i int, answered bool) {
 // compact drops dead questions from the open slab. On the round's first
 // Next (newRound) it first retires, in ID order, the speculative questions
 // from rounds the engine has moved past; later Nexts of the round would
-// find none, since every question issued since carries the round. Then
-// each run of live questions moves down with one copy.
+// find none, since every question issued since carries the round. Then,
+// from the first dead question on, each run of live questions moves down
+// with one copy.
 func (s *Session) compact(newRound bool) {
 	b := s.blocked
 	if newRound {
@@ -394,8 +422,8 @@ func (s *Session) compact(newRound bool) {
 	if s.dead == 0 {
 		return
 	}
-	n := 0
-	for i := 0; i < len(s.open); {
+	n := int(s.lowDead)
+	for i := n; i < len(s.open); {
 		j := i // the live run open[i:j], then the dead question at j
 		for j < len(s.open) && s.open[j].live {
 			j++
@@ -507,50 +535,81 @@ func (s *Session) speculateSuccessors() {
 // questions in issue order. It returns nil exactly when the run has
 // finished and Close/Result hold the outcome.
 //
-// The returned slice is the session's own view, reused by the next call to
-// Next: it stays valid until then. Submit, SubmitBatch, AppendOpen and
-// Lookup never write to it, so answering the questions of one Next in a
-// loop is safe; a caller that keeps questions across Nexts copies them, or
-// calls AppendNext with a buffer of its own.
+// The returned slice is the session's own view, kept from call to call:
+// it stays valid until the next Next, and the caller must neither modify
+// nor reorder it. Submit, SubmitBatch, AppendOpen and Lookup never write
+// to it, so answering the questions of one Next in a loop is safe; a
+// caller that wants another order, or keeps questions across Nexts,
+// copies them, or calls AppendNext with a buffer of its own. Next brings
+// the view up to date in place: it renders the blocked question afresh,
+// and the rest only from the lowest question ID issued, dropped or
+// adopted as the blocked question since the last call; the questions
+// before that ID keep their slots.
 func (s *Session) Next() []Question {
 	if s.res != nil || s.closed {
 		return nil
 	}
-	s.view = s.AppendNext(s.view[:0])
-	return s.view
+	s.refresh()
+	v := s.view
+	if v == nil {
+		v = &nextView{} // mark 0: render every question
+		s.view = v
+	}
+	from, _ := s.openAt(v.mark)
+	n := len(s.open)
+	v.qs = slices.Grow(v.qs, max(n-len(v.qs), 0))[:n]
+	s.renderNext(v.qs, from)
+	v.mark = math.MaxInt64
+	return v.qs
 }
 
 // AppendNext is Next in append form: it retires stale speculation,
 // speculates, and appends every question answerable right now to dst —
 // the blocked one first, then the open speculative ones in issue order —
-// returning the extended slice. It leaves Next's view alone. Once the run
-// has finished it returns dst unchanged.
+// returning the extended slice. It renders every question and leaves
+// Next's view alone. Once the run has finished it returns dst unchanged.
 func (s *Session) AppendNext(dst []Question) []Question {
 	if s.res != nil || s.closed {
 		return dst
 	}
+	s.refresh()
+	n := len(dst)
+	dst = slices.Grow(dst, len(s.open))[:n+len(s.open)]
+	s.renderNext(dst[n:], 0)
+	return dst
+}
+
+// refresh readies the slab for a render: it compacts, retiring stale
+// speculation on the round's first call, then speculates.
+func (s *Session) refresh() {
 	round := s.eng.at.round
 	newRound := s.specRound != round
 	s.specRound = round
 	s.compact(newRound)
 	s.speculate(newRound)
-	// Every open question is live: render the blocked one first, then the
-	// rest in place. Those are all concrete (see openQ), so their loop reads
-	// only the member and the question table.
-	b, n := s.blocked, len(dst)
-	dst = slices.Grow(dst, len(s.open))[:n+len(s.open)]
-	s.read(&dst[n], &s.open[b])
+}
+
+// renderNext renders the questions Next returns into dst, one slot per
+// open question: the blocked one into dst[0], then the others from
+// open[from:] in ID order into the end of dst; the slots between keep
+// what they hold. After compaction every open question is live, and all
+// but the blocked one are concrete (see openQ), so their loop reads only
+// the member and the question table.
+func (s *Session) renderNext(dst []Question, from int) {
+	b := s.blocked
+	s.read(&dst[0], &s.open[b])
 	ids, all := s.eng.ids, s.eng.qs.all
-	head, tail := s.open[:b], s.open[b+1:]
-	out := dst[n+1:]
-	for i := range head {
-		readConcrete(&out[i], &head[i], ids, all)
+	rest, out := s.open[from:], dst[from:]
+	if j := b - from; j >= 0 {
+		out = out[1:]
+		for i := range rest[:j] {
+			readConcrete(&out[i], &rest[i], ids, all)
+		}
+		rest, out = rest[j+1:], out[j:]
 	}
-	out = out[len(head):]
-	for i := range tail {
-		readConcrete(&out[i], &tail[i], ids, all)
+	for i := range rest {
+		readConcrete(&out[i], &rest[i], ids, all)
 	}
-	return dst
 }
 
 // AppendOpen appends the member's open questions to dst and returns the
@@ -595,13 +654,20 @@ func (s *Session) Lookup(id QuestionID) (Question, bool) {
 	return Question{}, false
 }
 
+// openAt returns where id is, or would be, in the open slab, and whether
+// it is there (live or dead).
+func (s *Session) openAt(id QuestionID) (int, bool) {
+	return slices.BinarySearchFunc(s.open, id, func(o openQ, id QuestionID) int {
+		return cmp.Compare(o.id, id)
+	})
+}
+
 // find returns the index of the live open question id, or -1.
 func (s *Session) find(id QuestionID) int {
-	i := sort.Search(len(s.open), func(i int) bool { return s.open[i].id >= id })
-	if i == len(s.open) || s.open[i].id != id || !s.open[i].live {
-		return -1
+	if i, ok := s.openAt(id); ok && s.open[i].live {
+		return i
 	}
-	return i
+	return -1
 }
 
 // Submit merges the answer to a previously issued question. Answering the

@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"oassis/internal/aggregate"
 	"oassis/internal/crowd"
@@ -265,6 +267,124 @@ func TestSessionNextOrder(t *testing.T) {
 	if got := summarize(sp, sess.Close()); got != want {
 		t.Errorf("session diverged from Run:\nsession %s\nrun     %s", got, want)
 	}
+}
+
+// TestNextViewMatchesOracle drives the 16-member travel session under
+// random schedules — random open questions answered, speculative ones
+// included, random members leaving, and AppendNext, AppendOpen and Lookup
+// calls in between — and after every Next compares the view, which Next
+// re-renders only from the lowest question ID that changed place, with
+// the full render of the slab (fullView) field by field. One schedule runs
+// the spam filter with two members answering at random, the other widens
+// speculation to three panel successors.
+func TestNextViewMatchesOracle(t *testing.T) {
+	ct := newCrowdTravel(t)
+	for _, tc := range []struct {
+		name  string
+		spam  bool
+		panel int
+	}{
+		{"spam-filter", true, 0},
+		{"panel-speculation", false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := ct.config()
+				cfg.SpamFilter = tc.spam
+				cfg.PanelSpeculation = tc.panel
+				members := ct.d.NewCrowd()
+				ids := memberIDs(members)
+				byID := make(map[string]int, len(ids))
+				for i, id := range ids {
+					byID[id] = i
+				}
+				sess := NewSession(cfg, ids)
+				rng := rand.New(rand.NewSource(seed))
+				answer := func(q Question) Answer {
+					mi := byID[q.Member]
+					if tc.spam && mi < 2 && q.Kind == KindConcrete {
+						return AnswerSupport(float64(rng.Intn(5)) / 4)
+					}
+					return AnswerFrom(members[mi], q)
+				}
+				var buf []Question
+				calls, partial, leaves := 0, 0, 0
+				for qs := sess.Next(); qs != nil; qs = sess.Next() {
+					calls++
+					if sess.view.mark != math.MaxInt64 {
+						t.Fatalf("seed %d, Next %d: mark %d left after the render", seed, calls, sess.view.mark)
+					}
+					want := sess.fullView()
+					if len(qs) != len(want) {
+						t.Fatalf("seed %d, Next %d: %d questions, the full render %d", seed, calls, len(qs), len(want))
+					}
+					for i := range want {
+						if err := sameRender(qs[i], want[i]); err != nil {
+							t.Fatalf("seed %d, Next %d, slot %d of %d: %v", seed, calls, i, len(qs), err)
+						}
+					}
+					// Readers that must leave the view alone.
+					switch rng.Intn(4) {
+					case 0:
+						buf = sess.AppendNext(buf[:0])
+						partial++
+					case 1:
+						buf = sess.AppendOpen(buf[:0], ids[rng.Intn(len(ids))])
+					case 2:
+						sess.Lookup(qs[rng.Intn(len(qs))].ID)
+					}
+					// A few speculative questions, then — half the time —
+					// the blocked one, so most Nexts keep most of the view.
+					picked := map[int]bool{}
+					for range rng.Intn(3) {
+						if i := 1 + rng.Intn(len(qs)); i < len(qs) && !picked[i] {
+							picked[i] = true
+							if err := sess.Submit(qs[i].ID, answer(qs[i])); err != nil {
+								t.Fatalf("seed %d: submit speculative %d: %v", seed, qs[i].ID, err)
+							}
+						}
+					}
+					if rng.Intn(2) == 0 {
+						if err := sess.Submit(qs[0].ID, answer(qs[0])); err != nil {
+							t.Fatalf("seed %d: submit blocked %d: %v", seed, qs[0].ID, err)
+						}
+					}
+					if leaves < 4 && rng.Intn(800) == 0 {
+						leaves++
+						sess.Leave(ids[rng.Intn(len(ids))])
+					}
+				}
+				sess.Close()
+				if calls < 500 || partial == 0 {
+					t.Errorf("seed %d: %d Nexts, %d AppendNexts between them; the schedule should revisit the view many times", seed, calls, partial)
+				}
+			}
+		})
+	}
+}
+
+// sameRender reports how q differs from the oracle's rendering of the same
+// slot: ID, member, kind, the speculative flag, and the facts, choices and
+// terms, which must share the oracle's backing arrays.
+func sameRender(q, want Question) error {
+	switch {
+	case q.ID != want.ID || q.Member != want.Member || q.Kind != want.Kind || q.Speculative != want.Speculative:
+		return fmt.Errorf("question %d of %s (%v, speculative %v), want %d of %s (%v, speculative %v)",
+			q.ID, q.Member, q.Kind, q.Speculative, want.ID, want.Member, want.Kind, want.Speculative)
+	case !sameSlice(q.Facts, want.Facts):
+		return fmt.Errorf("question %d: facts %v, want %v", q.ID, q.Facts, want.Facts)
+	case !sameSlice(q.Choices, want.Choices):
+		return fmt.Errorf("question %d: %d choices, want %d", q.ID, len(q.Choices), len(want.Choices))
+	case !sameSlice(q.Terms, want.Terms):
+		return fmt.Errorf("question %d: terms %v, want %v", q.ID, q.Terms, want.Terms)
+	}
+	return nil
+}
+
+// sameSlice reports whether a and b are the same window of one backing
+// array (or both nil).
+func sameSlice[E any](a, b []E) bool {
+	return len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // TestSessionBlockedNotSpeculative drives the 16-member travel session

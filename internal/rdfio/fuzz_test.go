@@ -14,6 +14,7 @@ func FuzzLoad(f *testing.F) {
 		"@prefix e: <http://x/> .\ne:a e:b e:c .",
 		`<u:a> a <u:B> ; <u:p> <u:c> , <u:d> . # comment`,
 		`<u:a> <u:hasLabel> "lit \n esc" .`,
+		`<u:a> <u:hasLabel> "\a\x00\xff\u00ad\U0001d173" .`,
 		"@prefix",
 		"<unterminated",
 		`"literal start`,

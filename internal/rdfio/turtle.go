@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"oassis/internal/fact"
@@ -56,6 +57,46 @@ func (e *ParseError) Error() string { return fmt.Sprintf("turtle: line %d: %s", 
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// escDigits is how many hex digits follow each escape letter a string
+// literal may use: every escape strconv.Quote writes, so labels that
+// Write quotes load back byte for byte.
+var escDigits = map[rune]int{
+	'a': 0, 'b': 0, 'f': 0, 'n': 0, 'r': 0, 't': 0, 'v': 0, '\\': 0, '"': 0,
+	'x': 2, 'u': 4, 'U': 8,
+}
+
+// unescape reads the escape after a backslash in a string literal and
+// writes what it stands for to sb: \xHH as the raw byte, so invalid UTF-8
+// survives, and every other escape as its rune.
+func (p *parser) unescape(sb *strings.Builder) error {
+	e, _, err := p.r.ReadRune()
+	if err != nil {
+		return p.errf("unterminated escape")
+	}
+	n, ok := escDigits[e]
+	if !ok {
+		return p.errf("unknown escape \\%c", e)
+	}
+	esc := []byte{'\\', byte(e)} // every escape letter is ASCII
+	for range n {
+		d, err := p.r.ReadByte()
+		if err != nil {
+			return p.errf("unterminated escape")
+		}
+		esc = append(esc, d)
+	}
+	r, _, _, err := strconv.UnquoteChar(string(esc), '"')
+	if err != nil {
+		return p.errf("bad escape %q", esc)
+	}
+	if e == 'x' {
+		sb.WriteByte(byte(r))
+	} else {
+		sb.WriteRune(r)
+	}
+	return nil
 }
 
 // token kinds
@@ -154,19 +195,8 @@ func (p *parser) next() (token, error) {
 				return token{}, p.errf("unterminated string literal")
 			}
 			if c == '\\' {
-				e, _, err := p.r.ReadRune()
-				if err != nil {
-					return token{}, p.errf("unterminated escape")
-				}
-				switch e {
-				case 'n':
-					sb.WriteRune('\n')
-				case 't':
-					sb.WriteRune('\t')
-				case '"', '\\':
-					sb.WriteRune(e)
-				default:
-					return token{}, p.errf("unknown escape \\%c", e)
+				if err := p.unescape(&sb); err != nil {
+					return token{}, err
 				}
 				continue
 			}

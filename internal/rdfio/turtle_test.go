@@ -248,3 +248,73 @@ func TestRoundTripKeepsVocabularyOnlyTerms(t *testing.T) {
 		t.Errorf("declaration created facts: %v", got.Format(v2))
 	}
 }
+
+// TestRoundTripQuotedLabels: Load reads back every escape Write's
+// strconv quoting produces — the short escapes, \x for control and
+// invalid UTF-8 bytes, \u and \U for non-printable runes — so each
+// label reloads byte for byte.
+func TestRoundTripQuotedLabels(t *testing.T) {
+	var control []byte
+	for b := byte(0); b < 0x20; b++ {
+		control = append(control, b)
+	}
+	control = append(control, 0x7f)
+	labels := []string{
+		string(control),
+		"bad \xff utf8",
+		"lone \x80 continuation, cut \xe6\xb0 rune, \xfe\xff",
+		"soft\u00adhyphen, zero\u200bwidth, \ufeff bom, private \ue000",
+		"begin beam \U0001d173, last \U0010ffff",
+		"naïve ✓ 水 \ufffd",
+		`say "hi" \ back\slash`,
+	}
+	v := vocab.New()
+	e := v.MustAddElement("labeled")
+	if err := v.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	o := ontology.New(v)
+	for _, l := range labels {
+		if err := o.AddLabel(e, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	for _, esc := range []string{`\a`, `\b`, `\f`, `\n`, `\r`, `\t`, `\v`, `\\`, `\"`, `\x00`, `\xff`, `\u00ad`, `\U0001d173`} {
+		if !strings.Contains(doc, esc) {
+			t.Errorf("written document has no %s escape; the test no longer covers it:\n%s", esc, doc)
+		}
+	}
+	v2, o2, err := Load(strings.NewReader(doc))
+	if err != nil {
+		t.Fatalf("reload: %v\ndocument:\n%s", err, doc)
+	}
+	e2, ok := v2.Lookup("labeled")
+	if !ok {
+		t.Fatal("labeled term lost in round trip")
+	}
+	got, want := o2.LabelsOf(e2), o.LabelsOf(e)
+	if len(got) != len(want) {
+		t.Fatalf("reloaded %d labels, want %d: %q", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("label %d reloaded as %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLoadBadEscapes: an escape strconv.Quote never writes, or one cut
+// short, is a parse error rather than a silently altered label.
+func TestLoadBadEscapes(t *testing.T) {
+	for _, lit := range []string{`"\q"`, `"\'"`, `"\x4"`, `"\xZZ"`, `"\u12"`, `"\ud800"`, `"\U00110000"`, `"\012"`, `"\`} {
+		src := "<u:a> <u:hasLabel> " + lit + " ."
+		if _, _, err := Load(strings.NewReader(src)); err == nil {
+			t.Errorf("Load accepted the literal %s", lit)
+		}
+	}
+}
