@@ -1,10 +1,36 @@
 package assign
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"oassis/internal/vocab"
 )
+
+// baseKey renders a multiplicity-1 row as its base key: each term's four
+// bytes, little-endian. The string-keyed set of these keys is the oracle
+// of the valid-row table and of the rows' canonical order.
+func baseKey(vals []vocab.Term) string {
+	b := make([]byte, 0, 4*len(vals))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return string(b)
+}
+
+// ValidBaseKeySet is the string-keyed set of the valid base rows' keys
+// that the valid-row table replaced, kept as its oracle: the returned
+// function reports whether a tuple's base key is in the set.
+func (sp *Space) ValidBaseKeySet() func(vals []vocab.Term) bool {
+	set := make(map[string]struct{}, len(sp.ValidBase))
+	for _, row := range sp.ValidBase {
+		set[baseKey(row)] = struct{}{}
+	}
+	return func(vals []vocab.Term) bool {
+		_, ok := set[baseKey(vals)]
+		return ok
+	}
+}
 
 // MinimalAddable exposes the successor generator's minimal-addable walk to
 // the external tests, which build their spaces with internal/synth.

@@ -2,7 +2,6 @@ package assign
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -75,7 +74,6 @@ type Space struct {
 	arena    termArena
 	hdrs     hdrArena
 	keyBuf   []byte         // candidate-key scratch
-	baseBuf  []byte         // base-tuple-key scratch
 	hdrBuf   [][]vocab.Term // candidate header scratch
 	valBuf   []vocab.Term   // candidate value-row scratch
 	idBuf    []uint32       // Successors/Predecessors id scratch
@@ -113,28 +111,15 @@ const (
 	coverNo
 )
 
-// appendBaseKey appends the key of a multiplicity-1 tuple to buf: each
-// term's four bytes, little-endian.
-func appendBaseKey(buf []byte, vals []vocab.Term) []byte {
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	return buf
-}
-
-// baseKey builds the key of a multiplicity-1 tuple.
-func baseKey(vals []vocab.Term) string {
-	return string(appendBaseKey(make([]byte, 0, 4*len(vals)), vals))
-}
-
 // NewSpace builds a Space for query q over vocabulary v. bindings are the
 // WHERE-clause results (variable name → term); anchors are the
 // generalization caps per variable (see sparql.Anchors). Variables that
 // occur in SATISFYING but not in any binding (the pure-mining form with an
 // empty WHERE clause) range over the whole vocabulary of their kind.
 // ValidBase holds the projected rows deduplicated and in canonical order,
-// ascending by their little-endian baseKeys compared bytewise; the plan
-// IR, and with it every plan fingerprint, lists the rows in that order.
+// ascending by their base keys (each term's four bytes, little-endian)
+// compared bytewise; the plan IR, and with it every plan fingerprint,
+// lists the rows in that order.
 func NewSpace(v *vocab.Vocabulary, q *oassisql.Query, bindings []map[string]vocab.Term,
 	anchors map[string][]vocab.Term) (*Space, error) {
 
@@ -259,7 +244,7 @@ func (sp *Space) initSession() {
 
 // projectRows projects every binding onto the mining variables, each
 // unbound variable ranging over every term of its kind, and returns the
-// distinct rows in canonical order: ascending by baseKey, compared
+// distinct rows in canonical order: ascending by base key, compared
 // bytewise. The rows are cut from one backing array; with no variables,
 // any binding projects to the one empty row.
 func projectRows(v *vocab.Vocabulary, vars []VarSpec, unbound []int,
@@ -298,10 +283,11 @@ func projectRows(v *vocab.Vocabulary, vars []VarSpec, unbound []int,
 	return slices.CompactFunc(rows, slices.Equal[[]vocab.Term])
 }
 
-// compareBaseKeys orders multiplicity-1 rows as their baseKeys compare
-// bytewise. appendBaseKey writes each term little-endian, so the rows
-// compare term by term on the byte-reversed ids: by id alone, 256 would
-// sort after 1, but its key (00 01 00 00) sorts before 1's (01 00 00 00).
+// compareBaseKeys orders multiplicity-1 rows as their base keys compare
+// bytewise. A base key holds each term's four bytes little-endian, so the
+// rows compare term by term on the byte-reversed ids: by id alone, 256
+// would sort after 1, but its key (00 01 00 00) sorts before 1's
+// (01 00 00 00).
 func compareBaseKeys(a, b []vocab.Term) int {
 	for i, t := range a {
 		if t != b[i] {
@@ -330,14 +316,9 @@ func expandUnbound(v *vocab.Vocabulary, vars []VarSpec, rows, tuple []vocab.Term
 }
 
 // IsValidBase reports whether the multiplicity-1 tuple is a valid base
-// assignment: a probe of the Tables' shared valid-row key set. The probe
-// builds the tuple key in a scratch buffer; the compiler's
-// map-access-by-converted-bytes fast path keeps it allocation-free.
-func (sp *Space) IsValidBase(vals []vocab.Term) bool {
-	sp.baseBuf = appendBaseKey(sp.baseBuf[:0], vals)
-	_, ok := sp.tab.valid[string(sp.baseBuf)]
-	return ok
-}
+// assignment: a probe of the Tables' shared valid-row table, which
+// compares terms and allocates nothing.
+func (sp *Space) IsValidBase(vals []vocab.Term) bool { return sp.tab.isValidBase(vals) }
 
 // IsValid reports whether a is a valid assignment w.r.t. the query
 // (Definition: every combination of one value per variable is a valid base

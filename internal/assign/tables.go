@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"oassis/internal/vocab"
@@ -13,7 +14,7 @@ import (
 // plus a sorted slice, the domain's most general elements (the lattice
 // floor), the sorted distinct valid values, and — for every domain term —
 // the precomputed list of valid values it generalizes (the cover lists the
-// 𝒜-membership test searches); and, for the whole query, the key set of
+// 𝒜-membership test searches); and, for the whole query, a hash table of
 // the valid base rows (IsValidBase) and the lattice's Minimal seeds.
 //
 // Tables hold everything plan-invariant a Space reads, so a session's
@@ -35,7 +36,13 @@ type Tables struct {
 	// term t (v with t ≤ v), nil outside the domain. Indexed by term id.
 	covers [][][]vocab.Term
 
-	valid map[string]struct{} // baseKey of every valid base row
+	// valid is an open-addressed table of the valid base rows: each slot
+	// holds 1 + the row's index in rows, 0 when empty, and a row probes
+	// from the slot its hash's top bits pick. The rows are the caller's,
+	// shared, so the table costs four bytes a slot and no key strings.
+	rows      [][]vocab.Term
+	valid     []uint32
+	validBits uint8 // log2 of len(valid)
 
 	seedsOnce sync.Once
 	seeds     []Assignment // Space.Minimal's result, read-only once computed
@@ -56,11 +63,8 @@ func NewTables(voc *vocab.Vocabulary, vars []VarSpec, validBase [][]vocab.Term) 
 		minVals:    make([][]vocab.Term, len(vars)),
 		validAt:    make([][]vocab.Term, len(vars)),
 		covers:     make([][][]vocab.Term, len(vars)),
-		valid:      make(map[string]struct{}, len(validBase)),
 	}
-	for _, row := range validBase {
-		t.valid[baseKey(row)] = struct{}{}
-	}
+	t.indexRows(validBase)
 	for i := range vars {
 		t.build(voc, vars, i, validBase)
 	}
@@ -164,6 +168,58 @@ func (t *Tables) build(voc *vocab.Vocabulary, vars []VarSpec, i int, validBase [
 		}
 	}
 	t.covers[i] = covers
+}
+
+// indexRows builds the valid-row table over rows at a load of at most one
+// half; a repeated row is stored once.
+func (t *Tables) indexRows(rows [][]vocab.Term) {
+	if len(rows) == 0 {
+		return
+	}
+	t.rows = rows
+	t.validBits = uint8(bits.Len(uint(2*len(rows) - 1)))
+	t.valid = make([]uint32, 1<<t.validBits)
+	for r, row := range rows {
+		if k, found := t.probe(row); !found {
+			t.valid[k] = uint32(r) + 1
+		}
+	}
+}
+
+// probe looks row up in the valid-row table: it returns the slot that
+// holds it, or the empty slot where it would go, and whether it was found.
+// The table must not be empty.
+func (t *Tables) probe(row []vocab.Term) (int, bool) {
+	mask := len(t.valid) - 1
+	for k := int(rowHash(row) >> (64 - t.validBits)); ; k = (k + 1) & mask {
+		r := t.valid[k]
+		if r == 0 {
+			return k, false
+		}
+		if slices.Equal(t.rows[r-1], row) {
+			return k, true
+		}
+	}
+}
+
+// isValidBase reports whether row is one of the valid base rows.
+func (t *Tables) isValidBase(row []vocab.Term) bool {
+	if len(t.valid) == 0 {
+		return false
+	}
+	_, found := t.probe(row)
+	return found
+}
+
+// rowHash hashes a row's terms, each folded in and multiplied by the
+// 64-bit golden ratio, so that the top bits depend on every term.
+func rowHash(row []vocab.Term) uint64 {
+	h := uint64(len(row))
+	for _, v := range row {
+		h ^= h >> 32
+		h = (h + uint64(uint32(v))) * 0x9E3779B97F4A7C15
+	}
+	return h
 }
 
 // inDomain reports whether term v belongs to variable i's exploration

@@ -17,7 +17,8 @@ import (
 
 // checkValidBase builds a Space from the bindings and compares its
 // ValidBase with the map-and-sort.Strings oracle, row for row, nil
-// included.
+// included; then IsValidBase with the string-keyed set of the rows' keys,
+// on every row and on every row with one term swapped for a random one.
 func checkValidBase(t *testing.T, name string, v *vocab.Vocabulary, q *oassisql.Query,
 	bindings []map[string]vocab.Term, anchors map[string][]vocab.Term) {
 	t.Helper()
@@ -29,6 +30,21 @@ func checkValidBase(t *testing.T, name string, v *vocab.Vocabulary, q *oassisql.
 	if !reflect.DeepEqual(sp.ValidBase, want) {
 		t.Fatalf("%s: ValidBase (%d rows) differs from the key-sort oracle (%d rows)",
 			name, len(sp.ValidBase), len(want))
+	}
+	inSet := sp.ValidBaseKeySet()
+	rng := rand.New(rand.NewSource(int64(len(want))))
+	probe := make([]vocab.Term, len(sp.Vars))
+	for _, row := range sp.ValidBase {
+		if !sp.IsValidBase(row) {
+			t.Fatalf("%s: valid row %v not found", name, row)
+		}
+		for i := range row {
+			copy(probe, row)
+			probe[i] = vocab.Term(rng.Intn(v.Len()))
+			if got, want := sp.IsValidBase(probe), inSet(probe); got != want {
+				t.Fatalf("%s: IsValidBase(%v) = %v, key set %v", name, probe, got, want)
+			}
+		}
 	}
 }
 
@@ -49,7 +65,8 @@ func pattern(s, o string) oassisql.Pattern {
 // unsatisfiable WHERE, a generated DAG of more than 256 terms (ids past
 // 255, where key order and id order part) with an unbound variable
 // ranging over its elements, alone and beside a bound one, and a query
-// without mining variables.
+// without mining variables. On each, IsValidBase's table agrees with the
+// string-keyed set it replaced.
 func TestValidBaseMatchesKeySort(t *testing.T) {
 	d, err := synth.GenerateDomain(synth.Travel)
 	if err != nil {

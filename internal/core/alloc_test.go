@@ -151,13 +151,15 @@ func TestAllocsSessionLoopCrowd(t *testing.T) {
 // TestSizeSessionStructs pins, on 64-bit platforms, the structs every
 // session pays for whatever its options: the Session itself (192 bytes,
 // an allocation class of its own), the engine (848 bytes, inside the
-// 896-byte allocation class) and an open-slab entry (40 bytes, one per
-// open question). A field added to any of them, such as a whole Question
-// in want, a slice only an optional feature uses, or Next's view state
-// back in Session (serving hosts never call Next), fails here before it
-// shows up as per-session heap in the serving tier; move such state
-// behind a pointer (rareState, nextView) instead, or update the pin with
-// the footprint gate in internal/serve.
+// 896-byte allocation class), its classifier (168 bytes, its own
+// allocation) and an open-slab entry (40 bytes, one per open question).
+// A field added to any of them, such as a whole Question in want, a slice
+// only an optional feature uses, Next's view state back in Session
+// (serving hosts never call Next) or signature state in the classifier
+// (serving sessions never index), fails here before it shows up as
+// per-session heap in the serving tier; move such state behind a pointer
+// (rareState, nextView, the classifier's termIndex) instead, or update
+// the pin with the footprint gate in internal/serve.
 func TestSizeSessionStructs(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -167,6 +169,9 @@ func TestSizeSessionStructs(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(engine{}); got != 848 {
 		t.Errorf("engine is %d bytes, pinned at 848", got)
+	}
+	if got := unsafe.Sizeof(classifier{}); got != 168 {
+		t.Errorf("classifier is %d bytes, pinned at 168", got)
 	}
 	if got := unsafe.Sizeof(openQ{}); got != 40 {
 		t.Errorf("an open-slab entry is %d bytes, pinned at 40", got)

@@ -90,11 +90,13 @@ func BenchmarkSessionLoop(b *testing.B) {
 // every Next speculates over the crowd and returns hundreds of open
 // questions. It reports the cost per answer, split into the time spent in
 // Next and in Submit (each call timed on its own, as the repo
-// benchmark's traced loop times them), and the questions each Next
-// returns.
+// benchmark's traced loop times them), the questions each Next returns,
+// and the Space.Leq confirmations per answer the classifier makes once
+// its term index exists (leq/answer).
 func BenchmarkSessionLoopCrowd(b *testing.B) {
 	ct := newCrowdTravel(b)
 	answers, questions, calls := 0, 0, 0
+	var leqs uint64
 	var inNext, inSubmit time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,11 +120,13 @@ func BenchmarkSessionLoopCrowd(b *testing.B) {
 			inSubmit += time.Since(t1)
 			answers++
 		}
+		leqs += sess.eng.cls.leqCalls()
 		if len(sess.Close().MSPs) == 0 {
 			b.Fatal("session mined no MSPs")
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
+	b.ReportMetric(float64(leqs)/float64(answers), "leq/answer")
 	b.ReportMetric(float64(inNext.Nanoseconds())/float64(answers), "next-ns/answer")
 	b.ReportMetric(float64(inSubmit.Nanoseconds())/float64(answers), "submit-ns/answer")
 	b.ReportMetric(float64(questions)/float64(calls), "questions/Next")
@@ -133,7 +137,9 @@ func BenchmarkSessionLoopCrowd(b *testing.B) {
 // 500, depth 7, multiplicities on, 5% of the nodes planted as valid MSPs,
 // one noiseless oracle, θ 0.5). Unlike Figure 2 it has thousands of
 // ValidBase rows, so any per-row cost on the classification path shows
-// here. It reports the engine's cost per counted answer.
+// here. It reports the engine's cost per counted answer, and the Space.Leq
+// confirmations per answer the classifier makes once its term index
+// exists (leq/answer), a count that does not depend on the host.
 func BenchmarkEngineRunLattice(b *testing.B) {
 	sp, err := synth.GenerateSpace(synth.DAGConfig{Width: 500, Depth: 7, Multiplicities: true, Seed: 1})
 	if err != nil {
@@ -149,17 +155,20 @@ func BenchmarkEngineRunLattice(b *testing.B) {
 	}
 	members := []crowd.Member{synth.NewOracle("u", sp, planted)}
 	answers := 0
+	var leqs uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := Config{Space: pl.NewSpace(), Theta: 0.5, Agg: aggregate.NewFixedSample(1), Members: members}
 		b.StartTimer()
-		res := Run(cfg)
-		if len(res.MSPs) == 0 {
+		s := runSession(cfg)
+		if len(s.res.MSPs) == 0 {
 			b.Fatal("run mined no MSPs")
 		}
-		answers += res.Stats.TotalQuestions
+		answers += s.res.Stats.TotalQuestions
+		leqs += s.eng.cls.leqCalls()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
+	b.ReportMetric(float64(leqs)/float64(answers), "leq/answer")
 }

@@ -5,6 +5,18 @@ import (
 	"sort"
 )
 
+// leqCalls returns the Space.Leq calls the classifier has made since its
+// term index was built: the confirmations its signature test let through.
+// The scans before that, over sets of at most indexMin members, go
+// uncounted: the counter lives in the index, which small sessions never
+// allocate.
+func (c *classifier) leqCalls() uint64 {
+	if c.idx == nil {
+		return 0
+	}
+	return c.idx.leqs
+}
+
 // speculateEveryCall is the speculation pass as it ran before the round's
 // node question was offered once per round, kept as the oracle for
 // TestSpeculationSkipMatchesOracle: on every call it offers the node

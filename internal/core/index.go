@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"oassis/internal/assign"
 	"oassis/internal/vocab"
 )
@@ -21,27 +23,61 @@ const indexMin = 32
 // no value to key (empty rows, or only MORE facts) are kept in bare and
 // read by every down query. Values are vocabulary terms, as every Space
 // constructor and lattice move guarantees. Entries of members that left
-// their set stay until a read drops them, and every candidate is still
-// confirmed with Space.Leq.
+// their set stay until a read drops them.
+//
+// The index also holds every node's order signature (sig), with which the
+// classifier rejects most candidates in one word test before confirming
+// the rest with Space.Leq, and counts those confirmations. A term's
+// ancestors-or-self and their hash bits are read off its closure row on
+// the term's first use and kept, so no post, query or signature decodes a
+// row twice.
 type termIndex struct {
 	on    [3]bool // per set: indexed, and so posted and read here
 	voc   *vocab.Vocabulary
-	terms uint32       // vocabulary size: keys are variable·terms + term
-	cell  []int32      // by key: 1 + position in cells, 0 when never posted
-	cells []postings   // postings by key, allocated on first post
-	bare  [3][]uint32  // per set: members without values
-	anc   []vocab.Term // ancestor-decode scratch
+	terms uint32      // vocabulary size: keys are variable·terms + term
+	cell  []int32     // by key: 1 + position in cells, 0 when never posted
+	cells []postings  // postings by key, allocated on first post
+	bare  [3][]uint32 // per set: members without values
+
+	anc   []termAnc    // by term: its ancestors-or-self, read on first use
+	ancs  []vocab.Term // the used terms' ancestors-or-self, each ascending
+	sigs  []sig        // by node id: its signature, zero until signed
+	union []vocab.Term // ancestorsOf's scratch
 	stamp []uint32     // by term: the ancestorsOf call that last listed it
 	epoch uint32
+	leqs  uint64 // Space.Leq calls that passed the signature test
 }
 
 // postings holds one key's members of each id set.
 type postings struct{ up, down [3][]uint32 }
 
+// termAnc locates a term's ancestors-or-self in termIndex.ancs, hi 0 until
+// the term's first use (the list holds at least the term itself), and
+// holds their hash bits.
+type termAnc struct {
+	lo, hi int32
+	bits   uint64
+}
+
+// sig is a node's order signature: vm holds a hash bit for each of its
+// values, am one for each ancestor-or-self of each value, the bits of
+// variable i rotated by sigRot·i. a ≤ b gives every value of a an
+// ancestor-or-self among b's values of the same variable, so it implies
+// vm(a) &^ am(b) == 0: a pair that fails the test is unordered, whatever
+// its MORE facts.
+type sig struct{ vm, am uint64 }
+
+// sigRot is the rotation that separates the variables' signature bits.
+const sigRot = 23
+
+// hashBit is term t's signature bit before rotation: the top six bits of
+// its Fibonacci hash pick it.
+func hashBit(t vocab.Term) uint64 { return 1 << (uint32(t) * 0x9E3779B9 >> 26) }
+
 func newTermIndex(sp *assign.Space) *termIndex {
 	n := uint32(sp.Voc.Len())
 	return &termIndex{voc: sp.Voc, terms: n, cell: make([]int32, len(sp.Vars)*int(n)),
-		stamp: make([]uint32, n)}
+		anc: make([]termAnc, n), stamp: make([]uint32, n)}
 }
 
 // find returns the postings of variable i's term t, nil when none exist.
@@ -63,30 +99,74 @@ func (x *termIndex) at(i int, t vocab.Term) *postings {
 	return &x.cells[x.cell[k]-1]
 }
 
-// ancestorsOf fills the scratch with the union of the ancestors-or-self of
-// the values vs, each term once.
+// ancestorsOrSelf returns t and its ancestors in ascending order, and
+// their hash bits, decoding t's closure row on its first use only. The
+// slice must not be modified.
+func (x *termIndex) ancestorsOrSelf(t vocab.Term) ([]vocab.Term, uint64) {
+	a := &x.anc[t]
+	if a.hi == 0 {
+		a.lo = int32(len(x.ancs))
+		x.ancs = x.voc.AppendAncestorsOrSelf(x.ancs, t)
+		a.hi = int32(len(x.ancs))
+		for _, u := range x.ancs[a.lo:] {
+			a.bits |= hashBit(u)
+		}
+	}
+	return x.ancs[a.lo:a.hi:a.hi], a.bits
+}
+
+// ancestorsOf returns the union of the ancestors-or-self of the values vs,
+// each term once: each value's list in ascending order, values in order.
+// A single value's list is returned as it is kept; a union is built in
+// scratch, valid until the next call. Neither may be modified.
 func (x *termIndex) ancestorsOf(vs []vocab.Term) []vocab.Term {
+	if len(vs) == 1 {
+		anc, _ := x.ancestorsOrSelf(vs[0])
+		return anc
+	}
 	if x.epoch++; x.epoch == 0 { // wrapped: forget every stamp
 		clear(x.stamp)
 		x.epoch = 1
 	}
-	anc := x.anc[:0]
+	union := x.union[:0]
 	for _, v := range vs {
-		start := len(anc)
-		anc = x.voc.AppendAncestorsOrSelf(anc, v)
-		w := start
-		for _, t := range anc[start:] {
+		anc, _ := x.ancestorsOrSelf(v)
+		for _, t := range anc {
 			if x.stamp[t] != x.epoch {
 				x.stamp[t] = x.epoch
-				anc[w] = t
-				w++
+				union = append(union, t)
 			}
 		}
-		anc = anc[:w]
 	}
-	x.anc = anc
-	return anc
+	x.union = union
+	return union
 }
+
+// sign builds node id's signature unless it has one.
+func (x *termIndex) sign(sp *assign.Space, id uint32) {
+	for int(id) >= len(x.sigs) {
+		x.sigs = append(x.sigs, sig{})
+	}
+	if x.sigs[id].am != 0 {
+		return
+	}
+	var s sig // a node without values keeps the zero signature
+	for i, vs := range sp.Node(id).Vals {
+		var vm, am uint64
+		for _, v := range vs {
+			_, ab := x.ancestorsOrSelf(v)
+			vm |= hashBit(v)
+			am |= ab
+		}
+		s.vm |= bits.RotateLeft64(vm, sigRot*i)
+		s.am |= bits.RotateLeft64(am, sigRot*i)
+	}
+	x.sigs[id] = s
+}
+
+// mayLeq reports whether nodes a ≤ b pass the signature test, which every
+// ordered pair does. Both must have been signed.
+func (x *termIndex) mayLeq(a, b uint32) bool { return x.sigs[a].vm&^x.sigs[b].am == 0 }
 
 // post indexes member id of set, whose node is a.
 func (x *termIndex) post(set int, id uint32, a assign.Assignment) {

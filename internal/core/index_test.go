@@ -325,3 +325,70 @@ func TestClassifierIndexMatchesScan(t *testing.T) {
 		t.Fatalf("indexed runs per set %v of 60; the test needs every set's index exercised", indexed)
 	}
 }
+
+// TestSignatureSound: the signature test passes every ordered pair, so a
+// rejection by it never changes a classification. On the pools of 60
+// classifierDomain runs and on the first 600 nodes of a breadth-first
+// walk over two generated lattices of width 100 with multiplicities on
+// (one and two mined variables), Space.Leq(a, b) implies mayLeq(a, b) for
+// every pair. The test must also reject nine in ten unordered pairs of the
+// lattices, or it saves no Space.Leq call.
+func TestSignatureSound(t *testing.T) {
+	check := func(name string, sp *assign.Space, pool []uint32) (unordered, rejected int) {
+		t.Helper()
+		x := newTermIndex(sp)
+		for _, id := range pool {
+			x.sign(sp, id)
+		}
+		for _, a := range pool {
+			for _, b := range pool {
+				leq, may := sp.Leq(sp.Node(a), sp.Node(b)), x.mayLeq(a, b)
+				if leq && !may {
+					t.Fatalf("%s: %s ≤ %s, but the signature test rejects the pair", name,
+						sp.Format(sp.Node(a)), sp.Format(sp.Node(b)))
+				}
+				if !leq {
+					unordered++
+					if !may {
+						rejected++
+					}
+				}
+			}
+		}
+		return unordered, rejected
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		sp, pool, err := classifierDomain(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("domain %d", seed), sp, pool)
+	}
+	for _, xw := range []int{0, 20} {
+		cfg := synth.DAGConfig{Width: 100, Depth: 5, Multiplicities: true, Seed: 3}
+		if xw > 0 {
+			cfg.XWidth, cfg.XDepth = xw, 3
+		}
+		s, err := synth.GenerateSpace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := s.Sp
+		var pool []uint32
+		seen := map[uint32]bool{}
+		queue := sp.Minimal()
+		for n := 0; n < len(queue) && len(pool) < 600; n++ {
+			if id := sp.ID(queue[n]); !seen[id] {
+				seen[id] = true
+				pool = append(pool, id)
+				queue = append(queue, sp.Successors(queue[n])...)
+			}
+		}
+		name := fmt.Sprintf("lattice of %d mined variables", len(sp.Vars))
+		unordered, rejected := check(name, sp, pool)
+		t.Logf("%s: %d nodes, the signature test rejects %d of %d unordered pairs", name, len(pool), rejected, unordered)
+		if rejected*10 < unordered*9 {
+			t.Errorf("%s: the signature test rejects only %d of %d unordered pairs", name, rejected, unordered)
+		}
+	}
+}

@@ -66,10 +66,15 @@ var setFlags = [3]uint8{setUncl: flagUncl, setSig: flagSig, setInsig: flagInsig}
 // Every order question the classifier asks — is a node under a significant
 // anchor or over an insignificant one, which anchors does a new anchor
 // absorb, which unclassified nodes does it settle — reads candidates from
-// one of three id sets and confirms each with Space.Leq, the only order
-// test. While a set is small its candidates are the whole set; once it
-// passes indexMin, a termIndex narrows them to the members whose values
-// can stand in the asked relation to the query node's values.
+// one of three id sets and confirms each with Space.Leq, the only exact
+// order test. While a set is small its candidates are the whole set; once
+// it passes indexMin, a termIndex narrows them to the members whose values
+// can stand in the asked relation to the query node's values. From then
+// on, every question, on every set, first tests each candidate against
+// the query node by signature (see sig), a word operation that rejects
+// most unordered pairs, and only the pairs it passes reach Space.Leq.
+// Sessions that never index, such as a serving tenant's, pay nothing for
+// the signatures.
 type classifier struct {
 	sp    *assign.Space
 	sig   []uint32 // ids of the maximal significant anchors
@@ -92,12 +97,17 @@ func newClassifier(sp *assign.Space) *classifier {
 	return &classifier{sp: sp}
 }
 
-// grow extends the flat per-node state to cover id.
+// grow extends the flat per-node state to cover id, and once the term
+// index exists, gives id its signature: every node an order question
+// names passes here first, as the operation's node or as a set member.
 func (c *classifier) grow(id uint32) {
 	for uint32(len(c.status_)) <= id {
 		c.status_ = append(c.status_, Unclassified)
 		c.flags = append(c.flags, 0)
 		c.unclPos = append(c.unclPos, 0)
+	}
+	if c.idx != nil {
+		c.idx.sign(c.sp, id)
 	}
 }
 
@@ -110,9 +120,9 @@ func (c *classifier) register(id uint32) Status {
 	}
 	a := c.sp.Node(id)
 	st := Unclassified
-	if c.underSig(a) {
+	if c.underSig(id, a) {
 		st = Significant
-	} else if c.overInsig(a) {
+	} else if c.overInsig(id, a) {
 		st = Insignificant
 	}
 	c.flags[id] |= flagTracked
@@ -128,14 +138,29 @@ func (c *classifier) register(id uint32) Status {
 	return st
 }
 
-// underSig reports whether a lies at or below some significant anchor.
-func (c *classifier) underSig(a assign.Assignment) bool {
-	return c.above(setSig, a, func(s uint32) bool { return c.sp.Leq(a, c.sp.Node(s)) })
+// underSig reports whether node id, whose node is a, lies at or below
+// some significant anchor.
+func (c *classifier) underSig(id uint32, a assign.Assignment) bool {
+	return c.above(setSig, a, func(s uint32) bool { return c.leq(id, s) })
 }
 
-// overInsig reports whether a lies at or above some insignificant anchor.
-func (c *classifier) overInsig(a assign.Assignment) bool {
-	return c.below(setInsig, a, func(i uint32) bool { return c.sp.Leq(c.sp.Node(i), a) })
+// overInsig reports whether node id, whose node is a, lies at or above
+// some insignificant anchor.
+func (c *classifier) overInsig(id uint32, a assign.Assignment) bool {
+	return c.below(setInsig, a, func(i uint32) bool { return c.leq(i, id) })
+}
+
+// leq is the classifier's order test on node ids. Once the term index
+// exists it rejects by signature first and counts the Space.Leq calls
+// that remain.
+func (c *classifier) leq(a, b uint32) bool {
+	if x := c.idx; x != nil {
+		if !x.mayLeq(a, b) {
+			return false
+		}
+		x.leqs++
+	}
+	return c.sp.Leq(c.sp.Node(a), c.sp.Node(b))
 }
 
 // status returns the classification of node id, registering it if new.
@@ -152,13 +177,13 @@ func (c *classifier) status(id uint32) Status {
 func (c *classifier) markSignificant(id uint32) {
 	c.grow(id)
 	a := c.sp.Node(id)
-	if c.underSig(a) {
+	if c.underSig(id, a) {
 		c.setStatus(id, Significant)
 		return // already implied
 	}
 	absorbed := false
 	c.below(setSig, a, func(s uint32) bool {
-		if c.sp.Leq(c.sp.Node(s), a) {
+		if c.leq(s, id) {
 			c.flags[s] &^= flagSig
 			absorbed = true
 		}
@@ -172,7 +197,7 @@ func (c *classifier) markSignificant(id uint32) {
 	c.post(setSig, id, a)
 	c.setStatus(id, Significant)
 	c.below(setUncl, a, func(w uint32) bool {
-		if c.sp.Leq(c.sp.Node(w), a) {
+		if c.leq(w, id) {
 			c.setStatus(w, Significant)
 		}
 		return false
@@ -184,13 +209,13 @@ func (c *classifier) markSignificant(id uint32) {
 func (c *classifier) markInsignificant(id uint32) {
 	c.grow(id)
 	a := c.sp.Node(id)
-	if c.overInsig(a) {
+	if c.overInsig(id, a) {
 		c.setStatus(id, Insignificant)
 		return
 	}
 	absorbed := false
 	c.above(setInsig, a, func(i uint32) bool {
-		if c.sp.Leq(a, c.sp.Node(i)) {
+		if c.leq(id, i) {
 			c.flags[i] &^= flagInsig
 			absorbed = true
 		}
@@ -204,7 +229,7 @@ func (c *classifier) markInsignificant(id uint32) {
 	c.post(setInsig, id, a)
 	c.setStatus(id, Insignificant)
 	c.above(setUncl, a, func(w uint32) bool {
-		if c.sp.Leq(a, c.sp.Node(w)) {
+		if c.leq(id, w) {
 			c.setStatus(w, Insignificant)
 		}
 		return false
@@ -279,6 +304,11 @@ func (c *classifier) post(set int, id uint32, a assign.Assignment) {
 	case len(c.members(set)) > indexMin:
 		if c.idx == nil {
 			c.idx = newTermIndex(c.sp)
+			for n, f := range c.flags {
+				if f != 0 { // tracked or in a set: sign it
+					c.idx.sign(c.sp, uint32(n))
+				}
+			}
 		}
 		c.idx.on[set] = true
 		for _, m := range c.members(set) {

@@ -19,6 +19,7 @@ func FuzzLoad(f *testing.F) {
 		"<unterminated",
 		`"literal start`,
 		"e:no-prefix e:b e:c .",
+		"<u/a> <u/hasLabel> \"caf\xe9\" .",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -26,6 +26,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"oassis/internal/fact"
 	"oassis/internal/ontology"
@@ -57,6 +58,16 @@ func (e *ParseError) Error() string { return fmt.Sprintf("turtle: line %d: %s", 
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// badByte returns an error when ReadRune decoded c from a byte that starts
+// no valid UTF-8 sequence, which it passes on as U+FFFD: raw text must be
+// UTF-8, and only a \xHH escape stands for a stray byte.
+func (p *parser) badByte(c rune, size int) error {
+	if c == utf8.RuneError && size == 1 {
+		return p.errf("invalid UTF-8")
+	}
+	return nil
 }
 
 // escDigits is how many hex digits follow each escape letter a string
@@ -160,8 +171,11 @@ func (p *parser) next() (token, error) {
 	} else if err != nil {
 		return token{}, err
 	}
-	c, _, err := p.r.ReadRune()
+	c, size, err := p.r.ReadRune()
 	if err != nil {
+		return token{}, err
+	}
+	if err := p.badByte(c, size); err != nil {
 		return token{}, err
 	}
 	switch c {
@@ -174,9 +188,12 @@ func (p *parser) next() (token, error) {
 	case '<':
 		var sb strings.Builder
 		for {
-			c, _, err = p.r.ReadRune()
+			c, size, err = p.r.ReadRune()
 			if err != nil {
 				return token{}, p.errf("unterminated IRI")
+			}
+			if err := p.badByte(c, size); err != nil {
+				return token{}, err
 			}
 			if c == '>' {
 				break
@@ -190,9 +207,12 @@ func (p *parser) next() (token, error) {
 	case '"':
 		var sb strings.Builder
 		for {
-			c, _, err = p.r.ReadRune()
+			c, size, err = p.r.ReadRune()
 			if err != nil {
 				return token{}, p.errf("unterminated string literal")
+			}
+			if err := p.badByte(c, size); err != nil {
+				return token{}, err
 			}
 			if c == '\\' {
 				if err := p.unescape(&sb); err != nil {
@@ -214,11 +234,14 @@ func (p *parser) next() (token, error) {
 	var sb strings.Builder
 	sb.WriteRune(c)
 	for {
-		c, _, err = p.r.ReadRune()
+		c, size, err = p.r.ReadRune()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
+			return token{}, err
+		}
+		if err := p.badByte(c, size); err != nil {
 			return token{}, err
 		}
 		if strings.ContainsRune(" \t\r\n.;,<\"#", c) {
@@ -573,9 +596,12 @@ func (p *parser) readPrefixDecl() error {
 	}
 	var label strings.Builder
 	for {
-		c, _, err := p.r.ReadRune()
+		c, size, err := p.r.ReadRune()
 		if err != nil {
 			return p.errf("unterminated @prefix")
+		}
+		if err := p.badByte(c, size); err != nil {
+			return err
 		}
 		if c == ':' {
 			break

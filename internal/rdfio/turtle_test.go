@@ -2,6 +2,7 @@ package rdfio
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -315,6 +316,35 @@ func TestLoadBadEscapes(t *testing.T) {
 		src := "<u:a> <u:hasLabel> " + lit + " ."
 		if _, _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("Load accepted the literal %s", lit)
+		}
+	}
+}
+
+// TestLoadRejectsInvalidUTF8: a raw byte that starts no valid UTF-8
+// sequence — the Latin-1 "café" — fails with its line number in a string
+// literal, an IRI, a prefixed name and a prefix label, where it used to
+// load as U+FFFD; an encoded U+FFFD and the \xe9 escape still load.
+func TestLoadRejectsInvalidUTF8(t *testing.T) {
+	for _, src := range []string{
+		"<u/a> a <u/B> .\n<u/a> <u/hasLabel> \"caf\xe9\" .",
+		"<u:a> a <u:B> .\n<u:caf\xe9> a <u:B> .",
+		"@prefix e: <u:> .\ne:caf\xe9 a e:B .",
+		"<u:a> a <u:B> .\n@prefix caf\xe9: <u:> .",
+	} {
+		_, _, err := Load(strings.NewReader(src))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 || pe.Msg != "invalid UTF-8" {
+			t.Errorf("Load(%q) = %v, want line 2: invalid UTF-8", src, err)
+		}
+	}
+	for _, lit := range []string{"caf\uFFFD", `caf\xe9`} {
+		v, o, err := Load(strings.NewReader("<u/a> <u/hasLabel> \"" + lit + "\" ."))
+		if err != nil {
+			t.Fatalf("Load rejected %q: %v", lit, err)
+		}
+		a, _ := v.Lookup("a")
+		if want := strings.ReplaceAll(lit, `\xe9`, "\xe9"); !o.HasLabel(a, want) {
+			t.Errorf("%q did not load as the label %q: %v", lit, want, o.LabelsOf(a))
 		}
 	}
 }

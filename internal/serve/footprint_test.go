@@ -12,7 +12,7 @@ import (
 
 // footprintKBPerSession is the most live heap one open session may hold:
 // its Space, engine and session state parked on its first Next. It
-// measures 3.43 KB on linux/amd64 with go1.24, so a regression of about
+// measures 3.37 KB on linux/amd64 with go1.24, so a regression of about
 // 0.6 KB per session (a Question copied back into every open-slab entry,
 // say) fails the gate.
 const footprintKBPerSession = 4.0
